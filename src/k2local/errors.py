@@ -5,6 +5,10 @@ class K2LocalError(Exception):
     """Base class for all library errors."""
 
 
+class InvariantViolation(K2LocalError):
+    """An internal invariant failed: a bug, not bad input."""
+
+
 # --- finite fields ---------------------------------------------------------
 
 class CompositeP(K2LocalError):

@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import CompositeP, NotASubfield, ReducibleModulus
+from .errors import (CompositeP, InvariantViolation, NotASubfield,
+                     ReducibleModulus)
 
 #: value known modulo p^precision
 PadicElem = namedtuple("PadicElem", ["value", "precision"])
@@ -170,6 +171,7 @@ class FieldSpec:
         self.p = p
         self.n = n
         self.q = p ** n
+        self.char = p  # every coordinate is an integer mod char
         self.modulus = modulus  # tuple length n+1, constant first, monic
         self.zero = FqElem(self, (0,) * n)
         self.one = FqElem(self, tuple([1] + [0] * (n - 1)))
@@ -268,7 +270,8 @@ def trace_abs(a):
     for _ in range(f.n):
         acc = acc + b
         b = frobenius(b)
-    assert not any(acc.coeffs[1:])
+    if any(acc.coeffs[1:]):
+        raise InvariantViolation("absolute trace escaped the prime field")
     return acc.coeffs[0]
 
 
@@ -497,6 +500,7 @@ class GaloisRing:
         self.n = field.n
         self.s = s
         self.ps = field.p ** s
+        self.char = self.ps  # every coordinate is an integer mod char
         self.modulus = field.modulus  # naive lift, entries in [0, p)
         self.zero = GRElem(self, (0,) * self.n)
         self.one = GRElem(self, tuple([1] + [0] * (self.n - 1)))

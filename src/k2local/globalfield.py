@@ -14,8 +14,8 @@ import math
 from functools import lru_cache
 
 from .errors import (BadIndexPair, DivisionByZero, FieldMismatch,
-                     ModeMismatch, NotReducible, UndeclaredCurveFactor,
-                     ZeroArgument, ZeroDivisor)
+                     InvariantViolation, ModeMismatch, NotReducible,
+                     UndeclaredCurveFactor, ZeroArgument, ZeroDivisor)
 from .ff import FqElem, make_field, norm_rel, get_embedding
 from .forms import d_du, dlog, wedge
 from .series import DEFAULT_T_PREC, Laurent2, invert, laurent_domain
@@ -409,7 +409,8 @@ def _poly2_div_poly1(P, g):
     out = {}
     for b, poly in P.t_coeffs().items():
         q, r = poly.divmod(g)
-        assert not r
+        if r:
+            raise InvariantViolation("u-content division left a remainder")
         for a, c in enumerate(q.coeffs):
             if c:
                 out[(a, b)] = c
@@ -479,10 +480,12 @@ def _poly2_divexact(P, G):
     """Exact division of bivariate polynomials (as polynomials in t)."""
     field = P.field
     Q, R = _tpoly_divmod(_tpoly(P), _tpoly(G), field)
-    assert not R
+    if R:
+        raise InvariantViolation("exact division left a remainder")
     terms = {}
     for b, c in enumerate(Q):
-        assert c.is_poly()
+        if not c.is_poly():
+            raise InvariantViolation("exact quotient is not polynomial in u")
         poly = c.num * c.den.coeffs[0].inv() if c.den.deg == 0 else c.num
         for a, cc in enumerate(poly.coeffs):
             if cc:
@@ -1201,7 +1204,8 @@ def _poly2_from_tpoly(Q, field):
     for b, c in enumerate(Q):
         if not c:
             continue
-        assert c.is_poly()
+        if not c.is_poly():
+            raise InvariantViolation("t-coefficient is not polynomial in u")
         poly = c.num * c.den.coeffs[0].inv()
         for a, cc in enumerate(poly.coeffs):
             if cc:

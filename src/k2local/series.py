@@ -10,6 +10,15 @@ that need a coefficient outside it fail loudly.
 The same machinery runs over F_q coefficients (Laurent2 proper) and over
 Galois-ring coefficients W_s(F_q) (the characteristic-zero lift used by the
 Witt pairing); the coefficient domain is pluggable.
+
+The product is one integer kernel.  It computes the output region first (the
+t-window and the per-row u-bounds), then multiplies only the term pairs that
+land inside it, walking each row in sorted u-order and stopping at the row's
+bound.  Coefficients enter as plain ints: the single coordinate when n = 1,
+else the coordinate tuple Kronecker-packed into one int with digits wide
+enough that no accumulated sum carries.  Each output coefficient is reduced
+once, mod char (p or p^s) and mod the modulus polynomial, and becomes an
+FqElem/GRElem only when it is nonzero.
 """
 
 from __future__ import annotations
@@ -54,6 +63,16 @@ class Laurent2:
         self.terms = clean
         self.t_prec = tp
         self.u_prec = up
+
+    @classmethod
+    def _adopt(cls, dom, terms, tp, up):
+        """Adopt data that already meets the invariants, without copying."""
+        self = object.__new__(cls)
+        self.dom = dom
+        self.terms = terms
+        self.t_prec = tp
+        self.u_prec = up
+        return self
 
     # -- region helpers ----------------------------------------------------
 
@@ -154,29 +173,11 @@ class Laurent2:
 
     def __mul__(self, other):
         self._check(other)
+        # the region first: the product's t-window and per-row u-bounds
         ftlb, gtlb = self.tlb(), other.tlb()
         tp = min(self.t_prec + gtlb, other.t_prec + ftlb)
         if math.isnan(tp):  # inf + -inf cannot occur: tlb >= min exponent
             tp = INF  # pragma: no cover
-        rows = {}
-        for j1, row1 in self.terms.items():
-            for j2, row2 in other.terms.items():
-                j = j1 + j2
-                if j >= tp:
-                    continue
-                dst = rows.setdefault(j, {})
-                for i1, c1 in row1.items():
-                    for i2, c2 in row2.items():
-                        i = i1 + i2
-                        c = c1 * c2
-                        if i in dst:
-                            s = dst[i] + c
-                            if s:
-                                dst[i] = s
-                            else:
-                                del dst[i]
-                        elif c:
-                            dst[i] = c
         up = {}
         if self.u_prec or other.u_prec:
             frows = [(j, self.row_lb(j), self.uprec(j))
@@ -195,7 +196,69 @@ class Laurent2:
                     b = min(up1 + lb2, up2 + lb1)
                     if b != INF and b < up.get(j, INF):
                         up[j] = b
-        return Laurent2(self.dom, rows, None if tp == INF else tp, up)
+        fterms, gterms = self.terms, other.terms
+        if not fterms or not gterms:
+            return Laurent2._adopt(self.dom, {}, tp, up)
+        dom = self.dom
+        char, n, elem, bits, fold = _mul_consts(dom)
+        w = None
+        if n > 1:
+            # Kronecker digits of w bits.  A digit of one packed product is
+            # below 2^bits, and an output coefficient sums at most
+            # min(#f terms, #g terms) such products, so no digit carries.
+            w = bits + min(sum(map(len, fterms.values())),
+                           sum(map(len, gterms.values()))).bit_length()
+        # accumulate in-region pairs only: rows below tp, u below up[j]
+        acc = {}
+        gints = _int_rows(gterms, w)
+        for j1, r1 in _int_rows(fterms, w):
+            for j2, r2 in gints:
+                j = j1 + j2
+                if j >= tp:
+                    break
+                dst = acc.get(j)
+                if dst is None:
+                    dst = acc[j] = {}
+                bound = up.get(j)
+                if bound is None:
+                    for i1, a in r1:
+                        for i2, b in r2:
+                            i = i1 + i2
+                            if i in dst:
+                                dst[i] += a * b
+                            else:
+                                dst[i] = a * b
+                else:
+                    lo2 = r2[0][0]
+                    for i1, a in r1:
+                        lim = bound - i1
+                        if lo2 >= lim:
+                            break
+                        for i2, b in r2:
+                            if i2 >= lim:
+                                break
+                            i = i1 + i2
+                            if i in dst:
+                                dst[i] += a * b
+                            else:
+                                dst[i] = a * b
+        # reduce each output coefficient once and wrap the nonzero ones
+        rows = {}
+        for j, dst in acc.items():
+            row = {}
+            if n == 1:
+                for i, v in dst.items():
+                    v %= char
+                    if v:
+                        row[i] = elem(dom, (v,))
+            else:
+                for i, v in dst.items():
+                    cs = _unpack(v, w, n, char, fold)
+                    if cs:
+                        row[i] = elem(dom, cs)
+            if row:
+                rows[j] = row
+        return Laurent2._adopt(dom, rows, tp, up)
 
     def monomial_mul(self, c, i_shift=0, j_shift=0):
         """Multiply by the exact monomial c·u^{i_shift}·t^{j_shift}."""
@@ -324,6 +387,65 @@ class Laurent2:
         return f"Laurent2({self.serialize()})"
 
 
+@lru_cache(maxsize=None)
+def _mul_consts(dom):
+    """Constants of the product kernel for one coefficient domain.
+
+    (char, n, element class, bits, fold): every coordinate is an integer
+    in [0, char); each digit of the product of two packed elements is
+    below 2**bits; fold[k] holds the coordinates of x^(n+k) mod the modulus.
+    """
+    char, n = dom.char, dom.n
+    elem = type(dom.one)
+    bits = (n * (char - 1) ** 2).bit_length()
+    fold = []
+    xk = [(-c) % char for c in dom.modulus[:n]]  # x^n
+    for _ in range(n - 1):
+        fold.append(tuple(xk))
+        top = xk[-1]
+        xk = [(a + top * b) % char for a, b in zip([0] + xk[:-1], fold[0])]
+    return char, n, elem, bits, tuple(fold)
+
+
+def _int_rows(terms, w):
+    """Rows as [(j, [(i, int)])], sorted by j and by i.
+
+    The int is the single coordinate when w is None, else the coordinates
+    Kronecker-packed with w-bit digits.
+    """
+    if w is None:
+        return [(j, [(i, c.coeffs[0]) for i, c in sorted(row.items())])
+                for j, row in sorted(terms.items())]
+    return [(j, [(i, _pack(c.coeffs, w)) for i, c in sorted(row.items())])
+            for j, row in sorted(terms.items())]
+
+
+def _pack(coeffs, w):
+    """Kronecker packing: sum of coeffs[k] * 2^(w k)."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << w) | c
+    return v
+
+
+def _unpack(v, w, n, char, fold):
+    """Coordinates of a packed sum of products, reduced once; () if zero."""
+    mask = (1 << w) - 1
+    cs = []
+    for _ in range(n):
+        cs.append(v & mask)
+        v >>= w
+    for xk in fold:
+        if not v:
+            break
+        d = v & mask
+        v >>= w
+        if d:
+            cs = [a + d * b for a, b in zip(cs, xk)]
+    cs = tuple(a % char for a in cs)
+    return cs if any(cs) else ()
+
+
 # --------------------------------------------------------------------------
 # valuations, inversion, unit decomposition
 # --------------------------------------------------------------------------
@@ -345,7 +467,18 @@ def bar_valuation(f):
 
 
 def invert(f, t_prec=None, u_prec=None):
-    """Multiplicative inverse at the propagated (possibly capped) precision."""
+    """Multiplicative inverse at the propagated (possibly capped) precision.
+
+    t_prec and u_prec bound the working box when f's precision is infinite;
+    None means DEFAULT_T_PREC / DEFAULT_U_PREC, and a bound <= 0 is refused.
+    """
+    for bound in (t_prec, u_prec):
+        if bound is not None and bound <= 0:
+            raise PrecisionTooLow(f"working precision {bound} is not positive")
+    if t_prec is None:
+        t_prec = DEFAULT_T_PREC
+    if u_prec is None:
+        u_prec = DEFAULT_U_PREC
     j0, i0, c = f.leading()
     cinv = c.inv() if hasattr(c, "inv") else c ** -1
     fhat = f.monomial_mul(cinv, -i0, -j0)
@@ -355,11 +488,11 @@ def invert(f, t_prec=None, u_prec=None):
         return Laurent2.monomial(f.dom, cinv, -i0, -j0,
                                  None if f.t_prec == INF else
                                  int(f.t_prec) - 2 * j0, None)
-    eps = eps.cap_infinite(t_prec or DEFAULT_T_PREC, u_prec or DEFAULT_U_PREC)
+    eps = eps.cap_infinite(t_prec, u_prec)
     # fixed working box: powers of eps gain precision as they gain valuation,
     # so without a hard cutoff the geometric loop would never terminate
     t_box = int(eps.t_prec)
-    u_box = max([u_prec or DEFAULT_U_PREC]
+    u_box = max([u_prec]
                 + [int(b) for b in eps.u_prec.values()])
     acc = one + (eps - eps)  # adopt eps's precision box
     pw = one

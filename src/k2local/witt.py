@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import (InsufficientPadicPrecision, NonIntegralGhost,
-                     RingMismatch, UnsupportedLength, WrongCharacteristic)
+from .errors import (InsufficientPadicPrecision, InvariantViolation,
+                     NonIntegralGhost, RingMismatch, UnsupportedLength,
+                     WrongCharacteristic)
 from .ff import FieldSpec, GaloisRing, make_field
 
 MAX_LENGTH = 4
@@ -300,6 +301,7 @@ def witt_trace_to_prime(w):
     fp = make_field(field.p, 1)
     comps = []
     for c in acc.components:
-        assert not any(c.coeffs[1:]), "trace escaped the prime subfield"
+        if any(c.coeffs[1:]):
+            raise InvariantViolation("trace escaped the prime subfield")
         comps.append(fp.elem((c.coeffs[0],)))
     return WittVec(fp, tuple(comps))

@@ -1,7 +1,8 @@
 import pytest
 
 from k2local import ff
-from k2local.errors import CompositeP, NotASubfield, ReducibleModulus
+from k2local.errors import (CompositeP, InvariantViolation, NotASubfield,
+                            ReducibleModulus)
 
 F2 = ff.make_field(2, 1)
 F3 = ff.make_field(3, 1)
@@ -139,3 +140,10 @@ def test_galois_ring_inverse():
         x = ff.GRElem(ring, (k % ring.ps, (3 * k + 1) % ring.ps))
         if ring.reduce_mod_p(x):
             assert x * x.inv() == ring.one
+
+
+def test_trace_outside_prime_field_is_an_invariant_violation():
+    # F_2[x]/(x^2) is not a field: the "trace" of x is x + x^2 = x
+    fake = ff.FieldSpec(2, 2, (0, 0, 1))
+    with pytest.raises(InvariantViolation):
+        ff.trace_abs(fake.gen)

@@ -481,3 +481,12 @@ class TestDualityCurve:
         assert rep["f_basis"] == ["u^1", "u^2"]
         assert all(g["component"] == 1 for g in rep["generators"])
         assert rep["full_column_rank"]
+
+
+def test_inexact_content_division_is_an_invariant_violation():
+    from k2local.errors import InvariantViolation
+    from k2local.globalfield import _poly2_div_poly1
+    F2 = make_field(2, 1)
+    P = Poly2(F2, {(0, 0): F2.one, (1, 1): F2.one})  # 1 + u t
+    with pytest.raises(InvariantViolation):
+        _poly2_div_poly1(P, Poly1.from_ints(F2, [0, 1]))  # by u

@@ -1,19 +1,24 @@
 """Tests for two-variable Laurent series arithmetic and precision tracking."""
 
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from k2local.errors import PrecisionTooLow, ZeroDivisor, ZeroElement
-from k2local.ff import make_field
-from k2local.series import (Laurent2, bar_valuation, invert, laurent_domain,
-                            lift_padic, outer_valuation, recompose,
-                            reduce_mod_p, unit_decompose)
+from k2local.ff import galois_ring, make_field
+from k2local.series import (INF, Laurent2, bar_valuation, invert,
+                            laurent_domain, lift_padic, outer_valuation,
+                            recompose, reduce_mod_p, unit_decompose)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F9 = make_field(3, 2)
+W3F4 = galois_ring(F4, 3)
+W5F9 = galois_ring(F9, 5)
 
 
 def poly(dom, d):
@@ -157,6 +162,15 @@ class TestInvert:
         with pytest.raises(ZeroDivisor):
             invert(Laurent2.zero(F2))
 
+    def test_nonpositive_working_box_raises(self):
+        f = poly(F3, {(0, 0): 1, (1, 1): 1})
+        for kw in ({"t_prec": 0}, {"u_prec": 0}, {"t_prec": -2},
+                   {"t_prec": 4, "u_prec": -1}):
+            with pytest.raises(PrecisionTooLow):
+                invert(f, **kw)
+        assert invert(f, None, None) == invert(f)
+        assert invert(f, 1, 1).t_prec == 1
+
 
 class TestUnitDecomposition:
     def test_example(self):
@@ -216,3 +230,117 @@ class TestWittOverLaurent:
         b = WittVec(dom, (u, dom.one))
         s = witt_add(a, b)
         assert s.components[0] == u.int_scale(2)
+
+
+# --------------------------------------------------------------------------
+# differential test of the product kernel against the plain double loop
+# --------------------------------------------------------------------------
+
+def _mul_reference(self, other):
+    """The product as a double loop over element objects (test oracle)."""
+    self._check(other)
+    ftlb, gtlb = self.tlb(), other.tlb()
+    tp = min(self.t_prec + gtlb, other.t_prec + ftlb)
+    if math.isnan(tp):  # inf + -inf cannot occur: tlb >= min exponent
+        tp = INF  # pragma: no cover
+    rows = {}
+    for j1, row1 in self.terms.items():
+        for j2, row2 in other.terms.items():
+            j = j1 + j2
+            if j >= tp:
+                continue
+            dst = rows.setdefault(j, {})
+            for i1, c1 in row1.items():
+                for i2, c2 in row2.items():
+                    i = i1 + i2
+                    c = c1 * c2
+                    if i in dst:
+                        s = dst[i] + c
+                        if s:
+                            dst[i] = s
+                        else:
+                            del dst[i]
+                    elif c:
+                        dst[i] = c
+    up = {}
+    if self.u_prec or other.u_prec:
+        frows = [(j, self.row_lb(j), self.uprec(j))
+                 for j in self.possible_rows()]
+        grows = [(j, other.row_lb(j), other.uprec(j))
+                 for j in other.possible_rows()]
+        for j1, lb1, up1 in frows:
+            if lb1 is None:
+                continue
+            for j2, lb2, up2 in grows:
+                if lb2 is None:
+                    continue
+                j = j1 + j2
+                if j >= tp:
+                    continue
+                b = min(up1 + lb2, up2 + lb1)
+                if b != INF and b < up.get(j, INF):
+                    up[j] = b
+    return Laurent2(self.dom, rows, None if tp == INF else tp, up)
+
+
+KERNEL_DOMAINS = (F2, F4, F9, W3F4, W5F9)
+
+
+@st.composite
+def _series(draw, dom):
+    # coordinates biased to 0, p-power multiples and char - 1
+    char = dom.char
+    special = sorted({0, 1, dom.p, char // dom.p, char - 1})
+    coord = st.one_of(st.integers(0, char - 1), st.sampled_from(special))
+    terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4),
+                                    st.tuples(*[coord] * dom.n)),
+                          min_size=1, max_size=20))
+    rows = {}
+    for j, i, cs in terms:
+        rows.setdefault(j, {})[i] = type(dom.one)(dom, cs)
+    t_prec = draw(st.none() | st.integers(-2, 8))
+    # rows may carry a u-bound and no terms
+    u_prec = dict(draw(st.lists(st.tuples(st.integers(-4, 4),
+                                          st.integers(-2, 8)), max_size=4)))
+    return Laurent2(dom, rows, t_prec, u_prec)
+
+
+_operands = st.sampled_from(KERNEL_DOMAINS).flatmap(
+    lambda dom: st.tuples(_series(dom), _series(dom)))
+
+
+class TestMulKernel:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_operands)
+    def test_matches_reference(self, fg):
+        f, g = fg
+        prod = f * g
+        ref = _mul_reference(f, g)
+        assert prod.terms == ref.terms
+        assert prod.t_prec == ref.t_prec
+        assert prod.u_prec == ref.u_prec
+
+    @pytest.mark.parametrize("dom", [W3F4, W5F9])
+    def test_zero_divisors_cancel(self, dom):
+        # p * p^(s-1) = p^s vanishes in W_s
+        p = dom.from_int(dom.p)
+        q = dom.from_int(dom.char // dom.p)
+        f = Laurent2.from_dict(dom, {(0, 0): p, (1, 2): dom.one})
+        g = Laurent2.from_dict(dom, {(0, 0): q})
+        assert f * g == _mul_reference(f, g)
+        assert (f * g).terms.get(0, {}).get(0) is None
+
+    def test_accumulation_cannot_carry(self):
+        # the coefficient of u^0 sums 400 products of maximal coordinates
+        dom = W5F9
+        top = type(dom.one)(dom, (dom.char - 1,) * dom.n)
+        k = 400
+        f = Laurent2.from_dict(dom, {(0, i): top for i in range(k)},
+                               u_prec={0: k})
+        g = Laurent2.from_dict(dom, {(0, -i): top for i in range(k)})
+        prod = f * g
+        assert prod.uprec(0) == 1
+        sq = top * top
+        for i in range(1 - k, 1):
+            assert prod.coeff(i, 0) == dom.from_int(k + i) * sq
