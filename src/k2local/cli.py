@@ -11,7 +11,7 @@ import random
 import sys
 
 from .errors import (DivisionByZero, ExprSyntaxError, K2LocalError,
-                     UndefinedSymbol)
+                     UndefinedSymbol, UsageError)
 from .ff import make_field, parse_field
 from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           as_reduce, as_residual_solves, curve_tame_report,
@@ -24,10 +24,6 @@ from .symbols import (boundary, k2_decompose, k2_equiv, symbol,
 from .witt import WittVec
 
 SCHEMA = 1
-
-
-class UsageError(K2LocalError):
-    """Malformed command line: bad verb, flag, or arity."""
 
 
 # --------------------------------------------------------------------------

@@ -101,6 +101,10 @@ class ModeMismatch(K2LocalError):
 
 # --- cli -------------------------------------------------------------------
 
+class UsageError(K2LocalError):
+    """Malformed command line: bad verb, flag, arity or field spec."""
+
+
 class ExprSyntaxError(K2LocalError):
     """Parse failure; carries the byte offset of the offending token."""
 

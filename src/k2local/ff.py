@@ -12,7 +12,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import (CompositeP, InvariantViolation, NotASubfield,
-                     ReducibleModulus)
+                     ReducibleModulus, UsageError)
 
 #: value known modulo p^precision
 PadicElem = namedtuple("PadicElem", ["value", "precision"])
@@ -245,15 +245,19 @@ def _field_instance(p, n, modulus):
 
 def parse_field(text):
     """Parse `p^n` or `p^n/c0,c1,...,cn` (constant-term-first)."""
-    if "/" in text:
-        head, coeffs = text.split("/", 1)
-        modulus = tuple(int(c) for c in coeffs.split(","))
-    else:
-        head, modulus = text, None
-    if "^" in head:
-        p, n = (int(s) for s in head.split("^", 1))
-    else:
-        p, n = int(head), 1
+    try:
+        if "/" in text:
+            head, coeffs = text.split("/", 1)
+            modulus = tuple(int(c) for c in coeffs.split(","))
+        else:
+            head, modulus = text, None
+        if "^" in head:
+            p, n = (int(s) for s in head.split("^", 1))
+        else:
+            p, n = int(head), 1
+    except ValueError:
+        raise UsageError(f"field {text!r} is not p^n or p^n/c0,...,cn") \
+            from None
     return make_field(p, n, modulus)
 
 

@@ -577,24 +577,6 @@ class RatFunc:
         return f"RatFunc({self.serialize()})"
 
 
-class RatDomain:
-    """Presents RatFunc over a field as a coefficient ring for WittVec."""
-
-    def __init__(self, field):
-        self.field = field
-        self.p = field.p
-        self.zero = RatFunc.const(field, field.zero)
-        self.one = RatFunc.const(field, field.one)
-
-    def from_int(self, k):
-        return RatFunc.const(self.field, self.field.from_int(k))
-
-
-@lru_cache(maxsize=None)
-def rat_domain(field):
-    return RatDomain(field)
-
-
 # --------------------------------------------------------------------------
 # Laurent-in-t elements with rational coefficients (F_y at desk scale)
 # --------------------------------------------------------------------------
@@ -1671,17 +1653,6 @@ def as_residual_solves(f, rep, t_prec=None):
 # --------------------------------------------------------------------------
 # Closed-form basis pairings and duality kernels at a dagger point
 # --------------------------------------------------------------------------
-
-def _m1_residue_pair(e, h):
-    """Untraced m = 1 pairing: residue of h dlog(f) wedge dlog(g)."""
-    field = h.dom
-    acc = field.zero
-    for f, g, exp in e.factors:
-        eta = wedge(dlog(f), dlog(g))
-        val = (h * eta.a).coeff(-1, -1)
-        acc = acc + val * field.from_int(exp)
-    return acc
-
 
 def _basis_case(i, j, p):
     if i % p and j % p == 0:

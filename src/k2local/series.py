@@ -19,6 +19,16 @@ else the coordinate tuple Kronecker-packed into one int with digits wide
 enough that no accumulated sum carries.  Each output coefficient is reduced
 once, mod char (p or p^s) and mod the modulus polynomial, and becomes an
 FqElem/GRElem only when it is nonzero.
+
+invert sums the geometric series 1 - eps + eps^2 - ... in a fixed working
+box.  Every power is one product through the kernel above, followed by a
+truncate that trusts its input: the terms already lie in the old region, so
+only rows whose bound tightened are filtered and the rest are reused without
+re-validation.  The sum is kept as integer coordinates and its region as
+running minima of t_prec and the per-row u_prec; it is wrapped into elements
+once, through the validating constructor.  Regions only shrink along the
+loop, so that one final filter drops exactly the terms a filter after every
+addition would have dropped.
 """
 
 from __future__ import annotations
@@ -180,21 +190,17 @@ class Laurent2:
             tp = INF  # pragma: no cover
         up = {}
         if self.u_prec or other.u_prec:
-            frows = [(j, self.row_lb(j), self.uprec(j))
-                     for j in self.possible_rows()]
-            grows = [(j, other.row_lb(j), other.uprec(j))
-                     for j in other.possible_rows()]
-            for j1, lb1, up1 in frows:
-                if lb1 is None:
-                    continue
+            grows = _region_rows(other)
+            for j1, lb1, up1 in _region_rows(self):
                 for j2, lb2, up2 in grows:
-                    if lb2 is None:
-                        continue
                     j = j1 + j2
                     if j >= tp:
-                        continue
-                    b = min(up1 + lb2, up2 + lb1)
-                    if b != INF and b < up.get(j, INF):
+                        break
+                    b = up1 + lb2
+                    c = up2 + lb1
+                    if c < b:
+                        b = c
+                    if b < up.get(j, INF):
                         up[j] = b
         fterms, gterms = self.terms, other.terms
         if not fterms or not gterms:
@@ -289,15 +295,31 @@ class Laurent2:
 
     def truncate(self, t_prec=None, u_prec=None):
         """Intersect the region with the given uniform bounds."""
-        tp = min(self.t_prec, INF if t_prec is None else t_prec)
+        tp = self.t_prec
+        if t_prec is not None and t_prec < tp:
+            tp = t_prec
         up = dict(self.u_prec)
         if u_prec is not None:
             lo = self.tlb()
             if lo != INF and tp != INF:
                 for j in range(int(lo), int(tp)):
-                    up[j] = min(self.uprec(j), u_prec)
-        return Laurent2(self.dom, self.terms,
-                        None if tp == INF else tp, up)
+                    if u_prec < up.get(j, INF):
+                        up[j] = u_prec
+        up = {j: b for j, b in up.items() if j < tp}
+        # the terms already lie in the old region: only rows whose bound
+        # tightened are filtered, every other row is reused as it is
+        old = self.u_prec
+        terms = {}
+        for j, row in self.terms.items():
+            if j >= tp:
+                continue
+            b = up.get(j, INF)
+            if b < old.get(j, INF):
+                row = {i: c for i, c in row.items() if i < b}
+                if not row:
+                    continue
+            terms[j] = row
+        return Laurent2._adopt(self.dom, terms, tp, up)
 
     def __pow__(self, e):
         if e < 0:
@@ -407,6 +429,20 @@ def _mul_consts(dom):
     return char, n, elem, bits, tuple(fold)
 
 
+def _region_rows(f):
+    """Rows that may hold content as [(j, u lower bound, u bound)], by j.
+
+    A row with terms is bounded below by its least u-exponent, a row with a
+    bound and no terms by that bound.
+    """
+    terms, ups = f.terms, f.u_prec
+    rows = []
+    for j in sorted(terms.keys() | ups.keys()):
+        row = terms.get(j)
+        rows.append((j, min(row) if row else ups[j], ups.get(j, INF)))
+    return rows
+
+
 def _int_rows(terms, w):
     """Rows as [(j, [(i, int)])], sorted by j and by i.
 
@@ -480,12 +516,13 @@ def invert(f, t_prec=None, u_prec=None):
     if u_prec is None:
         u_prec = DEFAULT_U_PREC
     j0, i0, c = f.leading()
-    cinv = c.inv() if hasattr(c, "inv") else c ** -1
+    cinv = c.inv()
     fhat = f.monomial_mul(cinv, -i0, -j0)
-    one = Laurent2.one(f.dom)
+    dom = f.dom
+    one = Laurent2.one(dom)
     eps = fhat - one
     if eps.has_no_known_terms() and not eps.u_prec and eps.t_prec == INF:
-        return Laurent2.monomial(f.dom, cinv, -i0, -j0,
+        return Laurent2.monomial(dom, cinv, -i0, -j0,
                                  None if f.t_prec == INF else
                                  int(f.t_prec) - 2 * j0, None)
     eps = eps.cap_infinite(t_prec, u_prec)
@@ -494,22 +531,41 @@ def invert(f, t_prec=None, u_prec=None):
     t_box = int(eps.t_prec)
     u_box = max([u_prec]
                 + [int(b) for b in eps.u_prec.values()])
-    acc = one + (eps - eps)  # adopt eps's precision box
+    # the sum of the powers of -eps as integer coordinates, its region as
+    # running minima; filtered once at the end (see the module docstring)
+    sums = {0: {0: list(dom.one.coeffs)}}
+    tp = eps.t_prec
+    up = dict(eps.u_prec)
+    neg = -eps
     pw = one
     while True:
-        pw = (pw * (-eps)).truncate(t_box, u_box)
+        pw = (pw * neg).truncate(t_box, u_box)
         if pw.has_no_known_terms():
             break
-        acc = acc + pw
+        if pw.t_prec < tp:
+            tp = pw.t_prec
+        for j, b in pw.u_prec.items():
+            if b < up.get(j, INF):
+                up[j] = b
+        for j, row in pw.terms.items():
+            dst = sums.get(j)
+            if dst is None:
+                dst = sums[j] = {}
+            for i, cf in row.items():
+                v = dst.get(i)
+                if v is None:
+                    dst[i] = list(cf.coeffs)
+                else:
+                    for k, a in enumerate(cf.coeffs):
+                        v[k] += a
     # The remaining powers of eps contribute no known terms, but their
     # unknown regions still constrain the result.  Close the first empty
     # power's region under multiplication by eps (each eps term shifts a row
-    # j1 bound by (j2, row_lb(j2))) and intersect.
+    # j1 bound by (j2, row lower bound)) and intersect.
     if pw.u_prec or pw.t_prec != INF:
         tail_t = min(pw.t_prec, t_box)
         dist = {j: b for j, b in pw.u_prec.items() if j < tail_t}
-        edges = [(j2, eps.row_lb(j2)) for j2 in eps.possible_rows()
-                 if eps.row_lb(j2) is not None]
+        edges = [(j2, lb) for j2, lb, _ in _region_rows(eps)]
         for _ in range(int(tail_t) - min(dist, default=int(tail_t)) + 1):
             changed = False
             for j, b in list(dist.items()):
@@ -522,8 +578,21 @@ def invert(f, t_prec=None, u_prec=None):
                         changed = True
             if not changed:
                 break
-        tail = Laurent2(f.dom, {}, int(tail_t), dist)
-        acc = acc + tail
+        if tail_t < tp:
+            tp = tail_t
+        for j, b in dist.items():
+            if b < up.get(j, INF):
+                up[j] = b
+    char, elem = dom.char, type(dom.one)
+    rows = {}
+    for j, dst in sums.items():
+        row = {}
+        for i, v in dst.items():
+            cs = tuple(a % char for a in v)
+            if any(cs):
+                row[i] = elem(dom, cs)
+        rows[j] = row
+    acc = Laurent2(dom, rows, None if tp == INF else tp, up)
     return acc.monomial_mul(cinv, -i0, -j0)
 
 

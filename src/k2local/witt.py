@@ -280,12 +280,6 @@ def witt_frobenius(w):
 # traces of Witt vectors over finite fields
 # --------------------------------------------------------------------------
 
-def witt_field_frobenius_twist(w, k=1):
-    """Componentwise a ↦ a^{p^k} for FqElem components."""
-    p = w.ring.p
-    return WittVec(w.ring, tuple(c ** (p ** k) for c in w.components))
-
-
 def witt_trace_to_prime(w):
     """Tr_{W_m(F_q)/W_m(F_p)}: Witt-sum of the Frobenius orbit.
 
@@ -297,7 +291,7 @@ def witt_trace_to_prime(w):
     b = w
     for _ in range(field.n):
         acc = witt_add(acc, b)
-        b = witt_field_frobenius_twist(b)
+        b = witt_frobenius(b)
     fp = make_field(field.p, 1)
     comps = []
     for c in acc.components:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from k2local import cli, errors
 from k2local.cli import (evaluate, main, parse_expr, print_expr, run,
                          GOLDEN_COMMANDS)
 from k2local.errors import (DivisionByZero, ExprSyntaxError, UndefinedSymbol)
@@ -122,6 +123,13 @@ class TestRun:
             code, rep = run(argv)
             assert code == 2, argv
             assert "error" in rep
+
+    @pytest.mark.parametrize("spec", ["banana", "2^x", "2^2/1,a,1"])
+    def test_bad_field_is_usage_error(self, spec):
+        code, rep = run(["tame", "--field", spec, "u", "u", "t"])
+        assert code == 2
+        assert rep["error"] == "UsageError"
+        assert cli.UsageError is errors.UsageError
 
     def test_assertion_failure_exit_1(self):
         code, rep = run(["equiv", "--field", "2^1", "--level", "2",

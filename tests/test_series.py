@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from k2local.errors import PrecisionTooLow, ZeroDivisor, ZeroElement
 from k2local.ff import galois_ring, make_field
-from k2local.series import (INF, Laurent2, bar_valuation, invert,
-                            laurent_domain, lift_padic, outer_valuation,
-                            recompose, reduce_mod_p, unit_decompose)
+from k2local.series import (DEFAULT_T_PREC, DEFAULT_U_PREC, INF, Laurent2,
+                            bar_valuation, invert, laurent_domain,
+                            lift_padic, outer_valuation, recompose,
+                            reduce_mod_p, unit_decompose)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -286,12 +287,16 @@ def _mul_reference(self, other):
 KERNEL_DOMAINS = (F2, F4, F9, W3F4, W5F9)
 
 
-@st.composite
-def _series(draw, dom):
+def _coords(dom):
     # coordinates biased to 0, p-power multiples and char - 1
     char = dom.char
     special = sorted({0, 1, dom.p, char // dom.p, char - 1})
-    coord = st.one_of(st.integers(0, char - 1), st.sampled_from(special))
+    return st.one_of(st.integers(0, char - 1), st.sampled_from(special))
+
+
+@st.composite
+def _series(draw, dom):
+    coord = _coords(dom)
     terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-4, 4),
                                     st.tuples(*[coord] * dom.n)),
                           min_size=1, max_size=20))
@@ -344,3 +349,128 @@ class TestMulKernel:
         sq = top * top
         for i in range(1 - k, 1):
             assert prod.coeff(i, 0) == dom.from_int(k + i) * sq
+
+
+# --------------------------------------------------------------------------
+# differential tests of truncate and invert against the element-object loop
+# --------------------------------------------------------------------------
+
+def _truncate_reference(self, t_prec=None, u_prec=None):
+    """Truncation through the validating constructor (test oracle)."""
+    tp = min(self.t_prec, INF if t_prec is None else t_prec)
+    up = dict(self.u_prec)
+    if u_prec is not None:
+        lo = self.tlb()
+        if lo != INF and tp != INF:
+            for j in range(int(lo), int(tp)):
+                up[j] = min(self.uprec(j), u_prec)
+    return Laurent2(self.dom, self.terms,
+                    None if tp == INF else tp, up)
+
+
+def _invert_reference(f, t_prec=None, u_prec=None):
+    """The geometric series summed with Laurent2 additions (test oracle)."""
+    for bound in (t_prec, u_prec):
+        if bound is not None and bound <= 0:
+            raise PrecisionTooLow(f"working precision {bound} is not positive")
+    if t_prec is None:
+        t_prec = DEFAULT_T_PREC
+    if u_prec is None:
+        u_prec = DEFAULT_U_PREC
+    j0, i0, c = f.leading()
+    cinv = c.inv() if hasattr(c, "inv") else c ** -1
+    fhat = f.monomial_mul(cinv, -i0, -j0)
+    one = Laurent2.one(f.dom)
+    eps = fhat - one
+    if eps.has_no_known_terms() and not eps.u_prec and eps.t_prec == INF:
+        return Laurent2.monomial(f.dom, cinv, -i0, -j0,
+                                 None if f.t_prec == INF else
+                                 int(f.t_prec) - 2 * j0, None)
+    eps = eps.cap_infinite(t_prec, u_prec)
+    # fixed working box: powers of eps gain precision as they gain valuation,
+    # so without a hard cutoff the geometric loop would never terminate
+    t_box = int(eps.t_prec)
+    u_box = max([u_prec]
+                + [int(b) for b in eps.u_prec.values()])
+    acc = one + (eps - eps)  # adopt eps's precision box
+    pw = one
+    while True:
+        pw = _truncate_reference(pw * (-eps), t_box, u_box)
+        if pw.has_no_known_terms():
+            break
+        acc = acc + pw
+    # The remaining powers of eps contribute no known terms, but their
+    # unknown regions still constrain the result.  Close the first empty
+    # power's region under multiplication by eps (each eps term shifts a row
+    # j1 bound by (j2, row_lb(j2))) and intersect.
+    if pw.u_prec or pw.t_prec != INF:
+        tail_t = min(pw.t_prec, t_box)
+        dist = {j: b for j, b in pw.u_prec.items() if j < tail_t}
+        edges = [(j2, eps.row_lb(j2)) for j2 in eps.possible_rows()
+                 if eps.row_lb(j2) is not None]
+        for _ in range(int(tail_t) - min(dist, default=int(tail_t)) + 1):
+            changed = False
+            for j, b in list(dist.items()):
+                for dj, w in edges:
+                    jj = j + dj
+                    if jj >= tail_t:
+                        continue
+                    if b + w < dist.get(jj, INF):
+                        dist[jj] = b + w
+                        changed = True
+            if not changed:
+                break
+        tail = Laurent2(f.dom, {}, int(tail_t), dist)
+        acc = acc + tail
+    return acc.monomial_mul(cinv, -i0, -j0)
+
+
+@st.composite
+def _unit_series(draw, dom):
+    """A series whose leading term is a unit and is certainly leading."""
+    coord = _coords(dom)
+    elem = type(dom.one)
+    j0, i0 = draw(st.integers(-2, 2)), draw(st.integers(-3, 3))
+    lead = list(draw(st.tuples(*[coord] * dom.n)))
+    if not any(a % dom.p for a in lead):
+        lead[0] = (lead[0] + 1) % dom.char
+    rows = {j0: {i0: elem(dom, tuple(lead))}}
+    for dj, i, cs in draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(-4, 4),
+                      st.tuples(*[coord] * dom.n)), max_size=12)):
+        if dj or i > i0:
+            rows.setdefault(j0 + dj, {})[i] = elem(dom, cs)
+    t_prec = draw(st.none() | st.integers(j0 + 1, j0 + 6))
+    # rows may carry a u-bound and no terms; row j0 keeps its leading term
+    u_prec = {}
+    for dj, b in draw(st.lists(st.tuples(st.integers(0, 3),
+                                         st.integers(-4, 6)), max_size=4)):
+        u_prec[j0 + dj] = b if dj else max(b, i0 + 1)
+    return Laurent2(dom, rows, t_prec, u_prec)
+
+
+_boxes = st.none() | st.integers(1, 6)
+
+
+def _same_series(a, b):
+    assert a.terms == b.terms
+    assert a.t_prec == b.t_prec
+    assert a.u_prec == b.u_prec
+
+
+class TestInvertKernel:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(_unit_series),
+           _boxes, _boxes)
+    def test_invert_matches_reference(self, f, t_box, u_box):
+        _same_series(invert(f, t_box, u_box),
+                     _invert_reference(f, t_box, u_box))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(_series),
+           st.none() | st.integers(-3, 8), st.none() | st.integers(-5, 8))
+    def test_truncate_matches_reference(self, f, t_prec, u_prec):
+        _same_series(f.truncate(t_prec, u_prec),
+                     _truncate_reference(f, t_prec, u_prec))
