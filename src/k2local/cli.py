@@ -357,9 +357,11 @@ def _cmd_reciprocity_curve(args, field):
         runs = []
         ok = True
         for _ in range(args["sweep"]):
-            fs = [print_expr(_rand_expr(rng)) for _ in range(3)]
-            f = eval_rational(fs[0], field) + eval_rational("t", field)
-            g = eval_rational(fs[1], field) + eval_rational("u", field)
+            f = g = None
+            while not (f and g):  # a zero symbol entry has no pairing
+                fs = [print_expr(_rand_expr(rng)) for _ in range(3)]
+                f = eval_rational(fs[0], field) + eval_rational("t", field)
+                g = eval_rational(fs[1], field) + eval_rational("u", field)
             h = eval_rational(fs[2], field)
             rep = curve_witt_report(f, g, h, m)
             runs.append({"inputs": fs, "verdict": rep["verdict"]})

@@ -2,14 +2,17 @@
 
 Arithmetic is defined through the ghost map x(k) = Σ_{j≤k} p^j x_j^{p^{k-j}}.
 The universal addition/subtraction/multiplication polynomials are derived
-symbolically from the ghost coordinates over the integers, with every
-division by p^k asserted exact, and cached per (p, m, op).  Characteristic-p
-rings evaluate the polynomials with coefficients reduced mod p.
+by the exact integer ghost recursion
+x_k = (G_k - Σ_{j<k} p^j x_j^{p^{k-j}}) / p^k over plain {exponent-tuple: int}
+polynomials, with every division by p^k checked exact, and cached per
+(p, m, op).  Characteristic-p rings evaluate the polynomials with
+coefficients reduced mod p.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from .errors import (InsufficientPadicPrecision, InvariantViolation,
                      NonIntegralGhost, RingMismatch, UnsupportedLength,
@@ -41,17 +44,11 @@ class WittVec:
         return hash((id(self.ring), self.components))
 
     def serialize(self, comp_str=str):
-        p = ring_char(self.ring)
         body = "; ".join(comp_str(c) for c in self.components)
-        return f"W_{self.length}[{p}]({body})"
+        return f"W_{self.length}[{self.ring.p}]({body})"
 
     def __repr__(self):
         return self.serialize()
-
-
-def ring_char(ring):
-    """The prime p of the ring (characteristic p or p^s)."""
-    return ring.p
 
 
 def ring_is_char_p(ring):
@@ -70,66 +67,74 @@ def witt_zero(ring, m):
 # universal polynomials
 # --------------------------------------------------------------------------
 
+def _poly_mul(f, g):
+    """Product of two integer polynomials {exps: coef}."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_lincomb(pairs):
+    """Σ k·a over (k, a) pairs of an integer and a polynomial."""
+    out = {}
+    for k, a in pairs:
+        for e, c in a.items():
+            out[e] = out.get(e, 0) + k * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_pow_p(f, p):
+    """f^p by repeated multiplication."""
+    out = f
+    for _ in range(p - 1):
+        out = _poly_mul(out, f)
+    return out
+
+
 @lru_cache(maxsize=None)
 def witt_polynomials(p, m, op):
     """Monomial lists [(coef, exps)] for each output component.
 
     exps is a length-2m exponent tuple over (a_0..a_{m-1}, b_0..b_{m-1}).
-    Derived by symbolic ghost/unghost over Z; every p^k division is exact.
+    Component k follows the module's ghost recursion, G_k being the ghost
+    sum, difference or product of a and b.
     """
-    import sympy
+    def ghost_poly(offset, k):
+        return {tuple(p ** (k - j) if v == offset + j else 0
+                      for v in range(2 * m)): p ** j for j in range(k + 1)}
 
-    avars = sympy.symbols(f"a0:{m}")
-    bvars = sympy.symbols(f"b0:{m}")
-    allvars = avars + bvars
-
-    def ghost(vs, k):
-        return sum(p ** j * vs[j] ** (p ** (k - j)) for j in range(k + 1))
-
-    if op == "add":
-        gc = [ghost(avars, k) + ghost(bvars, k) for k in range(m)]
-    elif op == "sub":
-        gc = [ghost(avars, k) - ghost(bvars, k) for k in range(m)]
-    elif op == "mul":
-        gc = [ghost(avars, k) * ghost(bvars, k) for k in range(m)]
-    else:  # pragma: no cover
-        raise ValueError(op)
-
-    xs = []
+    powers = []  # x_j^{p^{k-j}} for every j < k
     out = []
     for k in range(m):
-        num = sympy.expand(gc[k] - sum(p ** j * xs[j] ** (p ** (k - j))
-                                       for j in range(k)))
-        poly = sympy.Poly(num, *allvars)
+        ga, gb = ghost_poly(0, k), ghost_poly(m, k)
+        if op == "mul":
+            gk = _poly_mul(ga, gb)
+        elif op in ("add", "sub"):
+            gk = _poly_lincomb([(1, ga), (1 if op == "add" else -1, gb)])
+        else:  # pragma: no cover
+            raise ValueError(op)
+        powers = [_poly_pow_p(x, p) for x in powers]
+        num = _poly_lincomb([(1, gk)] + [(-p ** j, x)
+                                         for j, x in enumerate(powers)])
         pk = p ** k
-        terms = []
-        expr_terms = []
-        for monom, coef in poly.terms():
-            c = int(coef)
-            if c % pk != 0:  # pragma: no cover - guards the derivation
-                raise NonIntegralGhost(f"universal polynomial {op} p={p} m={m}")
-            c //= pk
-            terms.append((c, tuple(int(e) for e in monom)))
-            t = sympy.Integer(c)
-            for v, e in zip(allvars, monom):
-                if e:
-                    t *= v ** int(e)
-            expr_terms.append(t)
-        xs.append(sympy.Add(*expr_terms))
-        out.append(tuple(terms))
+        if any(c % pk for c in num.values()):  # pragma: no cover
+            raise NonIntegralGhost(f"universal polynomial {op} p={p} m={m}")
+        xk = {e: c // pk for e, c in num.items()}
+        powers.append(xk)
+        out.append(tuple((c, e) for e, c in xk.items()))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def witt_polynomials_mod_p(p, m, op):
-    out = []
-    for comp in witt_polynomials(p, m, op):
-        out.append(tuple((c % p, e) for (c, e) in comp if c % p != 0))
-    return tuple(out)
+    return tuple(tuple((c % p, e) for c, e in comp if c % p)
+                 for comp in witt_polynomials(p, m, op))
 
 
-def _eval_monomials(terms, comps, ring, char_p):
-    p = ring_char(ring)
+def _eval_monomials(terms, comps, ring):
     powcache = {}
 
     def power(idx, e):
@@ -142,33 +147,27 @@ def _eval_monomials(terms, comps, ring, char_p):
 
     acc = ring.zero
     for coef, exps in terms:
-        if char_p:
-            coef %= p
-            if coef == 0:
-                continue
         term = None
         for idx, e in enumerate(exps):
             if e:
                 term = power(idx, e) if term is None else term * power(idx, e)
         if term is None:
             term = ring.one
-        cterm = ring.from_int(coef)
-        acc = acc + cterm * term
+        acc = acc + ring.from_int(coef) * term
     return acc
 
 
-def witt_arith(a, b, op, max_length=MAX_LENGTH):
+def witt_arith(a, b, op):
     if a.ring is not b.ring or a.length != b.length:
         raise RingMismatch("witt_arith operands disagree")
     m = a.length
-    if m > max_length:
-        raise UnsupportedLength(f"length {m} exceeds configured max {max_length}")
-    p = ring_char(a.ring)
-    char_p = ring_is_char_p(a.ring)
-    polys = (witt_polynomials_mod_p(p, m, op) if char_p
+    if m > MAX_LENGTH:
+        raise UnsupportedLength(f"length {m} exceeds configured max {MAX_LENGTH}")
+    p = a.ring.p
+    polys = (witt_polynomials_mod_p(p, m, op) if ring_is_char_p(a.ring)
              else witt_polynomials(p, m, op))
     comps = a.components + b.components
-    return WittVec(a.ring, tuple(_eval_monomials(t, comps, a.ring, char_p)
+    return WittVec(a.ring, tuple(_eval_monomials(t, comps, a.ring)
                                  for t in polys))
 
 
@@ -272,8 +271,7 @@ def witt_frobenius(w):
     ring = w.ring
     if not ring_is_char_p(ring):
         raise WrongCharacteristic("witt_frobenius needs a char-p ring")
-    p = ring_char(ring)
-    return WittVec(ring, tuple(c ** p for c in w.components))
+    return WittVec(ring, tuple(c ** ring.p for c in w.components))
 
 
 # --------------------------------------------------------------------------

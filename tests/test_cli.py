@@ -1,8 +1,11 @@
 """Expression language and command-line front end."""
 
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -109,6 +112,14 @@ class TestRun:
         assert rep["witt"]["sum"] == [[0]]
         assert rep["verdict"] is True
 
+    def test_reciprocity_sweep_redraws_zero_entries(self):
+        # at seed 9 the sweep's generator draws f = t + t = 0 over F_2
+        code, rep = run(["reciprocity-curve", "--field", "2^1", "--m", "1",
+                         "--sweep", "6", "--seed", "9"])
+        assert code == 0, rep
+        assert len(rep["sweep"]) == 6
+        assert rep["verdict"] is True
+
     def test_witt_pair_steinberg(self):
         code, rep = run(["witt-pair", "--field", "2^1", "--m", "3",
                          "u+t", "1-(u+t)", "u^-1"])
@@ -166,3 +177,20 @@ class TestGolden:
         expected = (DATA / f"golden_{idx:02d}.json").read_text()
         assert rendered == expected
         assert code == 0
+
+
+def test_goldens_need_no_sympy():
+    """A fresh interpreter runs every golden command without importing sympy."""
+    script = ("import sys\n"
+              "from k2local import cli\n"
+              "print([cli.run(list(argv))[0] for argv in cli.GOLDEN_COMMANDS])\n"
+              "print('sympy' in sys.modules)\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, has_sympy = proc.stdout.split("\n")[:2]
+    assert codes == str([0] * len(GOLDEN_COMMANDS))
+    assert has_sympy == "False"

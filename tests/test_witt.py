@@ -1,9 +1,20 @@
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
 
 from k2local import ff, witt
-from k2local.errors import NonIntegralGhost, RingMismatch
+from k2local.errors import NonIntegralGhost, RingMismatch, UnsupportedLength
+
+DATA = pathlib.Path(__file__).parent / "data"
+TABLE_LENGTHS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4),
+                 (5, 1), (5, 2), (5, 3)]
+TABLES = [(p, m, op) for (p, m) in TABLE_LENGTHS for op in ("add", "sub", "mul")]
+# sha256 of the sorted tables below as produced by the original symbolic
+# (sympy) derivation; see test_table_digest for the exact expression.
+TABLE_DIGEST = "e5f77382f9c801567556a0e950104674345575dd4a346bb7e11269176c2f05bb"
 
 F2 = ff.make_field(2, 1)
 F4 = ff.make_field(2, 2)
@@ -150,3 +161,63 @@ def test_trace_to_prime_additive():
 def test_mismatch():
     with pytest.raises(RingMismatch):
         witt.witt_add(witt.witt_zero(F2, 2), witt.witt_zero(F4, 2))
+
+
+def _int_ghost(v, p, k):
+    return sum(p ** j * v[j] ** (p ** (k - j)) for j in range(k + 1))
+
+
+def _eval_table_over_z(comp, xs):
+    total = 0
+    for c, exps in comp:
+        term = c
+        for x, e in zip(xs, exps):
+            term *= x ** e
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("p,m,op", TABLES)
+def test_tables_respect_ghost_map(p, m, op):
+    """Over Z the ghost map is injective, so it pins every table down."""
+    combine = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+               "mul": lambda x, y: x * y}[op]
+    table = witt.witt_polynomials(p, m, op)
+    rng = random.Random(f"{p}:{m}:{op}")
+    for _ in range(6):
+        a = [rng.randint(-4, 4) for _ in range(m)]
+        b = [rng.randint(-4, 4) for _ in range(m)]
+        out = [_eval_table_over_z(comp, a + b) for comp in table]
+        for k in range(m):
+            assert _int_ghost(out, p, k) == combine(_int_ghost(a, p, k),
+                                                    _int_ghost(b, p, k))
+
+
+def test_tables_match_frozen():
+    frozen = json.loads((DATA / "witt_tables.json").read_text())
+    assert [(t["p"], t["m"], t["op"]) for t in frozen] == TABLES
+    for t in frozen:
+        table = witt.witt_polynomials(t["p"], t["m"], t["op"])
+        got = [sorted([list(e), c] for c, e in comp) for comp in table]
+        assert got == t["components"]
+
+
+def test_table_digest():
+    text = repr(tuple(((p, m, op), tuple(tuple(sorted((e, c) for c, e in comp))
+                                         for comp in witt.witt_polynomials(p, m, op)))
+                      for (p, m, op) in TABLES))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGEST
+
+
+def test_mod_p_tables_reduce_integer_tables():
+    for p, m, op in TABLES:
+        reduced = witt.witt_polynomials_mod_p(p, m, op)
+        for comp, red in zip(witt.witt_polynomials(p, m, op), reduced):
+            assert sorted(red) == sorted((c % p, e) for c, e in comp if c % p)
+            assert all(0 < c < p for c, _ in red)
+
+
+def test_length_cap():
+    w = witt.witt_zero(F2, witt.MAX_LENGTH + 1)
+    with pytest.raises(UnsupportedLength):
+        witt.witt_add(w, w)
