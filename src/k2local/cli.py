@@ -12,12 +12,13 @@ import sys
 
 from .errors import (DivisionByZero, ExprSyntaxError, K2LocalError,
                      UndefinedSymbol, UsageError)
-from .ff import make_field, parse_field
+from .ff import parse_field
 from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
-                          as_reduce, as_residual_solves, curve_tame_report,
-                          curve_witt_report, duality_kernel_point,
-                          duality_level_curve, point_tame_report,
-                          point_witt_report, ratfunc_to_fy, to_pointfunc)
+                          as_reduce, as_residual_solves, curve_tame_terms,
+                          curve_witt_terms, duality_kernel_point,
+                          duality_level_curve, point_tame_terms,
+                          point_witt_terms, ratfunc_to_fy, tame_report,
+                          to_pointfunc, witt_report)
 from .series import DEFAULT_T_PREC, DEFAULT_U_PREC, invert
 from .symbols import (boundary, k2_decompose, k2_equiv, symbol,
                       tame_symbol_det, witt_pair_local)
@@ -363,7 +364,7 @@ def _cmd_reciprocity_curve(args, field):
                 f = eval_rational(fs[0], field) + eval_rational("t", field)
                 g = eval_rational(fs[1], field) + eval_rational("u", field)
             h = eval_rational(fs[2], field)
-            rep = curve_witt_report(f, g, h, m)
+            rep = witt_report(curve_witt_terms(f, g, h, m), m, "place")
             runs.append({"inputs": fs, "verdict": rep["verdict"]})
             ok = ok and rep["verdict"]
         return {"verb": "reciprocity-curve", "m": m, "sweep": runs,
@@ -373,11 +374,12 @@ def _cmd_reciprocity_curve(args, field):
     f = eval_rational(exprs[0], field)
     g = eval_rational(exprs[1], field)
     comps = [eval_rational(x, field) for x in exprs[2:]]
-    witt = curve_witt_report(f, g, comps, m)
+    witt = witt_report(curve_witt_terms(f, g, comps, m), m, "place")
     out = {"verb": "reciprocity-curve", "m": m, "witt": witt}
     ok = witt["verdict"]
     if len(comps) == 1 and comps[0]:
-        tame = curve_tame_report(f, g, comps[0])
+        tame = tame_report(curve_tame_terms(f, g, comps[0]), field.one,
+                           "place")
         out["tame"] = tame
         ok = ok and tame["verdict"]
     out["verdict"] = ok
@@ -394,14 +396,16 @@ def _cmd_reciprocity_point(args, field):
     comps = [to_pointfunc(eval_rational(x, field), curves)
              for x in exprs[2:]]
     m = args["m"]
-    witt = point_witt_report(f, g, comps, m, curves)
+    witt = witt_report(point_witt_terms(f, g, comps, m, curves), m,
+                       "curve")
     out = {"verb": "reciprocity-point", "m": m,
            "curves": [y.serialize() for y in
                       sorted(curves, key=AdmissibleCurve.sort_key)],
            "witt": witt}
     ok = witt["verdict"]
     if len(comps) == 1 and comps[0]:
-        tame = point_tame_report(f, g, comps[0], curves)
+        tame = tame_report(point_tame_terms(f, g, comps[0], curves),
+                           field.one, "curve")
         out["tame"] = tame
         ok = ok and tame["verdict"]
     out["verdict"] = ok

@@ -91,10 +91,6 @@ class BadIndexPair(K2LocalError):
     """duality_kernel_point called with both indices divisible by p."""
 
 
-class ExpansionAtPole(K2LocalError):
-    """Local expansion failed (should not occur for Laurent data)."""
-
-
 class ModeMismatch(K2LocalError):
     """Adelic pairing called with incompatible mode/support."""
 

@@ -8,7 +8,7 @@ prime field is applied here — callers that need a trace apply it themselves.
 
 from __future__ import annotations
 
-from .errors import CoefficientOutsidePrecision, FieldMismatch
+from .errors import CoefficientOutsidePrecision, FieldMismatch, PrecisionTooLow
 from .series import Laurent2
 
 
@@ -138,9 +138,13 @@ def wedge(w1, w2):
 
 
 def residue(form):
-    """Coefficient of u^{-1}t^{-1} du∧dt, in the coefficient domain."""
+    """Coefficient of u^{-1}t^{-1} du∧dt, in the coefficient domain.
+
+    Raises CoefficientOutsidePrecision when that coefficient lies outside
+    the known region; any other error passes through.
+    """
     try:
         return form.a.coeff(-1, -1)
-    except Exception as exc:
+    except PrecisionTooLow as exc:
         raise CoefficientOutsidePrecision(
             "residue coefficient not determined at this precision") from exc

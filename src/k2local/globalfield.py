@@ -1,23 +1,32 @@
 """Semi-global objects at desk scale.
 
 Curve side: the projective u-line over F_q, places (monic irreducible
-polynomials in u plus infinity), coefficientwise local expansion of rational
-data, and the Witt/tame reciprocity sums over all places.
+polynomials in u plus infinity), and coefficientwise local expansion of
+rational data.  At a place of degree d >= 2 the expansion is a Laurent2 over
+k(x) = F_{q^d}: u is a power series in the parameter pi(u), found by Newton
+iteration, and polynomials are evaluated at it by Horner's rule.
 
 Point side: admissible curves through the origin of the (u, t)-plane, branch
-expansions, the reciprocity sums over a declared curve set, finite-support
-adelic K2 vectors, canonical Artin-Schreier representatives, and the
-finite-level duality kernel reports.
+expansions, finite-support adelic K2 vectors, canonical Artin-Schreier
+representatives, and the finite-level duality kernel reports.
+
+Reciprocity: the Witt and tame sums over the places of the u-line, or over a
+declared set of curves through the origin, share their pieces: per-key terms
+(expand f, g and h at the key, then take the local symbol) and one running
+fold over them.  The *_reciprocity functions return the fold's last value;
+witt_report and tame_report build the JSON reports, keyed by "place" or
+"curve".  Every residue is read through forms.residue.
 """
 
 import math
+import operator
 from functools import lru_cache
 
 from .errors import (BadIndexPair, DivisionByZero, FieldMismatch,
                      InvariantViolation, ModeMismatch, NotReducible,
                      UndeclaredCurveFactor, ZeroArgument, ZeroDivisor)
 from .ff import FqElem, make_field, norm_rel, get_embedding
-from .forms import d_du, dlog, wedge
+from .forms import d_du, dlog, residue, wedge
 from .series import DEFAULT_T_PREC, Laurent2, invert, laurent_domain
 from .symbols import symbol, tame_symbol_det, witt_pair_local
 from .witt import WittVec, witt_add, witt_zero
@@ -801,64 +810,42 @@ def place_field(place):
     raise FieldMismatch("minimal polynomial has no root in k(x)")
 
 
-def _ps_mul(a, b, prec, zero):
-    out = [zero] * prec
-    for i, x in enumerate(a[:prec]):
-        if not x:
-            continue
-        for j, y in enumerate(b[:prec - i]):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _ps_inv(a, prec, one):
-    lead = a[0].inv()
-    out = [lead] + [a[0] - a[0]] * (prec - 1)
-    for k in range(1, prec):
-        s = out[k]
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if a[j]:
-                s = s - a[j] * out[k - j]
-        out[k] = s * lead
-    return out
-
-
 _param_cache = {}
 
 
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x^k by Horner's rule in Laurent2 products."""
+    acc = Laurent2.zero(x.dom)
+    for c in reversed(coeffs):
+        acc = acc * x + Laurent2.monomial(x.dom, c)
+    return acc
+
+
 def _param_series(place, prec):
-    """u as a power series in the local parameter s = pi(u), over k(x)."""
+    """u as a power series in the local parameter s = pi(u), over k(x).
+
+    Newton's iteration U <- U - (pi(U) - s)/pi'(U) from the root of pi
+    doubles the number of correct digits each round (Brent & Kung, JACM
+    1978).
+    """
     key = (place, prec)
     if key in _param_cache:
         return _param_cache[key]
     kx, emb, root = place_field(place)
     pihat = [emb(c) for c in place.minimal_poly.coeffs]
-    zero, one = kx.zero, kx.one
-    U = [root]
+    dpi = Poly1(kx, pihat).derivative().coeffs
+    s = Laurent2.monomial(kx, kx.one, 1)
+    U = Laurent2.monomial(kx, root)
     n = 1
     while n < prec:
         n = min(2 * n, prec)
-        U = U + [zero] * (n - len(U))
-        # evaluate pi(U) and pi'(U) to precision n
-        val = [zero] * n
-        der = [zero] * n
-        pw = [one] + [zero] * (n - 1)
-        for k, c in enumerate(pihat):
-            if c:
-                for i, x in enumerate(pw):
-                    val[i] = val[i] + c * x
-            if k + 1 < len(pihat) and pihat[k + 1]:
-                cc = pihat[k + 1] * kx.from_int(k + 1)
-                if cc:
-                    for i, x in enumerate(pw):
-                        der[i] = der[i] + cc * x
-            pw = _ps_mul(pw, U, n, zero)
-        val[1] = val[1] - one  # subtract s
-        U = [U[i] - c for i, c in
-             enumerate(_ps_mul(val, _ps_inv(der, n, one), n, zero))]
-    _param_cache[key] = (kx, U[:prec])
-    return kx, U[:prec]
+        # U is right below the previous n and one step doubles that, which
+        # the region calculus cannot see: declare n digits, the new ones
+        # zero, so that pi(U) and pi'(U) are computed to s^n.
+        U = Laurent2(kx, U.terms, None, {0: n})
+        U = U - (_horner(pihat, U) - s) * invert(_horner(dpi, U), 1, n)
+    _param_cache[key] = (kx, U)
+    return kx, U
 
 
 def _expand_poly1(a, place, prec):
@@ -874,18 +861,8 @@ def _expand_poly1(a, place, prec):
                                  if c}}, INF, {})
     kx, U = _param_series(place, prec)
     _, emb, _ = place_field(place)
-    zero, one = kx.zero, kx.one
-    acc = [zero] * prec
-    pw = [one] + [zero] * (prec - 1)
-    for c in a.coeffs:
-        if c:
-            ce = emb(c)
-            for i, x in enumerate(pw):
-                if x:
-                    acc[i] = acc[i] + ce * x
-        pw = _ps_mul(pw, U, prec, zero)
-    return Laurent2(kx, {0: {k: c for k, c in enumerate(acc) if c}},
-                    INF, {0: prec})
+    acc = _horner([emb(c) for c in a.coeffs], U)
+    return Laurent2(kx, acc.terms, None, {0: prec})
 
 
 def _expand_poly2(P, place, prec):
@@ -969,37 +946,24 @@ def _rational_degree_bound(fs):
     return d
 
 
-def curve_witt_terms(f, g, h, m, precision=None):
+def _at_places(prec):
+    """expand(c, x): rational data c at the place x, zero data exactly."""
+    def expand(c, x):
+        if not c:
+            return Laurent2.zero(place_field(x)[0])
+        return expand_at_place(c, x, prec)
+    return expand
+
+
+def curve_witt_terms(f, g, h, m):
     """Per-place traced local Witt pairings of rational data on the u-line."""
     f = _as_ratfunc(f)
     g = _as_ratfunc(g)
-    field = f.field
-    comps = _h_components(h, field, m)
+    comps = _h_components(h, f.field, m)
     places = list_places([f, g] + comps)
     d = _rational_degree_bound([f, g] + comps)
-    if precision is None:
-        precision = (d + 2) * field.p ** (m - 1) + 8
-    out = []
-    for x in places:
-        fh = expand_at_place(f, x, precision)
-        gh = expand_at_place(g, x, precision)
-        kx = fh.dom
-        ch = [expand_at_place(c, x, precision) if c else Laurent2.zero(kx)
-              for c in comps]
-        e = symbol(fh, gh)
-        w = witt_pair_local(e, WittVec(laurent_domain(kx), ch), m)
-        out.append((x, w))
-    return out
-
-
-def curve_witt_reciprocity(f, g, h, m, precision=None):
-    """Sum of traced local Witt pairings over all places; zero by reciprocity."""
-    terms = curve_witt_terms(f, g, h, m, precision)
-    fp = terms[0][1].ring
-    total = witt_zero(fp, m)
-    for _, w in terms:
-        total = witt_add(total, w)
-    return total
+    expand = _at_places((d + 2) * f.field.p ** (m - 1) + 8)
+    return _witt_terms(places, expand, f, g, comps, m)
 
 
 def tame_pair(e, h):
@@ -1012,65 +976,14 @@ def tame_pair(e, h):
     return acc
 
 
-def curve_tame_terms(f, g, h, precision=None):
+def curve_tame_terms(f, g, h):
+    """Per-place (place, local tame symbol, its norm to F_q) on the u-line."""
     f = _as_ratfunc(f)
     g = _as_ratfunc(g)
     h = _as_ratfunc(h)
-    field = f.field
-    if precision is None:
-        precision = _rational_degree_bound([f, g, h]) + 6
-    out = []
-    for x in list_places([f, g, h]):
-        fh = expand_at_place(f, x, precision)
-        gh = expand_at_place(g, x, precision)
-        hh = expand_at_place(h, x, precision)
-        local = tame_symbol_det(fh, gh, hh).value
-        out.append((x, local, norm_rel(local, field)))
-    return out
-
-
-def curve_tame_reciprocity(f, g, h, precision=None):
-    """Product over all places of normed tame symbols; one by reciprocity."""
-    terms = curve_tame_terms(f, g, h, precision)
-    field = terms[0][2].field
-    acc = field.one
-    for _, _, normed in terms:
-        acc = acc * normed
-    return acc
-
-
-def _wv_json(w):
-    return [list(c.coeffs) for c in w.components]
-
-
-def curve_witt_report(f, g, h, m, precision=None):
-    """JSON-ready reciprocity report: per-place values, running sum, verdict."""
-    terms = curve_witt_terms(f, g, h, m, precision)
-    fp = terms[0][1].ring
-    running = witt_zero(fp, m)
-    rows = []
-    for x, w in terms:
-        running = witt_add(running, w)
-        rows.append({"place": x.serialize(), "trace": _wv_json(w),
-                     "running_sum": _wv_json(running)})
-    return {"pairing": "witt", "m": m, "places": rows,
-            "sum": _wv_json(running),
-            "verdict": all(not c for c in running.components)}
-
-
-def curve_tame_report(f, g, h, precision=None):
-    terms = curve_tame_terms(f, g, h, precision)
-    field = terms[0][2].field
-    running = field.one
-    rows = []
-    for x, local, normed in terms:
-        running = running * normed
-        rows.append({"place": x.serialize(), "local": list(local.coeffs),
-                     "norm": list(normed.coeffs),
-                     "running_product": list(running.coeffs)})
-    return {"pairing": "tame", "places": rows,
-            "product": list(running.coeffs),
-            "verdict": running == field.one}
+    expand = _at_places(_rational_degree_bound([f, g, h]) + 6)
+    return [(x, v, norm_rel(v, f.field)) for x, v in
+            _tame_terms(list_places([f, g, h]), expand, f, g, h)]
 
 
 # --------------------------------------------------------------------------
@@ -1332,7 +1245,8 @@ def expand_point(pf, y, declared, precision=DEFAULT_T_PREC):
     return acc
 
 
-def _point_prec(fs, m, p):
+def _point_prec(fs, m):
+    p = fs[0].field.p
     exposure = 2
     for f in fs:
         for e in f.curve_exps.values():
@@ -1342,88 +1256,126 @@ def _point_prec(fs, m, p):
     return (exposure + 2) * p ** (m - 1) + 8
 
 
-def point_witt_terms(f, g, h, m, curves, precision=None):
-    field = f.field
+def _at_curves(fs, m, curves):
+    """The declared curves in order, and expand(c, y) at the curve y."""
+    declared = set(curves)
+    prec = _point_prec(fs, m)
+    return (sorted(curves, key=AdmissibleCurve.sort_key),
+            lambda c, y: expand_point(c, y, declared, prec))
+
+
+def point_witt_terms(f, g, h, m, curves):
+    """Per-curve traced local Witt pairings of F_x data at the origin."""
     if isinstance(h, WittVec):
         comps = list(h.components)
     elif isinstance(h, PointFunc):
         comps = [h]
     else:
         comps = list(h)
-    if precision is None:
-        precision = _point_prec([f, g] + list(comps), m, field.p)
-    declared = set(curves)
+    keys, expand = _at_curves([f, g] + comps, m, curves)
+    return _witt_terms(keys, expand, f, g, comps, m)
+
+
+def point_tame_terms(f, g, h, curves):
+    """Per-curve (curve, local tame symbol) at the origin."""
+    keys, expand = _at_curves([f, g, h], 1, curves)
+    return _tame_terms(keys, expand, f, g, h)
+
+
+# --------------------------------------------------------------------------
+# Reciprocity sums over places or curves: one fold over (key, value) terms
+# --------------------------------------------------------------------------
+
+def _witt_terms(keys, expand, f, g, comps, m):
+    """(key, traced local Witt pairing of {f, g} with (comps)) per key."""
     out = []
-    for y in sorted(curves, key=AdmissibleCurve.sort_key):
-        fh = expand_point(f, y, declared, precision)
-        gh = expand_point(g, y, declared, precision)
-        ch = [expand_point(c, y, declared, precision) for c in comps]
-        while len(ch) < m:
-            ch.append(Laurent2.zero(field))
-        e = symbol(fh, gh)
-        w = witt_pair_local(e, WittVec(laurent_domain(field), ch), m)
-        out.append((y, w))
+    for key in keys:
+        fh = expand(f, key)
+        gh = expand(g, key)
+        ch = [expand(c, key) for c in comps]
+        ch += [Laurent2.zero(fh.dom)] * (m - len(ch))
+        w = witt_pair_local(symbol(fh, gh),
+                            WittVec(laurent_domain(fh.dom), ch), m)
+        out.append((key, w))
     return out
 
 
-def point_witt_reciprocity(f, g, h, m, curves, precision=None):
-    terms = point_witt_terms(f, g, h, m, curves, precision)
-    fp = terms[0][1].ring
-    total = witt_zero(fp, m)
-    for _, w in terms:
-        total = witt_add(total, w)
-    return total
+def _tame_terms(keys, expand, f, g, h):
+    """(key, local tame symbol of f, g, h) per key."""
+    return [(key, tame_symbol_det(expand(f, key), expand(g, key),
+                                  expand(h, key)).value) for key in keys]
 
 
-def point_tame_terms(f, g, h, curves, precision=None):
-    field = f.field
-    if precision is None:
-        precision = _point_prec([f, g, h], 1, field.p)
-    declared = set(curves)
+def _fold(terms, add, acc):
+    """Fold add over the last entry of each term, starting from acc.
+
+    Returns the (term, running value) rows and the final value.
+    """
+    rows = []
+    for term in terms:
+        acc = add(acc, term[-1])
+        rows.append((term, acc))
+    return rows, acc
+
+
+def _witt_fold(terms, m):
+    return _fold(terms, witt_add, witt_zero(terms[0][1].ring, m))
+
+
+def curve_witt_reciprocity(f, g, h, m):
+    """Sum of traced local Witt pairings over all places; zero by reciprocity."""
+    return _witt_fold(curve_witt_terms(f, g, h, m), m)[1]
+
+
+def curve_tame_reciprocity(f, g, h):
+    """Product over all places of normed tame symbols; one by reciprocity."""
+    terms = curve_tame_terms(f, g, h)
+    return _fold(terms, operator.mul, terms[0][2].field.one)[1]
+
+
+def point_witt_reciprocity(f, g, h, m, curves):
+    """Sum of traced local Witt pairings over the declared curves."""
+    return _witt_fold(point_witt_terms(f, g, h, m, curves), m)[1]
+
+
+def point_tame_reciprocity(f, g, h, curves):
+    """Product of the local tame symbols over the declared curves."""
+    return _fold(point_tame_terms(f, g, h, curves), operator.mul,
+                 f.field.one)[1]
+
+
+def _wv_json(w):
+    return [list(c.coeffs) for c in w.components]
+
+
+def witt_report(terms, m, label):
+    """JSON-ready Witt reciprocity report: per-key values, running sum,
+    verdict.  label names a key: "place" on the u-line, "curve" at a point.
+    """
+    rows, total = _witt_fold(terms, m)
+    return {"pairing": "witt", "m": m,
+            label + "s": [{label: key.serialize(), "trace": _wv_json(w),
+                           "running_sum": _wv_json(running)}
+                          for (key, w), running in rows],
+            "sum": _wv_json(total),
+            "verdict": all(not c for c in total.components)}
+
+
+def tame_report(terms, one, label):
+    """JSON-ready tame reciprocity report over (key, local) terms, or
+    (key, local, norm) terms on the u-line; the last entries multiply up
+    from one.  label names a key as in witt_report.
+    """
+    rows, total = _fold(terms, operator.mul, one)
     out = []
-    for y in sorted(curves, key=AdmissibleCurve.sort_key):
-        fh = expand_point(f, y, declared, precision)
-        gh = expand_point(g, y, declared, precision)
-        hh = expand_point(h, y, declared, precision)
-        out.append((y, tame_symbol_det(fh, gh, hh).value))
-    return out
-
-
-def point_tame_reciprocity(f, g, h, curves, precision=None):
-    terms = point_tame_terms(f, g, h, curves, precision)
-    field = f.field
-    acc = field.one
-    for _, v in terms:
-        acc = acc * v
-    return acc
-
-
-def point_witt_report(f, g, h, m, curves, precision=None):
-    terms = point_witt_terms(f, g, h, m, curves, precision)
-    fp = terms[0][1].ring
-    running = witt_zero(fp, m)
-    rows = []
-    for y, w in terms:
-        running = witt_add(running, w)
-        rows.append({"curve": y.serialize(), "trace": _wv_json(w),
-                     "running_sum": _wv_json(running)})
-    return {"pairing": "witt", "m": m, "curves": rows,
-            "sum": _wv_json(running),
-            "verdict": all(not c for c in running.components)}
-
-
-def point_tame_report(f, g, h, curves, precision=None):
-    terms = point_tame_terms(f, g, h, curves, precision)
-    field = f.field
-    running = field.one
-    rows = []
-    for y, v in terms:
-        running = running * v
-        rows.append({"curve": y.serialize(), "local": list(v.coeffs),
-                     "running_product": list(running.coeffs)})
-    return {"pairing": "tame", "curves": rows,
-            "product": list(running.coeffs),
-            "verdict": running == field.one}
+    for term, running in rows:
+        row = {label: term[0].serialize()}
+        row.update(zip(("local", "norm"),
+                       (list(v.coeffs) for v in term[1:])))
+        row["running_product"] = list(running.coeffs)
+        out.append(row)
+    return {"pairing": "tame", label + "s": out,
+            "product": list(total.coeffs), "verdict": total == one}
 
 
 # --------------------------------------------------------------------------
@@ -1677,24 +1629,17 @@ def point_basis_pair(i, j, a, b, c, k, l, field, precision=None):
         precision = i + j + max(0, -k) + max(0, -l) + 6
     one = Laurent2.one(field)
     val = field.zero
-    # branch F_{u,t}: inner u, outer t
-    if a:
-        f1 = one + Laurent2.monomial(field, a, i, j)
-        s1 = Laurent2.monomial(field, field.one, 1, 0) if slot1 == "u" \
-            else Laurent2.monomial(field, field.one, 0, 1)
-        z1 = Laurent2.monomial(field, c, k, l)
-        eta = wedge(dlog(f1, invert(f1, precision, precision)),
-                    dlog(s1, invert(s1, precision, precision)))
-        val = val + (z1 * eta.a).coeff(-1, -1)
-    # branch F_{t,u}: inner t, outer u
-    if b:
-        f2 = one + Laurent2.monomial(field, b, j, i)
-        s2 = Laurent2.monomial(field, field.one, 1, 0) if slot2 == "t" \
-            else Laurent2.monomial(field, field.one, 0, 1)
-        z2 = Laurent2.monomial(field, c, l, k)
-        eta = wedge(dlog(f2, invert(f2, precision, precision)),
-                    dlog(s2, invert(s2, precision, precision)))
-        val = val + (z2 * eta.a).coeff(-1, -1)
+    # branch F_{u,t} has inner u and outer t, branch F_{t,u} the reverse;
+    # inner says whether the second slot is the branch's inner variable
+    for coef, ij, kl, inner in ((a, (i, j), (k, l), slot1 == "u"),
+                                (b, (j, i), (l, k), slot2 == "t")):
+        if not coef:
+            continue
+        f = one + Laurent2.monomial(field, coef, *ij)
+        s = Laurent2.monomial(field, field.one, *((1, 0) if inner else (0, 1)))
+        eta = wedge(dlog(f, invert(f, precision, precision)),
+                    dlog(s, invert(s, precision, precision)))
+        val = val + residue(eta.scale(Laurent2.monomial(field, c, *kl)))
     return val
 
 
@@ -1742,12 +1687,6 @@ def duality_kernel_point(i, j, field):
 # --------------------------------------------------------------------------
 # Finite-level duality report for a fixed curve
 # --------------------------------------------------------------------------
-
-def _expand_ratfunc1_local(r, place, prec):
-    num = _expand_poly1(r.num, place, prec)
-    den = _expand_poly1(r.den, place, prec)
-    return num * invert(den, prec, prec)
-
 
 def _level_entry(place, phi1, phi2, fhat, k, field):
     """res_x(f * (d phi1 - k phi2 du_x/u_x)) at a rational place."""
@@ -1809,7 +1748,7 @@ def duality_level_curve(k, pole_bound, field, diag_samples=None):
         fexps = [b for b in range(1, D + 1) if b % p]
         if not fexps:
             fexps = []
-    fhats = {x: [_expand_ratfunc1_local(
+    fhats = {x: [expand_at_place(
         RatFunc1.from_poly(Poly1(field, (field.zero,) * b + (field.one,))),
         x, prec) for b in fexps] for x in places}
     gens = []
@@ -1859,8 +1798,8 @@ def _diagonal_row(a_glob, b_glob, k, places, fhats, prec, field):
     p = field.p
     row = None
     for x in places:
-        ah = _expand_ratfunc1_local(a_glob, x, prec)
-        bh = _expand_ratfunc1_local(b_glob, x, prec)
+        ah = expand_at_place(a_glob, x, prec)
+        bh = expand_at_place(b_glob, x, prec)
         w = ah * d_du(bh).monomial_mul(field.one, 1, 0) * \
             invert(bh, prec, prec)
         # eta kills the non-p-power exponents of w

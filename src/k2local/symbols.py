@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import (CoefficientOutsidePrecision, LevelExceedsPrecision,
-                     ZeroArgument, ZeroElement)
-from .ff import FqElem, galois_ring, make_field, primitive_element
+from .errors import LevelExceedsPrecision, ZeroArgument, ZeroElement
+from .ff import FqElem, galois_ring, primitive_element
 from .forms import dlog, residue, wedge
 from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, bar_valuation,
                      invert, laurent_domain, lift_padic, outer_valuation,
@@ -220,12 +218,7 @@ class WittPairer:
             for r in range(k + 1):
                 term = (comps[r] ** (p ** (k - r))).int_scale(p ** r)
                 ghost_k = ghost_k + term
-            prod = ghost_k * self.eta.a
-            try:
-                residues.append(prod.coeff(-1, -1))
-            except Exception as exc:
-                raise CoefficientOutsidePrecision(
-                    "pairing residue outside working precision") from exc
+            residues.append(residue(self.eta.scale(ghost_k)))
         w = unghost(GhostVec(self.ring, tuple(residues)))
         comps_k = tuple(self.ring.reduce_mod_p(c) for c in w.components)
         return WittVec(self.field, comps_k)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from k2local.errors import CoefficientOutsidePrecision
+from k2local.errors import CoefficientOutsidePrecision, InvariantViolation
 from k2local.ff import make_field
 from k2local.forms import (OneForm, TwoForm, d_dt, d_du, differential, dlog,
                            residue, wedge)
@@ -109,6 +109,14 @@ class TestWedgeResidue:
         a = Laurent2.from_dict(F2, {}, t_prec=-1)
         with pytest.raises(CoefficientOutsidePrecision):
             residue(TwoForm(a))
+
+    def test_residue_lets_other_errors_through(self):
+        # an internal fault must not pose as a precision shortfall
+        class Broken:
+            def coeff(self, i, j):
+                raise InvariantViolation("broken coefficient table")
+        with pytest.raises(InvariantViolation):
+            residue(TwoForm(Broken()))
 
     def test_residue_dlog_steinberg_style(self):
         # res(dlog(f) ^ dlog(1-f)) = 0 whenever both make sense

@@ -20,7 +20,8 @@ from k2local.globalfield import (AdeleK2, AdmissibleCurve, CanonicalASRep,
                                  point_basis_pair, point_tame_reciprocity,
                                  point_witt_reciprocity, ratfunc_to_fy,
                                  tame_pair)
-from k2local.series import Laurent2
+from k2local.globalfield import _expand_poly1, _irreducibles, place_field
+from k2local.series import INF, Laurent2
 from k2local.witt import WittVec
 
 
@@ -144,6 +145,103 @@ class TestPlaces:
         assert fhat.coeff(0, 0) == fhat.dom.zero
         assert fhat.coeff(1, 0) == fhat.dom.one
         assert fhat.dom.q == 4
+
+
+# The list power series that expanded polynomials at places of degree >= 2
+# before they moved to Laurent2, kept as the reference for the differential
+# test below.
+
+def _ps_mul(a, b, prec, zero):
+    out = [zero] * prec
+    for i, x in enumerate(a[:prec]):
+        if not x:
+            continue
+        for j, y in enumerate(b[:prec - i]):
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _ps_inv(a, prec, one):
+    lead = a[0].inv()
+    out = [lead] + [a[0] - a[0]] * (prec - 1)
+    for k in range(1, prec):
+        s = out[k]
+        for j in range(1, min(k, len(a) - 1) + 1):
+            if a[j]:
+                s = s - a[j] * out[k - j]
+        out[k] = s * lead
+    return out
+
+
+def _param_series_reference(place, prec):
+    kx, emb, root = place_field(place)
+    pihat = [emb(c) for c in place.minimal_poly.coeffs]
+    zero, one = kx.zero, kx.one
+    U = [root]
+    n = 1
+    while n < prec:
+        n = min(2 * n, prec)
+        U = U + [zero] * (n - len(U))
+        val = [zero] * n
+        der = [zero] * n
+        pw = [one] + [zero] * (n - 1)
+        for k, c in enumerate(pihat):
+            if c:
+                for i, x in enumerate(pw):
+                    val[i] = val[i] + c * x
+            if k + 1 < len(pihat) and pihat[k + 1]:
+                cc = pihat[k + 1] * kx.from_int(k + 1)
+                if cc:
+                    for i, x in enumerate(pw):
+                        der[i] = der[i] + cc * x
+            pw = _ps_mul(pw, U, n, zero)
+        val[1] = val[1] - one
+        U = [U[i] - c for i, c in
+             enumerate(_ps_mul(val, _ps_inv(der, n, one), n, zero))]
+    return kx, U[:prec]
+
+
+def _expand_poly1_reference(a, place, prec):
+    kx, U = _param_series_reference(place, prec)
+    _, emb, _ = place_field(place)
+    zero, one = kx.zero, kx.one
+    acc = [zero] * prec
+    pw = [one] + [zero] * (prec - 1)
+    for c in a.coeffs:
+        if c:
+            ce = emb(c)
+            for i, x in enumerate(pw):
+                if x:
+                    acc[i] = acc[i] + ce * x
+        pw = _ps_mul(pw, U, prec, zero)
+    return Laurent2(kx, {0: {k: c for k, c in enumerate(acc) if c}},
+                    INF, {0: prec})
+
+
+class TestExpansionKernel:
+    PRECS = (1, 2, 5, 12, 17, 30)
+
+    @pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2), (5, 1)])
+    def test_matches_list_reference(self, q):
+        field = make_field(*q)
+        rng = random.Random(q[0] * 10 + q[1])
+        for d in (2, 3):
+            irr = list(_irreducibles(field, d))
+            for pi in rng.sample(irr, min(3, len(irr))):
+                x = CurvePlace(field, "finite", pi)
+                for prec in self.PRECS:
+                    polys = [Poly1(field, ()), pi]
+                    for _ in range(3):
+                        polys.append(Poly1(field, [
+                            field.elem_by_index(rng.randrange(field.q))
+                            for _ in range(rng.randrange(1, 8))]))
+                    for a in polys:
+                        got = _expand_poly1(a, x, prec)
+                        ref = _expand_poly1_reference(a, x, prec)
+                        assert got.terms == ref.terms, (pi, prec, a)
+                        assert got.t_prec == ref.t_prec
+                        assert got.u_prec == ref.u_prec
 
 
 # --------------------------------------------------------------------------

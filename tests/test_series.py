@@ -288,9 +288,11 @@ KERNEL_DOMAINS = (F2, F4, F9, W3F4, W5F9)
 
 
 def _coords(dom):
-    # coordinates biased to 0, p-power multiples and char - 1
+    # coordinates biased to 0, p-power multiples and char - 1; all below
+    # char, since elements hold reduced coordinates (over a field char = p)
     char = dom.char
-    special = sorted({0, 1, dom.p, char // dom.p, char - 1})
+    special = sorted(c for c in {0, 1, dom.p, char // dom.p, char - 1}
+                     if c < char)
     return st.one_of(st.integers(0, char - 1), st.sampled_from(special))
 
 

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from k2local.errors import ZeroArgument
+from k2local.errors import CoefficientOutsidePrecision, ZeroArgument
 from k2local.ff import make_field, primitive_element, trace_abs
 from k2local.series import Laurent2, invert, laurent_domain
-from k2local.symbols import (K2Elem, TameValue, boundary, k2_decompose,
-                             k2_equiv, symbol, tame_symbol_det,
+from k2local.symbols import (K2Elem, TameValue, WittPairer, boundary,
+                             k2_decompose, k2_equiv, symbol, tame_symbol_det,
                              tame_symbol_signed, unramified_exponent,
                              verify_appendix_identity, witt_pair_local)
 from k2local.witt import WittVec
@@ -200,6 +200,14 @@ class TestWittPairing:
                                   rng.randrange(3)), ld.zero))
             w = witt_pair_local(symbol(f, g), h, 2)
             assert not any(w.components)
+
+    def test_residue_outside_the_box(self):
+        # u^-60 t^-60 reaches far past the default box of exposure 4
+        one = Laurent2.one(F2)
+        pairer = WittPairer(symbol(one + U(F2) + T(F2), T(F2)), 1)
+        g = WittVec(laurent_domain(F2), (mono(F2, 1, -60, -60),))
+        with pytest.raises(CoefficientOutsidePrecision):
+            pairer.pair(g)
 
 
 class TestEquivAndIdentities:
