@@ -12,7 +12,7 @@ import sys
 
 from .errors import (DivisionByZero, ExprSyntaxError, K2LocalError,
                      UndefinedSymbol, UsageError)
-from .ff import parse_field
+from .ff import make_field, parse_field
 from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           as_reduce, as_residual_solves, curve_tame_terms,
                           curve_witt_terms, duality_kernel_point,
@@ -22,7 +22,7 @@ from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
 from .series import DEFAULT_T_PREC, DEFAULT_U_PREC, invert
 from .symbols import (boundary, k2_decompose, k2_equiv, symbol,
                       tame_symbol_det, witt_pair_local)
-from .witt import WittVec
+from .witt import WittVec, witt_zero
 
 SCHEMA = 1
 
@@ -353,6 +353,7 @@ def _cmd_equiv(args, field):
 def _cmd_reciprocity_curve(args, field):
     exprs = args["exprs"]
     m = args["m"]
+    zero = witt_zero(make_field(field.p, 1), m)
     if args["sweep"]:
         rng = random.Random(args["seed"])
         runs = []
@@ -364,7 +365,7 @@ def _cmd_reciprocity_curve(args, field):
                 f = eval_rational(fs[0], field) + eval_rational("t", field)
                 g = eval_rational(fs[1], field) + eval_rational("u", field)
             h = eval_rational(fs[2], field)
-            rep = witt_report(curve_witt_terms(f, g, h, m), m, "place")
+            rep = witt_report(curve_witt_terms(f, g, h, m), zero, "place")
             runs.append({"inputs": fs, "verdict": rep["verdict"]})
             ok = ok and rep["verdict"]
         return {"verb": "reciprocity-curve", "m": m, "sweep": runs,
@@ -374,7 +375,7 @@ def _cmd_reciprocity_curve(args, field):
     f = eval_rational(exprs[0], field)
     g = eval_rational(exprs[1], field)
     comps = [eval_rational(x, field) for x in exprs[2:]]
-    witt = witt_report(curve_witt_terms(f, g, comps, m), m, "place")
+    witt = witt_report(curve_witt_terms(f, g, comps, m), zero, "place")
     out = {"verb": "reciprocity-curve", "m": m, "witt": witt}
     ok = witt["verdict"]
     if len(comps) == 1 and comps[0]:
@@ -396,8 +397,8 @@ def _cmd_reciprocity_point(args, field):
     comps = [to_pointfunc(eval_rational(x, field), curves)
              for x in exprs[2:]]
     m = args["m"]
-    witt = witt_report(point_witt_terms(f, g, comps, m, curves), m,
-                       "curve")
+    witt = witt_report(point_witt_terms(f, g, comps, m, curves),
+                       witt_zero(make_field(field.p, 1), m), "curve")
     out = {"verb": "reciprocity-point", "m": m,
            "curves": [y.serialize() for y in
                       sorted(curves, key=AdmissibleCurve.sort_key)],

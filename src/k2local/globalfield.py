@@ -1318,13 +1318,10 @@ def _fold(terms, add, acc):
     return rows, acc
 
 
-def _witt_fold(terms, m):
-    return _fold(terms, witt_add, witt_zero(terms[0][1].ring, m))
-
-
 def curve_witt_reciprocity(f, g, h, m):
     """Sum of traced local Witt pairings over all places; zero by reciprocity."""
-    return _witt_fold(curve_witt_terms(f, g, h, m), m)[1]
+    return _fold(curve_witt_terms(f, g, h, m), witt_add,
+                 witt_zero(make_field(f.field.p, 1), m))[1]
 
 
 def curve_tame_reciprocity(f, g, h):
@@ -1335,7 +1332,8 @@ def curve_tame_reciprocity(f, g, h):
 
 def point_witt_reciprocity(f, g, h, m, curves):
     """Sum of traced local Witt pairings over the declared curves."""
-    return _witt_fold(point_witt_terms(f, g, h, m, curves), m)[1]
+    return _fold(point_witt_terms(f, g, h, m, curves), witt_add,
+                 witt_zero(make_field(f.field.p, 1), m))[1]
 
 
 def point_tame_reciprocity(f, g, h, curves):
@@ -1348,12 +1346,13 @@ def _wv_json(w):
     return [list(c.coeffs) for c in w.components]
 
 
-def witt_report(terms, m, label):
-    """JSON-ready Witt reciprocity report: per-key values, running sum,
-    verdict.  label names a key: "place" on the u-line, "curve" at a point.
+def witt_report(terms, zero, label):
+    """JSON-ready Witt reciprocity report: per-key values, running sum from
+    zero (W_m over F_p), verdict.  label names a key: "place" on the u-line,
+    "curve" at a point.
     """
-    rows, total = _witt_fold(terms, m)
-    return {"pairing": "witt", "m": m,
+    rows, total = _fold(terms, witt_add, zero)
+    return {"pairing": "witt", "m": zero.length,
             label + "s": [{label: key.serialize(), "trace": _wv_json(w),
                            "running_sum": _wv_json(running)}
                           for (key, w), running in rows],

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import LevelExceedsPrecision, ZeroArgument, ZeroElement
+from .errors import (CoefficientOutsidePrecision, LevelExceedsPrecision,
+                     ZeroArgument, ZeroElement)
 from .ff import FqElem, galois_ring, primitive_element
-from .forms import dlog, residue, wedge
+from .forms import TwoForm, dlog, residue, wedge
 from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, bar_valuation,
                      invert, laurent_domain, lift_padic, outer_valuation,
                      unit_decompose)
@@ -176,28 +177,27 @@ def unramified_exponent(e):
 class WittPairer:
     """Precomputes the two-form of a K₂ element for repeated pairings.
 
-    s = m + 2 guard digits; exposure bounds say how far into negative u/t
-    exponents the Witt-vector arguments may reach.
+    s = m + 2 guard digits.  f and g of every factor are lifted and inverted
+    in the working box (t_box, u_box), which self.box records; the default
+    12×12 box serves vectors that reach only a few exponents below zero.
+    witt_pair_local and k2_equiv size the box with pairing_box instead.
     """
 
-    def __init__(self, e, m, exposure_u=4, exposure_t=4):
+    def __init__(self, e, m, t_box=DEFAULT_T_PREC, u_box=DEFAULT_U_PREC):
         self.field = e.field
         self.m = m
         self.s = m + 2
         self.ring = galois_ring(self.field, self.s)
-        p = self.field.p
-        pu = max(DEFAULT_U_PREC, exposure_u * p ** (m - 1) + 4)
-        pt = max(DEFAULT_T_PREC, exposure_t * p ** (m - 1) + 4)
+        self.box = (t_box, u_box)
         eta = None
         for f, g, exp in e.factors:
             fh = lift_padic(f, self.s)
             gh = lift_padic(g, self.s)
-            w = wedge(dlog(fh, invert(fh, pt, pu)),
-                      dlog(gh, invert(gh, pt, pu)))
+            w = wedge(dlog(fh, invert(fh, t_box, u_box)),
+                      dlog(gh, invert(gh, t_box, u_box)))
             w = w.int_scale(exp)
             eta = w if eta is None else eta + w
         if eta is None:
-            from .forms import TwoForm
             eta = TwoForm(Laurent2.zero(self.ring))
         self.eta = eta
 
@@ -224,14 +224,52 @@ class WittPairer:
         return WittVec(self.field, comps_k)
 
 
-def _exposure(g):
-    eu = et = 0
-    for c in g.components:
-        for j, row in c.terms.items():
-            et = max(et, -j)
-            for i in row:
-                eu = max(eu, -i)
-    return eu, et
+def pairing_box(p, m, demand):
+    """First and last working box (t_box, u_box) of a pairer of length m.
+
+    demand lists the component tuples of the Witt vectors to be paired, each
+    paired at its own length n.  The residue of ghost_k · η reads
+    η[−1−i, −1−j] for u^i t^j in the support of ghost_k, where component r
+    enters raised to p^(k−r).  With e_r the deepest negative exponent of
+    component r (per variable, 0 if none), the first box side is D + 2 for
+    D = max e_r·p^(n−1−r).  The last side is twice max(12, (E+1)·p^(m−1)+4)
+    with E = max e_r, the box an exposure of E+1 used to get, so doubling
+    from the first box ends at a box that holds that one.
+    """
+    reach = [0, 0]  # max e_r per variable (t, u)
+    deep = [0, 0]   # max e_r·p^(n−1−r) per variable
+    for comps in demand:
+        for r, c in enumerate(comps):
+            w = p ** (len(comps) - 1 - r)
+            # each row that may hold content, with its least u-exponent
+            corners = [(j, min(row)) for j, row in c.terms.items()]
+            corners += c.u_prec.items()
+            for j, i in corners:
+                for side, d in ((0, -j), (1, -i)):
+                    reach[side] = max(reach[side], d)
+                    deep[side] = max(deep[side], d * w)
+    first = (deep[0] + 2, deep[1] + 2)
+    last = (2 * max(DEFAULT_T_PREC, (reach[0] + 1) * p ** (m - 1) + 4),
+            2 * max(DEFAULT_U_PREC, (reach[1] + 1) * p ** (m - 1) + 4))
+    return first, last
+
+
+def _with_pairer(e, m, demand, run):
+    """run(pairer) for a pairer of e at the box pairing_box gives the demand.
+
+    While run raises CoefficientOutsidePrecision, both sides double, each up
+    to its last side, and the pairer is rebuilt; a failure at the last box
+    is raised.  An answer is exact at any box, since a residue is returned
+    only where the precision regions mark it known.
+    """
+    box, last = pairing_box(e.field.p, m, demand)
+    while True:
+        try:
+            return run(WittPairer(e, m, *box))
+        except CoefficientOutsidePrecision:
+            if box == last:
+                raise
+            box = tuple(min(2 * b, c) for b, c in zip(box, last))
 
 
 def witt_pair_local(e, g, m, traced=True):
@@ -239,13 +277,14 @@ def witt_pair_local(e, g, m, traced=True):
 
     g is a WittVec whose components are Laurent2 over the same field;
     returns a length-m Witt vector over the prime field, or over the
-    coefficient field itself when traced=False.
+    coefficient field itself when traced=False.  The pairer's box comes
+    from the first m components of g (pairing_box), doubled at most until
+    it holds twice the box max(12, (E+1)·p^(m−1)+4) of g's deepest negative
+    exponent E per variable; past that, CoefficientOutsidePrecision.
     """
-    eu, et = _exposure(g)
-    pairer = WittPairer(e, m, exposure_u=eu + 1, exposure_t=et + 1)
-    if traced:
-        return pairer.pair(g, m)
-    return pairer.pair_untraced(g, m)
+    pair = WittPairer.pair if traced else WittPairer.pair_untraced
+    return _with_pairer(e, m, [g.components[:m]],
+                        lambda pairer: pair(pairer, g, m))
 
 
 # --------------------------------------------------------------------------
@@ -563,15 +602,20 @@ def k2_equiv(a, b, level):
     if not d.factors:
         return True
     dom = laurent_domain(field)
-    pairer = WittPairer(d, 2, exposure_u=level + 1, exposure_t=level + 1)
-    for c, i, j, m in _test_vectors(field, level):
-        comps = [Laurent2.monomial(field, c, -i, -j)] + \
-                [dom.zero] * (m - 1)
-        g = WittVec(dom, tuple(comps))
-        w = pairer.pair(g, m)
-        if any(w.components):
-            return False
-    return True
+    tests = [WittVec(dom, (Laurent2.monomial(field, c, -i, -j),)
+                     + (dom.zero,) * (m - 1))
+             for c, i, j, m in _test_vectors(field, level)]
+    done = 0
+
+    def separates(pairer):
+        # a vector that paired to zero stays paired: answers are exact
+        nonlocal done
+        for g in tests[done:]:
+            if any(pairer.pair(g, g.length).components):
+                return True
+            done += 1
+        return False
+    return not _with_pairer(d, 2, [g.components for g in tests], separates)
 
 
 # --------------------------------------------------------------------------

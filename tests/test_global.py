@@ -19,10 +19,10 @@ from k2local.globalfield import (AdeleK2, AdmissibleCurve, CanonicalASRep,
                                  infinity_place, list_places,
                                  point_basis_pair, point_tame_reciprocity,
                                  point_witt_reciprocity, ratfunc_to_fy,
-                                 tame_pair)
+                                 tame_pair, witt_report)
 from k2local.globalfield import _expand_poly1, _irreducibles, place_field
 from k2local.series import INF, Laurent2
-from k2local.witt import WittVec
+from k2local.witt import WittVec, witt_zero
 
 
 def uvars(field):
@@ -378,6 +378,17 @@ class TestPointReciprocity:
         h = PointFunc(F3, constant=F3.from_int(2), curve_exps={axu: -1})
         assert is_zero_wv(point_witt_reciprocity(f, g, [h], 2, curves))
         assert point_tame_reciprocity(f, g, h, curves) == F3.one
+
+    def test_no_curves(self):
+        # an empty sum is the zero of W_m(F_p), as the empty product is one
+        F4 = self.F4
+        f = PointFunc(F4, constant=F4.gen)
+        w = point_witt_reciprocity(f, f, [f], 2, [])
+        assert w == witt_zero(make_field(2, 1), 2)
+        assert point_tame_reciprocity(f, f, f, []) == F4.one
+        rep = witt_report([], w, "curve")
+        assert rep["m"] == 2 and rep["curves"] == []
+        assert rep["sum"] == [[0], [0]] and rep["verdict"]
 
     def test_undeclared_curve(self):
         F4 = self.F4

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from k2local.errors import PrecisionTooLow, ZeroDivisor, ZeroElement
 from k2local.ff import galois_ring, make_field
+from k2local.forms import d_dt, d_du
 from k2local.series import (DEFAULT_T_PREC, DEFAULT_U_PREC, INF, Laurent2,
                             bar_valuation, invert, laurent_domain,
                             lift_padic, outer_valuation, recompose,
@@ -476,3 +477,126 @@ class TestInvertKernel:
     def test_truncate_matches_reference(self, f, t_prec, u_prec):
         _same_series(f.truncate(t_prec, u_prec),
                      _truncate_reference(f, t_prec, u_prec))
+
+
+# --------------------------------------------------------------------------
+# region soundness: every claimed coefficient holds for any completion
+# --------------------------------------------------------------------------
+
+@st.composite
+def _completed(draw, base):
+    """(f, F): a drawn series f and an exact completion F of it.
+
+    F is {(j, i): coefficient}: f's terms plus random nonzero terms where
+    f's region leaves the coefficient unknown (beyond a row's u-bound, or
+    in rows at or past t_prec, as far down in u as -3).  Every claim an
+    operation makes about f must hold for every such F.
+    """
+    f = draw(base)
+    dom = f.dom
+    F = {(j, i): c for j, row in f.terms.items() for i, c in row.items()}
+    spots = [(j, i) for j, b in f.u_prec.items() for i in range(b, b + 4)]
+    if f.t_prec != INF:
+        spots += [(j, i) for j in range(f.t_prec, f.t_prec + 3)
+                  for i in range(-3, 5)]
+    if spots:
+        coord = _coords(dom)
+        for key, cs in draw(st.lists(st.tuples(st.sampled_from(spots),
+                                               st.tuples(*[coord] * dom.n)),
+                                     max_size=8)):
+            c = type(dom.one)(dom, cs)
+            if c:
+                F[key] = c
+    return f, F
+
+
+def _conv(a, b):
+    out = {}
+    for (j1, i1), x in a.items():
+        for (j2, i2), y in b.items():
+            k = (j1 + j2, i1 + i2)
+            out[k] = out[k] + x * y if k in out else x * y
+    return out
+
+
+def _inverse_window(F, jmax, umax):
+    """1/F at every (j, i) with j < jmax and i < umax, F exact.
+
+    Plain element arithmetic on the geometric series of the normalised
+    F = c·u^i0·t^j0·(1 + E).  A term of E raises j, or keeps j and raises
+    i, and lowers i by at most L per unit of j, so partial powers that
+    cannot reach the window any more are dropped and the loop ends.
+    """
+    j0, i0 = min(F)
+    c = F[(j0, i0)]
+    cinv = c.inv()
+    neg = {(j - j0, i - i0): -(cinv * v) for (j, i), v in F.items()
+           if (j, i) != (j0, i0)}
+    slope = max([0] + [-i for j, i in neg if j >= 1])
+    jn, un = jmax + j0 - 1, umax + i0 - 1
+    one = cinv * c
+    total = {(0, 0): one}
+    pw = {(0, 0): one}
+    while pw:
+        pw = {(j, i): v for (j, i), v in _conv(pw, neg).items()
+              if j <= jn and i <= un + (jn - j) * slope}
+        for k, v in pw.items():
+            total[k] = total[k] + v if k in total else v
+    return {(j - j0, i - i0): cinv * v for (j, i), v in total.items()}
+
+
+_LO, _HI = -12, 24
+
+
+def _claims_hold(r, truth):
+    """Each coefficient r marks known in the window equals truth's."""
+    zero = r.dom.zero
+    for j in range(_LO, min(r.t_prec, _HI)):
+        for i in range(_LO, min(r.uprec(j), _HI)):
+            assert r.terms.get(j, {}).get(i, zero) == \
+                truth.get((j, i), zero), (j, i)
+
+
+class TestRegionSoundness:
+    """A differential oracle for the precision regions: the regions of
+    f * g, f + g, invert(f), d_du(f) and d_dt(f) against the same
+    coefficients computed, with plain element arithmetic, from random
+    completions of the operands."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(
+        lambda dom: st.tuples(_completed(_series(dom)),
+                              _completed(_series(dom)))))
+    def test_mul_and_add(self, pair):
+        (f, F), (g, G) = pair
+        _claims_hold(f * g, _conv(F, G))
+        total = dict(F)
+        for k, v in G.items():
+            total[k] = total[k] + v if k in total else v
+        _claims_hold(f + g, total)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(
+        lambda dom: _completed(_series(dom))))
+    def test_derivatives(self, fF):
+        f, F = fF
+        dom = f.dom
+        _claims_hold(d_du(f), {(j, i - 1): dom.from_int(i) * c
+                               for (j, i), c in F.items()})
+        _claims_hold(d_dt(f), {(j - 1, i): dom.from_int(j) * c
+                               for (j, i), c in F.items()})
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(
+        lambda dom: _completed(_unit_series(dom))),
+        st.integers(1, 5), st.integers(1, 5))
+    def test_invert(self, fF, t_box, u_box):
+        f, F = fF
+        r = invert(f, t_box, u_box)
+        jmax = int(min(r.t_prec, _HI))
+        umax = max([min(r.uprec(j), _HI) for j in range(_LO, jmax)]
+                   + [_LO])
+        _claims_hold(r, _inverse_window(F, jmax, int(umax)))

@@ -1,17 +1,21 @@
 """Tests for K₂ symbols: tame symbol, boundary, Witt pairing, decomposition."""
 
 import random
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from k2local.errors import CoefficientOutsidePrecision, ZeroArgument
 from k2local.ff import make_field, primitive_element, trace_abs
 from k2local.series import Laurent2, invert, laurent_domain
-from k2local.symbols import (K2Elem, TameValue, WittPairer, boundary,
-                             k2_decompose, k2_equiv, symbol, tame_symbol_det,
-                             tame_symbol_signed, unramified_exponent,
-                             verify_appendix_identity, witt_pair_local)
-from k2local.witt import WittVec
+from k2local.symbols import (K2Elem, TameValue, WittPairer, _with_pairer,
+                             boundary, k2_decompose, k2_equiv, pairing_box,
+                             symbol, tame_symbol_det, tame_symbol_signed,
+                             unramified_exponent, verify_appendix_identity,
+                             witt_pair_local)
+from k2local.witt import WittVec, witt_zero
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -208,6 +212,92 @@ class TestWittPairing:
         g = WittVec(laurent_domain(F2), (mono(F2, 1, -60, -60),))
         with pytest.raises(CoefficientOutsidePrecision):
             pairer.pair(g)
+
+
+@st.composite
+def _pairing_input(draw):
+    """(e, g, m): a symbol of two random units and a Witt vector of
+    monomials reaching at most three exponents below zero."""
+    q, m = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                 (3, 3), (4, 1), (4, 2), (4, 3), (5, 1),
+                                 (5, 2), (9, 1), (9, 2)]))
+    dom = {2: F2, 3: F3, 4: F4, 5: F5, 9: F9}[q]
+    elem = st.integers(1, q - 1).map(dom.elem_by_index)
+
+    def unit():
+        d = {(0, 0): draw(elem)}
+        for key in draw(st.lists(st.tuples(st.integers(0, 2),
+                                           st.integers(-1, 2)), max_size=2)):
+            if key != (0, 0):
+                d[key] = draw(elem)
+        return Laurent2.from_dict(dom, d).monomial_mul(
+            dom.one, draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+    depth = 3 if m == 1 else 1
+    exps = st.integers(-depth, depth)
+    g = WittVec(laurent_domain(dom),
+                tuple(mono(dom, draw(elem), draw(exps), draw(exps))
+                      for _ in range(m)))
+    return symbol(unit(), unit()), g, m
+
+
+def _pair_at(e, g, m, box):
+    """The pairing at a fixed box, or None where a residue falls outside."""
+    try:
+        return WittPairer(e, m, *box).pair(g, m)
+    except CoefficientOutsidePrecision:
+        return None
+
+
+class TestPairingBox:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_pairing_input())
+    def test_box_does_not_change_the_pairing(self, egm):
+        e, g, m = egm
+        w, pairer = _with_pairer(e, m, [g.components[:m]],
+                                 lambda pr: (pr.pair(g, m), pr))
+        assert w == witt_pair_local(e, g, m)
+        t_box, u_box = pairer.box
+        assert _pair_at(e, g, m, (2 * t_box, 2 * u_box)) == w
+        # the box of the exposure formula: the last box is twice it
+        _, last = pairing_box(e.field.p, m, [g.components[:m]])
+        assert _pair_at(e, g, m, (last[0] // 2, last[1] // 2)) in (w, None)
+
+    def test_demand_sets_the_box(self):
+        # component r of g enters ghost_k raised to p^(k-r)
+        g = (mono(F2, 1, -2, -2), mono(F2, 1, 0, -1), mono(F2, 1, 1, 0))
+        assert pairing_box(2, 3, [g]) == ((10, 10), (32, 32))
+        h = (mono(F3, 1, -7, 0),)
+        assert pairing_box(3, 2, [(g[0], g[1]), h]) == ((8, 9), (26, 56))
+        assert pairing_box(2, 1, []) == ((2, 2), (24, 24))
+        assert WittPairer(symbol(U(F2), T(F2)), 1).box == (12, 12)
+
+    def test_steinberg_case_retries(self):
+        # {f, 1-f} with f = u^-1 t + t at m = 3 over F_2: the box (10, 10)
+        # and the exposure box (16, 16) both leave a residue outside
+        one = Laurent2.one(F2)
+        f = mono(F2, 1, -1, 1) + T(F2)
+        e = symbol(f, one - f)
+        g = WittVec(laurent_domain(F2), (mono(F2, 1, -2, -2),
+                                         mono(F2, 1, 0, -1), U(F2)))
+        w, pairer = _with_pairer(e, 3, [g.components],
+                                 lambda pr: (pr.pair(g, 3), pr))
+        assert pairer.box == (20, 20)
+        assert w == witt_zero(make_field(2, 1), 3)
+        assert witt_pair_local(e, g, 3) == w
+        for box in ((10, 10), (16, 16)):
+            assert _pair_at(e, g, 3, box) is None
+
+    def test_unknowable_residue_raises_fast(self):
+        # f is known only below t^3, so eta is too, and the residue against
+        # u^-6 t^-6 reads eta at t^5 in every box
+        one = Laurent2.one(F2)
+        f = Laurent2.from_dict(F2, {(0, 0): 1, (1, 1): 1}, t_prec=3)
+        g = WittVec(laurent_domain(F2), (mono(F2, 1, -6, -6),))
+        start = time.perf_counter()
+        with pytest.raises(CoefficientOutsidePrecision):
+            witt_pair_local(symbol(f, one + T(F2)), g, 1)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEquivAndIdentities:
