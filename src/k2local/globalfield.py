@@ -28,7 +28,8 @@ from .errors import (BadIndexPair, DivisionByZero, FieldMismatch,
 from .ff import FqElem, make_field, norm_rel, get_embedding
 from .forms import d_du, dlog, residue, wedge
 from .series import DEFAULT_T_PREC, Laurent2, invert, laurent_domain
-from .symbols import symbol, tame_symbol_det, witt_pair_local
+from .symbols import (WittPairer, symbol, tame_symbol_det, with_box,
+                      witt_pair_local)
 from .witt import WittVec, witt_add, witt_zero
 
 INF = math.inf
@@ -946,24 +947,16 @@ def _rational_degree_bound(fs):
     return d
 
 
-def _at_places(prec):
-    """expand(c, x): rational data c at the place x, zero data exactly."""
-    def expand(c, x):
-        if not c:
-            return Laurent2.zero(place_field(x)[0])
-        return expand_at_place(c, x, prec)
-    return expand
-
-
 def curve_witt_terms(f, g, h, m):
-    """Per-place traced local Witt pairings of rational data on the u-line."""
+    """Per-place traced local Witt pairings of rational data on the u-line.
+
+    Each place sizes its own working box, as _witt_terms says.
+    """
     f = _as_ratfunc(f)
     g = _as_ratfunc(g)
     comps = _h_components(h, f.field, m)
     places = list_places([f, g] + comps)
-    d = _rational_degree_bound([f, g] + comps)
-    expand = _at_places((d + 2) * f.field.p ** (m - 1) + 8)
-    return _witt_terms(places, expand, f, g, comps, m)
+    return _witt_terms(places, expand_at_place, f, g, comps, m)
 
 
 def tame_pair(e, h):
@@ -981,9 +974,8 @@ def curve_tame_terms(f, g, h):
     f = _as_ratfunc(f)
     g = _as_ratfunc(g)
     h = _as_ratfunc(h)
-    expand = _at_places(_rational_degree_bound([f, g, h]) + 6)
     return [(x, v, norm_rel(v, f.field)) for x, v in
-            _tame_terms(list_places([f, g, h]), expand, f, g, h)]
+            _tame_terms(list_places([f, g, h]), expand_at_place, f, g, h)]
 
 
 # --------------------------------------------------------------------------
@@ -1245,40 +1237,31 @@ def expand_point(pf, y, declared, precision=DEFAULT_T_PREC):
     return acc
 
 
-def _point_prec(fs, m):
-    p = fs[0].field.p
-    exposure = 2
-    for f in fs:
-        for e in f.curve_exps.values():
-            exposure += max(0, -e)
-        for eps, _ in f.units:
-            exposure = max(exposure, eps.deg_u(), eps.deg_t())
-    return (exposure + 2) * p ** (m - 1) + 8
-
-
-def _at_curves(fs, m, curves):
-    """The declared curves in order, and expand(c, y) at the curve y."""
+def _at_curves(curves):
+    """The declared curves in order, and expand(c, y, prec) at the curve y."""
     declared = set(curves)
-    prec = _point_prec(fs, m)
     return (sorted(curves, key=AdmissibleCurve.sort_key),
-            lambda c, y: expand_point(c, y, declared, prec))
+            lambda c, y, prec: expand_point(c, y, declared, prec))
 
 
 def point_witt_terms(f, g, h, m, curves):
-    """Per-curve traced local Witt pairings of F_x data at the origin."""
+    """Per-curve traced local Witt pairings of F_x data at the origin.
+
+    Each curve sizes its own working box, as _witt_terms says.
+    """
     if isinstance(h, WittVec):
         comps = list(h.components)
     elif isinstance(h, PointFunc):
         comps = [h]
     else:
         comps = list(h)
-    keys, expand = _at_curves([f, g] + comps, m, curves)
+    keys, expand = _at_curves(curves)
     return _witt_terms(keys, expand, f, g, comps, m)
 
 
 def point_tame_terms(f, g, h, curves):
     """Per-curve (curve, local tame symbol) at the origin."""
-    keys, expand = _at_curves([f, g, h], 1, curves)
+    keys, expand = _at_curves(curves)
     return _tame_terms(keys, expand, f, g, h)
 
 
@@ -1287,23 +1270,29 @@ def point_tame_terms(f, g, h, curves):
 # --------------------------------------------------------------------------
 
 def _witt_terms(keys, expand, f, g, comps, m):
-    """(key, traced local Witt pairing of {f, g} with (comps)) per key."""
-    out = []
-    for key in keys:
-        fh = expand(f, key)
-        gh = expand(g, key)
-        ch = [expand(c, key) for c in comps]
+    """(key, traced local Witt pairing of {f, g} with (comps)) per key.
+
+    At each key, expand(c, key, max(box)) expands f, g and comps, and a
+    pairer of {f, g} in the working box pairs them.  The box starts at
+    (2, 2) and doubles while a coefficient falls outside the known region
+    (with_box); the data is exact, so some box answers.
+    """
+    def pair_at(key, box):
+        fh, gh, *ch = (expand(c, key, max(box)) for c in [f, g] + comps)
         ch += [Laurent2.zero(fh.dom)] * (m - len(ch))
-        w = witt_pair_local(symbol(fh, gh),
-                            WittVec(laurent_domain(fh.dom), ch), m)
-        out.append((key, w))
-    return out
+        return WittPairer(symbol(fh, gh), m, *box).pair(
+            WittVec(laurent_domain(fh.dom), ch), m)
+    return [(key, with_box((2, 2), None, lambda box: pair_at(key, box)))
+            for key in keys]
 
 
 def _tame_terms(keys, expand, f, g, h):
-    """(key, local tame symbol of f, g, h) per key."""
-    return [(key, tame_symbol_det(expand(f, key), expand(g, key),
-                                  expand(h, key)).value) for key in keys]
+    """(key, local tame symbol of f, g, h) per key, boxed as _witt_terms."""
+    def tame_at(key, box):
+        return tame_symbol_det(*(expand(c, key, max(box))
+                                 for c in (f, g, h))).value
+    return [(key, with_box((2, 2), None, lambda box: tame_at(key, box)))
+            for key in keys]
 
 
 def _fold(terms, add, acc):
@@ -1615,17 +1604,15 @@ def _basis_case(i, j, p):
     raise BadIndexPair(f"({i}, {j}) are both divisible by {p}")
 
 
-def point_basis_pair(i, j, a, b, c, k, l, field, precision=None):
+def point_basis_pair(i, j, a, b, c, k, l, field):
     """Two-branch m = 1 pairing of the standard (i, j) basis element.
 
     The basis element carries a on the u-t branch and b on the t-u branch;
     it is paired against c*u^k*t^l.  Second symbol slots follow the case
-    split on p-divisibility of (i, j).
+    split on p-divisibility of (i, j).  Each branch inverts in the working
+    box that with_box doubles from (2, 2).
     """
-    p = field.p
-    case, (slot1, slot2) = _basis_case(i, j, p)
-    if precision is None:
-        precision = i + j + max(0, -k) + max(0, -l) + 6
+    case, (slot1, slot2) = _basis_case(i, j, field.p)
     one = Laurent2.one(field)
     val = field.zero
     # branch F_{u,t} has inner u and outer t, branch F_{t,u} the reverse;
@@ -1636,9 +1623,11 @@ def point_basis_pair(i, j, a, b, c, k, l, field, precision=None):
             continue
         f = one + Laurent2.monomial(field, coef, *ij)
         s = Laurent2.monomial(field, field.one, *((1, 0) if inner else (0, 1)))
-        eta = wedge(dlog(f, invert(f, precision, precision)),
-                    dlog(s, invert(s, precision, precision)))
-        val = val + residue(eta.scale(Laurent2.monomial(field, c, *kl)))
+
+        def pair(box):
+            eta = wedge(dlog(f, invert(f, *box)), dlog(s, invert(s, *box)))
+            return residue(eta.scale(Laurent2.monomial(field, c, *kl)))
+        val = val + with_box((2, 2), None, pair)
     return val
 
 

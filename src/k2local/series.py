@@ -375,8 +375,10 @@ class Laurent2:
 
         Requires certainty: no possibly-hidden content lex-below it.
         """
+        if self.is_zero():
+            raise ZeroDivisor("zero has no leading term")
         if not self.terms:
-            raise ZeroDivisor("no nonzero coefficient at this precision")
+            raise PrecisionTooLow("no known nonzero coefficient")
         j0 = min(self.terms)
         hidden = [j for j in self.u_prec if j < j0]
         if hidden:
@@ -488,8 +490,10 @@ def _unpack(v, w, n, char, fold):
 
 def outer_valuation(f):
     """v_t(f): least t-exponent with a nonzero coefficient row."""
+    if f.is_zero():
+        raise ZeroElement("outer_valuation of zero")
     if not f.terms:
-        raise ZeroElement("outer_valuation of (apparent) zero")
+        raise PrecisionTooLow("no known nonzero coefficient")
     j0 = min(f.terms)
     if any(j < j0 for j in f.u_prec):
         raise PrecisionTooLow("t-valuation not determined at this precision")

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (CoefficientOutsidePrecision, LevelExceedsPrecision,
-                     ZeroArgument, ZeroElement)
+from .errors import (LevelExceedsPrecision, PrecisionTooLow, ZeroArgument,
+                     ZeroElement)
 from .ff import FqElem, galois_ring, primitive_element
 from .forms import TwoForm, dlog, residue, wedge
 from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, bar_valuation,
@@ -38,8 +38,10 @@ class K2Elem:
         for f, g, e in factors:
             if f.dom is not field or g.dom is not field:
                 raise ZeroArgument("symbol factor over the wrong field")
-            if not f.terms or not g.terms:
+            if f.is_zero() or g.is_zero():
                 raise ZeroArgument("symbol entries must be nonzero")
+            if not f.terms or not g.terms:
+                raise PrecisionTooLow("symbol entry has no known term")
             if e:
                 clean.append((f, g, int(e)))
         self.field = field
@@ -98,7 +100,7 @@ def tame_symbol_det(f1, f2, f3):
     """
     fs = (f1, f2, f3)
     for f in fs:
-        if not f.terms:
+        if f.is_zero():
             raise ZeroArgument("tame symbol of zero")
     vt = [_vals(f)[0] for f in fs]
     vu = [_vals(f)[1] for f in fs]
@@ -180,7 +182,7 @@ class WittPairer:
     s = m + 2 guard digits.  f and g of every factor are lifted and inverted
     in the working box (t_box, u_box), which self.box records; the default
     12×12 box serves vectors that reach only a few exponents below zero.
-    witt_pair_local and k2_equiv size the box with pairing_box instead.
+    Callers size the box through with_box instead.
     """
 
     def __init__(self, e, m, t_box=DEFAULT_T_PREC, u_box=DEFAULT_U_PREC):
@@ -254,22 +256,27 @@ def pairing_box(p, m, demand):
     return first, last
 
 
-def _with_pairer(e, m, demand, run):
-    """run(pairer) for a pairer of e at the box pairing_box gives the demand.
+def with_box(box, last, run):
+    """run(box), doubling box while run raises PrecisionTooLow.
 
-    While run raises CoefficientOutsidePrecision, both sides double, each up
-    to its last side, and the pairer is rebuilt; a failure at the last box
-    is raised.  An answer is exact at any box, since a residue is returned
-    only where the precision regions mark it known.
+    Each side doubles up to its side of last, and a failure at last is
+    raised; last=None doubles without end, for exact data, where some box
+    answers.  An answer is exact at any box, since a coefficient is read
+    only where the precision regions mark it known; the box sets only time.
     """
-    box, last = pairing_box(e.field.p, m, demand)
     while True:
         try:
-            return run(WittPairer(e, m, *box))
-        except CoefficientOutsidePrecision:
+            return run(box)
+        except PrecisionTooLow:
             if box == last:
                 raise
-            box = tuple(min(2 * b, c) for b, c in zip(box, last))
+            box = tuple(min(2 * b, c) for b, c in zip(box, last or (INF, INF)))
+
+
+def _with_pairer(e, m, demand, run):
+    """run(pairer) for pairers of e in the boxes from pairing_box(demand)."""
+    return with_box(*pairing_box(e.field.p, m, demand),
+                    lambda box: run(WittPairer(e, m, *box)))
 
 
 def witt_pair_local(e, g, m, traced=True):
@@ -280,7 +287,7 @@ def witt_pair_local(e, g, m, traced=True):
     coefficient field itself when traced=False.  The pairer's box comes
     from the first m components of g (pairing_box), doubled at most until
     it holds twice the box max(12, (E+1)·p^(m−1)+4) of g's deepest negative
-    exponent E per variable; past that, CoefficientOutsidePrecision.
+    exponent E per variable; past that, PrecisionTooLow.
     """
     pair = WittPairer.pair if traced else WittPairer.pair_untraced
     return _with_pairer(e, m, [g.components[:m]],

@@ -112,6 +112,13 @@ class TestRun:
         assert rep["witt"]["sum"] == [[0]]
         assert rep["verdict"] is True
 
+    def test_reciprocity_curve_needs_a_larger_box(self):
+        # a fixed box from the input degrees leaves a residue unknown here
+        code, rep = run(["reciprocity-curve", "--field", "3^1", "--m", "2",
+                         "(1+u)^9+t", "u+t^2", "(1+u)^-2*t^-1"])
+        assert code == 0, rep
+        assert rep["verdict"] is True
+
     def test_reciprocity_sweep_redraws_zero_entries(self):
         # at seed 9 the sweep's generator draws f = t + t = 0 over F_2
         code, rep = run(["reciprocity-curve", "--field", "2^1", "--m", "1",

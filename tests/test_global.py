@@ -2,11 +2,13 @@
 finite-level duality."""
 
 import random
+import time
 
 import pytest
 
+from k2local.cli import eval_rational
 from k2local.errors import (BadIndexPair, ModeMismatch, NotReducible,
-                            UndeclaredCurveFactor)
+                            PrecisionTooLow, UndeclaredCurveFactor)
 from k2local.ff import make_field, norm_rel
 from k2local.globalfield import (AdeleK2, AdmissibleCurve, CanonicalASRep,
                                  CurvePlace, FyElem, PointFunc, Poly1, Poly2,
@@ -21,7 +23,8 @@ from k2local.globalfield import (AdeleK2, AdmissibleCurve, CanonicalASRep,
                                  point_witt_reciprocity, ratfunc_to_fy,
                                  tame_pair, witt_report)
 from k2local.globalfield import _expand_poly1, _irreducibles, place_field
-from k2local.series import INF, Laurent2
+from k2local.series import INF, Laurent2, laurent_domain
+from k2local.symbols import symbol, witt_pair_local
 from k2local.witt import WittVec, witt_zero
 
 
@@ -312,6 +315,45 @@ class TestCurveReciprocity:
         g = one / (u * u + u + one)
         assert is_zero_wv(curve_witt_reciprocity(u + t, t, g, 1))
         assert curve_tame_reciprocity(u + t, t, g) == F2.one
+
+    def test_dense_data_at_degree_two_places(self):
+        # a box sized from the input degrees took 40 s on this triple
+        F5 = make_field(5, 1)
+        f, g, h = (eval_rational(x, F5) for x in (
+            "(3*u*t^2+t^3+2*u^3*t^3)/(u+4*u^2+u^3*t^4)",
+            "(t+3*u^2*t+3*t^4)/(u^3+u^4+u^3*t^4)",
+            "(1+3*u^3*t^3)/(3*u*t^2+u^3*t^3)"))
+        start = time.perf_counter()
+        assert is_zero_wv(curve_witt_reciprocity(f, g, h, 2))
+        assert time.perf_counter() - start < 10
+
+    def test_each_place_matches_a_fixed_precision(self):
+        # the doubled box against expansions at precision 40, wherever
+        # that precision answers
+        rng = random.Random(23)
+        compared = 0
+        degs = iter([1, 2, 3] * 3)
+        for q in ((2, 1), (3, 1), (2, 2), (5, 1)):
+            field = make_field(*q)
+            _, u, t = uvars(field)
+            for m in (1, 2):
+                deg = next(degs)
+                f = rand_ratfunc(rng, field, deg) + t
+                g = rand_ratfunc(rng, field, deg) + u
+                h = rand_ratfunc(rng, field, deg)
+                if not (f and g):
+                    continue
+                for x, w in curve_witt_terms(f, g, h, m):
+                    fh, gh, hh = (expand_at_place(c, x, 40) for c in (f, g, h))
+                    ch = [hh] + [Laurent2.zero(fh.dom)] * (m - 1)
+                    try:
+                        ref = witt_pair_local(symbol(fh, gh), WittVec(
+                            laurent_domain(fh.dom), ch), m)
+                    except PrecisionTooLow:
+                        continue
+                    assert ref == w, (q, m, x)
+                    compared += 1
+        assert compared >= 15
 
 
 # --------------------------------------------------------------------------

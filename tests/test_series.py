@@ -22,6 +22,9 @@ F9 = make_field(3, 2)
 W3F4 = galois_ring(F4, 3)
 W5F9 = galois_ring(F9, 5)
 
+# no known term, but a finite region: zero only at this precision
+APPARENT_ZEROS = [Laurent2(F2, {}, None, {0: 2}), Laurent2(F2, {}, 3)]
+
 
 def poly(dom, d):
     return Laurent2.from_dict(dom, d)
@@ -117,6 +120,11 @@ class TestValuations:
         with pytest.raises(PrecisionTooLow):
             outer_valuation(f)
 
+    @pytest.mark.parametrize("f", APPARENT_ZEROS)
+    def test_apparent_zero_is_a_precision_shortfall(self, f):
+        with pytest.raises(PrecisionTooLow):
+            outer_valuation(f)
+
     def test_valuation_additive(self):
         rng = random.Random(3)
         for _ in range(40):
@@ -163,6 +171,13 @@ class TestInvert:
     def test_zero_raises(self):
         with pytest.raises(ZeroDivisor):
             invert(Laurent2.zero(F2))
+
+    @pytest.mark.parametrize("f", APPARENT_ZEROS)
+    def test_apparent_zero_is_a_precision_shortfall(self, f):
+        with pytest.raises(PrecisionTooLow):
+            f.leading()
+        with pytest.raises(PrecisionTooLow):
+            invert(f)
 
     def test_nonpositive_working_box_raises(self):
         f = poly(F3, {(0, 0): 1, (1, 1): 1})

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from k2local.errors import CoefficientOutsidePrecision, ZeroArgument
+from k2local.errors import (CoefficientOutsidePrecision, PrecisionTooLow,
+                            ZeroArgument)
 from k2local.ff import make_field, primitive_element, trace_abs
 from k2local.series import Laurent2, invert, laurent_domain
 from k2local.symbols import (K2Elem, TameValue, WittPairer, _with_pairer,
                              boundary, k2_decompose, k2_equiv, pairing_box,
                              symbol, tame_symbol_det, tame_symbol_signed,
                              unramified_exponent, verify_appendix_identity,
-                             witt_pair_local)
+                             with_box, witt_pair_local)
 from k2local.witt import WittVec, witt_zero
 
 F2 = make_field(2, 1)
@@ -22,6 +23,9 @@ F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
 F9 = make_field(3, 2)
+
+# no known term, but a finite region: zero only at this precision
+APPARENT_ZEROS = [Laurent2(F2, {}, None, {0: 2}), Laurent2(F2, {}, 3)]
 
 
 def mono(dom, c, i=0, j=0):
@@ -102,6 +106,19 @@ class TestTameSymbol:
     def test_zero_raises(self):
         with pytest.raises(ZeroArgument):
             tame_symbol_det(Laurent2.zero(F2), U(F2), T(F2))
+
+
+class TestZeroEntries:
+    def test_exact_zero_is_bad_input(self):
+        with pytest.raises(ZeroArgument):
+            symbol(Laurent2.zero(F2), T(F2))
+
+    @pytest.mark.parametrize("f", APPARENT_ZEROS)
+    def test_apparent_zero_is_a_precision_shortfall(self, f):
+        for call in (lambda: symbol(f, T(F2)), lambda: symbol(T(F2), f),
+                     lambda: tame_symbol_det(U(F2), f, T(F2))):
+            with pytest.raises(PrecisionTooLow):
+                call()
 
 
 class TestBoundary:
@@ -206,7 +223,7 @@ class TestWittPairing:
             assert not any(w.components)
 
     def test_residue_outside_the_box(self):
-        # u^-60 t^-60 reaches far past the default box of exposure 4
+        # u^-60 t^-60 reaches far past the default 12×12 box
         one = Laurent2.one(F2)
         pairer = WittPairer(symbol(one + U(F2) + T(F2), T(F2)), 1)
         g = WittVec(laurent_domain(F2), (mono(F2, 1, -60, -60),))
@@ -298,6 +315,42 @@ class TestPairingBox:
         with pytest.raises(CoefficientOutsidePrecision):
             witt_pair_local(symbol(f, one + T(F2)), g, 1)
         assert time.perf_counter() - start < 1.0
+
+
+class TestWithBox:
+    @staticmethod
+    def run_until(size, error=PrecisionTooLow):
+        """A run that records its boxes and answers from side `size` on."""
+        seen = []
+
+        def run(box):
+            seen.append(box)
+            if min(box) < size:
+                raise error("box too small")
+            return box
+        return seen, run
+
+    def test_returns_at_the_first_box_that_answers(self):
+        seen, run = self.run_until(8)
+        assert with_box((2, 2), (64, 64), run) == (8, 8)
+        assert seen == [(2, 2), (4, 4), (8, 8)]
+
+    def test_reraises_after_the_last_box(self):
+        seen, run = self.run_until(100)
+        with pytest.raises(PrecisionTooLow):
+            with_box((2, 2), (6, 6), run)
+        assert seen == [(2, 2), (4, 4), (6, 6)]
+
+    def test_other_errors_pass_through_at_once(self):
+        seen, run = self.run_until(8, ZeroArgument)
+        with pytest.raises(ZeroArgument):
+            with_box((2, 2), None, run)
+        assert seen == [(2, 2)]
+
+    def test_without_a_last_box_it_keeps_doubling(self):
+        seen, run = self.run_until(4096)
+        assert with_box((2, 3), None, run) == (4096, 6144)
+        assert len(seen) == 12
 
 
 class TestEquivAndIdentities:
