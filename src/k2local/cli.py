@@ -19,6 +19,7 @@ from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           duality_level_curve, point_tame_terms,
                           point_witt_terms, ratfunc_to_fy, tame_report,
                           to_pointfunc, witt_report)
+from .globalfield import _poly2_transpose
 from .series import DEFAULT_T_PREC, DEFAULT_U_PREC, invert
 from .symbols import (boundary, k2_decompose, k2_equiv, symbol,
                       tame_symbol_det, witt_pair_local)
@@ -268,25 +269,11 @@ def _parse_curveset(spec, field):
 
 def _graph_poly(text, field, var):
     rf = eval_rational(text, field)
-    rows = rf.num.t_coeffs() if var == "u" else \
-        _transpose_rows(rf.num)
+    rows = (rf.num if var == "u" else _poly2_transpose(rf.num)).t_coeffs()
     if rf.den != Poly2.one(field) or list(rows) not in ([0], []):
         raise UsageError(f"curve graph {text!r} must be a polynomial "
                          f"in {var}")
     return rows.get(0, Poly1(field, ()))
-
-
-def _transpose_rows(P):
-    out = {}
-    for (a, b), c in P.terms.items():
-        out.setdefault(a, {})[b] = c
-    rows = {}
-    for a, row in out.items():
-        coeffs = [P.field.zero] * (max(row) + 1)
-        for b, c in row.items():
-            coeffs[b] = c
-        rows[a] = Poly1(P.field, coeffs)
-    return rows
 
 
 def _rand_expr(rng, depth=2):

@@ -27,7 +27,7 @@ from .errors import (BadIndexPair, DivisionByZero, FieldMismatch,
                      UndeclaredCurveFactor, ZeroArgument, ZeroDivisor)
 from .ff import FqElem, make_field, norm_rel, get_embedding
 from .forms import d_du, dlog, residue, wedge
-from .series import DEFAULT_T_PREC, Laurent2, invert, laurent_domain
+from .series import Laurent2, invert, laurent_domain
 from .symbols import (WittPairer, symbol, tame_symbol_det, with_box,
                       witt_pair_local)
 from .witt import WittVec, witt_add, witt_zero
@@ -408,14 +408,19 @@ class Poly2:
 
 
 def _poly2_content_u(P):
+    """The u-content: the monic gcd of the t-coefficients of P."""
     g = Poly1(P.field, ())
     for poly in P.t_coeffs().values():
         g = poly1_gcd(g, poly)
+        if g.deg == 0:
+            break
     return g
 
 
 def _poly2_div_poly1(P, g):
     """Exact division of every t-coefficient by the univariate g."""
+    if g.coeffs == (P.field.one,):
+        return P
     out = {}
     for b, poly in P.t_coeffs().items():
         q, r = poly.divmod(g)
@@ -427,84 +432,83 @@ def _poly2_div_poly1(P, g):
     return Poly2(P.field, out)
 
 
-def _tpoly(P):
-    """Dense list of RatFunc1 coefficients of P as a polynomial in t."""
-    rows = P.t_coeffs()
-    out = [RatFunc1.const(P.field, P.field.zero)] * (P.deg_t() + 1)
-    for b, poly in rows.items():
-        out[b] = RatFunc1.from_poly(poly)
-    return out
+def _rows(P):
+    """P as the dense list of its t-coefficients, Poly1s in u."""
+    rows = [Poly1(P.field, ())] * (P.deg_t() + 1)
+    for b, poly in P.t_coeffs().items():
+        rows[b] = poly
+    return rows
 
 
-def _tpoly_trim(A):
-    while A and not A[-1]:
-        A.pop()
-    return A
+def _from_rows(rows, field):
+    return Poly2(field, {(a, b): c for b, poly in enumerate(rows)
+                         for a, c in enumerate(poly.coeffs)})
 
 
-def _tpoly_divmod(A, B, field):
-    A = list(A)
-    Q = [RatFunc1.const(field, field.zero)] * max(0, len(A) - len(B) + 1)
-    inv = B[-1].inv()
-    for k in range(len(A) - 1, len(B) - 2, -1):
-        c = A[k] * inv
-        if not c:
-            continue
-        Q[k - (len(B) - 1)] = c
-        for j, b in enumerate(B):
-            A[k - (len(B) - 1) + j] = A[k - (len(B) - 1) + j] - c * b
-    return Q, _tpoly_trim(A[:len(B) - 1])
+def _tdiv(P, G):
+    """P / G in F_q[u][t] by long division in t, or None if G does not divide.
+
+    Each step divides the leading row exactly by the leading t-coefficient of
+    G in F_q[u]; the quotient is unique, so an inexact step or a nonzero
+    remainder means G does not divide P.
+    """
+    rem, div = _rows(P), _rows(G)
+    d = len(div) - 1
+    quo = [None] * max(0, len(rem) - d)
+    for k in range(len(rem) - 1, d - 1, -1):
+        c, r = rem[k].divmod(div[-1])
+        if r:
+            return None
+        quo[k - d] = c
+        if c:
+            for j in range(d):
+                rem[k - d + j] = rem[k - d + j] - c * div[j]
+    if any(rem[:d]):
+        return None
+    return _from_rows(quo, P.field)
 
 
-def _tpoly_gcd(A, B, field):
-    A, B = _tpoly_trim(list(A)), _tpoly_trim(list(B))
-    while B:
-        A, B = B, _tpoly_divmod(A, B, field)[1]
-    if A:
-        inv = A[-1].inv()
-        A = [c * inv for c in A]
-    return A
+def _prem(A, B):
+    """The pseudo-remainder of A by B as polynomials in t over F_q[u]."""
+    rem, div = _rows(A), _rows(B)
+    d = len(div) - 1
+    lead = div[-1]
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem.pop()
+        rem = [r * lead for r in rem]
+        if c:
+            for j in range(d):
+                rem[k - d + j] = rem[k - d + j] - c * div[j]
+    return _from_rows(rem, A.field)
 
 
-def _tpoly_clear(A, field):
-    """Scale a t-polynomial with RatFunc1 coefficients to a primitive Poly2."""
-    den = Poly1.const(field, field.one)
-    for c in A:
-        den = den.divmod(poly1_gcd(den, c.den))[0] * c.den
-    terms = {}
-    numerators = []
-    for b, c in enumerate(A):
-        numerators.append((b, c.num * den.divmod(c.den)[0]))
-    content = Poly1(field, ())
-    for _, poly in numerators:
-        content = poly1_gcd(content, poly)
-    for b, poly in numerators:
-        q = poly.divmod(content)[0] if content.deg >= 0 else poly
-        for a, c in enumerate(q.coeffs):
-            if c:
-                terms[(a, b)] = c
-    return Poly2(field, terms)
+def _tpoly_gcd(A, B):
+    """A gcd of nonzero A and B in F_q[u][t], up to a unit of F_q.
 
-
-def _poly2_divexact(P, G):
-    """Exact division of bivariate polynomials (as polynomials in t)."""
-    field = P.field
-    Q, R = _tpoly_divmod(_tpoly(P), _tpoly(G), field)
-    if R:
-        raise InvariantViolation("exact division left a remainder")
-    terms = {}
-    for b, c in enumerate(Q):
-        if not c.is_poly():
-            raise InvariantViolation("exact quotient is not polynomial in u")
-        poly = c.num * c.den.coeffs[0].inv() if c.den.deg == 0 else c.num
-        for a, cc in enumerate(poly.coeffs):
-            if cc:
-                terms[(a, b)] = cc
-    return Poly2(field, terms)
+    By Gauss's lemma it is the gcd of the u-contents times the primitive part
+    of the last nonzero term of the primitive remainder sequence (Knuth,
+    TAOCP Vol. 2, 4.6.1; Brown, JACM 18, 1971).
+    """
+    cb = _poly2_content_u(B)
+    c = poly1_gcd(_poly2_content_u(A), cb) if cb.deg > 0 else cb
+    if A.deg_t() < B.deg_t():
+        A, B = B, A
+    while B.deg_t() > 0:
+        A, B = B, _prem(A, B)
+        if B:
+            B = _poly2_div_poly1(B, _poly2_content_u(B))
+    if B:
+        return Poly2.from_poly1(c)
+    return _poly2_div_poly1(A, _poly2_content_u(A)) * Poly2.from_poly1(c)
 
 
 class RatFunc:
-    """Reduced fraction of bivariate polynomials."""
+    """Reduced fraction of bivariate polynomials.
+
+    The normal form is num / den with gcd(num, den) = 1 in F_q[u, t] and the
+    lead coefficient of den, by the (t, u) order, equal to 1; zero is 0 / 1.
+    The gcd is _tpoly_gcd's, and num and den are divided by it with _tdiv.
+    """
 
     __slots__ = ("field", "num", "den")
 
@@ -513,15 +517,12 @@ class RatFunc:
             raise ZeroDivisor("rational function with zero denominator")
         field = num.field
         if num:
-            cg = poly1_gcd(_poly2_content_u(num), _poly2_content_u(den))
-            if cg.deg > 0:
-                num = _poly2_div_poly1(num, cg)
-                den = _poly2_div_poly1(den, cg)
-            G = _tpoly_gcd(_tpoly(num), _tpoly(den), field)
-            if len(G) > 1:
-                Gp = _tpoly_clear(G, field)
-                num = _poly2_divexact(num, Gp)
-                den = _poly2_divexact(den, Gp)
+            G = _tpoly_gcd(num, den)
+            if G.deg_u() > 0 or G.deg_t() > 0:
+                num, den = _tdiv(num, G), _tdiv(den, G)
+                if num is None or den is None:
+                    raise InvariantViolation(
+                        "exact division left a remainder")
         else:
             den = Poly2.one(field)
         lead_key = max(den.terms, key=lambda ab: (ab[1], ab[0]))
@@ -875,7 +876,7 @@ def _expand_poly2(P, place, prec):
     return acc
 
 
-def expand_at_place(f, place, precision=DEFAULT_T_PREC):
+def expand_at_place(f, place, precision):
     """Coefficientwise expansion of rational data at a place of the u-line.
 
     Returns a Laurent2 over k(x) whose inner variable is the local parameter
@@ -909,7 +910,7 @@ def expand_at_place(f, place, precision=DEFAULT_T_PREC):
 # Curve-mode reciprocity
 # --------------------------------------------------------------------------
 
-def _as_ratfunc(f, field=None):
+def _as_ratfunc(f):
     if isinstance(f, RatFunc):
         return f
     if isinstance(f, FyElem):
@@ -932,7 +933,7 @@ def _h_components(h, field, m):
         comps = list(h)
     else:
         comps = [h]
-    comps = [_as_ratfunc(c, field) for c in comps]
+    comps = [_as_ratfunc(c) for c in comps]
     zero = RatFunc.const(field, field.zero)
     while len(comps) < m:
         comps.append(zero)
@@ -1086,42 +1087,11 @@ def _poly2_transpose(P):
     return Poly2(P.field, {(b, a): c for (a, b), c in P.terms.items()})
 
 
-def _poly2_from_tpoly(Q, field):
-    terms = {}
-    for b, c in enumerate(Q):
-        if not c:
-            continue
-        if not c.is_poly():
-            raise InvariantViolation("t-coefficient is not polynomial in u")
-        poly = c.num * c.den.coeffs[0].inv()
-        for a, cc in enumerate(poly.coeffs):
-            if cc:
-                terms[(a, b)] = cc
-    return Poly2(field, terms)
-
-
 def _try_div_curve(P, y):
     """P divided by the curve equation, or None if not divisible."""
-    field = P.field
     if not P:
         return None
-    if y.kind == "axis_u":
-        if any(b < 1 for (_, b) in P.terms):
-            return None
-        return Poly2(field, {(a, b - 1): c for (a, b), c in P.terms.items()})
-    if y.kind == "axis_t":
-        if any(a < 1 for (a, _) in P.terms):
-            return None
-        return Poly2(field, {(a - 1, b): c for (a, b), c in P.terms.items()})
-    if y.kind == "graph_u_of_t":
-        flipped = AdmissibleCurve(field, "graph_t_of_u", y.graph_poly)
-        Q = _try_div_curve(_poly2_transpose(P), flipped)
-        return None if Q is None else _poly2_transpose(Q)
-    G = _tpoly(y.equation())
-    Q, R = _tpoly_divmod(_tpoly(P), G, field)
-    if any(R):
-        return None
-    return _poly2_from_tpoly(Q, field)
+    return _tdiv(P, y.equation())
 
 
 def to_pointfunc(f, curves):
@@ -1212,7 +1182,7 @@ def _terms_from(P, keyfn):
     return rows
 
 
-def expand_point(pf, y, declared, precision=DEFAULT_T_PREC):
+def expand_point(pf, y, declared, precision):
     """Local expansion of a factored F_x element at the branch y."""
     field = pf.field
     for z in pf.curves():
@@ -1464,8 +1434,7 @@ def diagonal_h(h, places, m, precision=None):
     out = {}
     for x in places:
         kx, _, _ = place_field(x)
-        ch = [expand_at_place(c, x, precision) if c else Laurent2.zero(kx)
-              for c in comps]
+        ch = [expand_at_place(c, x, precision) for c in comps]
         out[x] = WittVec(laurent_domain(kx), ch)
     return out
 

@@ -119,6 +119,19 @@ class TestRun:
         assert code == 0, rep
         assert rep["verdict"] is True
 
+    def test_reciprocity_point_graph_u_of_t(self):
+        code, rep = run(["reciprocity-point", "--field", "3^1",
+                         "--curves", "t,u,u=t^2", "u*(u-t^2)", "t", "1+u*t"])
+        assert code == 0, rep
+        assert rep["curves"] == ["t = 0", "u = 0", "u = [1]*t^2"]
+        assert rep["verdict"] is True
+
+    def test_graph_u_of_t_must_be_a_polynomial_in_t(self):
+        code, rep = run(["reciprocity-point", "--field", "3^1",
+                         "--curves", "t,u,u=u", "u*(u-t^2)", "t", "1+u*t"])
+        assert code == 2
+        assert rep["error"] == "UsageError"
+
     def test_reciprocity_sweep_redraws_zero_entries(self):
         # at seed 9 the sweep's generator draws f = t + t = 0 over F_2
         code, rep = run(["reciprocity-curve", "--field", "2^1", "--m", "1",

@@ -7,8 +7,9 @@ import time
 import pytest
 
 from k2local.cli import eval_rational
-from k2local.errors import (BadIndexPair, ModeMismatch, NotReducible,
-                            PrecisionTooLow, UndeclaredCurveFactor)
+from k2local.errors import (BadIndexPair, InvariantViolation, ModeMismatch,
+                            NotReducible, PrecisionTooLow,
+                            UndeclaredCurveFactor)
 from k2local.ff import make_field, norm_rel
 from k2local.globalfield import (AdeleK2, AdmissibleCurve, CanonicalASRep,
                                  CurvePlace, FyElem, PointFunc, Poly1, Poly2,
@@ -22,7 +23,9 @@ from k2local.globalfield import (AdeleK2, AdmissibleCurve, CanonicalASRep,
                                  point_basis_pair, point_tame_reciprocity,
                                  point_witt_reciprocity, ratfunc_to_fy,
                                  tame_pair, witt_report)
-from k2local.globalfield import _expand_poly1, _irreducibles, place_field
+from k2local.globalfield import (_expand_poly1, _irreducibles,
+                                 _poly2_div_poly1, _poly2_transpose,
+                                 _try_div_curve, place_field, poly1_gcd)
 from k2local.series import INF, Laurent2, laurent_domain
 from k2local.symbols import symbol, witt_pair_local
 from k2local.witt import WittVec, witt_zero
@@ -92,6 +95,173 @@ class TestPolynomials:
         one, u, t = uvars(F2)
         with pytest.raises(NotReducible):
             ratfunc_to_fy(one / (u + t))
+
+
+# The Euclid in F_q(u)[t] with RatFunc1 coefficients that reduced RatFunc
+# and divided by curve equations before the bivariate gcd, kept as the
+# reference for the differential test below.
+
+def _tpoly(P):
+    rows = P.t_coeffs()
+    out = [RatFunc1.const(P.field, P.field.zero)] * (P.deg_t() + 1)
+    for b, poly in rows.items():
+        out[b] = RatFunc1.from_poly(poly)
+    return out
+
+
+def _tpoly_trim(A):
+    while A and not A[-1]:
+        A.pop()
+    return A
+
+
+def _tpoly_divmod(A, B, field):
+    A = list(A)
+    Q = [RatFunc1.const(field, field.zero)] * max(0, len(A) - len(B) + 1)
+    inv = B[-1].inv()
+    for k in range(len(A) - 1, len(B) - 2, -1):
+        c = A[k] * inv
+        if not c:
+            continue
+        Q[k - (len(B) - 1)] = c
+        for j, b in enumerate(B):
+            A[k - (len(B) - 1) + j] = A[k - (len(B) - 1) + j] - c * b
+    return Q, _tpoly_trim(A[:len(B) - 1])
+
+
+def _tpoly_euclid(A, B, field):
+    A, B = _tpoly_trim(list(A)), _tpoly_trim(list(B))
+    while B:
+        A, B = B, _tpoly_divmod(A, B, field)[1]
+    if A:
+        inv = A[-1].inv()
+        A = [c * inv for c in A]
+    return A
+
+
+def _content(P):
+    g = Poly1(P.field, ())
+    for poly in P.t_coeffs().values():
+        g = poly1_gcd(g, poly)
+    return g
+
+
+def _tpoly_clear(A, field):
+    den = Poly1.const(field, field.one)
+    for c in A:
+        den = den.divmod(poly1_gcd(den, c.den))[0] * c.den
+    P = Poly2(field, {(a, b): cc for b, c in enumerate(A)
+                      for a, cc in enumerate(
+                          (c.num * den.divmod(c.den)[0]).coeffs)})
+    return _poly2_div_poly1(P, _content(P))
+
+
+def _poly2_from_tpoly(Q, field):
+    terms = {}
+    for b, c in enumerate(Q):
+        if not c:
+            continue
+        if not c.is_poly():
+            raise InvariantViolation("t-coefficient is not polynomial in u")
+        poly = c.num * c.den.coeffs[0].inv()
+        for a, cc in enumerate(poly.coeffs):
+            if cc:
+                terms[(a, b)] = cc
+    return Poly2(field, terms)
+
+
+def _poly2_divexact(P, G):
+    Q, R = _tpoly_divmod(_tpoly(P), _tpoly(G), P.field)
+    if R:
+        raise InvariantViolation("exact division left a remainder")
+    return _poly2_from_tpoly(Q, P.field)
+
+
+def _reduce_reference(num, den):
+    """(num, den) reduced as RatFunc reduced them by the Euclid above."""
+    field = num.field
+    if not num:
+        return Poly2(field, {}), Poly2.one(field)
+    cg = poly1_gcd(_content(num), _content(den))
+    if cg.deg > 0:
+        num, den = _poly2_div_poly1(num, cg), _poly2_div_poly1(den, cg)
+    G = _tpoly_euclid(_tpoly(num), _tpoly(den), field)
+    if len(G) > 1:
+        Gp = _tpoly_clear(G, field)
+        num, den = _poly2_divexact(num, Gp), _poly2_divexact(den, Gp)
+    lead = den.terms[max(den.terms, key=lambda ab: (ab[1], ab[0]))]
+    return num * lead.inv(), den * lead.inv()
+
+
+def _try_div_curve_reference(P, y):
+    if y.kind == "graph_u_of_t":
+        flipped = AdmissibleCurve(P.field, "graph_t_of_u", y.graph_poly)
+        Q = _try_div_curve_reference(_poly2_transpose(P), flipped)
+        return None if Q is None else _poly2_transpose(Q)
+    Q, R = _tpoly_divmod(_tpoly(P), _tpoly(y.equation()), P.field)
+    return None if any(R) else _poly2_from_tpoly(Q, P.field)
+
+
+def _rand_poly2(rng, field, deg, nterms):
+    return Poly2(field, {(rng.randrange(deg + 1), rng.randrange(deg + 1)):
+                         field.elem_by_index(rng.randrange(1, field.q))
+                         for _ in range(nterms)})
+
+
+class TestBivariateReduction:
+    FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+
+    @staticmethod
+    def planted(rng, field, kind):
+        """A common factor: a u-content, a power of t, or a factor whose
+        leading t-coefficient is not constant in u."""
+        one = Poly2.one(field)
+        u = Poly2.monomial(field, field.one, 1, 0)
+        t = Poly2.monomial(field, field.one, 0, 1)
+        c = field.elem_by_index(rng.randrange(1, field.q))
+        if kind == "content":
+            return (u + one * c) * (u * u + u * c) if rng.randrange(2) \
+                else u + one * c
+        if kind == "t-power":
+            return t ** rng.randrange(1, 3) * c
+        return u * t + one * c + _rand_poly2(rng, field, 1, 1) * u
+
+    @pytest.mark.parametrize("q", FIELDS)
+    def test_matches_euclid_reference(self, q):
+        field = make_field(*q)
+        rng = random.Random(q[0] * 10 + q[1])
+        for kind in ("content", "t-power", "lead-in-u") * 16:
+            A = _rand_poly2(rng, field, 2, rng.randrange(1, 4))
+            B = _rand_poly2(rng, field, 2, rng.randrange(1, 4))
+            C = self.planted(rng, field, kind)
+            f = RatFunc(A * C, B * C)
+            assert f.num * B == A * f.den
+            assert (f.num, f.den) == _reduce_reference(A * C, B * C), kind
+
+    @pytest.mark.parametrize("q", FIELDS)
+    def test_curve_division_matches_reference(self, q):
+        field = make_field(*q)
+        rng = random.Random(q[0] * 10 + q[1] + 1)
+        for kind in ("graph_t_of_u", "graph_u_of_t") * 6:
+            phi = Poly1(field, [field.zero] + [
+                field.elem_by_index(rng.randrange(field.q))
+                for _ in range(rng.randrange(1, 4))] + [
+                field.elem_by_index(rng.randrange(1, field.q))])
+            y = AdmissibleCurve(field, kind, phi)
+            k = rng.randrange(3)
+            P = _rand_poly2(rng, field, 2, rng.randrange(1, 4)) * \
+                y.equation() ** k
+            Q = _try_div_curve(P, y)
+            assert Q == _try_div_curve_reference(P, y), (kind, k)
+            assert k == 0 or Q * y.equation() == P
+
+    def test_inexact_division_is_an_invariant_violation(self, monkeypatch):
+        import k2local.globalfield as gf
+        F3 = make_field(3, 1)
+        P = Poly2(F3, {(0, 0): F3.one, (1, 1): F3.one})  # 1 + u t
+        monkeypatch.setattr(gf, "_tpoly_gcd", lambda A, B: P)
+        with pytest.raises(InvariantViolation):
+            RatFunc(P + Poly2.one(F3), P * P)
 
 
 # --------------------------------------------------------------------------
@@ -354,6 +524,28 @@ class TestCurveReciprocity:
                     assert ref == w, (q, m, x)
                     compared += 1
         assert compared >= 15
+
+    @pytest.mark.parametrize("f, g, k", [("u^3+t", "t", 5),
+                                         ("u+t", "1+u*t", 7)])
+    def test_deep_pole_at_a_degree_two_place(self, f, g, k):
+        # h = 1/(pi^k t) expands to s^-k t^-1 in the parameter s = pi(u), so
+        # the local term reads the series of u in s past s^4.  A consistent
+        # wrong series is a change of parameter, which leaves every local
+        # term as it is; pairing against the exact s^-k t^-1 pins it.
+        F2 = make_field(2, 1)
+        one, u, t = uvars(F2)
+        pi = u * u + u + one
+        f, g = eval_rational(f, F2), eval_rational(g, F2)
+        h = one / (pi ** k * t)
+        assert is_zero_wv(curve_witt_reciprocity(f, g, h, 2))
+        x = CurvePlace(F2, "finite", Poly1.from_ints(F2, [1, 1, 1]))
+        w = dict(curve_witt_terms(f, g, h, 2))[x]
+        fh, gh = (expand_at_place(c, x, 40) for c in (f, g))
+        hh = Laurent2.monomial(fh.dom, fh.dom.one, -k, -1)
+        ref = witt_pair_local(symbol(fh, gh), WittVec(
+            laurent_domain(fh.dom), [hh, Laurent2.zero(fh.dom)]), 2)
+        assert not is_zero_wv(w)
+        assert ref == w
 
 
 # --------------------------------------------------------------------------
