@@ -404,7 +404,7 @@ def _cmd_duality_point(args, field):
     exprs = args["exprs"]
     if len(exprs) != 2:
         raise UsageError("duality-point needs the indices i and j")
-    i, j = (int(x) for x in exprs)
+    i, j = (_int(x, "index") for x in exprs)
     rep = duality_kernel_point(i, j, field)
     rep["verb"] = "duality-point"
     return rep, 0 if rep["match"] else 1
@@ -414,7 +414,8 @@ def _cmd_duality_curve(args, field):
     exprs = args["exprs"]
     if len(exprs) != 1:
         raise UsageError("duality-curve needs the pole bound D")
-    rep = duality_level_curve(args["level"], int(exprs[0]), field)
+    rep = duality_level_curve(args["level"], _int(exprs[0], "pole bound"),
+                              field)
     rep["verb"] = "duality-curve"
     ok = rep["full_column_rank"]
     rep["verdict"] = ok
@@ -460,6 +461,13 @@ options:
 """ % (", ".join(sorted(_VERBS)), SCHEMA)
 
 
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} needs an integer, not {text!r}")
+
+
 def _parse_args(argv):
     args = {
         "field": "2^1", "prec_t": DEFAULT_T_PREC, "prec_u": DEFAULT_U_PREC,
@@ -485,10 +493,7 @@ def _parse_args(argv):
             val = argv[i + 1]
             key = a[2:].replace("-", "_")
             if key in ("prec_t", "prec_u", "m", "level", "seed", "sweep"):
-                try:
-                    val = int(val)
-                except ValueError:
-                    raise UsageError(f"flag {a} needs an integer")
+                val = _int(val, f"flag {a}")
             args[key] = val
             i += 2
             continue

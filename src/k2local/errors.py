@@ -60,7 +60,7 @@ class WrongCharacteristic(K2LocalError):
 
 
 class UnsupportedLength(K2LocalError):
-    """Witt length exceeds the configured maximum."""
+    """Witt length below 1, or above the configured maximum."""
 
 
 # --- forms / symbols -------------------------------------------------------
@@ -73,8 +73,8 @@ class ZeroArgument(K2LocalError):
     """A symbol slot is zero (not a unit of the field)."""
 
 
-class LevelExceedsPrecision(K2LocalError):
-    """Decomposition level exceeds the working precision of the inputs."""
+class StepBudgetExceeded(K2LocalError):
+    """The decomposer ran out of its step budget before settling."""
 
 
 # --- global ----------------------------------------------------------------
@@ -91,8 +91,8 @@ class BadIndexPair(K2LocalError):
     """duality_kernel_point called with both indices divisible by p."""
 
 
-class ModeMismatch(K2LocalError):
-    """Adelic pairing called with incompatible mode/support."""
+class UnsupportedPlace(K2LocalError):
+    """Data meets a place that the requested sum does not run over."""
 
 
 # --- cli -------------------------------------------------------------------

@@ -7,8 +7,8 @@ k(x) = F_{q^d}: u is a power series in the parameter pi(u), found by Newton
 iteration, and polynomials are evaluated at it by Horner's rule.
 
 Point side: admissible curves through the origin of the (u, t)-plane, branch
-expansions, finite-support adelic K2 vectors, canonical Artin-Schreier
-representatives, and the finite-level duality kernel reports.
+expansions, canonical Artin-Schreier representatives, and the finite-level
+duality kernel reports.
 
 Reciprocity: the Witt and tame sums over the places of the u-line, or over a
 declared set of curves through the origin, share their pieces: per-key terms
@@ -23,13 +23,13 @@ import operator
 from functools import lru_cache
 
 from .errors import (BadIndexPair, DivisionByZero, FieldMismatch,
-                     InvariantViolation, ModeMismatch, NotReducible,
-                     UndeclaredCurveFactor, ZeroArgument, ZeroDivisor)
+                     InvariantViolation, NotReducible, UndeclaredCurveFactor,
+                     UnsupportedPlace, ZeroArgument, ZeroDivisor)
 from .ff import FqElem, make_field, norm_rel, get_embedding
 from .forms import d_du, dlog, residue, wedge
 from .series import Laurent2, invert, laurent_domain
-from .symbols import (WittPairer, symbol, tame_symbol_det, with_box,
-                      witt_pair_local)
+from .symbols import (WittPairer, check_length, symbol, tame_symbol_det,
+                      with_box)
 from .witt import WittVec, witt_add, witt_zero
 
 INF = math.inf
@@ -940,14 +940,6 @@ def _h_components(h, field, m):
     return comps[:m]
 
 
-def _rational_degree_bound(fs):
-    d = 2
-    for f in fs:
-        d = max(d, f.num.deg_u(), f.num.deg_t(),
-                f.den.deg_u(), f.den.deg_t())
-    return d
-
-
 def curve_witt_terms(f, g, h, m):
     """Per-place traced local Witt pairings of rational data on the u-line.
 
@@ -958,16 +950,6 @@ def curve_witt_terms(f, g, h, m):
     comps = _h_components(h, f.field, m)
     places = list_places([f, g] + comps)
     return _witt_terms(places, expand_at_place, f, g, comps, m)
-
-
-def tame_pair(e, h):
-    """Multiplicative extension of the tame symbol to a K2 element."""
-    field = h.dom
-    acc = field.one
-    for f, g, exp in e.factors:
-        v = tame_symbol_det(f, g, h).value
-        acc = acc * (v ** (exp % (field.q - 1)))
-    return acc
 
 
 def curve_tame_terms(f, g, h):
@@ -1247,6 +1229,8 @@ def _witt_terms(keys, expand, f, g, comps, m):
     (2, 2) and doubles while a coefficient falls outside the known region
     (with_box); the data is exact, so some box answers.
     """
+    check_length(m)
+
     def pair_at(key, box):
         fh, gh, *ch = (expand(c, key, max(box)) for c in [f, g] + comps)
         ch += [Laurent2.zero(fh.dom)] * (m - len(ch))
@@ -1334,109 +1318,6 @@ def tame_report(terms, one, label):
         out.append(row)
     return {"pairing": "tame", label + "s": out,
             "product": list(total.coeffs), "verdict": total == one}
-
-
-# --------------------------------------------------------------------------
-# Finite-support adelic K2 vectors
-# --------------------------------------------------------------------------
-
-class AdeleK2:
-    """Finite table of local K2 entries, keyed by place or curve."""
-
-    __slots__ = ("ambient", "entries", "base_field")
-
-    def __init__(self, ambient, entries, base_field=None):
-        if ambient not in ("curve", "point"):
-            raise ModeMismatch(f"unknown ambient {ambient!r}")
-        self.ambient = ambient
-        self.entries = dict(entries)
-        self.base_field = base_field
-
-    def support(self):
-        return set(self.entries)
-
-
-def adele_pair(e, h, mode, m=1):
-    """Global pairing of an adelic K2 vector with a coefficient vector.
-
-    mode "witt": h maps support keys to WittVecs over the local Laurent
-    field; returns a length-m Witt vector over F_p.  mode "tame": h maps
-    keys to Laurent2 elements; returns the product of normed local symbols
-    in the base field.
-    """
-    if not isinstance(e, AdeleK2) or not isinstance(h, dict):
-        raise ModeMismatch("adele_pair needs an AdeleK2 and a support table")
-    keys = [k for k in e.entries if k in h]
-    if mode == "witt":
-        total = None
-        for k in keys:
-            hk = h[k]
-            if not isinstance(hk, WittVec):
-                raise ModeMismatch("witt mode needs WittVec coefficients")
-            w = witt_pair_local(e.entries[k], hk, m)
-            total = w if total is None else witt_add(total, w)
-        if total is None:
-            if e.base_field is not None:
-                return witt_zero(make_field(e.base_field.p, 1), m)
-            ref = next(iter(h.values()), None)
-            if isinstance(ref, WittVec):
-                return witt_zero(make_field(ref.ring.p, 1), m)
-            raise ModeMismatch("empty witt pairing with no reference field")
-        return total
-    if mode == "tame":
-        base = None
-        acc = None
-        for k in keys:
-            hk = h[k]
-            if not isinstance(hk, Laurent2):
-                raise ModeMismatch("tame mode needs Laurent2 coefficients")
-            local = tame_pair(e.entries[k], hk)
-            if e.base_field is not None and local.field is not e.base_field:
-                local = norm_rel(local, e.base_field)
-            acc = local if acc is None else acc * local
-        if acc is None:
-            if e.base_field is not None:
-                return e.base_field.one
-            if e.entries:
-                return next(iter(e.entries.values())).field.one
-            raise ModeMismatch("empty tame pairing with no reference field")
-        return acc
-    raise ModeMismatch(f"unknown mode {mode!r}")
-
-
-def diagonal_adele(f, g, places=None, precision=None):
-    """The image of a rational symbol {f, g} in the curve-mode adeles.
-
-    The support should include every place where the coefficient vector it
-    will be paired against is non-integral; pass the full place list of the
-    pairing data to make the diagonal pairing exactly the reciprocity sum.
-    """
-    f = _as_ratfunc(f)
-    g = _as_ratfunc(g)
-    field = f.field
-    if precision is None:
-        precision = _rational_degree_bound([f, g]) + 8
-    entries = {}
-    for x in (places if places is not None else list_places([f, g])):
-        fh = expand_at_place(f, x, precision)
-        gh = expand_at_place(g, x, precision)
-        entries[x] = symbol(fh, gh)
-    return AdeleK2("curve", entries, base_field=field)
-
-
-def diagonal_h(h, places, m, precision=None):
-    """Expansion table of a rational Witt vector over the given places."""
-    field = places[0].field
-    comps = _h_components(h, field, m)
-    if precision is None:
-        precision = (_rational_degree_bound(comps) + 2) * \
-            field.p ** (m - 1) + 8
-    out = {}
-    for x in places:
-        kx, _, _ = place_field(x)
-        ch = [expand_at_place(c, x, precision) for c in comps]
-        out[x] = WittVec(laurent_domain(kx), ch)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -1688,26 +1569,29 @@ def duality_level_curve(k, pole_bound, field, diag_samples=None):
     Generators are per-place monomials u_x^a (|a| <= pole_bound) sorted into
     the two component groups; test functions are the p-constrained monomial
     basis of L(pole_bound).  Reports rank, kernel, and whether sampled
-    diagonal elements pair to zero against the whole test space.
+    diagonal elements pair to zero against the whole test space.  The sum
+    runs over the rational places, so a sample whose divisor meets a place
+    of degree >= 2 raises UnsupportedPlace.
     """
     if k < 1:
         raise ZeroArgument("level must be positive")
+    if pole_bound < 0:
+        raise ZeroArgument("pole bound must be non-negative")
     p = field.p
     D = pole_bound
     places = [CurvePlace(field, "finite", Poly1(field, (lam, field.one)))
               for lam in field.elements()]
     places.sort(key=CurvePlace.sort_key)
     places.append(infinity_place(field))
-    prec = 2 * D + 8
     if k % p:
         fexps = list(range(0, D + 1))
     else:
         fexps = [b for b in range(1, D + 1) if b % p]
-        if not fexps:
-            fexps = []
+    # u^b is a polynomial: its expansion at a rational place is exact at
+    # any precision
     fhats = {x: [expand_at_place(
-        RatFunc1.from_poly(Poly1(field, (field.zero,) * b + (field.one,))),
-        x, prec) for b in fexps] for x in places}
+        Poly1(field, (field.zero,) * b + (field.one,)), x, 1)
+        for b in fexps] for x in places}
     gens = []
     for xi, x in enumerate(places):
         for a in range(-D, D + 1):
@@ -1727,8 +1611,12 @@ def duality_level_curve(k, pole_bound, field, diag_samples=None):
                      for fh in fhats[x]])
     rank, kernel = _rank_and_left_kernel(rows, field)
     diag_ok = []
-    for (a_glob, b_glob) in (diag_samples or []):
-        row = _diagonal_row(a_glob, b_glob, k, places, fhats, prec, field)
+    for a_glob, b_glob in diag_samples or []:
+        if any(x.residue_degree > 1 for x in list_places([a_glob, b_glob])):
+            raise UnsupportedPlace("diagonal sample meets a place of degree "
+                                   ">= 2; the sum runs over rational places")
+        row = with_box((2, 2), None, lambda box: _diagonal_row(
+            a_glob, b_glob, k, places, fhats, max(box), field))
         diag_ok.append(not any(row))
     return {
         "k": k,

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (LevelExceedsPrecision, PrecisionTooLow, ZeroArgument,
-                     ZeroElement)
+from .errors import (PrecisionTooLow, StepBudgetExceeded, UnsupportedLength,
+                     ZeroArgument, ZeroElement)
 from .ff import FqElem, galois_ring, primitive_element
 from .forms import TwoForm, dlog, residue, wedge
 from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, bar_valuation,
@@ -176,25 +176,31 @@ def unramified_exponent(e):
 # local Witt pairing
 # --------------------------------------------------------------------------
 
+def check_length(m):
+    """Refuse a Witt length below 1: a pairing of length m has m components."""
+    if m < 1:
+        raise UnsupportedLength(f"Witt length {m} is below 1")
+
+
 class WittPairer:
     """Precomputes the two-form of a K₂ element for repeated pairings.
 
-    s = m + 2 guard digits.  f and g of every factor are lifted and inverted
-    in the working box (t_box, u_box), which self.box records; the default
-    12×12 box serves vectors that reach only a few exponents below zero.
-    Callers size the box through with_box instead.
+    The Galois ring has m p-adic digits: unghost leaves component k valid
+    mod p^(m−k), and only components k ≤ m−1 are read, mod p.  f and g of
+    every factor are lifted and inverted in the working box (t_box, u_box),
+    which self.box records; callers size it through with_box.
     """
 
-    def __init__(self, e, m, t_box=DEFAULT_T_PREC, u_box=DEFAULT_U_PREC):
+    def __init__(self, e, m, t_box, u_box):
+        check_length(m)
         self.field = e.field
         self.m = m
-        self.s = m + 2
-        self.ring = galois_ring(self.field, self.s)
+        self.ring = galois_ring(self.field, m)
         self.box = (t_box, u_box)
         eta = None
         for f, g, exp in e.factors:
-            fh = lift_padic(f, self.s)
-            gh = lift_padic(g, self.s)
+            fh = lift_padic(f, m)
+            gh = lift_padic(g, m)
             w = wedge(dlog(fh, invert(fh, t_box, u_box)),
                       dlog(gh, invert(gh, t_box, u_box)))
             w = w.int_scale(exp)
@@ -210,10 +216,11 @@ class WittPairer:
     def pair_untraced(self, g, m=None):
         """The pairing value over the coefficient field, before the trace."""
         m = self.m if m is None else m
+        check_length(m)
         if m > self.m:
             raise ZeroArgument("pairer built for a shorter length")
         p = self.field.p
-        comps = [lift_padic(c, self.s) for c in g.components[:m]]
+        comps = [lift_padic(c, self.m) for c in g.components[:m]]
         residues = []
         for k in range(m):
             ghost_k = Laurent2.zero(self.ring)
@@ -235,8 +242,7 @@ def pairing_box(p, m, demand):
     enters raised to p^(k−r).  With e_r the deepest negative exponent of
     component r (per variable, 0 if none), the first box side is D + 2 for
     D = max e_r·p^(n−1−r).  The last side is twice max(12, (E+1)·p^(m−1)+4)
-    with E = max e_r, the box an exposure of E+1 used to get, so doubling
-    from the first box ends at a box that holds that one.
+    with E = max e_r.
     """
     reach = [0, 0]  # max e_r per variable (t, u)
     deep = [0, 0]   # max e_r·p^(n−1−r) per variable
@@ -409,7 +415,7 @@ class _Decomposer:
     def spend(self):
         self.budget -= 1
         if self.budget < 0:
-            raise LevelExceedsPrecision(
+            raise StepBudgetExceeded(
                 "decomposition did not settle within the step budget")
 
     # -- visibility and storage --------------------------------------------
@@ -570,8 +576,8 @@ def k2_decompose(e, level):
     """Decompose onto the topological basis at the given level.
 
     The result is pairing-equivalent to the input at that level; verify with
-    k2_equiv.  Elements whose basis content cannot settle within the working
-    region raise LevelExceedsPrecision.
+    k2_equiv.  Elements whose basis content does not settle within
+    _Decomposer.BUDGET steps raise StepBudgetExceeded.
     """
     return _Decomposer(e.field, level).run(e)
 

@@ -155,6 +155,26 @@ class TestRun:
             assert code == 2, argv
             assert "error" in rep
 
+    @pytest.mark.parametrize("argv", [
+        ["witt-pair", "--m", "0", "u", "t", "u^-1"],
+        ["witt-pair", "--m", "-1", "u", "t", "u^-1"],
+        ["reciprocity-curve", "--m", "0", "u", "t", "u^-1"],
+        ["reciprocity-curve", "--m", "-2", "u", "t", "u^-1"],
+        ["reciprocity-point", "--m", "0", "u", "t", "u^-1"]])
+    def test_length_below_one_exit_2(self, argv):
+        code, rep = run(argv)
+        assert code == 2
+        assert rep["error"] == "UnsupportedLength"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["duality-curve", "--field", "2^1", "-1"], "ZeroArgument"),
+        (["duality-curve", "--field", "2^1", "x"], "UsageError"),
+        (["duality-point", "--field", "2^1", "a", "1"], "UsageError")])
+    def test_duality_operands(self, argv, error):
+        code, rep = run(argv)
+        assert code == 2
+        assert rep["error"] == error
+
     @pytest.mark.parametrize("spec", ["banana", "2^x", "2^2/1,a,1"])
     def test_bad_field_is_usage_error(self, spec):
         code, rep = run(["tame", "--field", spec, "u", "u", "t"])

@@ -7,22 +7,21 @@ import time
 import pytest
 
 from k2local.cli import eval_rational
-from k2local.errors import (BadIndexPair, InvariantViolation, ModeMismatch,
-                            NotReducible, PrecisionTooLow,
-                            UndeclaredCurveFactor)
-from k2local.ff import make_field, norm_rel
-from k2local.globalfield import (AdeleK2, AdmissibleCurve, CanonicalASRep,
+from k2local.errors import (BadIndexPair, InvariantViolation, NotReducible,
+                            PrecisionTooLow, UndeclaredCurveFactor,
+                            UnsupportedLength, UnsupportedPlace, ZeroArgument)
+from k2local.ff import make_field
+from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  CurvePlace, FyElem, PointFunc, Poly1, Poly2,
-                                 RatFunc, RatFunc1, adele_pair, as_reduce,
+                                 RatFunc, RatFunc1, as_reduce,
                                  as_residual_solves, curve_tame_reciprocity,
                                  curve_tame_terms, curve_witt_reciprocity,
-                                 curve_witt_terms, diagonal_adele, diagonal_h,
-                                 duality_kernel_point, duality_level_curve,
-                                 expand_at_place, factor_poly1,
-                                 infinity_place, list_places,
+                                 curve_witt_terms, duality_kernel_point,
+                                 duality_level_curve, expand_at_place,
+                                 factor_poly1, infinity_place, list_places,
                                  point_basis_pair, point_tame_reciprocity,
-                                 point_witt_reciprocity, ratfunc_to_fy,
-                                 tame_pair, witt_report)
+                                 point_witt_reciprocity, point_witt_terms,
+                                 ratfunc_to_fy, witt_report)
 from k2local.globalfield import (_expand_poly1, _irreducibles,
                                  _poly2_div_poly1, _poly2_transpose,
                                  _try_div_curve, place_field, poly1_gcd)
@@ -428,6 +427,20 @@ class TestCurveReciprocity:
         terms = curve_witt_terms(u, t, one / u, 1)
         assert len(terms) == 2
         assert is_zero_wv(curve_witt_reciprocity(u, t, one / u, 1))
+        # over F_3 at m = 2 the terms at u, u+1 and infinity cancel too
+        F3 = make_field(3, 1)
+        one, u, t = uvars(F3)
+        zero = RatFunc.const(F3, F3.zero)
+        assert is_zero_wv(curve_witt_reciprocity(
+            u + one, t, [(one + one) / u, zero], 2))
+        assert curve_tame_reciprocity(u + one, t, (u + one) / u) == F3.one
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_length_below_one_is_refused(self, m):
+        F2 = make_field(2, 1)
+        one, u, t = uvars(F2)
+        with pytest.raises(UnsupportedLength):
+            curve_witt_terms(u, t, one / u, m)
 
     def test_zero_h(self):
         F3 = make_field(3, 1)
@@ -624,58 +637,20 @@ class TestPointReciprocity:
         assert rep["m"] == 2 and rep["curves"] == []
         assert rep["sum"] == [[0], [0]] and rep["verdict"]
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_length_below_one_is_refused(self, m):
+        fu = PointFunc(self.F4, curve_exps={self.ax_u: 1})
+        ft = PointFunc(self.F4, curve_exps={self.ax_t: 1})
+        for curves in ([self.ax_u, self.ax_t], []):
+            with pytest.raises(UnsupportedLength):
+                point_witt_terms(fu, ft, [fu], m, curves)
+
     def test_undeclared_curve(self):
         F4 = self.F4
         fu = PointFunc(F4, curve_exps={self.ax_t: 1})
         ft = PointFunc(F4, curve_exps={self.ax_u: 1})
         with pytest.raises(UndeclaredCurveFactor):
             point_witt_reciprocity(fu, ft, [fu], 1, [self.ax_u])
-
-
-# --------------------------------------------------------------------------
-# adelic pairing
-# --------------------------------------------------------------------------
-
-class TestAdelePair:
-    def test_empty_support(self):
-        F3 = make_field(3, 1)
-        e = AdeleK2("curve", {}, base_field=F3)
-        assert is_zero_wv(adele_pair(e, {}, "witt", 2))
-        assert adele_pair(e, {}, "tame") == F3.one
-
-    def test_singleton_is_local(self):
-        F3 = make_field(3, 1)
-        one, u, t = uvars(F3)
-        places = list_places([u + one, t])
-        e = diagonal_adele(u + one, t, places)
-        hmap = {x: expand_at_place((u + one) / u, x, 10) for x in places}
-        x0 = places[0]
-        single = AdeleK2("curve", {x0: e.entries[x0]}, base_field=F3)
-        expected = norm_rel(tame_pair(e.entries[x0], hmap[x0]), F3)
-        assert adele_pair(single, hmap, "tame") == expected
-
-    def test_diagonal_vanishes(self):
-        F3 = make_field(3, 1)
-        one, u, t = uvars(F3)
-        h = (one + one) / u
-        zero = RatFunc.const(F3, F3.zero)
-        places = list_places([u + one, t, h])
-        e = diagonal_adele(u + one, t, places, precision=40)
-        hm = diagonal_h([h, zero], places, 2)
-        assert is_zero_wv(adele_pair(e, hm, "witt", 2))
-        hm_t = {x: expand_at_place((u + one) / u, x, 12) for x in places}
-        assert adele_pair(e, hm_t, "tame") == F3.one
-
-    def test_mode_mismatch(self):
-        F3 = make_field(3, 1)
-        one, u, t = uvars(F3)
-        places = list_places([u, t])
-        e = diagonal_adele(u, t, places)
-        hm_t = {x: expand_at_place(u, x, 10) for x in places}
-        with pytest.raises(ModeMismatch):
-            adele_pair(e, hm_t, "witt", 1)
-        with pytest.raises(ModeMismatch):
-            adele_pair(e, hm_t, "frobenius")
 
 
 # --------------------------------------------------------------------------
@@ -816,6 +791,19 @@ class TestDualityCurve:
         rep = duality_level_curve(1, 2, F2,
                                   diag_samples=[(a, b), (one, b), (a, one)])
         assert rep["diagonal_in_kernel"] == [True, True, True]
+
+    def test_negative_pole_bound(self):
+        with pytest.raises(ZeroArgument):
+            duality_level_curve(1, -1, make_field(2, 1))
+
+    def test_diagonal_sample_off_the_rational_places(self):
+        # the sum runs over rational places only, so a sample meeting the
+        # place 1+u^2 of degree 2 used to be reported "not in the kernel"
+        F3 = make_field(3, 1)
+        a, b, c = (RatFunc1.from_poly(Poly1.from_ints(F3, cs))
+                   for cs in ([1, 1], [1, 0, 1], [0, 1]))
+        with pytest.raises(UnsupportedPlace):
+            duality_level_curve(1, 2, F3, diag_samples=[(a * b.inv(), c)])
 
     def test_p_divisible_level(self):
         F3 = make_field(3, 1)

@@ -8,14 +8,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from k2local.errors import (CoefficientOutsidePrecision, PrecisionTooLow,
+                            StepBudgetExceeded, UnsupportedLength,
                             ZeroArgument)
 from k2local.ff import make_field, primitive_element, trace_abs
 from k2local.series import Laurent2, invert, laurent_domain
-from k2local.symbols import (K2Elem, TameValue, WittPairer, _with_pairer,
-                             boundary, k2_decompose, k2_equiv, pairing_box,
-                             symbol, tame_symbol_det, tame_symbol_signed,
-                             unramified_exponent, verify_appendix_identity,
-                             with_box, witt_pair_local)
+from k2local.symbols import (K2Elem, TameValue, WittPairer, _Decomposer,
+                             _with_pairer, boundary, k2_decompose, k2_equiv,
+                             pairing_box, symbol, tame_symbol_det,
+                             tame_symbol_signed, unramified_exponent,
+                             verify_appendix_identity, with_box,
+                             witt_pair_local)
 from k2local.witt import WittVec, witt_zero
 
 F2 = make_field(2, 1)
@@ -223,12 +225,20 @@ class TestWittPairing:
             assert not any(w.components)
 
     def test_residue_outside_the_box(self):
-        # u^-60 t^-60 reaches far past the default 12×12 box
+        # u^-60 t^-60 reaches far past a 12×12 box
         one = Laurent2.one(F2)
-        pairer = WittPairer(symbol(one + U(F2) + T(F2), T(F2)), 1)
+        pairer = WittPairer(symbol(one + U(F2) + T(F2), T(F2)), 1, 12, 12)
         g = WittVec(laurent_domain(F2), (mono(F2, 1, -60, -60),))
         with pytest.raises(CoefficientOutsidePrecision):
             pairer.pair(g)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_length_below_one_is_refused(self, m):
+        g = WittVec(laurent_domain(F2), (mono(F2, 1, -1, -1),))
+        with pytest.raises(UnsupportedLength):
+            witt_pair_local(symbol(U(F2), T(F2)), g, m)
+        with pytest.raises(UnsupportedLength):
+            WittPairer(symbol(U(F2), T(F2)), 1, 8, 8).pair(g, m)
 
 
 @st.composite
@@ -287,7 +297,6 @@ class TestPairingBox:
         h = (mono(F3, 1, -7, 0),)
         assert pairing_box(3, 2, [(g[0], g[1]), h]) == ((8, 9), (26, 56))
         assert pairing_box(2, 1, []) == ((2, 2), (24, 24))
-        assert WittPairer(symbol(U(F2), T(F2)), 1).box == (12, 12)
 
     def test_steinberg_case_retries(self):
         # {f, 1-f} with f = u^-1 t + t at m = 3 over F_2: the box (10, 10)
@@ -415,6 +424,12 @@ class TestDecompose:
                 level = 2
                 basis = k2_decompose(e, level)
                 assert k2_equiv(e, basis.recompose(), level)
+
+    def test_step_budget_has_its_own_error(self, monkeypatch):
+        monkeypatch.setattr(_Decomposer, "BUDGET", 50)
+        one = Laurent2.one(F2)
+        with pytest.raises(StepBudgetExceeded):
+            k2_decompose(symbol(one + U(F2), one + T(F2)), 2)
 
     def test_json_roundtrip(self):
         basis = k2_decompose(symbol(U(F4), T(F4)), 2)
