@@ -27,6 +27,9 @@ from .witt import WittVec, witt_zero
 
 SCHEMA = 1
 
+# deepest nesting of parentheses and unary minus signs that parse_expr takes
+MAX_NESTING = 200
+
 
 # --------------------------------------------------------------------------
 # expression language
@@ -73,6 +76,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -127,23 +131,22 @@ class _Parser:
         return e
 
     def atom(self):
-        tok = self.peek()
-        if tok[0] == "int":
-            self.take()
-            return ("int", tok[1])
-        if tok[0] == "var":
-            self.take()
-            return ("var", tok[1])
+        tok = self.take()
+        if tok[0] in ("int", "var"):
+            return tok[:2]
+        if tok[0] not in ("(", "-"):
+            raise ExprSyntaxError(
+                f"expected a value, found {tok[0]!r}", tok[2])
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ExprSyntaxError(f"nested deeper than {MAX_NESTING}", tok[2])
         if tok[0] == "(":
-            self.take()
             e = self.expr()
             self.take(")")
-            return e
-        if tok[0] == "-":
-            self.take()
-            return ("neg", self.atom())
-        raise ExprSyntaxError(
-            f"expected a value, found {tok[0]!r}", tok[2])
+        else:
+            e = ("neg", self.atom())
+        self.nesting -= 1
+        return e
 
 
 def parse_expr(text):
@@ -286,9 +289,17 @@ def _rand_expr(rng, depth=2):
     return (kind, _rand_expr(rng, depth - 1), _rand_expr(rng, depth - 1))
 
 
+def _exprs(args, n, need):
+    """The verb's expressions if there are n of them, else UsageError(need)."""
+    if len(args["exprs"]) != n:
+        raise UsageError(need)
+    return args["exprs"]
+
+
 def _cmd_tame(args, field):
     prec_t, prec_u = args["prec_t"], args["prec_u"]
-    f, g, h = (eval_local(x, field, prec_t, prec_u) for x in args["exprs"])
+    f, g, h = (eval_local(x, field, prec_t, prec_u)
+               for x in _exprs(args, 3, "tame needs f, g and h"))
     v = tame_symbol_det(f, g, h).value
     return {"verb": "tame", "value": _fq_json(v)}, 0
 
@@ -313,14 +324,16 @@ def _cmd_witt_pair(args, field):
 
 def _cmd_boundary(args, field):
     prec_t, prec_u = args["prec_t"], args["prec_u"]
-    f, g = (eval_local(x, field, prec_t, prec_u) for x in args["exprs"])
+    f, g = (eval_local(x, field, prec_t, prec_u)
+            for x in _exprs(args, 2, "boundary needs f and g"))
     b = boundary(symbol(f, g))
     return {"verb": "boundary", "value": _laurent_json(b)}, 0
 
 
 def _cmd_decompose(args, field):
     prec_t, prec_u = args["prec_t"], args["prec_u"]
-    f, g = (eval_local(x, field, prec_t, prec_u) for x in args["exprs"])
+    f, g = (eval_local(x, field, prec_t, prec_u)
+            for x in _exprs(args, 2, "decompose needs f and g"))
     basis = k2_decompose(symbol(f, g), args["level"])
     return {"verb": "decompose", "level": args["level"],
             "basis": basis.to_json()}, 0
@@ -328,10 +341,8 @@ def _cmd_decompose(args, field):
 
 def _cmd_equiv(args, field):
     prec_t, prec_u = args["prec_t"], args["prec_u"]
-    exprs = args["exprs"]
-    if len(exprs) != 4:
-        raise UsageError("equiv needs f1 g1 f2 g2")
-    f1, g1, f2, g2 = (eval_local(x, field, prec_t, prec_u) for x in exprs)
+    f1, g1, f2, g2 = (eval_local(x, field, prec_t, prec_u)
+                      for x in _exprs(args, 4, "equiv needs f1 g1 f2 g2"))
     same = k2_equiv(symbol(f1, g1), symbol(f2, g2), args["level"])
     return {"verb": "equiv", "level": args["level"], "equal": same}, \
         0 if same else 1
@@ -401,21 +412,16 @@ def _cmd_reciprocity_point(args, field):
 
 
 def _cmd_duality_point(args, field):
-    exprs = args["exprs"]
-    if len(exprs) != 2:
-        raise UsageError("duality-point needs the indices i and j")
-    i, j = (_int(x, "index") for x in exprs)
+    i, j = (_int(x, "index") for x in
+            _exprs(args, 2, "duality-point needs the indices i and j"))
     rep = duality_kernel_point(i, j, field)
     rep["verb"] = "duality-point"
     return rep, 0 if rep["match"] else 1
 
 
 def _cmd_duality_curve(args, field):
-    exprs = args["exprs"]
-    if len(exprs) != 1:
-        raise UsageError("duality-curve needs the pole bound D")
-    rep = duality_level_curve(args["level"], _int(exprs[0], "pole bound"),
-                              field)
+    D, = _exprs(args, 1, "duality-curve needs the pole bound D")
+    rep = duality_level_curve(args["level"], _int(D, "pole bound"), field)
     rep["verb"] = "duality-curve"
     ok = rep["full_column_rank"]
     rep["verdict"] = ok
@@ -423,10 +429,8 @@ def _cmd_duality_curve(args, field):
 
 
 def _cmd_as_reduce(args, field):
-    exprs = args["exprs"]
-    if len(exprs) != 1:
-        raise UsageError("as-reduce needs one expression")
-    f = ratfunc_to_fy(eval_rational(exprs[0], field))
+    text, = _exprs(args, 1, "as-reduce needs one expression")
+    f = ratfunc_to_fy(eval_rational(text, field))
     rep = as_reduce(f)
     ok = as_residual_solves(f, rep)
     return {"verb": "as-reduce", "representative": rep.to_json(),
@@ -494,6 +498,8 @@ def _parse_args(argv):
             key = a[2:].replace("-", "_")
             if key in ("prec_t", "prec_u", "m", "level", "seed", "sweep"):
                 val = _int(val, f"flag {a}")
+            if key in ("level", "sweep") and val < 0:
+                raise UsageError(f"flag {a} needs a value >= 0, not {val}")
             args[key] = val
             i += 2
             continue
@@ -525,7 +531,11 @@ GOLDEN_COMMANDS = [
 
 
 def run(argv):
-    """Execute one command; returns (exit code, report dict)."""
+    """Execute one command; returns (exit code, report dict).
+
+    The code is 0 or 1 for an answer, 2 for a K2LocalError and 3 for any
+    other exception, which is a bug and is reported as InternalError.
+    """
     try:
         verb, args = _parse_args(argv)
         field = parse_field(args["field"])
@@ -536,9 +546,9 @@ def run(argv):
     except K2LocalError as exc:
         return 2, {"schema": SCHEMA, "error": type(exc).__name__,
                    "message": str(exc)}
-    except Exception as exc:  # contract: never panic on user input
-        return 2, {"schema": SCHEMA, "error": type(exc).__name__,
-                   "message": str(exc)}
+    except Exception as exc:  # a bug, not bad input: never panic, exit 3
+        return 3, {"schema": SCHEMA, "error": "InternalError",
+                   "message": f"{type(exc).__name__}: {exc}"}
 
 
 def _render_text(report, out):

@@ -217,16 +217,18 @@ def _default_modulus(p, n):
         for c in range(p):
             yield from tuples(prefix + [c], k + 1)
 
+    # every degree n >= 1 has an irreducible, so the loop returns
     for lower in tuples([], 0):
         cand = lower + (1,)
         if _is_irreducible(cand, p):
             return cand
-    raise ReducibleModulus(f"no irreducible of degree {n} over F_{p}")  # pragma: no cover
 
 
 def make_field(p, n, modulus=None):
     if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
+    if n < 1:
+        raise ReducibleModulus(f"degree {n} is below 1")
     if modulus is None:
         modulus = _default_modulus(p, n)
     else:

@@ -55,25 +55,8 @@ class OneForm:
         self.a = a
         self.b = b
 
-    @property
-    def dom(self):
-        return self.a.dom
-
     def __add__(self, other):
         return OneForm(self.a + other.a, self.b + other.b)
-
-    def __neg__(self):
-        return OneForm(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, f):
-        return OneForm(f * self.a, f * self.b)
-
-    def __eq__(self, other):
-        return (isinstance(other, OneForm)
-                and self.a == other.a and self.b == other.b)
 
     def __repr__(self):
         return f"({self.a.serialize()}) du + ({self.b.serialize()}) dt"
@@ -87,18 +70,11 @@ class TwoForm:
     def __init__(self, a):
         self.a = a
 
-    @property
-    def dom(self):
-        return self.a.dom
-
     def __add__(self, other):
         return TwoForm(self.a + other.a)
 
     def __neg__(self):
         return TwoForm(-self.a)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, f):
         return TwoForm(f * self.a)
@@ -110,9 +86,6 @@ class TwoForm:
         return isinstance(other, TwoForm) and self.a == other.a
 
     def __repr__(self):
-        return f"({self.a.serialize()}) du^dt"
-
-    def serialize(self):
         return f"({self.a.serialize()}) du^dt"
 
 

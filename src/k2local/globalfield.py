@@ -26,10 +26,10 @@ from .errors import (BadIndexPair, DivisionByZero, FieldMismatch,
                      InvariantViolation, NotReducible, UndeclaredCurveFactor,
                      UnsupportedPlace, ZeroArgument, ZeroDivisor)
 from .ff import FqElem, make_field, norm_rel, get_embedding
-from .forms import d_du, dlog, residue, wedge
+from .forms import d_du
 from .series import Laurent2, invert, laurent_domain
 from .symbols import (WittPairer, check_length, symbol, tame_symbol_det,
-                      with_box)
+                      witt_pair_local, with_box)
 from .witt import WittVec, witt_add, witt_zero
 
 INF = math.inf
@@ -502,6 +502,11 @@ def _tpoly_gcd(A, B):
     return _poly2_div_poly1(A, _poly2_content_u(A)) * Poly2.from_poly1(c)
 
 
+def _lead(P):
+    """The coefficient of the greatest term of P in the (t, u) order."""
+    return P.terms[max(P.terms, key=lambda ab: (ab[1], ab[0]))]
+
+
 class RatFunc:
     """Reduced fraction of bivariate polynomials.
 
@@ -525,8 +530,7 @@ class RatFunc:
                         "exact division left a remainder")
         else:
             den = Poly2.one(field)
-        lead_key = max(den.terms, key=lambda ab: (ab[1], ab[0]))
-        lead = den.terms[lead_key]
+        lead = _lead(den)
         if lead != field.one:
             inv = lead.inv()
             num = num * inv
@@ -534,6 +538,15 @@ class RatFunc:
         self.field = field
         self.num = num
         self.den = den
+
+    @classmethod
+    def _adopt(cls, num, den):
+        """Adopt num / den that is already in normal form, without a gcd."""
+        self = object.__new__(cls)
+        self.field = num.field
+        self.num = num
+        self.den = den
+        return self
 
     @staticmethod
     def from_poly2(p):
@@ -567,17 +580,25 @@ class RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def inv(self):
-        if not self.num:
-            raise DivisionByZero("inverse of the zero rational function")
-        return RatFunc(self.den, self.num)
+        return self ** -1
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def __pow__(self, e):
+        """The power in normal form, without a gcd.
+
+        num and den are coprime, so their powers are, and the lead of a
+        power is the power of the lead, since the (t, u) order is a
+        monomial order.  Only a negative e rescales, by the lead of num^-e.
+        """
+        if e < 0 and not self.num:
+            raise DivisionByZero("inverse of the zero rational function")
+        num, den = self.num ** abs(e), self.den ** abs(e)
         if e < 0:
-            return self.inv() ** (-e)
-        return RatFunc(self.num ** e, self.den ** e)
+            inv = _lead(num).inv()
+            num, den = den * inv, num * inv
+        return RatFunc._adopt(num, den)
 
     def serialize(self):
         if self.den == Poly2.one(self.field):
@@ -608,10 +629,6 @@ class FyElem:
     def __bool__(self):
         return bool(self.terms)
 
-    def __eq__(self, other):
-        return (isinstance(other, FyElem) and self.field is other.field
-                and self.terms == other.terms)
-
     def __add__(self, other):
         out = dict(self.terms)
         zero = RatFunc1.const(self.field, self.field.zero)
@@ -624,25 +641,6 @@ class FyElem:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        zero = RatFunc1.const(self.field, self.field.zero)
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                out[k1 + k2] = out.get(k1 + k2, zero) + c1 * c2
-        return FyElem(self.field, out)
-
-    def __pow__(self, e):
-        out = FyElem(self.field, {0: RatFunc1.const(self.field,
-                                                    self.field.one)})
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def coeff_pow_p(self):
         """The p-th power, using (sum)^p = sum of p-th powers in char p."""
@@ -1126,29 +1124,18 @@ def _poly2_to_branch(P, y):
     if y.kind == "axis_t":
         return Laurent2(field, _terms_from(P, lambda a, b: (b, a)), INF, {})
     phi = y.graph_poly
+    if y.kind == "graph_u_of_t":
+        P = _poly2_transpose(P)
+    # substitute t = phi(u) + T, or u = phi(t) + U on the transpose; the
+    # inner variable stays
     acc = Laurent2.zero(field)
-    if y.kind == "graph_t_of_u":
-        # substitute t = phi(u) + T; inner variable stays u
-        for (a, b), c in P.terms.items():
-            term = Laurent2.monomial(field, c, a, 0)
-            for r in range(b + 1):
-                binom = field.from_int(math.comb(b, r))
-                if not binom:
-                    continue
-                pw = phi ** (b - r)
-                inner = Laurent2(field, {0: {k: cc for k, cc in
-                                             enumerate(pw.coeffs) if cc}},
-                                 INF, {})
-                acc = acc + (term * inner).monomial_mul(binom, 0, r)
-        return acc
-    # graph_u_of_t: substitute u = phi(t) + U; inner variable is t
     for (a, b), c in P.terms.items():
-        term = Laurent2.monomial(field, c, b, 0)
-        for r in range(a + 1):
-            binom = field.from_int(math.comb(a, r))
+        term = Laurent2.monomial(field, c, a, 0)
+        for r in range(b + 1):
+            binom = field.from_int(math.comb(b, r))
             if not binom:
                 continue
-            pw = phi ** (a - r)
+            pw = phi ** (b - r)
             inner = Laurent2(field, {0: {k: cc for k, cc in
                                          enumerate(pw.coeffs) if cc}},
                              INF, {})
@@ -1459,8 +1446,8 @@ def point_basis_pair(i, j, a, b, c, k, l, field):
 
     The basis element carries a on the u-t branch and b on the t-u branch;
     it is paired against c*u^k*t^l.  Second symbol slots follow the case
-    split on p-divisibility of (i, j).  Each branch inverts in the working
-    box that with_box doubles from (2, 2).
+    split on p-divisibility of (i, j).  Each branch value is the untraced
+    m = 1 pairing of witt_pair_local, boxed as that pairing is.
     """
     case, (slot1, slot2) = _basis_case(i, j, field.p)
     one = Laurent2.one(field)
@@ -1473,11 +1460,9 @@ def point_basis_pair(i, j, a, b, c, k, l, field):
             continue
         f = one + Laurent2.monomial(field, coef, *ij)
         s = Laurent2.monomial(field, field.one, *((1, 0) if inner else (0, 1)))
-
-        def pair(box):
-            eta = wedge(dlog(f, invert(f, *box)), dlog(s, invert(s, *box)))
-            return residue(eta.scale(Laurent2.monomial(field, c, *kl)))
-        val = val + with_box((2, 2), None, pair)
+        h = WittVec(laurent_domain(field), (Laurent2.monomial(field, c, *kl),))
+        val = val + witt_pair_local(symbol(f, s), h, 1,
+                                    traced=False).components[0]
     return val
 
 
@@ -1486,7 +1471,11 @@ def duality_kernel_point(i, j, field):
 
     Pairs every basis element (a, b) at bidegree (i, j) against every
     c*u^{-i}*t^{-j} and compares the computed kernel with the subspace
-    predicted by the closed forms.
+    predicted by the closed forms.  Each branch is paired once per
+    coefficient, against u^{-i}*t^{-j}: the residue is F_q-linear in the
+    test form, so pairing against c*u^{-i}*t^{-j} gives c times that value,
+    and the value of (a, b) is the sum of its two branch values.  So (a, b)
+    is in the kernel exactly when left[a] + right[b] = 0.
     """
     if i < 1 or j < 1:
         raise BadIndexPair("indices must be positive")
@@ -1494,14 +1483,16 @@ def duality_kernel_point(i, j, field):
     case, slots = _basis_case(i, j, p)
     ii = field.from_int(i)
     jj = field.from_int(j)
+    zero, one = field.zero, field.one
+    left = {a: point_basis_pair(i, j, a, zero, one, -i, -j, field)
+            for a in field.elements()}
+    right = {b: point_basis_pair(i, j, zero, b, one, -i, -j, field)
+             for b in field.elements()}
     kernel = []
     predicted = []
-    nonzero = [c for c in field.elements() if c]
     for a in field.elements():
         for b in field.elements():
-            vals = [point_basis_pair(i, j, a, b, c, -i, -j, field)
-                    for c in nonzero]
-            if not any(vals):
+            if not (left[a] + right[b]):
                 kernel.append((a, b))
             if case == "second":
                 in_pred = not (ii * a + jj * b)

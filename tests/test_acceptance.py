@@ -430,7 +430,7 @@ class TestPointPairingClosedForms:
 
 
 class TestDualityKernels:
-    @pytest.mark.parametrize("pn", [(2, 1), (3, 1), (2, 2)])
+    @pytest.mark.parametrize("pn", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
     def test_kernels_match_prediction(self, pn):
         F = make_field(*pn)
         p = F.p

@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -76,6 +77,14 @@ class TestParser:
         for _ in range(300):
             e = rand_ast(3)
             assert parse_expr(print_expr(e)) == e
+
+    def test_nesting_limit(self):
+        deep = "(" * cli.MAX_NESTING + "u" + ")" * cli.MAX_NESTING
+        assert parse_expr(deep) == ("var", "u")
+        assert parse_expr("u*" + "-" * cli.MAX_NESTING + "u")[0] == "mul"
+        for text in ("(" + deep + ")", "u*-" + "-" * cli.MAX_NESTING + "u"):
+            with pytest.raises(ExprSyntaxError):
+                parse_expr(text)
 
 
 class TestEvaluate:
@@ -174,6 +183,66 @@ class TestRun:
         code, rep = run(argv)
         assert code == 2
         assert rep["error"] == error
+
+    @pytest.mark.parametrize("argv, error", [
+        (["tame", "--field", "2^1", "u", "t"], "UsageError"),
+        (["boundary", "--field", "2^1", "u"], "UsageError"),
+        (["decompose", "--field", "2^1", "u", "t", "t"], "UsageError"),
+        (["reciprocity-curve", "--sweep", "-3"], "UsageError"),
+        (["decompose", "--level", "-1", "1+u*t", "t"], "UsageError"),
+        (["equiv", "--level", "-1", "1+u*t", "t", "1+u^2*t", "t"],
+         "UsageError"),
+        (["tame", "--field", "2^-1", "u", "u", "t"], "ReducibleModulus"),
+        (["tame", "--field", "2^1", "(" * 250 + "u" + ")" * 250, "u", "t"],
+         "ExprSyntaxError")])
+    def test_arity_and_range_errors_are_typed(self, argv, error):
+        code, rep = run(argv)
+        assert code == 2
+        assert rep["error"] == error
+
+    def test_huge_negative_power_is_cheap(self):
+        # the power of a reduced fraction is built without a gcd, so no
+        # dense row of 10^8 coefficients is formed
+        start = time.perf_counter()
+        code, rep = run(["tame", "--field", "2^1", "u^-99999999", "u", "t"])
+        assert code == 0, rep
+        assert time.perf_counter() - start < 1.0
+
+    def test_internal_error_exit_3(self, monkeypatch):
+        def broken(args, field):
+            return 1 // 0
+        monkeypatch.setitem(cli._VERBS, "tame", broken)
+        code, rep = run(["tame", "u", "u", "t"])
+        assert code == 3
+        assert rep["error"] == "InternalError"
+        assert rep["message"].startswith("ZeroDivisionError")
+
+    def test_grammar_fuzz_gives_typed_answers(self):
+        rng = random.Random(12)
+
+        def rand_ast(depth):
+            if depth == 0 or not rng.randrange(4):
+                return rng.choice([("int", rng.randrange(0, 5)),
+                                   ("var", rng.choice("zut"))])
+            kind = rng.choice(["add", "sub", "mul", "div", "neg", "pow"])
+            if kind == "neg":
+                return ("neg", rand_ast(depth - 1))
+            if kind == "pow":
+                return ("pow", rand_ast(depth - 1), rng.randrange(-5, 6))
+            return (kind, rand_ast(depth - 1), rand_ast(depth - 1))
+
+        verbs = [(["tame"], 3), (["boundary"], 2), (["as-reduce"], 1),
+                 (["witt-pair", "--m", "2"], 3)]
+        fields = ["2^1", "3^1", "2^2/1,1,1"]
+        codes = set()
+        for k in range(240):
+            verb, n = verbs[k % 4]
+            argv = verb + ["--field", fields[k // 4 % 3]] + \
+                [print_expr(rand_ast(3)) for _ in range(n)]
+            code, rep = run(argv)
+            assert code in (0, 1, 2), (argv, rep)
+            codes.add(code)
+        assert codes >= {0, 2}
 
     @pytest.mark.parametrize("spec", ["banana", "2^x", "2^2/1,a,1"])
     def test_bad_field_is_usage_error(self, spec):

@@ -7,9 +7,10 @@ import time
 import pytest
 
 from k2local.cli import eval_rational
-from k2local.errors import (BadIndexPair, InvariantViolation, NotReducible,
-                            PrecisionTooLow, UndeclaredCurveFactor,
-                            UnsupportedLength, UnsupportedPlace, ZeroArgument)
+from k2local.errors import (BadIndexPair, DivisionByZero, InvariantViolation,
+                            NotReducible, PrecisionTooLow,
+                            UndeclaredCurveFactor, UnsupportedLength,
+                            UnsupportedPlace, ZeroArgument)
 from k2local.ff import make_field
 from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  CurvePlace, FyElem, PointFunc, Poly1, Poly2,
@@ -253,6 +254,26 @@ class TestBivariateReduction:
             Q = _try_div_curve(P, y)
             assert Q == _try_div_curve_reference(P, y), (kind, k)
             assert k == 0 or Q * y.equation() == P
+
+    @pytest.mark.parametrize("q", FIELDS)
+    def test_power_matches_renormalised(self, q):
+        # __pow__ builds the power without a gcd; the reference reduces
+        field = make_field(*q)
+        rng = random.Random(q[0] * 10 + q[1] + 2)
+        fs = [RatFunc(Poly2(field, {}), Poly2.one(field))]
+        fs += [RatFunc(_rand_poly2(rng, field, 2, rng.randrange(1, 4)),
+                       _rand_poly2(rng, field, 2, rng.randrange(1, 4)))
+               for _ in range(12)]
+        for f in fs:
+            for e in range(-4, 5):
+                if e < 0 and not f:
+                    with pytest.raises(DivisionByZero):
+                        f ** e
+                    continue
+                num, den = (f.num, f.den) if e >= 0 else (f.den, f.num)
+                ref = RatFunc(num ** abs(e), den ** abs(e))
+                got = f ** e
+                assert (got.num, got.den) == (ref.num, ref.den), (f, e)
 
     def test_inexact_division_is_an_invariant_violation(self, monkeypatch):
         import k2local.globalfield as gf
