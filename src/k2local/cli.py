@@ -20,9 +20,10 @@ from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           point_witt_terms, ratfunc_to_fy, tame_report,
                           to_pointfunc, witt_report)
 from .globalfield import _poly2_transpose
-from .series import DEFAULT_T_PREC, DEFAULT_U_PREC, invert
+from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, invert,
+                     laurent_domain)
 from .symbols import (boundary, k2_decompose, k2_equiv, symbol,
-                      tame_symbol_det, witt_pair_local)
+                      tame_symbol_det, with_box, witt_pair_local)
 from .witt import WittVec, witt_zero
 
 SCHEMA = 1
@@ -173,7 +174,33 @@ def print_expr(e):
 
 
 def evaluate(e, field):
-    """Evaluate an AST to an exact rational function over the field."""
+    """Evaluate an AST to an exact rational function over the field.
+
+    A chain such as a + b + ... or a * b * ... parses into a left-deep tree;
+    its left spine is walked in a loop, so a long chain does not recurse.
+    """
+    spine = []
+    while e[0] in ("add", "sub", "mul", "div"):
+        spine.append(e)
+        e = e[1]
+    acc = _evaluate_operand(e, field)
+    for kind, _, rhs in reversed(spine):
+        b = evaluate(rhs, field)
+        if kind == "add":
+            acc = acc + b
+        elif kind == "sub":
+            acc = acc - b
+        elif kind == "mul":
+            acc = acc * b
+        elif not b:
+            raise DivisionByZero("division by the zero expression")
+        else:
+            acc = acc / b
+    return acc
+
+
+def _evaluate_operand(e, field):
+    """Evaluate an AST whose root is not a binary operator."""
     kind = e[0]
     if kind == "int":
         return RatFunc.const(field, field.from_int(e[1]))
@@ -185,19 +212,7 @@ def evaluate(e, field):
         return RatFunc.from_poly2(Poly2.monomial(field, field.one, 0, 1))
     if kind == "neg":
         return -evaluate(e[1], field)
-    if kind == "pow":
-        return evaluate(e[1], field) ** e[2]
-    a = evaluate(e[1], field)
-    b = evaluate(e[2], field)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if not b:
-        raise DivisionByZero("division by the zero expression")
-    return a / b
+    return evaluate(e[1], field) ** e[2]
 
 
 def eval_rational(text, field):
@@ -206,9 +221,13 @@ def eval_rational(text, field):
 
 def eval_local(text, field, prec_t, prec_u):
     """Evaluate to a Laurent2 element of F_q((u))((t))."""
-    rf = eval_rational(text, field)
-    num = _poly2_local(rf.num, field)
-    den = _poly2_local(rf.den, field)
+    return _local(eval_rational(text, field), field, prec_t, prec_u)
+
+
+def _local(rf, field, prec_t, prec_u):
+    """The RatFunc rf as a Laurent2, inverting its denominator in the box."""
+    num = Laurent2(field, rf.num.rows())
+    den = Laurent2(field, rf.den.rows())
     if den.terms and len(den.terms) == 1:
         j = next(iter(den.terms))
         row = den.terms[j]
@@ -216,14 +235,6 @@ def eval_local(text, field, prec_t, prec_u):
             i = next(iter(row))
             return num.monomial_mul(row[i].inv(), -i, -j)
     return num * invert(den, prec_t, prec_u)
-
-
-def _poly2_local(P, field):
-    from .series import Laurent2
-    rows = {}
-    for (a, b), c in P.terms.items():
-        rows.setdefault(b, {})[a] = c
-    return Laurent2(field, rows)
 
 
 # --------------------------------------------------------------------------
@@ -313,7 +324,6 @@ def _cmd_witt_pair(args, field):
                               "coefficient component")
     f = eval_local(exprs[0], field, prec_t, prec_u)
     g = eval_local(exprs[1], field, prec_t, prec_u)
-    from .series import Laurent2, laurent_domain
     comps = [eval_local(x, field, prec_t, prec_u) for x in exprs[2:]]
     while len(comps) < m:
         comps.append(Laurent2.zero(field))
@@ -331,10 +341,15 @@ def _cmd_boundary(args, field):
 
 
 def _cmd_decompose(args, field):
-    prec_t, prec_u = args["prec_t"], args["prec_u"]
-    f, g = (eval_local(x, field, prec_t, prec_u)
-            for x in _exprs(args, 2, "decompose needs f and g"))
-    basis = k2_decompose(symbol(f, g), args["level"])
+    rfs = [eval_rational(x, field)
+           for x in _exprs(args, 2, "decompose needs f and g")]
+
+    def run(box):
+        f, g = (_local(rf, field, *box) for rf in rfs)
+        return k2_decompose(symbol(f, g), args["level"])
+    # the decomposer reads a fixed box of each entry; the expressions are
+    # exact, so they are expanded until that box is known
+    basis = with_box((args["prec_t"], args["prec_u"]), None, run)
     return {"verb": "decompose", "level": args["level"],
             "basis": basis.to_json()}, 0
 

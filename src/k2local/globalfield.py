@@ -370,18 +370,19 @@ class Poly2:
             e >>= 1
         return out
 
-    def t_coeffs(self):
-        """The polynomial as {t_exp: Poly1-in-u}."""
+    def rows(self):
+        """The sparse t-rows {t_exp: {u_exp: coeff}}."""
         rows = {}
         for (a, b), c in self.terms.items():
             rows.setdefault(b, {})[a] = c
-        out = {}
-        for b, row in rows.items():
-            coeffs = [self.field.zero] * (max(row) + 1)
-            for a, c in row.items():
-                coeffs[a] = c
-            out[b] = Poly1(self.field, coeffs)
-        return out
+        return rows
+
+    def t_coeffs(self):
+        """The polynomial as {t_exp: Poly1-in-u}."""
+        zero = self.field.zero
+        return {b: Poly1(self.field, [row.get(a, zero)
+                                      for a in range(max(row) + 1)])
+                for b, row in self.rows().items()}
 
     def deg_u(self):
         return max((a for a, _ in self.terms), default=-1)
@@ -652,21 +653,6 @@ class FyElem:
         return FyElem(self.field,
                       {k: c for k, c in self.terms.items() if k < t_prec})
 
-    def to_ratfunc(self):
-        field = self.field
-        shift = max(0, -min(self.terms, default=0))
-        den1 = Poly1.const(field, field.one)
-        for c in self.terms.values():
-            den1 = den1.divmod(poly1_gcd(den1, c.den))[0] * c.den
-        num = Poly2(field, {})
-        for k, c in self.terms.items():
-            scaled = c.num * den1.divmod(c.den)[0]
-            num = num + Poly2.from_poly1(scaled) * \
-                Poly2.monomial(field, field.one, 0, k + shift)
-        den = Poly2.from_poly1(den1) * \
-            Poly2.monomial(field, field.one, 0, shift)
-        return RatFunc(num, den)
-
     def serialize(self):
         if not self.terms:
             return "0"
@@ -679,8 +665,6 @@ class FyElem:
 
 def ratfunc_to_fy(f):
     """Convert a RatFunc whose denominator is D(u)*t^k into an FyElem."""
-    if isinstance(f, FyElem):
-        return f
     rows = f.den.t_coeffs()
     if len(rows) != 1:
         raise NotReducible(
@@ -734,51 +718,29 @@ def infinity_place(field):
     return CurvePlace(field, "infinity")
 
 
-def _gather_poly1s(inputs):
-    polys = []
-    field = None
-    queue = list(inputs)
-    while queue:
-        f = queue.pop()
-        if isinstance(f, WittVec):
-            queue.extend(f.components)
-            continue
-        if isinstance(f, FyElem):
-            field = f.field
-            for c in f.terms.values():
-                polys.extend([c.num, c.den])
-            continue
-        if isinstance(f, RatFunc):
-            field = f.field
-            polys.extend(f.num.t_coeffs().values())
-            polys.extend(f.den.t_coeffs().values())
-            continue
-        if isinstance(f, Poly2):
-            field = f.field
-            polys.extend(f.t_coeffs().values())
-            continue
-        if isinstance(f, Poly1):
-            field = f.field
-            polys.append(f)
-            continue
-        if isinstance(f, RatFunc1):
-            field = f.field
-            polys.extend([f.num, f.den])
-            continue
-        raise ZeroArgument(f"unsupported rational input {f!r}")
-    return field, [p for p in polys if p]
+def list_places(fs):
+    """Finite places dividing any t-coefficient of the RatFuncs fs, plus
+    infinity.
 
-
-def list_places(inputs):
-    """Finite places dividing any coefficient of the inputs, plus infinity."""
-    field, polys = _gather_poly1s(inputs)
-    if field is None:
+    Each t-row of a numerator or denominator is read from its sparse terms:
+    a least u-exponent e > 0 adds the place u, and only the row divided by
+    u^e is factored, so a large power of u is never made dense.
+    """
+    if not fs:
         raise ZeroArgument("no rational data supplied")
+    field = fs[0].field
+    zero = field.zero
     finite = set()
-    for poly in polys:
-        if poly.deg < 1:
-            continue
-        finite.update(factor_poly1(poly))
+    for f in fs:
+        for P in (f.num, f.den):
+            for row in P.rows().values():
+                e = min(row)
+                if e:
+                    finite.add(Poly1(field, (zero, field.one)))
+                rest = Poly1(field, [row.get(a, zero)
+                                     for a in range(e, max(row) + 1)])
+                if rest.deg > 0:
+                    finite.update(factor_poly1(rest))
     places = sorted((CurvePlace(field, "finite", pi) for pi in finite),
                     key=CurvePlace.sort_key)
     places.append(infinity_place(field))
@@ -856,7 +818,7 @@ def _expand_poly1(a, place, prec):
                                     if c}}, INF, {})
     if place.residue_degree == 1:
         kx, _, root = place_field(place)
-        shifted = a.shift(root)
+        shifted = a.shift(root) if root else a
         return Laurent2(kx, {0: {k: c for k, c in enumerate(shifted.coeffs)
                                  if c}}, INF, {})
     kx, U = _param_series(place, prec)
@@ -875,86 +837,40 @@ def _expand_poly2(P, place, prec):
 
 
 def expand_at_place(f, place, precision):
-    """Coefficientwise expansion of rational data at a place of the u-line.
+    """Coefficientwise expansion of a RatFunc at a place of the u-line.
 
     Returns a Laurent2 over k(x) whose inner variable is the local parameter
     (pi(u) at finite places, 1/u at infinity) and whose outer variable is t.
     """
     if precision <= 0:
         raise ZeroArgument("precision must be positive")
-    kx, _, _ = place_field(place)
-    if isinstance(f, Poly1):
-        return _expand_poly1(f, place, precision)
-    if isinstance(f, Poly2):
-        return _expand_poly2(f, place, precision)
-    if isinstance(f, RatFunc1):
-        num = _expand_poly1(f.num, place, precision)
-        den = _expand_poly1(f.den, place, precision)
-        return num * invert(den, precision, precision)
-    if isinstance(f, RatFunc):
-        num = _expand_poly2(f.num, place, precision)
-        den = _expand_poly2(f.den, place, precision)
-        return num * invert(den, precision, precision)
-    if isinstance(f, FyElem):
-        acc = Laurent2.zero(kx)
-        for k, c in f.terms.items():
-            acc = acc + expand_at_place(c, place, precision).monomial_mul(
-                kx.one, 0, k)
-        return acc
-    raise ZeroArgument(f"cannot expand {f!r}")
+    num = _expand_poly2(f.num, place, precision)
+    den = _expand_poly2(f.den, place, precision)
+    return num * invert(den, precision, precision)
 
 
 # --------------------------------------------------------------------------
 # Curve-mode reciprocity
 # --------------------------------------------------------------------------
 
-def _as_ratfunc(f):
-    if isinstance(f, RatFunc):
-        return f
-    if isinstance(f, FyElem):
-        return f.to_ratfunc()
-    if isinstance(f, Poly2):
-        return RatFunc.from_poly2(f)
-    if isinstance(f, Poly1):
-        return RatFunc.from_poly2(Poly2.from_poly1(f))
-    if isinstance(f, RatFunc1):
-        return RatFunc(Poly2.from_poly1(f.num), Poly2.from_poly1(f.den))
-    if isinstance(f, FqElem):
-        return RatFunc.const(f.field, f)
-    raise ZeroArgument(f"not rational data: {f!r}")
-
-
-def _h_components(h, field, m):
-    if isinstance(h, WittVec):
-        comps = list(h.components)
-    elif isinstance(h, (tuple, list)):
-        comps = list(h)
-    else:
-        comps = [h]
-    comps = [_as_ratfunc(c) for c in comps]
-    zero = RatFunc.const(field, field.zero)
-    while len(comps) < m:
-        comps.append(zero)
-    return comps[:m]
+def _components(h):
+    """The Witt components of h: one item, or a list or tuple of them."""
+    return list(h) if isinstance(h, (list, tuple)) else [h]
 
 
 def curve_witt_terms(f, g, h, m):
     """Per-place traced local Witt pairings of rational data on the u-line.
 
-    Each place sizes its own working box, as _witt_terms says.
+    f, g and each component of h are RatFuncs; components past the m-th are
+    dropped.  Each place sizes its own working box, as _witt_terms says.
     """
-    f = _as_ratfunc(f)
-    g = _as_ratfunc(g)
-    comps = _h_components(h, f.field, m)
+    comps = _components(h)[:m]
     places = list_places([f, g] + comps)
     return _witt_terms(places, expand_at_place, f, g, comps, m)
 
 
 def curve_tame_terms(f, g, h):
     """Per-place (place, local tame symbol, its norm to F_q) on the u-line."""
-    f = _as_ratfunc(f)
-    g = _as_ratfunc(g)
-    h = _as_ratfunc(h)
     return [(x, v, norm_rel(v, f.field)) for x, v in
             _tame_terms(list_places([f, g, h]), expand_at_place, f, g, h)]
 
@@ -1081,7 +997,6 @@ def to_pointfunc(f, curves):
     the remaining part must be a constant times a principal unit, otherwise
     the input has an undeclared branch through the origin.
     """
-    f = _as_ratfunc(f)
     field = f.field
     num, den = f.num, f.den
     exps = {}
@@ -1120,9 +1035,9 @@ def _poly2_to_branch(P, y):
     """Map a bivariate polynomial into branch coordinates (u_{x,y}, t_y)."""
     field = P.field
     if y.kind == "axis_u":
-        return Laurent2(field, _terms_from(P, lambda a, b: (a, b)), INF, {})
+        return Laurent2(field, P.rows(), INF, {})
     if y.kind == "axis_t":
-        return Laurent2(field, _terms_from(P, lambda a, b: (b, a)), INF, {})
+        return Laurent2(field, _poly2_transpose(P).rows(), INF, {})
     phi = y.graph_poly
     if y.kind == "graph_u_of_t":
         P = _poly2_transpose(P)
@@ -1141,14 +1056,6 @@ def _poly2_to_branch(P, y):
                              INF, {})
             acc = acc + (term * inner).monomial_mul(binom, 0, r)
     return acc
-
-
-def _terms_from(P, keyfn):
-    rows = {}
-    for (a, b), c in P.terms.items():
-        i, j = keyfn(a, b)
-        rows.setdefault(j, {})[i] = c
-    return rows
 
 
 def expand_point(pf, y, declared, precision):
@@ -1188,14 +1095,8 @@ def point_witt_terms(f, g, h, m, curves):
 
     Each curve sizes its own working box, as _witt_terms says.
     """
-    if isinstance(h, WittVec):
-        comps = list(h.components)
-    elif isinstance(h, PointFunc):
-        comps = [h]
-    else:
-        comps = list(h)
     keys, expand = _at_curves(curves)
-    return _witt_terms(keys, expand, f, g, comps, m)
+    return _witt_terms(keys, expand, f, g, _components(h), m)
 
 
 def point_tame_terms(f, g, h, curves):
@@ -1214,9 +1115,10 @@ def _witt_terms(keys, expand, f, g, comps, m):
     At each key, expand(c, key, max(box)) expands f, g and comps, and a
     pairer of {f, g} in the working box pairs them.  The box starts at
     (2, 2) and doubles while a coefficient falls outside the known region
-    (with_box); the data is exact, so some box answers.
+    (with_box); the data is exact, so some box answers.  m is checked
+    first, so an unsupported length is refused before any expansion.
     """
-    check_length(m)
+    check_length(m, traced=True)
 
     def pair_at(key, box):
         fh, gh, *ch = (expand(c, key, max(box)) for c in [f, g] + comps)
@@ -1372,8 +1274,6 @@ def as_reduce(f):
     every such coefficient lies in the representative set (no p-th-power
     component left).
     """
-    if not isinstance(f, FyElem):
-        f = ratfunc_to_fy(_as_ratfunc(f))
     field = f.field
     p = field.p
     work = {k: c for k, c in f.terms.items() if k < 0 and c}
@@ -1405,8 +1305,6 @@ def as_residual_solves(f, rep, t_prec=None):
     the positive part is matched against the explicit geometric series
     h = (-f+) + (-f+)^p + (-f+)^{p^2} + ... truncated at the precision.
     """
-    if not isinstance(f, FyElem):
-        f = ratfunc_to_fy(_as_ratfunc(f))
     field = f.field
     p = field.p
     diff = f - rep.recompose()
@@ -1580,7 +1478,7 @@ def duality_level_curve(k, pole_bound, field, diag_samples=None):
         fexps = [b for b in range(1, D + 1) if b % p]
     # u^b is a polynomial: its expansion at a rational place is exact at
     # any precision
-    fhats = {x: [expand_at_place(
+    fhats = {x: [_expand_poly1(
         Poly1(field, (field.zero,) * b + (field.one,)), x, 1)
         for b in fexps] for x in places}
     gens = []

@@ -19,7 +19,7 @@ from .forms import TwoForm, dlog, residue, wedge
 from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, bar_valuation,
                      invert, laurent_domain, lift_padic, outer_valuation,
                      unit_decompose)
-from .witt import GhostVec, WittVec, unghost, witt_trace_to_prime
+from .witt import MAX_LENGTH, GhostVec, WittVec, unghost, witt_trace_to_prime
 
 INF = math.inf
 
@@ -176,10 +176,15 @@ def unramified_exponent(e):
 # local Witt pairing
 # --------------------------------------------------------------------------
 
-def check_length(m):
-    """Refuse a Witt length below 1: a pairing of length m has m components."""
+def check_length(m, traced=False):
+    """Refuse a Witt length below 1, since a pairing of length m has m
+    components, and a traced one above witt.MAX_LENGTH, since the trace adds
+    with the universal Witt polynomials, derived only up to that length."""
     if m < 1:
         raise UnsupportedLength(f"Witt length {m} is below 1")
+    if traced and m > MAX_LENGTH:
+        raise UnsupportedLength(
+            f"length {m} exceeds configured max {MAX_LENGTH}")
 
 
 class WittPairer:
@@ -267,14 +272,15 @@ def with_box(box, last, run):
 
     Each side doubles up to its side of last, and a failure at last is
     raised; last=None doubles without end, for exact data, where some box
-    answers.  An answer is exact at any box, since a coefficient is read
-    only where the precision regions mark it known; the box sets only time.
+    answers.  A side below 1 cannot grow, so a failure there is raised too.
+    An answer is exact at any box, since a coefficient is read only where
+    the precision regions mark it known; the box sets only time.
     """
     while True:
         try:
             return run(box)
         except PrecisionTooLow:
-            if box == last:
+            if box == last or min(box) < 1:
                 raise
             box = tuple(min(2 * b, c) for b, c in zip(box, last or (INF, INF)))
 
@@ -295,6 +301,7 @@ def witt_pair_local(e, g, m, traced=True):
     it holds twice the box max(12, (E+1)·p^(m−1)+4) of g's deepest negative
     exponent E per variable; past that, PrecisionTooLow.
     """
+    check_length(m, traced)
     pair = WittPairer.pair if traced else WittPairer.pair_untraced
     return _with_pairer(e, m, [g.components[:m]],
                         lambda pairer: pair(pairer, g, m))
@@ -311,7 +318,9 @@ class K2Basis:
     {1 + a u^i t^j, u}-type entries.  Index rules: e1 entries require p∤i or
     (p|i and p|j); e2 entries require p|i.  Entries with i+j ≤ level are the
     basis proper; index pairs with p|i, p|j and (i+j)/p ≤ level are also
-    kept, since the length-2 pairing family still separates them.
+    kept, but the test family of k2_equiv need not separate them: removing
+    (5, 15) from the decomposition of {1 + 4·u·t³, u} at level 4 over F_5
+    leaves the result k2_equiv to the input.
     """
 
     def __init__(self, field, level):
@@ -367,7 +376,9 @@ class _Decomposer:
 
     Works modulo symbols invisible to the level-N pairing family: constant
     second slots, {ζ, ε} pieces, factors supported beyond the visibility
-    horizon H = p·N, and elementary units with negative u-exponent.
+    horizon H = p·N, and elementary units with negative u-exponent.  It reads
+    the rows 0..H of each principal part up to u^Hu, so run raises
+    PrecisionTooLow unless all of those coefficients are known.
     """
 
     BUDGET = 200000
@@ -388,6 +399,15 @@ class _Decomposer:
         self.budget = self.BUDGET
 
     # -- series plumbing ---------------------------------------------------
+
+    def known_box(self, f):
+        """box(f), after checking that f is known on all of the box."""
+        if f.t_prec <= self.H or any(j <= self.H and b <= self.Hu
+                                     for j, b in f.u_prec.items()):
+            raise PrecisionTooLow(
+                f"decomposition at level {self.N} reads rows 0..{self.H} up "
+                f"to u^{self.Hu}, beyond the known terms of a symbol entry")
+        return self.box(f)
 
     def box(self, f):
         rows = {}
@@ -549,8 +569,8 @@ class _Decomposer:
             self.basis.ut_exp += exp * (i * l - j * k)
             self.basis.zeta_u_exp += exp * (af * k - i * bg + half * i * k)
             self.basis.zeta_t_exp += exp * (af * l - j * bg + half * j * l)
-            ef = self.box(df.principal)
-            eg = self.box(dg.principal)
+            ef = self.known_box(df.principal)
+            eg = self.known_box(dg.principal)
             if (ef - one).terms:
                 if k:
                     self.work.append(("EU", ef, "u", exp * k))
@@ -577,7 +597,8 @@ def k2_decompose(e, level):
 
     The result is pairing-equivalent to the input at that level; verify with
     k2_equiv.  Elements whose basis content does not settle within
-    _Decomposer.BUDGET steps raise StepBudgetExceeded.
+    _Decomposer.BUDGET steps raise StepBudgetExceeded, and entries not known
+    as far as the decomposition reads raise PrecisionTooLow.
     """
     return _Decomposer(e.field, level).run(e)
 

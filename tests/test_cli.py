@@ -208,6 +208,53 @@ class TestRun:
         assert code == 0, rep
         assert time.perf_counter() - start < 1.0
 
+    def test_huge_power_of_u_lists_places_cheaply(self):
+        # the places are read from sparse rows, so u^200000 is never dense
+        start = time.perf_counter()
+        code, rep = run(["reciprocity-curve", "--field", "2^1",
+                         "u^-200000", "u", "t"])
+        assert code == 0, rep
+        assert rep["verdict"] is True
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["witt-pair", "--field", "2^1", "--m", "12", "1+u+t", "t",
+         "u^-1*t^-1"],
+        ["reciprocity-curve", "--field", "2^1", "--m", "12", "u", "t",
+         "u^-1"]])
+    def test_length_above_cap_refused_first(self, argv):
+        start = time.perf_counter()
+        code, rep = run(argv)
+        assert code == 2
+        assert rep["error"] == "UnsupportedLength"
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("op", ["*", "+"])
+    def test_long_chain_evaluates(self, op):
+        # 2001 factors or terms, each equal to u over F_2
+        code, rep = run(["tame", "--field", "2^1", op.join(["u"] * 2001),
+                         "u", "t"])
+        assert code == 0, rep
+
+    @pytest.mark.parametrize("flags", [[], ["--prec-u", "2"],
+                                       ["--prec-t", "2"],
+                                       ["--prec-t", "40", "--prec-u", "40"]])
+    def test_decompose_does_not_depend_on_precision(self, flags):
+        # (1+ut)^-1 is not exact at any box; the decomposer reads rows 0..6
+        # up to u^14 at level 3, and the expression is expanded that far
+        code, rep = run(["decompose", "--field", "2^1", "--level", "3"]
+                        + flags + ["(1+u*t)^-1", "t"])
+        assert code == 0, rep
+        assert [(e["i"], e["j"]) for e in rep["basis"]["e1_terms"]] == \
+            [(1, 1), (2, 2)]
+
+    def test_decompose_refuses_a_box_side_below_one(self):
+        # doubling a side below 1 cannot make it positive
+        code, rep = run(["decompose", "--field", "2^1", "--prec-t", "0",
+                         "(1+u*t)^-1", "t"])
+        assert code == 2
+        assert rep["error"] == "PrecisionTooLow"
+
     def test_internal_error_exit_3(self, monkeypatch):
         def broken(args, field):
             return 1 // 0

@@ -87,8 +87,11 @@ class TestPolynomials:
         F2 = make_field(2, 1)
         one, u, t = uvars(F2)
         f = (u * u + t) / (t * (u + one))
-        fy = ratfunc_to_fy(f)
-        assert fy.to_ratfunc() == f
+        # f = (u^2 / (u+1)) t^-1 + 1 / (u+1)
+        d = Poly1.from_ints(F2, [1, 1])
+        assert ratfunc_to_fy(f).terms == {
+            -1: RatFunc1(Poly1.from_ints(F2, [0, 0, 1]), d),
+            0: RatFunc1(Poly1.from_ints(F2, [1]), d)}
 
     def test_fy_rejects_mixed_denominator(self):
         F2 = make_field(2, 1)
@@ -288,6 +291,25 @@ class TestBivariateReduction:
 # places and expansion
 # --------------------------------------------------------------------------
 
+def _list_places_reference(fs):
+    """Places of RatFuncs by factoring every dense t-coefficient, as before
+    rows were read from their sparse terms; the reference for list_places."""
+    field = fs[0].field
+    polys = []
+    for f in fs:
+        polys.extend(f.num.t_coeffs().values())
+        polys.extend(f.den.t_coeffs().values())
+    finite = set()
+    for poly in polys:
+        if poly.deg < 1:
+            continue
+        finite.update(factor_poly1(poly))
+    places = sorted((CurvePlace(field, "finite", pi) for pi in finite),
+                    key=CurvePlace.sort_key)
+    places.append(infinity_place(field))
+    return places
+
+
 class TestPlaces:
     def test_list_places_u(self):
         F2 = make_field(2, 1)
@@ -306,6 +328,26 @@ class TestPlaces:
         F2 = make_field(2, 1)
         one, _, _ = uvars(F2)
         assert [x.kind for x in list_places([one])] == ["infinity"]
+
+    def test_list_places_matches_reference(self):
+        # random fractions with planted u-content, large powers of u and an
+        # irreducible quadratic, over prime and non-prime fields
+        rng = random.Random(13)
+        for p, n in ((2, 1), (3, 1), (2, 2), (5, 1)):
+            F = make_field(p, n)
+            _, u, t = uvars(F)
+            quad = RatFunc.from_poly2(Poly2.from_poly1(_irreducibles(F, 2)[0]))
+            for _ in range(12):
+                fs = [rand_ratfunc(rng, F) for _ in range(rng.randrange(1, 4))]
+                fs[0] = fs[0] * u ** rng.randrange(-3, 4)
+                fs[-1] = fs[-1] * quad ** rng.randrange(-2, 3)
+                if rng.randrange(2):
+                    fs.append((u ** rng.randrange(-300, 300) + t) * quad)
+                assert list_places(fs) == _list_places_reference(fs)
+
+    def test_list_places_empty(self):
+        with pytest.raises(ZeroArgument):
+            list_places([])
 
     def test_expand_parameter(self):
         F2 = make_field(2, 1)
@@ -334,7 +376,7 @@ class TestPlaces:
         F2 = make_field(2, 1)
         pi = Poly1.from_ints(F2, [1, 1, 1])
         x = CurvePlace(F2, "finite", pi)
-        fhat = expand_at_place(RatFunc1.from_poly(pi), x, 8)
+        fhat = expand_at_place(RatFunc.from_poly2(Poly2.from_poly1(pi)), x, 8)
         assert fhat.coeff(0, 0) == fhat.dom.zero
         assert fhat.coeff(1, 0) == fhat.dom.one
         assert fhat.dom.q == 4
@@ -808,9 +850,8 @@ class TestDualityCurve:
 
     def test_diagonal_elements_in_kernel(self):
         F2 = make_field(2, 1)
-        one = RatFunc1.const(F2, F2.one)
-        a = RatFunc1.from_poly(Poly1.from_ints(F2, [0, 1]))
-        b = RatFunc1.from_poly(Poly1.from_ints(F2, [1, 1]))
+        one, a, _ = uvars(F2)
+        b = a + one
         rep = duality_level_curve(1, 2, F2,
                                   diag_samples=[(a, b), (one, b), (a, one)])
         assert rep["diagonal_in_kernel"] == [True, True, True]
@@ -823,8 +864,8 @@ class TestDualityCurve:
         # the sum runs over rational places only, so a sample meeting the
         # place 1+u^2 of degree 2 used to be reported "not in the kernel"
         F3 = make_field(3, 1)
-        a, b, c = (RatFunc1.from_poly(Poly1.from_ints(F3, cs))
-                   for cs in ([1, 1], [1, 0, 1], [0, 1]))
+        a, b, c = (RatFunc.from_poly2(Poly2.from_poly1(
+            Poly1.from_ints(F3, cs))) for cs in ([1, 1], [1, 0, 1], [0, 1]))
         with pytest.raises(UnsupportedPlace):
             duality_level_curve(1, 2, F3, diag_samples=[(a * b.inv(), c)])
 

@@ -361,6 +361,13 @@ class TestWithBox:
         assert with_box((2, 3), None, run) == (4096, 6144)
         assert len(seen) == 12
 
+    @pytest.mark.parametrize("box", [(0, 4), (4, -3)])
+    def test_a_side_below_one_cannot_grow(self, box):
+        seen, run = self.run_until(8)
+        with pytest.raises(PrecisionTooLow):
+            with_box(box, None, run)
+        assert seen == [box]
+
 
 class TestEquivAndIdentities:
     def test_reflexive(self):
@@ -430,6 +437,15 @@ class TestDecompose:
         one = Laurent2.one(F2)
         with pytest.raises(StepBudgetExceeded):
             k2_decompose(symbol(one + U(F2), one + T(F2)), 2)
+
+    def test_truncated_entry_is_refused(self):
+        # level 3 over F_2 reads rows 0..6 up to u^14 of each principal part
+        eps = invert(Laurent2.one(F2) + mono(F2, 1, 1, 1), 12, 12)
+        with pytest.raises(PrecisionTooLow):
+            k2_decompose(symbol(eps, T(F2)), 3)
+        eps = invert(Laurent2.one(F2) + mono(F2, 1, 1, 1), 24, 24)
+        basis = k2_decompose(symbol(eps, T(F2)), 3)
+        assert sorted(basis.e1_terms) == [(1, 1), (2, 2)]
 
     def test_json_roundtrip(self):
         basis = k2_decompose(symbol(U(F4), T(F4)), 2)
