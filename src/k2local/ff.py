@@ -511,6 +511,7 @@ class GaloisRing:
         self.zero = GRElem(self, (0,) * self.n)
         self.one = GRElem(self, tuple([1] + [0] * (self.n - 1)))
         self.two = GRElem(self, tuple([2 % self.ps] + [0] * (self.n - 1)))
+        self._teich = {}  # Teichmüller lifts by the coeffs of a in F_q
 
     def from_int(self, k):
         return GRElem(self, tuple([k % self.ps] + [0] * (self.n - 1)))
@@ -523,16 +524,25 @@ class GaloisRing:
         return FqElem(self.field, tuple(c % self.p for c in x.coeffs))
 
     def teichmuller(self, a):
-        """Multiplicative lift of a: the limit of q-power iteration."""
-        if not a:
-            return self.zero
-        x = self.from_fq(a)
-        q = self.field.q
-        while True:
-            y = x ** q
-            if y == x:
-                return x
-            x = y
+        """Multiplicative lift of a: the limit of q-power iteration.
+
+        Each lift is computed once and kept in a per-ring table keyed by
+        a.coeffs, filled on demand, so it never holds more than q entries.
+        """
+        x = self._teich.get(a.coeffs)
+        if x is not None:
+            return x
+        x = self.zero
+        if a:
+            x = self.from_fq(a)
+            q = self.field.q
+            while True:
+                y = x ** q
+                if y == x:
+                    break
+                x = y
+        self._teich[a.coeffs] = x
+        return x
 
     def divisible_by(self, x, k):
         """Is x ≡ 0 mod p^k?"""

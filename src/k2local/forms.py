@@ -2,8 +2,13 @@
 
 One-forms a du + b dt and two-forms a du∧dt with the orientation du∧dt
 positive (u the inner variable, t the outer).  The residue of a two-form is
-the coefficient of u^{-1}t^{-1} in its du∧dt expression; no trace to the
-prime field is applied here — callers that need a trace apply it themselves.
+the coefficient of u^{-1}t^{-1} in its du∧dt expression; residue(form, g)
+is the residue of g·form, read as a dot product of g with the coefficients
+of form, without forming the product.  No trace to the prime field is
+applied here — callers that need a trace apply it themselves.
+
+The derivatives scale integer coordinates and adopt their result without
+re-validation: the terms stay inside the shifted region.
 """
 
 from __future__ import annotations
@@ -12,36 +17,45 @@ from .errors import CoefficientOutsidePrecision, FieldMismatch, PrecisionTooLow
 from .series import Laurent2
 
 
+def _int_multiple(dom, k, c):
+    """k·c for an integer k, coordinatewise; None when it is zero.
+
+    In a Galois ring k·c can be zero for c nonzero, when p | k.
+    """
+    cs = tuple(k * a % dom.char for a in c.coeffs)
+    return type(c)(dom, cs) if any(cs) else None
+
+
 def d_du(f):
     """Partial derivative of a Laurent2 with respect to u."""
+    dom = f.dom
     rows = {}
     for j, row in f.terms.items():
         dst = {}
         for i, c in row.items():
-            cc = f.dom.from_int(i) * c
-            if cc:
+            cc = _int_multiple(dom, i, c)
+            if cc is not None:
                 dst[i - 1] = cc
         if dst:
             rows[j] = dst
     up = {j: b - 1 for j, b in f.u_prec.items()}
-    return Laurent2(f.dom, rows,
-                    None if f.t_prec == float("inf") else int(f.t_prec), up)
+    return Laurent2._adopt(dom, rows, f.t_prec, up)
 
 
 def d_dt(f):
     """Partial derivative of a Laurent2 with respect to t."""
+    dom = f.dom
     rows = {}
     for j, row in f.terms.items():
         dst = {}
         for i, c in row.items():
-            cc = f.dom.from_int(j) * c
-            if cc:
+            cc = _int_multiple(dom, j, c)
+            if cc is not None:
                 dst[i] = cc
         if dst:
             rows[j - 1] = dst
-    tp = f.t_prec - 1
     up = {j - 1: b for j, b in f.u_prec.items()}
-    return Laurent2(f.dom, rows, None if tp == float("inf") else int(tp), up)
+    return Laurent2._adopt(dom, rows, f.t_prec - 1, up)
 
 
 class OneForm:
@@ -76,9 +90,6 @@ class TwoForm:
     def __neg__(self):
         return TwoForm(-self.a)
 
-    def scale(self, f):
-        return TwoForm(f * self.a)
-
     def int_scale(self, k):
         return TwoForm(self.a.int_scale(k))
 
@@ -110,14 +121,20 @@ def wedge(w1, w2):
     return TwoForm(w1.a * w2.b - w1.b * w2.a)
 
 
-def residue(form):
+def residue(form, g=None):
     """Coefficient of u^{-1}t^{-1} du∧dt, in the coefficient domain.
 
-    Raises CoefficientOutsidePrecision when that coefficient lies outside
-    the known region; any other error passes through.
+    With g given, the residue of g·form: the coefficient of u^{-1}t^{-1} in
+    g·form.a, read as the dot product Σ g[j][i]·a[−1−j][−1−i] without
+    forming the product (Laurent2.mul_coeff), and known exactly where the
+    product would mark it known.  Raises CoefficientOutsidePrecision when
+    the coefficient lies outside the known region; any other error passes
+    through.
     """
     try:
-        return form.a.coeff(-1, -1)
+        if g is None:
+            return form.a.coeff(-1, -1)
+        return g.mul_coeff(form.a, -1, -1)
     except PrecisionTooLow as exc:
         raise CoefficientOutsidePrecision(
             "residue coefficient not determined at this precision") from exc

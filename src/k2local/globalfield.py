@@ -828,7 +828,16 @@ def _expand_poly1(a, place, prec):
 
 
 def _expand_poly2(P, place, prec):
-    kx, _, _ = place_field(place)
+    """Expansion of a bivariate polynomial, t-row by t-row.
+
+    At infinity (parameter 1/u) and at the place u the expansion only
+    relabels the sparse rows of P, so a large power of u costs one term.
+    """
+    kx, _, root = place_field(place)
+    if place.kind == "infinity" or (place.residue_degree == 1 and not root):
+        sign = -1 if place.kind == "infinity" else 1
+        return Laurent2(kx, {b: {sign * a: c for a, c in row.items()}
+                             for b, row in P.rows().items()})
     acc = Laurent2.zero(kx)
     for b, poly in P.t_coeffs().items():
         acc = acc + _expand_poly1(poly, place, prec).monomial_mul(

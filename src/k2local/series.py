@@ -11,14 +11,25 @@ The same machinery runs over F_q coefficients (Laurent2 proper) and over
 Galois-ring coefficients W_s(F_q) (the characteristic-zero lift used by the
 Witt pairing); the coefficient domain is pluggable.
 
-The product is one integer kernel.  It computes the output region first (the
-t-window and the per-row u-bounds), then multiplies only the term pairs that
-land inside it, walking each row in sorted u-order and stopping at the row's
-bound.  Coefficients enter as plain ints: the single coordinate when n = 1,
-else the coordinate tuple Kronecker-packed into one int with digits wide
-enough that no accumulated sum carries.  Each output coefficient is reduced
-once, mod char (p or p^s) and mod the modulus polynomial, and becomes an
-FqElem/GRElem only when it is nonzero.
+The product is one integer kernel.  It fixes the Kronecker width from the
+term counts, then makes one sorted pass over each operand's rows, which
+gives for each row its u lower bound, its u bound and its terms as ints.
+From those rows it computes the output region first (the t-window and the
+per-row u-bounds), then multiplies only the term pairs that land inside it,
+walking each row in sorted u-order and stopping at the row's bound.
+Coefficients enter as plain ints: the single coordinate when n = 1, else
+the coordinate tuple Kronecker-packed into one int with digits wide enough
+that no accumulated sum carries.  Each output coefficient is reduced once,
+mod char (p or p^s) and mod the modulus polynomial, and becomes an
+FqElem/GRElem only when it is nonzero.  mul_coeff reads one coefficient of
+a product by the same region rule, as a dot product, without forming it.
+
+Sums, negation, monomial multiples and the Teichmüller lift adopt their
+result without the validating constructor: their terms already lie in the
+new region, so a sum filters only the rows whose bound tightened, and a
+monomial multiple drops the products that vanish (in a Galois ring c·v is
+0 when c is not a unit).  Term rows and region dicts are shared between
+values, since no operation changes one in place.
 
 invert sums the geometric series 1 - eps + eps^2 - ... in a fixed working
 box.  Every power is one product through the kernel above, followed by a
@@ -151,11 +162,32 @@ class Laurent2:
     def __add__(self, other):
         self._check(other)
         tp = min(self.t_prec, other.t_prec)
+        up = {}
+        for j in self.u_prec.keys() | other.u_prec.keys():
+            b = min(self.uprec(j), other.uprec(j))
+            if j < tp and b != INF:
+                up[j] = b
+        # each operand's terms lie in its own region: only rows whose bound
+        # tightened are filtered, as in truncate; a row of one operand alone
+        # is reused as it is
         rows = {}
-        for src in (self.terms, other.terms):
+        for src, sup in ((self.terms, self.u_prec),
+                         (other.terms, other.u_prec)):
             for j, row in src.items():
-                dst = rows.setdefault(j, {})
+                if j >= tp:
+                    continue
+                b = up.get(j, INF)
+                dst = rows.get(j)
+                if dst is None:
+                    if b < sup.get(j, INF):
+                        row = {i: c for i, c in row.items() if i < b}
+                    if row:
+                        rows[j] = row
+                    continue
+                dst = dict(dst)
                 for i, c in row.items():
+                    if i >= b:
+                        continue
                     if i in dst:
                         s = dst[i] + c
                         if s:
@@ -164,47 +196,23 @@ class Laurent2:
                             del dst[i]
                     else:
                         dst[i] = c
-        up = {}
-        for j in set(self.u_prec) | set(other.u_prec):
-            b = min(self.uprec(j), other.uprec(j))
-            if b != INF:
-                up[j] = b
-        return Laurent2(self.dom, rows, None if tp == INF else tp, up)
+                if dst:
+                    rows[j] = dst
+                else:
+                    del rows[j]
+        return Laurent2._adopt(self.dom, rows, tp, up)
 
     def __neg__(self):
         rows = {j: {i: -c for i, c in row.items()}
                 for j, row in self.terms.items()}
-        return Laurent2(self.dom, rows,
-                        None if self.t_prec == INF else self.t_prec,
-                        self.u_prec)
+        return Laurent2._adopt(self.dom, rows, self.t_prec, self.u_prec)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        # the region first: the product's t-window and per-row u-bounds
-        ftlb, gtlb = self.tlb(), other.tlb()
-        tp = min(self.t_prec + gtlb, other.t_prec + ftlb)
-        if math.isnan(tp):  # inf + -inf cannot occur: tlb >= min exponent
-            tp = INF  # pragma: no cover
-        up = {}
-        if self.u_prec or other.u_prec:
-            grows = _region_rows(other)
-            for j1, lb1, up1 in _region_rows(self):
-                for j2, lb2, up2 in grows:
-                    j = j1 + j2
-                    if j >= tp:
-                        break
-                    b = up1 + lb2
-                    c = up2 + lb1
-                    if c < b:
-                        b = c
-                    if b < up.get(j, INF):
-                        up[j] = b
         fterms, gterms = self.terms, other.terms
-        if not fterms or not gterms:
-            return Laurent2._adopt(self.dom, {}, tp, up)
         dom = self.dom
         char, n, elem, bits, fold = _mul_consts(dom)
         w = None
@@ -214,14 +222,39 @@ class Laurent2:
             # min(#f terms, #g terms) such products, so no digit carries.
             w = bits + min(sum(map(len, fterms.values())),
                            sum(map(len, gterms.values()))).bit_length()
+        frows, grows = _operand_rows(self, w), _operand_rows(other, w)
+        # the region first: the product's t-window and per-row u-bounds
+        ftlb = frows[0][0] if frows else self.t_prec
+        gtlb = grows[0][0] if grows else other.t_prec
+        tp = min(self.t_prec + gtlb, other.t_prec + ftlb)
+        if math.isnan(tp):  # inf + -inf cannot occur: tlb >= min exponent
+            tp = INF  # pragma: no cover
+        up = {}
+        if self.u_prec or other.u_prec:
+            for j1, lb1, up1, _ in frows:
+                for j2, lb2, up2, _ in grows:
+                    j = j1 + j2
+                    if j >= tp:
+                        break
+                    b = up1 + lb2
+                    c = up2 + lb1
+                    if c < b:
+                        b = c
+                    if b < up.get(j, INF):
+                        up[j] = b
+        if not fterms or not gterms:
+            return Laurent2._adopt(dom, {}, tp, up)
         # accumulate in-region pairs only: rows below tp, u below up[j]
         acc = {}
-        gints = _int_rows(gterms, w)
-        for j1, r1 in _int_rows(fterms, w):
-            for j2, r2 in gints:
+        for j1, _, _, r1 in frows:
+            if not r1:
+                continue
+            for j2, _, _, r2 in grows:
                 j = j1 + j2
                 if j >= tp:
                     break
+                if not r2:
+                    continue
                 dst = acc.get(j)
                 if dst is None:
                     dst = acc[j] = {}
@@ -270,11 +303,18 @@ class Laurent2:
         """Multiply by the exact monomial c·u^{i_shift}·t^{j_shift}."""
         if not c:
             return Laurent2.zero(self.dom)
-        rows = {j + j_shift: {i + i_shift: c * v for i, v in row.items()}
-                for j, row in self.terms.items()}
-        tp = self.t_prec + j_shift
+        # in a Galois ring c·v is 0 when c is not a unit and p | v
+        rows = {}
+        for j, row in self.terms.items():
+            dst = {}
+            for i, v in row.items():
+                cv = c * v
+                if cv:
+                    dst[i + i_shift] = cv
+            if dst:
+                rows[j + j_shift] = dst
         up = {j + j_shift: b + i_shift for j, b in self.u_prec.items()}
-        return Laurent2(self.dom, rows, None if tp == INF else tp, up)
+        return Laurent2._adopt(self.dom, rows, self.t_prec + j_shift, up)
 
     def int_scale(self, k):
         c = self.dom.from_int(k)
@@ -370,6 +410,61 @@ class Laurent2:
             raise PrecisionTooLow(f"coefficient ({j},{i}) outside precision")
         return self.terms.get(j, {}).get(i, self.dom.zero)
 
+    def mul_coeff(self, other, i, j):
+        """Coefficient of u^i t^j in self·other, without forming the product.
+
+        It is known exactly where self * other would mark it known: j below
+        the product's t-window and i below the u-bound that the region rule
+        of __mul__ gives row j, the least min(up1 + lb2, up2 + lb1) over the
+        rows j1 + j2 = j that may hold content (lb a row's u lower bound, up
+        its u bound); otherwise PrecisionTooLow.  The value is the dot
+        product Σ self[j1][i1]·other[j − j1][i − i1] over integer
+        coordinates, reduced once as in the product kernel.
+        """
+        self._check(other)
+        fterms, gterms = self.terms, other.terms
+        tp = min(self.t_prec + other.tlb(), other.t_prec + self.tlb())
+        if j >= tp:
+            raise PrecisionTooLow(f"coefficient ({j},{i}) outside precision")
+        fups, gups = self.u_prec, other.u_prec
+        if fups or gups:
+            bound = INF
+            for j1 in fterms.keys() | fups.keys():
+                j2 = j - j1
+                row2 = gterms.get(j2)
+                if row2 is None and j2 not in gups:
+                    continue
+                row1 = fterms.get(j1)
+                b = fups.get(j1, INF) + (min(row2) if row2 else gups[j2])
+                c = gups.get(j2, INF) + (min(row1) if row1 else fups[j1])
+                if c < b:
+                    b = c
+                if b < bound:
+                    bound = b
+            if i >= bound:
+                raise PrecisionTooLow(
+                    f"coefficient ({j},{i}) outside precision")
+        pairs = []
+        for j1, row1 in fterms.items():
+            row2 = gterms.get(j - j1)
+            if row2 is None:
+                continue
+            if len(row2) < len(row1):
+                row1, row2 = row2, row1
+            for i1, a in row1.items():
+                b = row2.get(i - i1)
+                if b is not None:
+                    pairs.append((a.coeffs, b.coeffs))
+        dom = self.dom
+        char, n, elem, bits, fold = _mul_consts(dom)
+        if n == 1:
+            v = sum(a[0] * b[0] for a, b in pairs) % char
+            return elem(dom, (v,)) if v else dom.zero
+        w = bits + len(pairs).bit_length()
+        cs = _unpack(sum(_pack(a, w) * _pack(b, w) for a, b in pairs),
+                     w, n, char, fold)
+        return elem(dom, cs) if cs else dom.zero
+
     def leading(self):
         """(j, i, c) of the (t,u)-lexicographically least known term.
 
@@ -432,30 +527,39 @@ def _mul_consts(dom):
 
 
 def _region_rows(f):
-    """Rows that may hold content as [(j, u lower bound, u bound)], by j.
+    """Rows that may hold content as [(j, u lower bound)], by j.
 
     A row with terms is bounded below by its least u-exponent, a row with a
-    bound and no terms by that bound.
+    bound and no terms by that bound.  invert's tail closure reads these.
+    """
+    terms, ups = f.terms, f.u_prec
+    return [(j, min(terms[j]) if j in terms else ups[j])
+            for j in sorted(terms.keys() | ups.keys())]
+
+
+def _operand_rows(f, w):
+    """One sorted pass over a product operand's rows that may hold content.
+
+    Returns [(j, u lower bound, u bound, int row)] sorted by j.  The int row
+    is [(i, int)] sorted by i, so its first u-exponent is the lower bound; a
+    row with a bound and no terms has an empty int row and that bound as its
+    lower bound.  The int is the single coordinate when w is None, else the
+    coordinates Kronecker-packed with w-bit digits.
     """
     terms, ups = f.terms, f.u_prec
     rows = []
-    for j in sorted(terms.keys() | ups.keys()):
+    for j in sorted(terms.keys() | ups.keys()) if ups else sorted(terms):
         row = terms.get(j)
-        rows.append((j, min(row) if row else ups[j], ups.get(j, INF)))
+        ub = ups.get(j, INF)
+        if not row:
+            rows.append((j, ub, ub, ()))
+            continue
+        if w is None:
+            ints = [(i, c.coeffs[0]) for i, c in sorted(row.items())]
+        else:
+            ints = [(i, _pack(c.coeffs, w)) for i, c in sorted(row.items())]
+        rows.append((j, ints[0][0], ub, ints))
     return rows
-
-
-def _int_rows(terms, w):
-    """Rows as [(j, [(i, int)])], sorted by j and by i.
-
-    The int is the single coordinate when w is None, else the coordinates
-    Kronecker-packed with w-bit digits.
-    """
-    if w is None:
-        return [(j, [(i, c.coeffs[0]) for i, c in sorted(row.items())])
-                for j, row in sorted(terms.items())]
-    return [(j, [(i, _pack(c.coeffs, w)) for i, c in sorted(row.items())])
-            for j, row in sorted(terms.items())]
 
 
 def _pack(coeffs, w):
@@ -569,7 +673,7 @@ def invert(f, t_prec=None, u_prec=None):
     if pw.u_prec or pw.t_prec != INF:
         tail_t = min(pw.t_prec, t_box)
         dist = {j: b for j, b in pw.u_prec.items() if j < tail_t}
-        edges = [(j2, lb) for j2, lb, _ in _region_rows(eps)]
+        edges = _region_rows(eps)
         for _ in range(int(tail_t) - min(dist, default=int(tail_t)) + 1):
             changed = False
             for j, b in list(dist.items()):
@@ -642,10 +746,11 @@ def recompose(dec, dom):
 def lift_padic(f, s):
     """Coefficientwise Teichmüller lift into W_s(F_q)-coefficient series."""
     ring = galois_ring(f.dom, s)
-    rows = {j: {i: ring.teichmuller(c) for i, c in row.items()}
+    lift = ring.teichmuller
+    # a lift of a nonzero coefficient is a unit: the region carries over
+    rows = {j: {i: lift(c) for i, c in row.items()}
             for j, row in f.terms.items()}
-    return Laurent2(ring, rows,
-                    None if f.t_prec == INF else int(f.t_prec), f.u_prec)
+    return Laurent2._adopt(ring, rows, f.t_prec, f.u_prec)
 
 
 def reduce_mod_p(f, field):

@@ -232,7 +232,7 @@ class WittPairer:
             for r in range(k + 1):
                 term = (comps[r] ** (p ** (k - r))).int_scale(p ** r)
                 ghost_k = ghost_k + term
-            residues.append(residue(self.eta.scale(ghost_k)))
+            residues.append(residue(self.eta, ghost_k))
         w = unghost(GhostVec(self.ring, tuple(residues)))
         comps_k = tuple(self.ring.reduce_mod_p(c) for c in w.components)
         return WittVec(self.field, comps_k)

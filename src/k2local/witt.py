@@ -282,14 +282,15 @@ def witt_trace_to_prime(w):
     """Tr_{W_m(F_q)/W_m(F_p)}: Witt-sum of the Frobenius orbit.
 
     Input has FqElem components over a FieldSpec; the result is returned
-    over GF(p) (components checked to lie in the prime subfield).
+    over GF(p) (components checked to lie in the prime subfield).  The sum
+    starts at w and adds its n − 1 Frobenius conjugates, so over F_p it
+    makes no Witt addition at all.
     """
     field = w.ring
-    acc = witt_zero(field, w.length)
-    b = w
-    for _ in range(field.n):
-        acc = witt_add(acc, b)
+    acc = b = w
+    for _ in range(field.n - 1):
         b = witt_frobenius(b)
+        acc = witt_add(acc, b)
     fp = make_field(field.p, 1)
     comps = []
     for c in acc.components:

@@ -217,6 +217,16 @@ class TestRun:
         assert rep["verdict"] is True
         assert time.perf_counter() - start < 1.0
 
+    def test_huge_power_of_u_expands_cheaply(self):
+        # the expansions at infinity and at u relabel sparse rows, so
+        # u^-2000000 costs one term there, not two million
+        start = time.perf_counter()
+        code, rep = run(["reciprocity-curve", "--field", "2^1",
+                         "u^-2000000", "u", "t"])
+        assert code == 0, rep
+        assert rep["verdict"] is True
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("argv", [
         ["witt-pair", "--field", "2^1", "--m", "12", "1+u+t", "t",
          "u^-1*t^-1"],

@@ -134,6 +134,31 @@ def test_teichmuller_multiplicative_and_torsion():
                     assert ring.teichmuller(a) ** (f.q - 1) == ring.one
 
 
+def _teichmuller_reference(ring, a):
+    """The q-power iteration from the digit lift, with no table."""
+    if not a:
+        return ring.zero
+    x = ring.from_fq(a)
+    while x ** ring.field.q != x:
+        x = x ** ring.field.q
+    return x
+
+
+@pytest.mark.parametrize("f", [F4, F9])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_teichmuller_table_matches_iteration(f, s):
+    ring = ff.GaloisRing(f, s)  # a fresh ring: its table starts empty
+    assert not ring._teich
+    cold = {}
+    for a in f.elements():  # cold: each lift is computed and kept
+        cold[a.coeffs] = ring.teichmuller(a)
+        assert cold[a.coeffs] == _teichmuller_reference(ring, a)
+    assert len(ring._teich) == f.q
+    for a in f.elements():  # warm: each lift is read from the table
+        assert ring.teichmuller(a) is cold[a.coeffs]
+    assert len(ring._teich) == f.q
+
+
 def test_galois_ring_inverse():
     ring = ff.galois_ring(F9, 4)
     for k in range(1, 40):

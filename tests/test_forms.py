@@ -5,7 +5,7 @@ import random
 import pytest
 
 from k2local.errors import CoefficientOutsidePrecision, InvariantViolation
-from k2local.ff import make_field
+from k2local.ff import galois_ring, make_field
 from k2local.forms import (OneForm, TwoForm, d_dt, d_du, differential, dlog,
                            residue, wedge)
 from k2local.series import Laurent2, invert
@@ -14,6 +14,7 @@ F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F9 = make_field(3, 2)
+W2F9 = galois_ring(F9, 2)
 
 
 def poly(dom, d):
@@ -133,3 +134,55 @@ class TestWedgeResidue:
             except Exception:
                 continue
             assert r == F9.zero
+
+
+def rand_region_series(dom, rng):
+    """A random series with a random region: a t-window and row bounds."""
+    elem = type(dom.one)
+    rows = {}
+    for _ in range(rng.randrange(0, 12)):
+        cs = tuple(rng.randrange(dom.char) for _ in range(dom.n))
+        rows.setdefault(rng.randrange(-4, 4), {})[rng.randrange(-4, 4)] = \
+            elem(dom, cs)
+    t_prec = rng.choice([None, None, rng.randrange(-3, 5)])
+    u_prec = {rng.randrange(-4, 4): rng.randrange(-3, 5)
+              for _ in range(rng.randrange(0, 4))}
+    return Laurent2(dom, rows, t_prec, u_prec)
+
+
+class TestDotProductResidue:
+    @pytest.mark.parametrize("dom", [F3, F4, W2F9])
+    def test_matches_the_formed_product(self, dom):
+        # the old path formed g·a and read one coefficient of it
+        rng = random.Random(dom.char * 10 + dom.n)
+        raised = nonzero = 0
+        for _ in range(1500):
+            a = rand_region_series(dom, rng)
+            g = rand_region_series(dom, rng)
+            try:
+                want = residue(TwoForm(g * a))
+            except CoefficientOutsidePrecision:
+                raised += 1
+                with pytest.raises(CoefficientOutsidePrecision):
+                    residue(TwoForm(a), g)
+                continue
+            assert residue(TwoForm(a), g) == want
+            nonzero += bool(want)
+        assert 200 < raised < 1300 and nonzero > 40
+
+    def test_exact_example(self):
+        # (u^-1 t^-1 + u^2) · (1 + u t) has residue 1 in every row split
+        a = poly(F3, {(-1, -1): 1, (0, 2): 1})
+        g = poly(F3, {(0, 0): 1, (1, 1): 1})
+        assert residue(TwoForm(a), g) == F3.one
+        assert residue(TwoForm(g), a) == F3.one
+
+    def test_outside_the_product_region(self):
+        # g known only below u^0 in row 0 and a starting at u^-1 in row -1:
+        # the product's row -1 is known below u^(0 + (-1)), so not at u^-1
+        a = poly(F3, {(-1, -1): 1})
+        g = Laurent2(F3, {0: {-1: F3.one}}, None, {0: 0})
+        with pytest.raises(CoefficientOutsidePrecision):
+            residue(TwoForm(a), g)
+        with pytest.raises(CoefficientOutsidePrecision):
+            residue(TwoForm(g * a))

@@ -23,7 +23,7 @@ from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  point_basis_pair, point_tame_reciprocity,
                                  point_witt_reciprocity, point_witt_terms,
                                  ratfunc_to_fy, witt_report)
-from k2local.globalfield import (_expand_poly1, _irreducibles,
+from k2local.globalfield import (_expand_poly1, _expand_poly2, _irreducibles,
                                  _poly2_div_poly1, _poly2_transpose,
                                  _try_div_curve, place_field, poly1_gcd)
 from k2local.series import INF, Laurent2, laurent_domain
@@ -345,6 +345,28 @@ class TestPlaces:
                     fs.append((u ** rng.randrange(-300, 300) + t) * quad)
                 assert list_places(fs) == _list_places_reference(fs)
 
+    def test_expand_poly2_matches_dense_rows(self):
+        # at infinity and at u the rows are relabelled from the sparse
+        # terms; the reference expands each dense t-row (the old path)
+        rng = random.Random(29)
+        for p, n in ((2, 1), (3, 1), (2, 2)):
+            F = make_field(p, n)
+            _, u, t = uvars(F)
+            places = [CurvePlace(F, "finite",
+                                 Poly1(F, (F.zero, F.one))),
+                      infinity_place(F)]
+            for _ in range(10):
+                f = rand_ratfunc(rng, F) * u ** rng.randrange(-3, 4)
+                if rng.randrange(2):
+                    f = f + u ** rng.randrange(-300, 300) * t
+                for P in (f.num, f.den):
+                    for x in places:
+                        got = _expand_poly2(P, x, 8)
+                        ref = _expand_poly2_reference(P, x, 8)
+                        assert got.terms == ref.terms, (P, x)
+                        assert got.t_prec == ref.t_prec
+                        assert got.u_prec == ref.u_prec
+
     def test_list_places_empty(self):
         with pytest.raises(ZeroArgument):
             list_places([])
@@ -435,6 +457,16 @@ def _param_series_reference(place, prec):
         U = [U[i] - c for i, c in
              enumerate(_ps_mul(val, _ps_inv(der, n, one), n, zero))]
     return kx, U[:prec]
+
+
+def _expand_poly2_reference(P, place, prec):
+    """Each t-row made dense and expanded as a polynomial in u."""
+    kx, _, _ = place_field(place)
+    acc = Laurent2.zero(kx)
+    for b, poly in P.t_coeffs().items():
+        acc = acc + _expand_poly1(poly, place, prec).monomial_mul(
+            kx.one, 0, b)
+    return acc
 
 
 def _expand_poly1_reference(a, place, prec):

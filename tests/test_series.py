@@ -615,3 +615,133 @@ class TestRegionSoundness:
         umax = max([min(r.uprec(j), _HI) for j in range(_LO, jmax)]
                    + [_LO])
         _claims_hold(r, _inverse_window(F, jmax, int(umax)))
+
+
+# --------------------------------------------------------------------------
+# differential tests of the linear operations that build their result
+# without the validating constructor, against constructor-built references
+# --------------------------------------------------------------------------
+
+def _add_reference(self, other):
+    """The sum merged by elements and filtered by the constructor."""
+    tp = min(self.t_prec, other.t_prec)
+    rows = {}
+    for src in (self.terms, other.terms):
+        for j, row in src.items():
+            dst = rows.setdefault(j, {})
+            for i, c in row.items():
+                if i in dst:
+                    s = dst[i] + c
+                    if s:
+                        dst[i] = s
+                    else:
+                        del dst[i]
+                else:
+                    dst[i] = c
+    up = {}
+    for j in set(self.u_prec) | set(other.u_prec):
+        b = min(self.uprec(j), other.uprec(j))
+        if b != INF:
+            up[j] = b
+    return Laurent2(self.dom, rows, None if tp == INF else tp, up)
+
+
+def _neg_reference(self):
+    rows = {j: {i: -c for i, c in row.items()}
+            for j, row in self.terms.items()}
+    return Laurent2(self.dom, rows,
+                    None if self.t_prec == INF else self.t_prec, self.u_prec)
+
+
+def _monomial_mul_reference(self, c, i_shift=0, j_shift=0):
+    if not c:
+        return Laurent2.zero(self.dom)
+    rows = {j + j_shift: {i + i_shift: c * v for i, v in row.items()}
+            for j, row in self.terms.items()}
+    tp = self.t_prec + j_shift
+    up = {j + j_shift: b + i_shift for j, b in self.u_prec.items()}
+    return Laurent2(self.dom, rows, None if tp == INF else tp, up)
+
+
+def _d_du_reference(f):
+    rows = {j: {i - 1: f.dom.from_int(i) * c for i, c in row.items()}
+            for j, row in f.terms.items()}
+    up = {j: b - 1 for j, b in f.u_prec.items()}
+    return Laurent2(f.dom, rows,
+                    None if f.t_prec == INF else int(f.t_prec), up)
+
+
+def _d_dt_reference(f):
+    rows = {j - 1: {i: f.dom.from_int(j) * c for i, c in row.items()}
+            for j, row in f.terms.items()}
+    tp = f.t_prec - 1
+    up = {j - 1: b for j, b in f.u_prec.items()}
+    return Laurent2(f.dom, rows, None if tp == INF else int(tp), up)
+
+
+def _lift_padic_reference(f, s):
+    """Each coefficient lifted by its own q-power iteration."""
+    ring = galois_ring(f.dom, s)
+
+    def lift(a):
+        x = ring.from_fq(a)
+        while x ** f.dom.q != x:
+            x = x ** f.dom.q
+        return x
+    rows = {j: {i: lift(c) for i, c in row.items()}
+            for j, row in f.terms.items()}
+    return Laurent2(ring, rows,
+                    None if f.t_prec == INF else int(f.t_prec), f.u_prec)
+
+
+def _scalar(dom):
+    return st.tuples(*[_coords(dom)] * dom.n).map(
+        lambda cs: type(dom.one)(dom, cs))
+
+
+class TestLinearKernels:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_operands)
+    def test_add_and_neg_match_reference(self, fg):
+        f, g = fg
+        _same_series(f + g, _add_reference(f, g))
+        _same_series(g + f, _add_reference(g, f))
+        _same_series(-f, _neg_reference(f))
+        _same_series(f - g, _add_reference(f, _neg_reference(g)))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(
+        lambda dom: st.tuples(_series(dom), _scalar(dom))),
+        st.integers(-3, 3), st.integers(-3, 3), st.integers(-9, 9))
+    def test_scalings_match_reference(self, fc, di, dj, k):
+        f, c = fc
+        _same_series(f.monomial_mul(c, di, dj),
+                     _monomial_mul_reference(f, c, di, dj))
+        ck = f.dom.from_int(k)
+        _same_series(f.int_scale(k), _monomial_mul_reference(f, ck))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(_series))
+    def test_derivatives_match_reference(self, f):
+        _same_series(d_du(f), _d_du_reference(f))
+        _same_series(d_dt(f), _d_dt_reference(f))
+
+    @pytest.mark.parametrize("dom", [W3F4, W5F9])
+    def test_non_unit_scaling_drops_zero_products(self, dom):
+        # p^(s-1) * p = 0: the term with coefficient p leaves the row
+        pk = dom.from_int(dom.char // dom.p)
+        f = Laurent2.from_dict(dom, {(0, 0): dom.from_int(dom.p),
+                                     (1, 2): dom.one}, u_prec={0: 3})
+        r = f.monomial_mul(pk, 1, 1)
+        _same_series(r, _monomial_mul_reference(f, pk, 1, 1))
+        assert 1 not in r.terms and r.coeff(3, 2) == pk
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from([F2, F3, F4, F9]).flatmap(_series),
+           st.integers(1, 4))
+    def test_lift_padic_matches_reference(self, f, s):
+        _same_series(lift_padic(f, s), _lift_padic_reference(f, s))

@@ -158,6 +158,32 @@ def test_trace_to_prime_additive():
             witt.witt_add(ta, tb)
 
 
+def _trace_reference(w):
+    """The orbit sum folded from the Witt zero, components kept over F_q."""
+    acc = witt.witt_zero(w.ring, w.length)
+    b = w
+    for _ in range(w.ring.n):
+        acc = witt.witt_add(acc, b)
+        b = witt.witt_frobenius(b)
+    return acc
+
+
+@pytest.mark.parametrize("field", [F2, F4, F9])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_trace_matches_zero_start_fold(field, m):
+    rng = random.Random(field.q * 10 + m)
+    els = list(field.elements())
+    fp = ff.make_field(field.p, 1)
+    for _ in range(12):
+        w = witt.WittVec(field, tuple(rng.choice(els) for _ in range(m)))
+        got = witt.witt_trace_to_prime(w)
+        ref = _trace_reference(w)
+        assert got.ring is fp
+        assert [c.coeffs[0] for c in got.components] == \
+            [c.coeffs[0] for c in ref.components]
+        assert all(not any(c.coeffs[1:]) for c in ref.components)
+
+
 def test_mismatch():
     with pytest.raises(RingMismatch):
         witt.witt_add(witt.witt_zero(F2, 2), witt.witt_zero(F4, 2))
