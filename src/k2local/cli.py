@@ -15,13 +15,13 @@ from .errors import (DivisionByZero, ExprSyntaxError, K2LocalError,
 from .ff import make_field, parse_field
 from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           as_reduce, as_residual_solves, curve_tame_terms,
-                          curve_witt_terms, duality_kernel_point,
-                          duality_level_curve, point_tame_terms,
+                          curve_witt_terms, distinct_curves,
+                          duality_kernel_point, duality_level_curve,
+                          expand_at_place, place_u, point_tame_terms,
                           point_witt_terms, ratfunc_to_fy, tame_report,
                           to_pointfunc, witt_report)
 from .globalfield import _poly2_transpose
-from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, invert,
-                     laurent_domain)
+from .series import DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, laurent_domain
 from .symbols import (boundary, k2_decompose, k2_equiv, symbol,
                       tame_symbol_det, with_box, witt_pair_local)
 from .witt import WittVec, witt_zero
@@ -220,21 +220,10 @@ def eval_rational(text, field):
 
 
 def eval_local(text, field, prec_t, prec_u):
-    """Evaluate to a Laurent2 element of F_q((u))((t))."""
-    return _local(eval_rational(text, field), field, prec_t, prec_u)
-
-
-def _local(rf, field, prec_t, prec_u):
-    """The RatFunc rf as a Laurent2, inverting its denominator in the box."""
-    num = Laurent2(field, rf.num.rows())
-    den = Laurent2(field, rf.den.rows())
-    if den.terms and len(den.terms) == 1:
-        j = next(iter(den.terms))
-        row = den.terms[j]
-        if len(row) == 1:
-            i = next(iter(row))
-            return num.monomial_mul(row[i].inv(), -i, -j)
-    return num * invert(den, prec_t, prec_u)
+    """Evaluate to a Laurent2 element of F_q((u))((t)): the expansion at the
+    place u in the box (prec_t, prec_u)."""
+    return expand_at_place(eval_rational(text, field), place_u(field),
+                           (prec_t, prec_u))
 
 
 # --------------------------------------------------------------------------
@@ -345,7 +334,7 @@ def _cmd_decompose(args, field):
            for x in _exprs(args, 2, "decompose needs f and g")]
 
     def run(box):
-        f, g = (_local(rf, field, *box) for rf in rfs)
+        f, g = (expand_at_place(rf, place_u(field), box) for rf in rfs)
         return k2_decompose(symbol(f, g), args["level"])
     # the decomposer reads a fixed box of each entry; the expressions are
     # exact, so they are expanded until that box is known
@@ -413,8 +402,7 @@ def _cmd_reciprocity_point(args, field):
     witt = witt_report(point_witt_terms(f, g, comps, m, curves),
                        witt_zero(make_field(field.p, 1), m), "curve")
     out = {"verb": "reciprocity-point", "m": m,
-           "curves": [y.serialize() for y in
-                      sorted(curves, key=AdmissibleCurve.sort_key)],
+           "curves": [y.serialize() for y in distinct_curves(curves)],
            "witt": witt}
     ok = witt["verdict"]
     if len(comps) == 1 and comps[0]:

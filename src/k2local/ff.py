@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import (CompositeP, InvariantViolation, NotASubfield,
-                     ReducibleModulus, UsageError)
+from .errors import (CompositeP, FieldMismatch, InvariantViolation,
+                     NotASubfield, ReducibleModulus, UsageError)
 
 #: value known modulo p^precision
 PadicElem = namedtuple("PadicElem", ["value", "precision"])
@@ -300,6 +300,21 @@ def primitive_element(field):
     raise AssertionError("no primitive element found")  # pragma: no cover
 
 
+def first_root(coeffs, field):
+    """The first root in the field, in index order, of the polynomial with
+    coefficients coeffs (in the field, constant first)."""
+    for x in field.elements():
+        acc = field.zero
+        pw = field.one
+        for c in coeffs:
+            if c:
+                acc = acc + pw * c
+            pw = pw * x
+        if not acc:
+            return x
+    raise FieldMismatch("polynomial has no root in the field")
+
+
 class Embedding:
     """A field embedding sub → sup fixing F_p, with a partial inverse."""
 
@@ -321,18 +336,7 @@ class Embedding:
         sub, sup = self.sub, self.sup
         if sub.n == 1:
             return sup.one
-        for k in range(sup.q):
-            x = sup.elem_by_index(k)
-            # evaluate sub.modulus at x over sup (F_p coefficients)
-            acc = sup.zero
-            pw = sup.one
-            for c in sub.modulus:
-                if c:
-                    acc = acc + pw * sup.elem((c,))
-                pw = pw * x
-            if not acc:
-                return x
-        raise NotASubfield("modulus has no root in the extension")  # pragma: no cover
+        return first_root([sup.from_int(c) for c in sub.modulus], sup)
 
     def apply(self, a):
         acc = self.sup.zero

@@ -4,11 +4,16 @@ Curve side: the projective u-line over F_q, places (monic irreducible
 polynomials in u plus infinity), and coefficientwise local expansion of
 rational data.  At a place of degree d >= 2 the expansion is a Laurent2 over
 k(x) = F_{q^d}: u is a power series in the parameter pi(u), found by Newton
-iteration, and polynomials are evaluated at it by Horner's rule.
+iteration.
 
 Point side: admissible curves through the origin of the (u, t)-plane, branch
 expansions, canonical Artin-Schreier representatives, and the finite-level
 duality kernel reports.
+
+Every expansion, at a place or at a branch, relabels sparse rows or
+substitutes by the one Horner routine (u = root + s, u = the parameter
+series, t = phi(u) + T), then divides by the one quotient step in a working
+box (t_prec, u_prec).
 
 Reciprocity: the Witt and tame sums over the places of the u-line, or over a
 declared set of curves through the origin, share their pieces: per-key terms
@@ -22,10 +27,10 @@ import math
 import operator
 from functools import lru_cache
 
-from .errors import (BadIndexPair, DivisionByZero, FieldMismatch,
-                     InvariantViolation, NotReducible, UndeclaredCurveFactor,
+from .errors import (BadIndexPair, DivisionByZero, InvariantViolation,
+                     NotReducible, PrecisionTooLow, UndeclaredCurveFactor,
                      UnsupportedPlace, ZeroArgument, ZeroDivisor)
-from .ff import FqElem, make_field, norm_rel, get_embedding
+from .ff import FqElem, first_root, get_embedding, make_field, norm_rel
 from .forms import d_du
 from .series import Laurent2, invert, laurent_domain
 from .symbols import (WittPairer, check_length, symbol, tame_symbol_det,
@@ -136,14 +141,6 @@ class Poly1:
         return Poly1(self.field, tuple(c * self.field.from_int(k)
                                        for k, c in enumerate(self.coeffs))
                      [1:])
-
-    def shift(self, lam):
-        """The polynomial self(u + lam)."""
-        out = Poly1(self.field, ())
-        for c in reversed(self.coeffs):
-            out = out * Poly1(self.field, (lam, self.field.one)) \
-                + Poly1.const(self.field, c)
-        return out
 
     def serialize(self, var="u"):
         if not self:
@@ -718,6 +715,11 @@ def infinity_place(field):
     return CurvePlace(field, "infinity")
 
 
+def place_u(field):
+    """The place u = 0, where the expansion is the series in u and t."""
+    return CurvePlace(field, "finite", Poly1(field, (field.zero, field.one)))
+
+
 def list_places(fs):
     """Finite places dividing any t-coefficient of the RatFuncs fs, plus
     infinity.
@@ -759,27 +761,18 @@ def place_field(place):
         return field, (lambda c: c), root
     kx = make_field(field.p, field.n * d)
     emb = get_embedding(field, kx)
-    pihat = [emb.apply(c) for c in place.minimal_poly.coeffs]
-    for cand in kx.elements():
-        acc = kx.zero
-        pw = kx.one
-        for c in pihat:
-            if c:
-                acc = acc + pw * c
-            pw = pw * cand
-        if not acc:
-            return kx, emb.apply, cand
-    raise FieldMismatch("minimal polynomial has no root in k(x)")
+    return (kx, emb.apply,
+            first_root([emb.apply(c) for c in place.minimal_poly.coeffs], kx))
 
 
 _param_cache = {}
 
 
 def _horner(coeffs, x):
-    """sum_k coeffs[k] x^k by Horner's rule in Laurent2 products."""
+    """sum_k coeffs[k] x^k by Horner's rule; the coefficients are Laurent2."""
     acc = Laurent2.zero(x.dom)
     for c in reversed(coeffs):
-        acc = acc * x + Laurent2.monomial(x.dom, c)
+        acc = acc * x + c
     return acc
 
 
@@ -788,14 +781,19 @@ def _param_series(place, prec):
 
     Newton's iteration U <- U - (pi(U) - s)/pi'(U) from the root of pi
     doubles the number of correct digits each round (Brent & Kung, JACM
-    1978).
+    1978).  U comes back known to s^prec and exact in t, so that Horner's
+    rule in _expand_poly2 keeps every t-row of a polynomial.
     """
+    if prec < 1:
+        raise PrecisionTooLow(f"parameter series to {prec} digits")
     key = (place, prec)
     if key in _param_cache:
         return _param_cache[key]
     kx, emb, root = place_field(place)
     pihat = [emb(c) for c in place.minimal_poly.coeffs]
-    dpi = Poly1(kx, pihat).derivative().coeffs
+    pi = [Laurent2.monomial(kx, c) for c in pihat]
+    dpi = [Laurent2.monomial(kx, c)
+           for c in Poly1(kx, pihat).derivative().coeffs]
     s = Laurent2.monomial(kx, kx.one, 1)
     U = Laurent2.monomial(kx, root)
     n = 1
@@ -805,57 +803,57 @@ def _param_series(place, prec):
         # the region calculus cannot see: declare n digits, the new ones
         # zero, so that pi(U) and pi'(U) are computed to s^n.
         U = Laurent2(kx, U.terms, None, {0: n})
-        U = U - (_horner(pihat, U) - s) * invert(_horner(dpi, U), 1, n)
-    _param_cache[key] = (kx, U)
-    return kx, U
-
-
-def _expand_poly1(a, place, prec):
-    """Expansion of a univariate polynomial as a Laurent2 row at j = 0."""
-    if place.kind == "infinity":
-        field = place.field
-        return Laurent2(field, {0: {-k: c for k, c in enumerate(a.coeffs)
-                                    if c}}, INF, {})
-    if place.residue_degree == 1:
-        kx, _, root = place_field(place)
-        shifted = a.shift(root) if root else a
-        return Laurent2(kx, {0: {k: c for k, c in enumerate(shifted.coeffs)
-                                 if c}}, INF, {})
-    kx, U = _param_series(place, prec)
-    _, emb, _ = place_field(place)
-    acc = _horner([emb(c) for c in a.coeffs], U)
-    return Laurent2(kx, acc.terms, None, {0: prec})
+        U = U - (_horner(pi, U) - s) * invert(_horner(dpi, U), 1, n)
+    _param_cache[key] = (kx, Laurent2(kx, U.terms, None, {0: prec}))
+    return _param_cache[key]
 
 
 def _expand_poly2(P, place, prec):
-    """Expansion of a bivariate polynomial, t-row by t-row.
+    """Expansion of a bivariate polynomial at a place of the u-line.
 
     At infinity (parameter 1/u) and at the place u the expansion only
     relabels the sparse rows of P, so a large power of u costs one term.
+    Elsewhere Horner's rule over the u-columns of P substitutes root + s at
+    a rational place, exactly, and the parameter series at a place of
+    degree >= 2, where every t-row of P is known to s^prec.
     """
-    kx, _, root = place_field(place)
-    if place.kind == "infinity" or (place.residue_degree == 1 and not root):
+    kx, emb, root = place_field(place)
+    if not root:  # infinity has no root, the place u the root 0
         sign = -1 if place.kind == "infinity" else 1
         return Laurent2(kx, {b: {sign * a: c for a, c in row.items()}
                              for b, row in P.rows().items()})
-    acc = Laurent2.zero(kx)
-    for b, poly in P.t_coeffs().items():
-        acc = acc + _expand_poly1(poly, place, prec).monomial_mul(
-            kx.one, 0, b)
-    return acc
+    cols = [{} for _ in range(P.deg_u() + 1)]
+    for (a, b), c in P.terms.items():
+        cols[a][b] = {0: emb(c)}
+    coeffs = [Laurent2(kx, col) for col in cols]
+    if place.residue_degree == 1:
+        return _horner(coeffs, Laurent2(kx, {0: {0: root, 1: kx.one}}))
+    acc = _horner(coeffs, _param_series(place, prec)[1])
+    return Laurent2(kx, acc.terms, None, {b: prec for _, b in P.terms})
 
 
-def expand_at_place(f, place, precision):
+def _quotient(num, den, box):
+    """num / den: a shift when den is an exact monomial, else num times the
+    inverse of den in the working box (t_prec, u_prec)."""
+    if den.t_prec == INF and not den.u_prec and len(den.terms) == 1:
+        (j, row), = den.terms.items()
+        if len(row) == 1:
+            (i, c), = row.items()
+            return num.monomial_mul(c.inv(), -i, -j)
+    return num * invert(den, *box)
+
+
+def expand_at_place(f, place, box):
     """Coefficientwise expansion of a RatFunc at a place of the u-line.
 
     Returns a Laurent2 over k(x) whose inner variable is the local parameter
     (pi(u) at finite places, 1/u at infinity) and whose outer variable is t.
+    The box (t_prec, u_prec) is the working box of the denominator's
+    inverse; at a place of degree >= 2 the parameter series has u_prec
+    digits.
     """
-    if precision <= 0:
-        raise ZeroArgument("precision must be positive")
-    num = _expand_poly2(f.num, place, precision)
-    den = _expand_poly2(f.den, place, precision)
-    return num * invert(den, precision, precision)
+    num = _expand_poly2(f.num, place, box[1])
+    return _quotient(num, _expand_poly2(f.den, place, box[1]), box)
 
 
 # --------------------------------------------------------------------------
@@ -893,7 +891,7 @@ class AdmissibleCurve:
 
     KINDS = ("axis_u", "axis_t", "graph_t_of_u", "graph_u_of_t")
 
-    __slots__ = ("field", "kind", "graph_poly")
+    __slots__ = ("field", "kind", "graph_poly", "_monic")
 
     def __init__(self, field, kind, graph_poly=None):
         if kind not in self.KINDS:
@@ -909,6 +907,8 @@ class AdmissibleCurve:
         self.field = field
         self.kind = kind
         self.graph_poly = graph_poly
+        eq = self.equation()
+        self._monic = eq * _lead(eq).inv()
 
     def equation(self):
         """The local equation t_y as a bivariate polynomial."""
@@ -924,11 +924,13 @@ class AdmissibleCurve:
         return u - Poly2.from_poly1(self.graph_poly, "t")
 
     def __eq__(self, other):
-        return (isinstance(other, AdmissibleCurve) and self.kind == other.kind
-                and self.graph_poly == other.graph_poly)
+        """One curve when the equations agree up to a nonzero constant, as
+        t = c*u and u = t/c do."""
+        return (isinstance(other, AdmissibleCurve)
+                and self._monic == other._monic)
 
     def __hash__(self):
-        return hash((self.kind, self.graph_poly))
+        return hash(self._monic)
 
     def sort_key(self):
         idx = self.KINDS.index(self.kind)
@@ -988,6 +990,11 @@ class PointFunc:
         return f"PointFunc({self.serialize()})"
 
 
+def distinct_curves(curves):
+    """The curves in sort order, each once (the first of those equal)."""
+    return list(dict.fromkeys(sorted(curves, key=AdmissibleCurve.sort_key)))
+
+
 def _poly2_transpose(P):
     return Poly2(P.field, {(b, a): c for (a, b), c in P.terms.items()})
 
@@ -1009,7 +1016,7 @@ def to_pointfunc(f, curves):
     field = f.field
     num, den = f.num, f.den
     exps = {}
-    for y in sorted(set(curves), key=AdmissibleCurve.sort_key):
+    for y in distinct_curves(curves):
         while True:
             Q = _try_div_curve(num, y)
             if Q is None:
@@ -1041,34 +1048,30 @@ def to_pointfunc(f, curves):
 
 
 def _poly2_to_branch(P, y):
-    """Map a bivariate polynomial into branch coordinates (u_{x,y}, t_y)."""
+    """Map a bivariate polynomial into branch coordinates (u_{x,y}, t_y).
+
+    The axes relabel the sparse rows.  On the graph t = phi(u), Horner's
+    rule over the t-rows of P substitutes t = phi(u) + T; on u = phi(t) it
+    does the same on the transpose.  The inner variable stays.
+    """
     field = P.field
-    if y.kind == "axis_u":
-        return Laurent2(field, P.rows(), INF, {})
-    if y.kind == "axis_t":
-        return Laurent2(field, _poly2_transpose(P).rows(), INF, {})
-    phi = y.graph_poly
-    if y.kind == "graph_u_of_t":
+    if y.kind in ("axis_t", "graph_u_of_t"):
         P = _poly2_transpose(P)
-    # substitute t = phi(u) + T, or u = phi(t) + U on the transpose; the
-    # inner variable stays
-    acc = Laurent2.zero(field)
-    for (a, b), c in P.terms.items():
-        term = Laurent2.monomial(field, c, a, 0)
-        for r in range(b + 1):
-            binom = field.from_int(math.comb(b, r))
-            if not binom:
-                continue
-            pw = phi ** (b - r)
-            inner = Laurent2(field, {0: {k: cc for k, cc in
-                                         enumerate(pw.coeffs) if cc}},
-                             INF, {})
-            acc = acc + (term * inner).monomial_mul(binom, 0, r)
-    return acc
+    rows = P.rows()
+    if y.kind.startswith("axis"):
+        return Laurent2(field, rows)
+    phi = {k: c for k, c in enumerate(y.graph_poly.coeffs) if c}
+    return _horner([Laurent2(field, {0: rows.get(b, {})})
+                    for b in range(P.deg_t() + 1)],
+                   Laurent2(field, {0: phi, 1: {0: field.one}}))
 
 
-def expand_point(pf, y, declared, precision):
-    """Local expansion of a factored F_x element at the branch y."""
+def expand_point(pf, y, declared, box):
+    """Local expansion of a factored F_x element at the branch y.
+
+    The factors with positive exponents multiply up to num, the others to
+    den, and the expansion is num / den in the working box (t_prec, u_prec).
+    """
     field = pf.field
     for z in pf.curves():
         if z not in declared:
@@ -1076,27 +1079,26 @@ def expand_point(pf, y, declared, precision):
                 f"factor curve {z.serialize()} is not declared admissible")
     if not pf.constant:
         return Laurent2.zero(field)
-    acc = Laurent2.monomial(field, pf.constant)
-    for z, e in pf.curve_exps.items():
-        base = _poly2_to_branch(z.equation(), y)
+    num = Laurent2.monomial(field, pf.constant)
+    den = Laurent2.one(field)
+    factors = [(_poly2_to_branch(z.equation(), y), e)
+               for z, e in pf.curve_exps.items()]
+    factors += [(Laurent2.one(field) + _poly2_to_branch(eps, y), e)
+                for eps, e in pf.units]
+    for base, e in factors:
         if e >= 0:
-            acc = acc * base ** e
+            num = num * base ** e
         else:
-            acc = acc * invert(base, precision, precision) ** (-e)
-    for eps, e in pf.units:
-        unit = Laurent2.one(field) + _poly2_to_branch(eps, y)
-        if e >= 0:
-            acc = acc * unit ** e
-        else:
-            acc = acc * invert(unit, precision, precision) ** (-e)
-    return acc
+            den = den * base ** -e
+    return _quotient(num, den, box)
 
 
 def _at_curves(curves):
-    """The declared curves in order, and expand(c, y, prec) at the curve y."""
-    declared = set(curves)
-    return (sorted(curves, key=AdmissibleCurve.sort_key),
-            lambda c, y, prec: expand_point(c, y, declared, prec))
+    """The declared curves, each once, in order, and expand(c, y, box) at
+    the curve y."""
+    keys = distinct_curves(curves)
+    declared = set(keys)
+    return keys, lambda c, y, box: expand_point(c, y, declared, box)
 
 
 def point_witt_terms(f, g, h, m, curves):
@@ -1121,8 +1123,8 @@ def point_tame_terms(f, g, h, curves):
 def _witt_terms(keys, expand, f, g, comps, m):
     """(key, traced local Witt pairing of {f, g} with (comps)) per key.
 
-    At each key, expand(c, key, max(box)) expands f, g and comps, and a
-    pairer of {f, g} in the working box pairs them.  The box starts at
+    At each key, expand(c, key, box) expands f, g and comps in the working
+    box, and a pairer of {f, g} in the same box pairs them.  The box starts at
     (2, 2) and doubles while a coefficient falls outside the known region
     (with_box); the data is exact, so some box answers.  m is checked
     first, so an unsupported length is refused before any expansion.
@@ -1130,7 +1132,7 @@ def _witt_terms(keys, expand, f, g, comps, m):
     check_length(m, traced=True)
 
     def pair_at(key, box):
-        fh, gh, *ch = (expand(c, key, max(box)) for c in [f, g] + comps)
+        fh, gh, *ch = (expand(c, key, box) for c in [f, g] + comps)
         ch += [Laurent2.zero(fh.dom)] * (m - len(ch))
         return WittPairer(symbol(fh, gh), m, *box).pair(
             WittVec(laurent_domain(fh.dom), ch), m)
@@ -1141,7 +1143,7 @@ def _witt_terms(keys, expand, f, g, comps, m):
 def _tame_terms(keys, expand, f, g, h):
     """(key, local tame symbol of f, g, h) per key, boxed as _witt_terms."""
     def tame_at(key, box):
-        return tame_symbol_det(*(expand(c, key, max(box))
+        return tame_symbol_det(*(expand(c, key, box)
                                  for c in (f, g, h))).value
     return [(key, with_box((2, 2), None, lambda box: tame_at(key, box)))
             for key in keys]
@@ -1487,9 +1489,8 @@ def duality_level_curve(k, pole_bound, field, diag_samples=None):
         fexps = [b for b in range(1, D + 1) if b % p]
     # u^b is a polynomial: its expansion at a rational place is exact at
     # any precision
-    fhats = {x: [_expand_poly1(
-        Poly1(field, (field.zero,) * b + (field.one,)), x, 1)
-        for b in fexps] for x in places}
+    fhats = {x: [_expand_poly2(Poly2.monomial(field, field.one, b, 0), x, 1)
+                 for b in fexps] for x in places}
     gens = []
     for xi, x in enumerate(places):
         for a in range(-D, D + 1):
@@ -1514,7 +1515,7 @@ def duality_level_curve(k, pole_bound, field, diag_samples=None):
             raise UnsupportedPlace("diagonal sample meets a place of degree "
                                    ">= 2; the sum runs over rational places")
         row = with_box((2, 2), None, lambda box: _diagonal_row(
-            a_glob, b_glob, k, places, fhats, max(box), field))
+            a_glob, b_glob, k, places, fhats, box, field))
         diag_ok.append(not any(row))
     return {
         "k": k,
@@ -1536,15 +1537,14 @@ def duality_level_curve(k, pole_bound, field, diag_samples=None):
     }
 
 
-def _diagonal_row(a_glob, b_glob, k, places, fhats, prec, field):
+def _diagonal_row(a_glob, b_glob, k, places, fhats, box, field):
     """Pairing row of the diagonal element built from {1 + a t^k, b}."""
     p = field.p
     row = None
     for x in places:
-        ah = expand_at_place(a_glob, x, prec)
-        bh = expand_at_place(b_glob, x, prec)
-        w = ah * d_du(bh).monomial_mul(field.one, 1, 0) * \
-            invert(bh, prec, prec)
+        ah = expand_at_place(a_glob, x, box)
+        bh = expand_at_place(b_glob, x, box)
+        w = _quotient(ah * d_du(bh).monomial_mul(field.one, 1, 0), bh, box)
         # eta kills the non-p-power exponents of w
         eta_terms = {}
         for i2, c in w.terms.get(0, {}).items():

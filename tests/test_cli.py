@@ -265,6 +265,24 @@ class TestRun:
         assert code == 2
         assert rep["error"] == "PrecisionTooLow"
 
+    def test_zero_box_answers_without_an_inverse(self):
+        # every denominator is a monomial, so no inverse needs the box
+        code, rep = run(["tame", "--field", "2^1", "--prec-t", "0", "u", "t",
+                         "1+u"])
+        assert code == 0, rep
+
+    @pytest.mark.parametrize("curves, listed", [
+        ("t,t,u", ["t = 0", "u = 0"]),
+        ("t,u,t=u,u=t", ["t = 0", "u = 0", "t = [1]*u^1"])])
+    def test_repeated_curve_is_summed_once(self, curves, listed):
+        code, rep = run(["reciprocity-point", "--field", "3^1", "--curves",
+                         curves, "(t-u)*(1+t)" if "=" in curves
+                         else "u*(1+t)", "t*(1+u)", "2"])
+        assert code == 0, rep
+        assert rep["verdict"] is True
+        assert rep["curves"] == listed
+        assert [c["curve"] for c in rep["witt"]["curves"]] == listed
+
     def test_internal_error_exit_3(self, monkeypatch):
         def broken(args, field):
             return 1 // 0

@@ -1,8 +1,8 @@
 import pytest
 
 from k2local import ff
-from k2local.errors import (CompositeP, InvariantViolation, NotASubfield,
-                            ReducibleModulus)
+from k2local.errors import (CompositeP, FieldMismatch, InvariantViolation,
+                            NotASubfield, ReducibleModulus)
 
 F2 = ff.make_field(2, 1)
 F3 = ff.make_field(3, 1)
@@ -78,6 +78,29 @@ def test_norm_multiplicative_and_power_on_subfield():
             assert ff.norm_rel(emb.apply(a), sub) == a ** d
     with pytest.raises(NotASubfield):
         ff.norm_rel(F8.gen, F4)
+
+
+def test_first_root_is_the_least_index_root():
+    # the embeddings' generator images and the roots at places of degree
+    # >= 2 come from this one scan
+    for f in [F4, F8, F9]:
+        for coeffs in ([f.one, f.one, f.one], [f.gen, f.zero, f.one],
+                       [f.one, f.one, f.zero, f.one]):
+            roots = [x for x in f.elements()
+                     if not sum((c * x ** k for k, c in enumerate(coeffs)),
+                                f.zero)]
+            if roots:
+                assert ff.first_root(coeffs, f) == roots[0]
+            else:
+                with pytest.raises(FieldMismatch):
+                    ff.first_root(coeffs, f)
+    with pytest.raises(FieldMismatch):
+        ff.first_root([F2.one, F2.one, F2.one], F2)
+    for f, sub in [(ff.make_field(2, 4), F4), (ff.make_field(3, 4), F9),
+                   (F4, F2)]:
+        gen = ff.get_embedding(sub, f).gen_image
+        assert gen == (ff.first_root([f.from_int(c) for c in sub.modulus], f)
+                       if sub.n > 1 else f.one)
 
 
 def test_trace_rel_tower():

@@ -1,6 +1,7 @@
 """Semi-global layer: places, expansions, reciprocity, canonical forms,
 finite-level duality."""
 
+import math
 import random
 import time
 
@@ -22,11 +23,12 @@ from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  factor_poly1, infinity_place, list_places,
                                  point_basis_pair, point_tame_reciprocity,
                                  point_witt_reciprocity, point_witt_terms,
-                                 ratfunc_to_fy, witt_report)
-from k2local.globalfield import (_expand_poly1, _expand_poly2, _irreducibles,
-                                 _poly2_div_poly1, _poly2_transpose,
-                                 _try_div_curve, place_field, poly1_gcd)
-from k2local.series import INF, Laurent2, laurent_domain
+                                 ratfunc_to_fy, to_pointfunc, witt_report)
+from k2local.globalfield import (_expand_poly2, _irreducibles, _param_series,
+                                 _poly2_div_poly1, _poly2_to_branch,
+                                 _poly2_transpose, _try_div_curve,
+                                 expand_point, place_field, poly1_gcd)
+from k2local.series import INF, Laurent2, invert, laurent_domain
 from k2local.symbols import symbol, witt_pair_local
 from k2local.witt import WittVec, witt_zero
 
@@ -375,21 +377,21 @@ class TestPlaces:
         F2 = make_field(2, 1)
         _, u, _ = uvars(F2)
         x = list_places([u])[0]
-        assert expand_at_place(u, x, 6) == \
+        assert expand_at_place(u, x, (6, 6)) == \
             Laurent2.monomial(F2, F2.one, 1, 0)
 
     def test_expand_geometric(self):
         F2 = make_field(2, 1)
         one, u, _ = uvars(F2)
         x = list_places([u])[0]
-        f = expand_at_place(one / (one - u), x, 5)
+        f = expand_at_place(one / (one - u), x, (5, 5))
         for k in range(5):
             assert f.coeff(k, 0) == F2.one
 
     def test_expand_at_infinity(self):
         F2 = make_field(2, 1)
         _, u, _ = uvars(F2)
-        f = expand_at_place(u, infinity_place(F2), 5)
+        f = expand_at_place(u, infinity_place(F2), (5, 5))
         assert f == Laurent2.monomial(F2, F2.one, -1, 0)
 
     def test_expand_degree_two_place(self):
@@ -398,7 +400,8 @@ class TestPlaces:
         F2 = make_field(2, 1)
         pi = Poly1.from_ints(F2, [1, 1, 1])
         x = CurvePlace(F2, "finite", pi)
-        fhat = expand_at_place(RatFunc.from_poly2(Poly2.from_poly1(pi)), x, 8)
+        fhat = expand_at_place(RatFunc.from_poly2(Poly2.from_poly1(pi)), x,
+                               (8, 8))
         assert fhat.coeff(0, 0) == fhat.dom.zero
         assert fhat.coeff(1, 0) == fhat.dom.one
         assert fhat.dom.q == 4
@@ -459,19 +462,37 @@ def _param_series_reference(place, prec):
     return kx, U[:prec]
 
 
+def _shift_reference(a, lam):
+    """a(u + lam) in Poly1 arithmetic, as Poly1.shift computed it."""
+    out = Poly1(a.field, ())
+    for c in reversed(a.coeffs):
+        out = out * Poly1(a.field, (lam, a.field.one)) \
+            + Poly1.const(a.field, c)
+    return out
+
+
 def _expand_poly2_reference(P, place, prec):
     """Each t-row made dense and expanded as a polynomial in u."""
     kx, _, _ = place_field(place)
     acc = Laurent2.zero(kx)
     for b, poly in P.t_coeffs().items():
-        acc = acc + _expand_poly1(poly, place, prec).monomial_mul(
+        acc = acc + _expand_poly1_reference(poly, place, prec).monomial_mul(
             kx.one, 0, b)
     return acc
 
 
 def _expand_poly1_reference(a, place, prec):
-    kx, U = _param_series_reference(place, prec)
-    _, emb, _ = place_field(place)
+    """One dense row: relabelled at infinity, shifted in Poly1 arithmetic
+    at a rational place, summed in the list series at degree >= 2."""
+    if place.kind == "infinity":
+        return Laurent2(place.field, {0: {-k: c for k, c in
+                                          enumerate(a.coeffs) if c}})
+    kx, emb, root = place_field(place)
+    if place.residue_degree == 1:
+        shifted = _shift_reference(a, root)
+        return Laurent2(kx, {0: {k: c for k, c in enumerate(shifted.coeffs)
+                                 if c}})
+    _, U = _param_series_reference(place, prec)
     zero, one = kx.zero, kx.one
     acc = [zero] * prec
     pw = [one] + [zero] * (prec - 1)
@@ -486,29 +507,187 @@ def _expand_poly1_reference(a, place, prec):
                     INF, {0: prec})
 
 
+def _rand_rows(rng, field, rows=4, deg=7):
+    """A random polynomial with up to `rows` t-rows of u-degree below deg."""
+    return Poly2(field, {(rng.randrange(deg), rng.randrange(rows)):
+                         field.elem_by_index(rng.randrange(field.q))
+                         for _ in range(rng.randrange(1, 3 * rows))})
+
+
 class TestExpansionKernel:
     PRECS = (1, 2, 5, 12, 17, 30)
 
     @pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2), (5, 1)])
     def test_matches_list_reference(self, q):
+        # one Horner over the u-columns of the whole polynomial against each
+        # t-row expanded alone: by the list series at places of degree 2
+        # and 3, by Poly1 shifts at rational places with a nonzero root,
+        # where u^300 is planted
         field = make_field(*q)
         rng = random.Random(q[0] * 10 + q[1])
+        places = [CurvePlace(field, "finite", pi)
+                  for pi in _irreducibles(field, 1) if pi.coeffs[0]]
         for d in (2, 3):
             irr = list(_irreducibles(field, d))
-            for pi in rng.sample(irr, min(3, len(irr))):
-                x = CurvePlace(field, "finite", pi)
-                for prec in self.PRECS:
-                    polys = [Poly1(field, ()), pi]
-                    for _ in range(3):
-                        polys.append(Poly1(field, [
-                            field.elem_by_index(rng.randrange(field.q))
-                            for _ in range(rng.randrange(1, 8))]))
-                    for a in polys:
-                        got = _expand_poly1(a, x, prec)
-                        ref = _expand_poly1_reference(a, x, prec)
-                        assert got.terms == ref.terms, (pi, prec, a)
-                        assert got.t_prec == ref.t_prec
-                        assert got.u_prec == ref.u_prec
+            places += [CurvePlace(field, "finite", pi)
+                       for pi in rng.sample(irr, min(3, len(irr)))]
+        for x in places:
+            rational = x.residue_degree == 1
+            for prec in (1,) if rational else self.PRECS:
+                polys = [Poly2(field, {}), Poly2.from_poly1(x.minimal_poly),
+                         Poly2.from_poly1(x.minimal_poly)
+                         * Poly2.monomial(field, field.one, 0, 2)]
+                polys += [_rand_rows(rng, field) for _ in range(3)]
+                if rational:
+                    polys.append(polys[-1] + Poly2.monomial(
+                        field, field.one, 300, rng.randrange(3)))
+                for P in polys:
+                    got = _expand_poly2(P, x, prec)
+                    ref = _expand_poly2_reference(P, x, prec)
+                    assert got.terms == ref.terms, (x, prec, P)
+                    assert got.t_prec == ref.t_prec
+                    assert got.u_prec == ref.u_prec
+
+    @pytest.mark.parametrize("prec", [1, 2, 7, 16])
+    def test_param_series_is_exact_in_t(self, prec):
+        # Horner over a whole polynomial multiplies every t-row by U, so a
+        # t-window on U would drop the rows above 0
+        F2 = make_field(2, 1)
+        x = CurvePlace(F2, "finite", Poly1.from_ints(F2, [1, 1, 1]))
+        kx, U = _param_series(x, prec)
+        assert U.t_prec == INF
+        assert U.u_prec == {0: prec}
+        _, ref = _param_series_reference(x, prec)
+        assert U.terms == {0: {i: c for i, c in enumerate(ref) if c}}
+
+    def test_param_series_refuses_no_digits(self):
+        F2 = make_field(2, 1)
+        x = CurvePlace(F2, "finite", Poly1.from_ints(F2, [1, 1, 1]))
+        _, u, _ = uvars(F2)
+        with pytest.raises(PrecisionTooLow):
+            expand_at_place(u, x, (4, 0))
+
+
+# The binomial expansion that mapped polynomials into branch coordinates,
+# and the per-factor inverses of expand_point, kept as references.
+
+def _poly2_to_branch_reference(P, y):
+    field = P.field
+    if y.kind == "axis_u":
+        return Laurent2(field, P.rows(), INF, {})
+    if y.kind == "axis_t":
+        return Laurent2(field, _poly2_transpose(P).rows(), INF, {})
+    phi = y.graph_poly
+    if y.kind == "graph_u_of_t":
+        P = _poly2_transpose(P)
+    acc = Laurent2.zero(field)
+    for (a, b), c in P.terms.items():
+        term = Laurent2.monomial(field, c, a, 0)
+        for r in range(b + 1):
+            binom = field.from_int(math.comb(b, r))
+            if not binom:
+                continue
+            pw = phi ** (b - r)
+            inner = Laurent2(field, {0: {k: cc for k, cc in
+                                         enumerate(pw.coeffs) if cc}},
+                             INF, {})
+            acc = acc + (term * inner).monomial_mul(binom, 0, r)
+    return acc
+
+
+def _expand_point_reference(pf, y, box):
+    field = pf.field
+    acc = Laurent2.monomial(field, pf.constant)
+    for z, e in pf.curve_exps.items():
+        base = _poly2_to_branch_reference(z.equation(), y)
+        if e >= 0:
+            acc = acc * base ** e
+        else:
+            acc = acc * invert(base, *box) ** (-e)
+    for eps, e in pf.units:
+        unit = Laurent2.one(field) + _poly2_to_branch_reference(eps, y)
+        if e >= 0:
+            acc = acc * unit ** e
+        else:
+            acc = acc * invert(unit, *box) ** (-e)
+    return acc
+
+
+def _rand_graph_curves(rng, field):
+    def graph():
+        return Poly1(field, [field.zero] + [
+            field.elem_by_index(rng.randrange(field.q))
+            for _ in range(rng.randrange(1, 4))] + [field.one])
+    return [AdmissibleCurve(field, "axis_u"), AdmissibleCurve(field, "axis_t"),
+            AdmissibleCurve(field, "graph_t_of_u", graph()),
+            AdmissibleCurve(field, "graph_u_of_t", graph())]
+
+
+class TestBranchKernel:
+    @pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2)])
+    def test_horner_matches_binomial_reference(self, q):
+        field = make_field(*q)
+        rng = random.Random(31 + q[0] * 10 + q[1])
+        for _ in range(6):
+            for y in _rand_graph_curves(rng, field):
+                for P in [Poly2(field, {}), y.equation()] + [
+                        _rand_rows(rng, field, 5, 5) for _ in range(4)]:
+                    got = _poly2_to_branch(P, y)
+                    ref = _poly2_to_branch_reference(P, y)
+                    assert got == ref, (y, P)
+
+    @pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2)])
+    def test_one_inverse_matches_per_factor_inverses(self, q):
+        # inputs shaped as the point cases of the benchmark (both axes, at
+        # most one graph, exponents -1..1, a monomial unit): the product of
+        # the negative factors inverted once has the same terms and regions
+        # as each negative factor inverted alone
+        field = make_field(*q)
+        rng = random.Random(41 + q[0] * 10 + q[1])
+        for k in range(30):
+            curves = [AdmissibleCurve(field, "axis_u"),
+                      AdmissibleCurve(field, "axis_t")]
+            if k % 3:
+                curves.append(AdmissibleCurve(field, "graph_t_of_u", Poly1(
+                    field, [field.zero] * (k % 3) + [field.one])))
+            eps = Poly2.monomial(field, field.elem_by_index(
+                1 + rng.randrange(field.q - 1)), rng.randint(0, 1),
+                rng.randint(1, 2))
+            pf = PointFunc(field, field.elem_by_index(1 + rng.randrange(
+                field.q - 1)), {c: rng.randint(-1, 1) for c in curves},
+                [(eps, rng.choice([-1, 1]))])
+            for y in curves:
+                for box in ((2, 2), (4, 4), (8, 8), (3, 7)):
+                    got = expand_point(pf, y, set(curves), box)
+                    ref = _expand_point_reference(pf, y, box)
+                    assert got.terms == ref.terms, (pf, y, box)
+                    assert got.t_prec == ref.t_prec
+                    assert got.u_prec == ref.u_prec
+
+    @pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2)])
+    def test_one_inverse_agrees_with_per_factor_inverses(self, q):
+        # several non-monomial negative factors, some squared: the regions
+        # of the two ways differ, but every coefficient both know is equal
+        field = make_field(*q)
+        rng = random.Random(37 + q[0] * 10 + q[1])
+        one = Poly2.one(field)
+        for _ in range(8):
+            curves = _rand_graph_curves(rng, field)
+            units = [(Poly2.monomial(field, field.one, 1, 1)
+                      + Poly2.monomial(field, field.one, rng.randrange(3),
+                                       1 + rng.randrange(2)), -1),
+                     (_rand_rows(rng, field, 3, 3) * Poly2.monomial(
+                         field, field.one, 1, 0) + Poly2.monomial(
+                         field, field.one, 0, 1), rng.choice([-2, 1]))]
+            units = [(eps, e) for eps, e in units if eps and eps != -one]
+            pf = PointFunc(field, field.elem_by_index(1 + rng.randrange(
+                field.q - 1)), {c: rng.choice([-2, -1, 1])
+                                for c in curves}, units)
+            for y in curves:
+                for box in ((3, 3), (6, 6), (5, 9)):
+                    got = expand_point(pf, y, set(curves), box)
+                    ref = _expand_point_reference(pf, y, box)
+                    assert got.same_known_terms(ref), (pf, y, box)
 
 
 # --------------------------------------------------------------------------
@@ -624,7 +803,8 @@ class TestCurveReciprocity:
                 if not (f and g):
                     continue
                 for x, w in curve_witt_terms(f, g, h, m):
-                    fh, gh, hh = (expand_at_place(c, x, 40) for c in (f, g, h))
+                    fh, gh, hh = (expand_at_place(c, x, (40, 40))
+                                  for c in (f, g, h))
                     ch = [hh] + [Laurent2.zero(fh.dom)] * (m - 1)
                     try:
                         ref = witt_pair_local(symbol(fh, gh), WittVec(
@@ -650,7 +830,7 @@ class TestCurveReciprocity:
         assert is_zero_wv(curve_witt_reciprocity(f, g, h, 2))
         x = CurvePlace(F2, "finite", Poly1.from_ints(F2, [1, 1, 1]))
         w = dict(curve_witt_terms(f, g, h, 2))[x]
-        fh, gh = (expand_at_place(c, x, 40) for c in (f, g))
+        fh, gh = (expand_at_place(c, x, (40, 40)) for c in (f, g))
         hh = Laurent2.monomial(fh.dom, fh.dom.one, -k, -1)
         ref = witt_pair_local(symbol(fh, gh), WittVec(
             laurent_domain(fh.dom), [hh, Laurent2.zero(fh.dom)]), 2)
@@ -741,6 +921,29 @@ class TestPointReciprocity:
         for curves in ([self.ax_u, self.ax_t], []):
             with pytest.raises(UnsupportedLength):
                 point_witt_terms(fu, ft, [fu], m, curves)
+
+    def test_repeated_curve_counts_once(self):
+        # a curve declared twice, or as t = u and as u = t, is one curve
+        F3 = make_field(3, 1)
+        axu = AdmissibleCurve(F3, "axis_u")
+        axt = AdmissibleCurve(F3, "axis_t")
+        diag = AdmissibleCurve(F3, "graph_t_of_u", Poly1.from_ints(F3, [0, 1]))
+        diag_u = AdmissibleCurve(F3, "graph_u_of_t",
+                                 Poly1.from_ints(F3, [0, 1]))
+        assert diag == diag_u and hash(diag) == hash(diag_u)
+        assert diag != AdmissibleCurve(F3, "graph_u_of_t",
+                                       Poly1.from_ints(F3, [0, 2]))
+        for text, once, twice in (
+                (("u*(1+t)", "t*(1+u)", "2"), [axu, axt], [axu, axu, axt]),
+                (("(t-u)*(1+t)", "t*(1+u)", "2"), [axu, axt, diag],
+                 [axu, axt, diag, diag_u])):
+            f, g, h = (to_pointfunc(eval_rational(x, F3), twice)
+                       for x in text)
+            terms = point_witt_terms(f, g, [h], 1, twice)
+            assert [y for y, _ in terms] == once
+            assert terms == point_witt_terms(f, g, [h], 1, once)
+            assert is_zero_wv(point_witt_reciprocity(f, g, [h], 1, twice))
+            assert point_tame_reciprocity(f, g, h, twice) == F3.one
 
     def test_undeclared_curve(self):
         F4 = self.F4
