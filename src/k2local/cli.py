@@ -18,7 +18,7 @@ from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           curve_witt_terms, distinct_curves,
                           duality_kernel_point, duality_level_curve,
                           expand_at_place, place_u, point_tame_terms,
-                          point_witt_terms, ratfunc_to_fy, tame_report,
+                          point_witt_terms, tame_report,
                           to_pointfunc, witt_report)
 from .globalfield import _poly2_transpose
 from .series import DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, laurent_domain
@@ -433,7 +433,7 @@ def _cmd_duality_curve(args, field):
 
 def _cmd_as_reduce(args, field):
     text, = _exprs(args, 1, "as-reduce needs one expression")
-    f = ratfunc_to_fy(eval_rational(text, field))
+    f = eval_rational(text, field)
     rep = as_reduce(f)
     ok = as_residual_solves(f, rep)
     return {"verb": "as-reduce", "representative": rep.to_json(),

@@ -8,14 +8,11 @@ characteristic-zero lifting the symbol layer needs.
 
 from __future__ import annotations
 
-from collections import namedtuple
+import operator
 from functools import lru_cache
 
 from .errors import (CompositeP, FieldMismatch, InvariantViolation,
                      NotASubfield, ReducibleModulus, UsageError)
-
-#: value known modulo p^precision
-PadicElem = namedtuple("PadicElem", ["value", "precision"])
 
 
 def is_prime(p):
@@ -48,16 +45,27 @@ def _poly_mulmod_fp(a, b, modulus, p):
     return tuple(prod)
 
 
+def power(base, e, one, mul=operator.mul):
+    """base^e for an int e >= 0 by binary powering from one.
+
+    One product per set bit of e, and one squaring per bit below the top
+    one: the base is not squared again after the last bit.
+    """
+    result = one
+    while True:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = mul(base, base)
+
+
 def _poly_powmod_fp(a, e, modulus, p):
     n = len(modulus) - 1
-    result = tuple([1] + [0] * (n - 1))
     base = tuple(a) + (0,) * (n - len(a))
-    while e:
-        if e & 1:
-            result = _poly_mulmod_fp(result, base, modulus, p)
-        base = _poly_mulmod_fp(base, base, modulus, p)
-        e >>= 1
-    return result
+    return power(base, e, tuple([1] + [0] * (n - 1)),
+                 lambda x, y: _poly_mulmod_fp(x, y, modulus, p))
 
 
 def _poly_gcd_fp(a, b, p):
@@ -435,11 +443,6 @@ class GRElem:
         self.ring = ring
         self.coeffs = coeffs
 
-    @property
-    def padic_coeffs(self):
-        s = self.ring.s
-        return tuple(PadicElem(c, s) for c in self.coeffs)
-
     def __add__(self, other):
         r = self.ring
         return GRElem(r, tuple((a + b) % r.ps
@@ -465,13 +468,7 @@ class GRElem:
         r = self.ring
         if e < 0:
             return self.inv() ** (-e)
-        result, base = r.one, self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, r.one)
 
     def inv(self):
         """Inverse of a unit (nonzero mod p), by Newton lifting."""

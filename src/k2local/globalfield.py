@@ -10,10 +10,13 @@ Point side: admissible curves through the origin of the (u, t)-plane, branch
 expansions, canonical Artin-Schreier representatives, and the finite-level
 duality kernel reports.
 
-Every expansion, at a place or at a branch, relabels sparse rows or
-substitutes by the one Horner routine (u = root + s, u = the parameter
-series, t = phi(u) + T), then divides by the one quotient step in a working
-box (t_prec, u_prec).
+A global function has one shape, the reduced RatFunc num / den.  Its
+t-coefficients, u-only RatFuncs, are what as_reduce works on.  A PointFunc
+multiplies its factors out once into a num and a den.  Every expansion, of a
+RatFunc at a place or of a PointFunc at a branch, maps num and den alike: it
+relabels sparse rows or substitutes by the one Horner routine (u = root + s,
+u = the parameter series, t = phi(u) + T), then divides by the one quotient
+step in a working box (t_prec, u_prec).
 
 Reciprocity: the Witt and tame sums over the places of the u-line, or over a
 declared set of curves through the origin, share their pieces: per-key terms
@@ -30,7 +33,8 @@ from functools import lru_cache
 from .errors import (BadIndexPair, DivisionByZero, InvariantViolation,
                      NotReducible, PrecisionTooLow, UndeclaredCurveFactor,
                      UnsupportedPlace, ZeroArgument, ZeroDivisor)
-from .ff import FqElem, first_root, get_embedding, make_field, norm_rel
+from .ff import (FqElem, first_root, get_embedding, make_field, norm_rel,
+                 power)
 from .forms import d_du
 from .series import Laurent2, invert, laurent_domain
 from .symbols import (WittPairer, check_length, symbol, tame_symbol_det,
@@ -41,7 +45,7 @@ INF = math.inf
 
 
 # --------------------------------------------------------------------------
-# Univariate polynomials and rational functions over F_q
+# Univariate polynomials over F_q
 # --------------------------------------------------------------------------
 
 class Poly1:
@@ -108,14 +112,7 @@ class Poly1:
         return Poly1(self.field, out)
 
     def __pow__(self, e):
-        out = Poly1.const(self.field, self.field.one)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, Poly1.const(self.field, self.field.one))
 
     def divmod(self, other):
         if not other:
@@ -209,81 +206,6 @@ def factor_poly1(f):
     return out
 
 
-class RatFunc1:
-    """Reduced fraction of univariate polynomials, monic denominator."""
-
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, num, den):
-        if not den:
-            raise ZeroDivisor("rational function with zero denominator")
-        g = poly1_gcd(num, den) if num else den.monic()
-        if g.deg > 0 or g.coeffs[:1] != (num.field.one,):
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.coeffs[-1]
-        if lead != num.field.one:
-            inv = lead.inv()
-            num = num * inv
-            den = den * inv
-        self.field = num.field
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def from_poly(p):
-        return RatFunc1(p, Poly1.const(p.field, p.field.one))
-
-    @staticmethod
-    def const(field, c):
-        return RatFunc1(Poly1.const(field, c),
-                        Poly1.const(field, field.one))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        return (isinstance(other, RatFunc1) and self.num == other.num
-                and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        return RatFunc1(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc1(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return RatFunc1(self.num * other.num, self.den * other.den)
-
-    def inv(self):
-        if not self.num:
-            raise ZeroDivisor("inverse of zero")
-        return RatFunc1(self.den, self.num)
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inv() ** (-e)
-        return RatFunc1(self.num ** e, self.den ** e)
-
-    def is_poly(self):
-        return self.den.deg == 0
-
-    def serialize(self):
-        if self.is_poly():
-            return self.num.serialize()
-        return f"({self.num.serialize()}) / ({self.den.serialize()})"
-
-    def __repr__(self):
-        return f"RatFunc1({self.serialize()})"
-
-
 # --------------------------------------------------------------------------
 # Bivariate polynomials and rational functions
 # --------------------------------------------------------------------------
@@ -358,14 +280,7 @@ class Poly2:
         return Poly2(self.field, out)
 
     def __pow__(self, e):
-        out = Poly2.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, Poly2.one(self.field))
 
     def rows(self):
         """The sparse t-rows {t_exp: {u_exp: coeff}}."""
@@ -569,7 +484,7 @@ class RatFunc:
                        self.den * other.den)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._adopt(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -605,72 +520,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.serialize()})"
-
-
-# --------------------------------------------------------------------------
-# Laurent-in-t elements with rational coefficients (F_y at desk scale)
-# --------------------------------------------------------------------------
-
-class FyElem:
-    """Finite Laurent polynomial in t with RatFunc1-in-u coefficients."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms):
-        self.field = field
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    @staticmethod
-    def zero(field):
-        return FyElem(field, {})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        zero = RatFunc1.const(self.field, self.field.zero)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, zero) + c
-        return FyElem(self.field, out)
-
-    def __neg__(self):
-        return FyElem(self.field, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def coeff_pow_p(self):
-        """The p-th power, using (sum)^p = sum of p-th powers in char p."""
-        p = self.field.p
-        return FyElem(self.field, {p * k: c ** p
-                                   for k, c in self.terms.items()})
-
-    def truncate_t(self, t_prec):
-        return FyElem(self.field,
-                      {k: c for k, c in self.terms.items() if k < t_prec})
-
-    def serialize(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({self.terms[k].serialize()})*t^{k}"
-                          for k in sorted(self.terms))
-
-    def __repr__(self):
-        return f"FyElem({self.serialize()})"
-
-
-def ratfunc_to_fy(f):
-    """Convert a RatFunc whose denominator is D(u)*t^k into an FyElem."""
-    rows = f.den.t_coeffs()
-    if len(rows) != 1:
-        raise NotReducible(
-            "denominator mixes u and t; the t-expansion is not finite")
-    k, den1 = next(iter(rows.items()))
-    out = {}
-    for b, num1 in f.num.t_coeffs().items():
-        out[b - k] = RatFunc1(num1, den1)
-    return FyElem(f.field, out)
 
 
 # --------------------------------------------------------------------------
@@ -956,10 +805,12 @@ class PointFunc:
 
     constant * prod(curve equation ^ exponent) * prod((1 + eps) ^ exponent),
     where each eps is a bivariate polynomial vanishing at the origin.
-    Unit entries may be given as eps or as (eps, exponent) pairs.
+    Unit entries may be given as eps or as (eps, exponent) pairs.  The
+    factors are multiplied out once: num is the constant times the factors
+    with exponent >= 0, den the others raised to -exponent.
     """
 
-    __slots__ = ("field", "constant", "curve_exps", "units")
+    __slots__ = ("field", "constant", "curve_exps", "units", "num", "den")
 
     def __init__(self, field, constant=None, curve_exps=None, units=None):
         self.field = field
@@ -970,6 +821,17 @@ class PointFunc:
         for eps, _ in self.units:
             if eps.terms.get((0, 0)):
                 raise ZeroArgument("principal unit must vanish at the origin")
+        one = Poly2.one(field)
+        self.num, self.den = Poly2.const(field, self.constant), one
+        if not self.constant:
+            return  # zero is 0 / 1, which expands to the exact zero
+        factors = [(y.equation(), e) for y, e in self.curve_exps.items()]
+        factors += [(one + eps, e) for eps, e in self.units]
+        for base, e in factors:
+            if e >= 0:
+                self.num = self.num * base ** e
+            else:
+                self.den = self.den * base ** -e
 
     def __bool__(self):
         return bool(self.constant)
@@ -1067,30 +929,14 @@ def _poly2_to_branch(P, y):
 
 
 def expand_point(pf, y, declared, box):
-    """Local expansion of a factored F_x element at the branch y.
-
-    The factors with positive exponents multiply up to num, the others to
-    den, and the expansion is num / den in the working box (t_prec, u_prec).
-    """
-    field = pf.field
+    """Local expansion of a factored F_x element at the branch y: num / den
+    in branch coordinates, in the working box (t_prec, u_prec)."""
     for z in pf.curves():
         if z not in declared:
             raise UndeclaredCurveFactor(
                 f"factor curve {z.serialize()} is not declared admissible")
-    if not pf.constant:
-        return Laurent2.zero(field)
-    num = Laurent2.monomial(field, pf.constant)
-    den = Laurent2.one(field)
-    factors = [(_poly2_to_branch(z.equation(), y), e)
-               for z, e in pf.curve_exps.items()]
-    factors += [(Laurent2.one(field) + _poly2_to_branch(eps, y), e)
-                for eps, e in pf.units]
-    for base, e in factors:
-        if e >= 0:
-            num = num * base ** e
-        else:
-            den = den * base ** -e
-    return _quotient(num, den, box)
+    return _quotient(_poly2_to_branch(pf.num, y),
+                     _poly2_to_branch(pf.den, y), box)
 
 
 def _at_curves(curves):
@@ -1224,6 +1070,51 @@ def tame_report(terms, one, label):
 # Canonical Artin-Schreier representatives
 # --------------------------------------------------------------------------
 
+def _t_coeffs(f):
+    """{k: c_k} with f = sum_k c_k t^k, each c_k a u-only RatFunc.
+
+    f is a RatFunc whose denominator is D(u)*t^k; any other denominator has
+    no finite t-expansion.
+    """
+    rows = f.den.rows()
+    if len(rows) != 1:
+        raise NotReducible(
+            "denominator mixes u and t; the t-expansion is not finite")
+    (k, den), = rows.items()
+
+    def u_only(row):
+        return Poly2(f.field, {(a, 0): c for a, c in row.items()})
+    den = u_only(den)
+    return {b - k: RatFunc(u_only(row), den)
+            for b, row in f.num.rows().items()}
+
+
+def _coeff_sum(*parts):
+    """The sum of {k: c_k} dicts, zero coefficients dropped."""
+    out = {}
+    for part in parts:
+        for k, c in part.items():
+            out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
+
+
+def _coeff_neg(coeffs):
+    return {k: -c for k, c in coeffs.items()}
+
+
+def _coeff_pow_p(coeffs, p):
+    """(sum c_k t^k)^p = sum c_k^p t^{pk} in characteristic p."""
+    return {p * k: c ** p for k, c in coeffs.items()}
+
+
+def _u_text(c):
+    """A u-only RatFunc in univariate notation, highest power first."""
+    num = c.num.t_coeffs()[0].serialize()
+    if c.den == Poly2.one(c.field):
+        return num
+    return f"({num}) / ({c.den.t_coeffs()[0].serialize()})"
+
+
 def _pth_root_coeff(c):
     """The p-th root in F_q (Frobenius is bijective on a perfect field)."""
     field = c.field
@@ -1231,24 +1122,20 @@ def _pth_root_coeff(c):
 
 
 def _p_component_zero_part(r):
-    """Split r = g^p + rest along F_q(u) = sum_a u^a F_q(u^p); returns g."""
-    field = r.field
-    p = field.p
+    """Split the u-only r = g^p + rest along F_q(u) = sum_a u^a F_q(u^p);
+    returns g."""
+    p = r.field.p
     M = r.num * r.den ** (p - 1)
-    m0 = {}
-    for k, c in enumerate(M.coeffs):
-        if c and k % p == 0:
-            m0[k // p] = c
-    if not m0:
+    g_num = {(a // p, 0): _pth_root_coeff(c)
+             for (a, _), c in M.terms.items() if a % p == 0}
+    if not g_num:
         return None
-    g_num = Poly1(field, [
-        _pth_root_coeff(m0.get(k, field.zero))
-        for k in range(max(m0) + 1)])
-    return RatFunc1(g_num, r.den)
+    return RatFunc(Poly2(r.field, g_num), r.den)
 
 
 class CanonicalASRep:
-    """Finite representative sum_{k<0} f_k t^k with constrained p|k slots."""
+    """Finite representative sum_{k<0} f_k t^k with constrained p|k slots;
+    each f_k is a u-only RatFunc."""
 
     __slots__ = ("field", "terms", "flags")
 
@@ -1258,11 +1145,17 @@ class CanonicalASRep:
         self.flags = {k: v for k, v in flags.items() if k in self.terms}
 
     def recompose(self):
-        return FyElem(self.field, dict(self.terms))
+        """sum_k f_k t^k as a RatFunc."""
+        field = self.field
+        t = RatFunc.from_poly2(Poly2.monomial(field, field.one, 0, 1))
+        f = RatFunc.const(field, field.zero)
+        for k, c in self.terms.items():
+            f = f + c * t ** k
+        return f
 
     def to_json(self):
         return {
-            "terms": {str(k): self.terms[k].serialize()
+            "terms": {str(k): _u_text(self.terms[k])
                       for k in sorted(self.terms)},
             "flags": {str(k): self.flags[k] for k in sorted(self.flags)},
         }
@@ -1270,7 +1163,7 @@ class CanonicalASRep:
     def serialize(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"({self.terms[k].serialize()})*t^{k}"
+        return " + ".join(f"({_u_text(self.terms[k])})*t^{k}"
                           for k in sorted(self.terms))
 
     def __repr__(self):
@@ -1280,15 +1173,21 @@ class CanonicalASRep:
 def as_reduce(f):
     """Canonical representative of f modulo (Frob - 1) and constants.
 
+    f is a RatFunc whose denominator is D(u)*t^k (NotReducible otherwise).
     Keeps only negative t-exponents; coefficients at p-divisible exponents
     have their p-th-power component transferred down to exponent k/p until
     every such coefficient lies in the representative set (no p-th-power
     component left).
     """
-    field = f.field
+    return _as_reduce(_t_coeffs(f), f.field)
+
+
+def _as_reduce(coeffs, field):
+    """as_reduce on the t-coefficients {k: c_k} of f."""
     p = field.p
-    work = {k: c for k, c in f.terms.items() if k < 0 and c}
-    zero = RatFunc1.const(field, field.zero)
+    work = {k: c for k, c in coeffs.items() if k < 0 and c}
+    zero = RatFunc.const(field, field.zero)
+    one = Poly2.one(field)
     flags = {}
     done = set()
     while True:
@@ -1305,7 +1204,7 @@ def as_reduce(f):
             work[k] = c - g ** p
             work[k // p] = work.get(k // p, zero) + g
         if work.get(k, zero):
-            flags[k] = "polynomial" if work[k].is_poly() else "rational"
+            flags[k] = "polynomial" if work[k].den == one else "rational"
     return CanonicalASRep(field, work, flags)
 
 
@@ -1318,22 +1217,21 @@ def as_residual_solves(f, rep, t_prec=None):
     """
     field = f.field
     p = field.p
-    diff = f - rep.recompose()
-    neg = FyElem(field, {k: c for k, c in diff.terms.items() if k < 0})
-    if as_reduce(neg).terms:
+    diff = _coeff_sum(_t_coeffs(f), _coeff_neg(rep.terms))
+    if _as_reduce({k: c for k, c in diff.items() if k < 0}, field).terms:
         return False
-    pos = FyElem(field, {k: c for k, c in diff.terms.items() if k > 0})
+    pos = {k: c for k, c in diff.items() if k > 0}
     if not pos:
         return True
     if t_prec is None:
-        t_prec = p * (max(pos.terms) + 1) + 1
-    h = FyElem.zero(field)
-    term = -pos
-    while term and min(term.terms) < t_prec:
-        h = h + term.truncate_t(t_prec)
-        term = term.coeff_pow_p()
-    resid = h.coeff_pow_p() - h - pos
-    return not resid.truncate_t(t_prec)
+        t_prec = p * (max(pos) + 1) + 1
+    h = {}
+    term = _coeff_neg(pos)
+    while term and min(term) < t_prec:
+        h = _coeff_sum(h, {k: c for k, c in term.items() if k < t_prec})
+        term = _coeff_pow_p(term, p)
+    resid = _coeff_sum(_coeff_pow_p(h, p), _coeff_neg(h), _coeff_neg(pos))
+    return all(k >= t_prec for k in resid)
 
 
 # --------------------------------------------------------------------------

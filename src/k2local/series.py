@@ -49,7 +49,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (FieldMismatch, PrecisionTooLow, ZeroDivisor, ZeroElement)
-from .ff import FieldSpec, GaloisRing, galois_ring, primitive_element
+from .ff import (FieldSpec, GaloisRing, galois_ring, power,
+                 primitive_element)
 
 INF = math.inf
 
@@ -364,14 +365,7 @@ class Laurent2:
     def __pow__(self, e):
         if e < 0:
             return invert(self) ** (-e)
-        result = Laurent2.one(self.dom)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, Laurent2.one(self.dom))
 
     # -- comparisons ---------------------------------------------------------
 

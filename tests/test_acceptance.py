@@ -9,8 +9,8 @@ import pytest
 
 from k2local import cli
 from k2local.ff import galois_ring, make_field
-from k2local.globalfield import (AdmissibleCurve, FyElem, Poly1, Poly2,
-                                 PointFunc, RatFunc, RatFunc1,
+from k2local.globalfield import (AdmissibleCurve, Poly1, Poly2,
+                                 PointFunc, RatFunc,
                                  _p_component_zero_part, as_reduce,
                                  as_residual_solves, curve_tame_reciprocity,
                                  curve_witt_reciprocity, duality_kernel_point,
@@ -548,17 +548,17 @@ class TestCanonicalRepresentatives:
         count = 0
         for (p, n) in ((2, 1), (3, 1), (2, 2), (5, 1)):
             F = make_field(p, n)
+            t = RatFunc.from_poly2(Poly2.monomial(F, F.one, 0, 1))
             for _ in range(25):
-                terms = {}
+                f = RatFunc.const(F, F.zero)
                 for _ in range(rng.randrange(1, 4)):
                     k = rng.randrange(-6, 4)
                     num = Poly1(F, [F.elem_by_index(rng.randrange(F.q))
                                     for _ in range(3)])
                     den = Poly1(F, [F.elem_by_index(rng.randrange(F.q))
                                     for _ in range(2)] + [F.one])
-                    terms[k] = terms.get(
-                        k, RatFunc1.const(F, F.zero)) + RatFunc1(num, den)
-                f = FyElem(F, terms)
+                    f = f + RatFunc(Poly2.from_poly1(num),
+                                    Poly2.from_poly1(den)) * t ** k
                 rep = as_reduce(f)
                 assert all(k < 0 for k in rep.terms)
                 for k, c in rep.terms.items():

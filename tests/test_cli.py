@@ -338,6 +338,19 @@ class TestRun:
         assert rep["schema"] == 1
         assert rep["representative"]["terms"] == {"-1": "[1]*u^1"}
 
+    def test_as_reduce_prints_univariate_coefficients(self):
+        # each coefficient prints highest power of u first, as it did when
+        # the coefficients were univariate fractions
+        code, rep = run(["as-reduce", "--field", "3^1",
+                         "t^-3*(1+u)/(1+u^2)+2*u^-1*t^-1"])
+        assert code == 0
+        assert rep["representative"] == {
+            "terms": {
+                "-1": "([1]*u^2 + [1]*u^1 + [2]) / ([1]*u^3 + [1]*u^1)",
+                "-3": "([1]*u^5 + [1]*u^4 + [2]*u^2 + [1]*u^1) / "
+                      "([1]*u^6 + [1])"},
+            "flags": {"-3": "rational"}}
+
     def test_main_json_output(self, capsys):
         code = main(["tame", "--field", "2^2/1,1,1", "--json",
                      "z", "u", "t"])

@@ -14,8 +14,8 @@ from k2local.errors import (BadIndexPair, DivisionByZero, InvariantViolation,
                             UnsupportedPlace, ZeroArgument)
 from k2local.ff import make_field
 from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
-                                 CurvePlace, FyElem, PointFunc, Poly1, Poly2,
-                                 RatFunc, RatFunc1, as_reduce,
+                                 CurvePlace, PointFunc, Poly1, Poly2,
+                                 RatFunc, as_reduce,
                                  as_residual_solves, curve_tame_reciprocity,
                                  curve_tame_terms, curve_witt_reciprocity,
                                  curve_witt_terms, duality_kernel_point,
@@ -23,10 +23,10 @@ from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  factor_poly1, infinity_place, list_places,
                                  point_basis_pair, point_tame_reciprocity,
                                  point_witt_reciprocity, point_witt_terms,
-                                 ratfunc_to_fy, to_pointfunc, witt_report)
+                                 to_pointfunc, witt_report)
 from k2local.globalfield import (_expand_poly2, _irreducibles, _param_series,
                                  _poly2_div_poly1, _poly2_to_branch,
-                                 _poly2_transpose, _try_div_curve,
+                                 _poly2_transpose, _t_coeffs, _try_div_curve,
                                  expand_point, place_field, poly1_gcd)
 from k2local.series import INF, Laurent2, invert, laurent_domain
 from k2local.symbols import symbol, witt_pair_local
@@ -90,27 +90,31 @@ class TestPolynomials:
         one, u, t = uvars(F2)
         f = (u * u + t) / (t * (u + one))
         # f = (u^2 / (u+1)) t^-1 + 1 / (u+1)
-        d = Poly1.from_ints(F2, [1, 1])
-        assert ratfunc_to_fy(f).terms == {
-            -1: RatFunc1(Poly1.from_ints(F2, [0, 0, 1]), d),
-            0: RatFunc1(Poly1.from_ints(F2, [1]), d)}
+        assert _t_coeffs(f) == {-1: u * u / (u + one), 0: one / (u + one)}
 
     def test_fy_rejects_mixed_denominator(self):
         F2 = make_field(2, 1)
         one, u, t = uvars(F2)
         with pytest.raises(NotReducible):
-            ratfunc_to_fy(one / (u + t))
+            as_reduce(one / (u + t))
 
 
-# The Euclid in F_q(u)[t] with RatFunc1 coefficients that reduced RatFunc
-# and divided by curve equations before the bivariate gcd, kept as the
-# reference for the differential test below.
+# The Euclid in F_q(u)[t] with u-only RatFunc coefficients that reduced
+# RatFunc and divided by curve equations before the bivariate gcd, kept as
+# the reference for the differential test below.  A u-only RatFunc reduces
+# by poly1_gcd of the contents alone, so the reference shares none of the
+# t-direction remainder sequence that it checks.
+
+def _univariate(P):
+    """The u-only P as a Poly1."""
+    return P.t_coeffs().get(0, Poly1(P.field, ()))
+
 
 def _tpoly(P):
     rows = P.t_coeffs()
-    out = [RatFunc1.const(P.field, P.field.zero)] * (P.deg_t() + 1)
+    out = [RatFunc.const(P.field, P.field.zero)] * (P.deg_t() + 1)
     for b, poly in rows.items():
-        out[b] = RatFunc1.from_poly(poly)
+        out[b] = RatFunc.from_poly2(Poly2.from_poly1(poly))
     return out
 
 
@@ -122,7 +126,7 @@ def _tpoly_trim(A):
 
 def _tpoly_divmod(A, B, field):
     A = list(A)
-    Q = [RatFunc1.const(field, field.zero)] * max(0, len(A) - len(B) + 1)
+    Q = [RatFunc.const(field, field.zero)] * max(0, len(A) - len(B) + 1)
     inv = B[-1].inv()
     for k in range(len(A) - 1, len(B) - 2, -1):
         c = A[k] * inv
@@ -154,10 +158,11 @@ def _content(P):
 def _tpoly_clear(A, field):
     den = Poly1.const(field, field.one)
     for c in A:
-        den = den.divmod(poly1_gcd(den, c.den))[0] * c.den
+        den = den.divmod(poly1_gcd(den, _univariate(c.den)))[0] * \
+            _univariate(c.den)
     P = Poly2(field, {(a, b): cc for b, c in enumerate(A)
-                      for a, cc in enumerate(
-                          (c.num * den.divmod(c.den)[0]).coeffs)})
+                      for a, cc in enumerate((_univariate(c.num) * den.divmod(
+                          _univariate(c.den))[0]).coeffs)})
     return _poly2_div_poly1(P, _content(P))
 
 
@@ -166,12 +171,10 @@ def _poly2_from_tpoly(Q, field):
     for b, c in enumerate(Q):
         if not c:
             continue
-        if not c.is_poly():
+        if c.den != Poly2.one(field):
             raise InvariantViolation("t-coefficient is not polynomial in u")
-        poly = c.num * c.den.coeffs[0].inv()
-        for a, cc in enumerate(poly.coeffs):
-            if cc:
-                terms[(a, b)] = cc
+        for (a, _), cc in c.num.terms.items():
+            terms[(a, b)] = cc
     return Poly2(field, terms)
 
 
@@ -262,7 +265,7 @@ class TestBivariateReduction:
 
     @pytest.mark.parametrize("q", FIELDS)
     def test_power_matches_renormalised(self, q):
-        # __pow__ builds the power without a gcd; the reference reduces
+        # __pow__ and __neg__ build without a gcd; the reference reduces
         field = make_field(*q)
         rng = random.Random(q[0] * 10 + q[1] + 2)
         fs = [RatFunc(Poly2(field, {}), Poly2.one(field))]
@@ -270,6 +273,8 @@ class TestBivariateReduction:
                        _rand_poly2(rng, field, 2, rng.randrange(1, 4)))
                for _ in range(12)]
         for f in fs:
+            neg = RatFunc(-f.num, f.den)
+            assert ((-f).num, (-f).den) == (neg.num, neg.den), f
             for e in range(-4, 5):
                 if e < 0 and not f:
                     with pytest.raises(DivisionByZero):
@@ -690,6 +695,38 @@ class TestBranchKernel:
                     assert got.same_known_terms(ref), (pf, y, box)
 
 
+    @pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2)])
+    def test_pointfunc_is_num_over_den(self, q):
+        # to_pointfunc's factors multiply out to num / den = f
+        field = make_field(*q)
+        rng = random.Random(43 + q[0] * 10 + q[1])
+        one = Poly2.one(field)
+        u = Poly2.monomial(field, field.one, 1, 0)
+        t = Poly2.monomial(field, field.one, 0, 1)
+        for _ in range(12):
+            curves = _rand_graph_curves(rng, field)
+            f = RatFunc.const(field, field.elem_by_index(
+                1 + rng.randrange(field.q - 1)))
+            for y in curves:
+                f = f * RatFunc.from_poly2(y.equation()) ** rng.randint(-2, 2)
+            for e in (1, -1, rng.choice([-2, 2])):
+                eps = _rand_rows(rng, field, 3, 3) * (u if e > 0 else t)
+                f = f * RatFunc.from_poly2(one + eps) ** e
+            pf = to_pointfunc(f, curves)
+            assert pf.num * f.den == f.num * pf.den, (f, pf)
+
+    def test_zero_is_exact(self):
+        for q in [(2, 1), (3, 1)]:
+            field = make_field(*q)
+            rng = random.Random(47)
+            curves = _rand_graph_curves(rng, field)
+            zero = PointFunc(field, field.zero, {y: -1 for y in curves},
+                             [(Poly2.monomial(field, field.one, 1, 1), -2)])
+            for y in curves:
+                got = expand_point(zero, y, set(curves), (2, 2))
+                assert got.is_zero() and got == Laurent2.zero(field)
+
+
 # --------------------------------------------------------------------------
 # curve-mode reciprocity
 # --------------------------------------------------------------------------
@@ -960,27 +997,27 @@ class TestPointReciprocity:
 class TestASReduce:
     def test_positive_part_vanishes(self):
         F2 = make_field(2, 1)
-        ru = RatFunc1.from_poly(Poly1.from_ints(F2, [0, 1]))
-        rep = as_reduce(FyElem(F2, {2: ru}))
+        _, u, t = uvars(F2)
+        rep = as_reduce(u * t * t)
         assert not rep.terms
 
     def test_odd_index_unchanged(self):
         F2 = make_field(2, 1)
-        ru = RatFunc1.from_poly(Poly1.from_ints(F2, [0, 1]))
-        rep = as_reduce(FyElem(F2, {-1: ru}))
-        assert rep.terms == {-1: ru}
+        _, u, t = uvars(F2)
+        rep = as_reduce(u / t)
+        assert rep.terms == {-1: u}
         assert rep.flags == {}
 
     def test_square_transfer(self):
         F2 = make_field(2, 1)
-        ru = RatFunc1.from_poly(Poly1.from_ints(F2, [0, 1]))
-        rep = as_reduce(FyElem(F2, {-2: ru * ru}))
-        assert rep.terms == {-1: ru}
+        _, u, t = uvars(F2)
+        rep = as_reduce(u * u / (t * t))
+        assert rep.terms == {-1: u}
 
     def test_rational_coefficient_flagged(self):
         F2 = make_field(2, 1)
-        c = RatFunc1(Poly1.from_ints(F2, [1]), Poly1.from_ints(F2, [1, 1]))
-        f = FyElem(F2, {-2: c})
+        one, u, t = uvars(F2)
+        f = one / ((u + one) * t * t)
         rep = as_reduce(f)
         assert rep.flags.get(-2) == "rational"
         assert as_residual_solves(f, rep)
@@ -989,8 +1026,9 @@ class TestASReduce:
         rng = random.Random(5)
         for q, n in ((2, 1), (3, 1), (2, 2)):
             field = make_field(q, n)
+            _, _, t = uvars(field)
             for _ in range(8):
-                terms = {}
+                f = RatFunc.const(field, field.zero)
                 for _ in range(rng.randrange(1, 4)):
                     k = rng.randrange(-6, 4)
                     num = Poly1(field, [field.elem_by_index(
@@ -998,9 +1036,8 @@ class TestASReduce:
                     den = Poly1(field, [field.elem_by_index(
                         rng.randrange(field.q)) for _ in range(2)] +
                         [field.one])
-                    terms[k] = terms.get(k, RatFunc1.const(
-                        field, field.zero)) + RatFunc1(num, den)
-                f = FyElem(field, terms)
+                    f = f + RatFunc(Poly2.from_poly1(num),
+                                    Poly2.from_poly1(den)) * t ** k
                 rep = as_reduce(f)
                 again = as_reduce(rep.recompose())
                 assert again.terms == rep.terms
