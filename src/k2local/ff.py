@@ -1,7 +1,10 @@
 """Exact arithmetic in finite fields F_q and truncated Witt rings W_s(F_q).
 
 Fields are F_p[x]/(m(x)) with a monic irreducible modulus stored
-constant-term-first.  Truncated Witt rings of F_q are modelled as Galois
+constant-term-first.  A field of at most TABLE_MAX elements multiplies,
+inverts, raises to powers and takes discrete logs by one log/antilog table
+over its primitive element, built on first use; a larger field multiplies and
+powers on coordinates.  Truncated Witt rings of F_q are modelled as Galois
 rings (Z/p^s)[x]/(m(x)) against the same polynomial basis, which is all the
 characteristic-zero lifting the symbol layer needs.
 """
@@ -13,6 +16,8 @@ from functools import lru_cache
 
 from .errors import (CompositeP, FieldMismatch, InvariantViolation,
                      NotASubfield, ReducibleModulus, UsageError)
+
+TABLE_MAX = 1 << 12  # largest q whose arithmetic goes through the tables
 
 
 def is_prime(p):
@@ -140,23 +145,31 @@ class FqElem:
         f = self.field
         if f.n == 1:
             return FqElem(f, ((self.coeffs[0] * other.coeffs[0]) % f.p,))
-        return FqElem(f, _poly_mulmod_fp(self.coeffs, other.coeffs,
-                                         f.modulus, f.p))
+        if f.q > TABLE_MAX:
+            return FqElem(f, _poly_mulmod_fp(self.coeffs, other.coeffs,
+                                             f.modulus, f.p))
+        log = f._log or f._tables()
+        i, j = log.get(self.coeffs), log.get(other.coeffs)
+        if i is None or j is None:
+            return f.zero
+        return f._exp[i + j]
 
     def __pow__(self, e):
+        """self^e for any int e; a negative e needs a nonzero self."""
         f = self.field
-        if e < 0:
-            return self.inv() ** (-e)
         if not any(self.coeffs):
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero field element")
             return f.zero if e else f.one
+        if f.q <= TABLE_MAX:
+            k = f.log(self) * e % (f.q - 1)  # builds f._exp on first use
+            return f._exp[k]
         e %= f.q - 1
         return FqElem(f, _poly_powmod_fp(self.coeffs, e, f.modulus, f.p)) \
             if e else f.one
 
     def inv(self):
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.field.q - 2)
+        return self ** -1
 
     def __bool__(self):
         return any(self.coeffs)
@@ -186,6 +199,25 @@ class FieldSpec:
         self.gen = FqElem(self, tuple([0, 1] + [0] * (n - 2))) if n > 1 \
             else self.one
         self._prim = None
+        self._exp = self._log = None  # built on first use by _tables
+
+    def _tables(self):
+        """exp[k] = z^k for k < 2(q - 1) and log[z^k.coeffs] = k, over
+        z = primitive_element(self); returns log."""
+        z = primitive_element(self).coeffs
+        exp, log, x = [], {}, self.one
+        for k in range(self.q - 1):
+            exp.append(x)
+            log[x.coeffs] = k
+            x = FqElem(self, _poly_mulmod_fp(x.coeffs, z, self.modulus,
+                                             self.p))
+        self._exp, self._log = exp + exp, log
+        return log
+
+    def log(self, a):
+        """The k < q - 1 with a = z^k, z = primitive_element(self), for a
+        nonzero a.  Builds the tables at any q."""
+        return (self._log or self._tables())[a.coeffs]
 
     def elem(self, coeffs):
         coeffs = tuple(c % self.p for c in coeffs)
@@ -217,12 +249,13 @@ def _default_modulus(p, n):
     """Lexicographically least monic irreducible, constant-term-first order."""
     if n == 1:
         return (0, 1)
-    # iterate lower-coefficient tuples (a_0, ..., a_{n-1}) in lex order
+    # iterate lower-coefficient tuples (a_0, ..., a_{n-1}) in lex order;
+    # a_0 = 0 is skipped, since x divides those candidates
     def tuples(prefix, k):
         if k == n:
             yield tuple(prefix)
             return
-        for c in range(p):
+        for c in range(0 if k else 1, p):
             yield from tuples(prefix + [c], k + 1)
 
     # every degree n >= 1 has an irreducible, so the loop returns
@@ -300,9 +333,9 @@ def primitive_element(field):
     prime_divs = [l for l in range(2, q) if (q - 1) % l == 0 and is_prime(l)]
     for k in range(1, q):
         a = field.elem_by_index(k)
-        if not a:
-            continue
-        if all(a ** ((q - 1) // l) != field.one for l in prime_divs):
+        # orders by coordinates: the tables are built over this element
+        if all(_poly_powmod_fp(a.coeffs, (q - 1) // l, field.modulus, field.p)
+               != field.one.coeffs for l in prime_divs):
             field._prim = a
             return a
     raise AssertionError("no primitive element found")  # pragma: no cover

@@ -119,9 +119,10 @@ class Poly1:
             raise ZeroDivisor("polynomial division by zero")
         rem = list(self.coeffs)
         quo = [self.field.zero] * max(0, len(rem) - other.deg)
-        inv_lead = other.coeffs[-1].inv()
+        lead = other.coeffs[-1]
+        inv_lead = None if lead == self.field.one else lead.inv()
         for k in range(len(rem) - 1, other.deg - 1, -1):
-            c = rem[k] * inv_lead
+            c = rem[k] if inv_lead is None else rem[k] * inv_lead
             if not c:
                 continue
             quo[k - other.deg] = c
@@ -130,7 +131,7 @@ class Poly1:
         return Poly1(self.field, quo), Poly1(self.field, rem)
 
     def monic(self):
-        if not self:
+        if not self or self.coeffs[-1] == self.field.one:
             return self
         return self * self.coeffs[-1].inv()
 

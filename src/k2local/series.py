@@ -706,30 +706,18 @@ class UnitDecomposition:
     principal: Laurent2
 
 
-@lru_cache(maxsize=None)
-def _dlog_table(field):
-    z = primitive_element(field)
-    table = {}
-    x = field.one
-    for e in range(field.q - 1):
-        table[x.coeffs] = e
-        x = x * z
-    return table
-
-
 def unit_decompose(f):
     """f = ζ^a · u^i · t^j · ε with ε a principal unit."""
     j0 = outer_valuation(f)
     i0 = min(f.terms[j0])
     c = f.terms[j0][i0]
-    a = _dlog_table(f.dom)[c.coeffs]
+    a = f.dom.log(c)
     principal = f.monomial_mul(c.inv(), -i0, -j0)
     return UnitDecomposition(a, i0, j0, principal)
 
 
 def recompose(dec, dom):
-    z = primitive_element(dom)
-    lead = (z ** dec.zeta_exp)
+    lead = primitive_element(dom) ** dec.zeta_exp
     return dec.principal.monomial_mul(lead, dec.u_exp, dec.t_exp)
 
 

@@ -580,3 +580,19 @@ class TestCommandLineGolden:
         rendered = json.dumps(rep, sort_keys=True, indent=2) + "\n"
         stored = (DATA / f"golden_{idx:02d}.json").read_bytes()
         assert rendered.encode() == stored
+
+
+class TestLargeFieldProbes:
+    """Wide fields answer quickly: the modulus search skips the multiples
+    of x, and a table field reads its discrete log from its tables."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tame", "--field", "2^16", "u", "t", "1+u"],
+        ["tame", "--field", "2^22", "u", "t", "1+u"],
+        ["decompose", "--field", "2^8", "--level", "1", "(z+1)*u", "t"],
+    ], ids=" ".join)
+    def test_answers_within_a_second(self, argv):
+        t0 = time.monotonic()
+        code, _ = cli.run(argv)
+        assert code == 0
+        assert time.monotonic() - t0 < 1

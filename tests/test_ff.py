@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from k2local import ff
@@ -20,6 +22,22 @@ def test_make_field_basics():
         ff.make_field(4, 1)
     with pytest.raises(ReducibleModulus):
         ff.make_field(2, 2, (1, 0, 1))  # x^2+1 = (x+1)^2
+
+
+def _default_modulus_reference(p, n):
+    """The full lex walk, a_0 = 0 included, with a Rabin test each."""
+    for k in range(p ** n):
+        lower = [(k // p ** (n - 1 - i)) % p for i in range(n)]
+        if ff._is_irreducible(tuple(lower) + (1,), p):
+            return tuple(lower) + (1,)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_default_modulus_is_the_lex_least_irreducible(p):
+    n = 2
+    while p ** n <= 3 ** 7:
+        assert ff._default_modulus(p, n) == _default_modulus_reference(p, n)
+        n += 1
 
 
 def test_parse_field_roundtrip():
@@ -122,6 +140,23 @@ def test_frobenius_automorphism_order():
                 assert ff.frobenius(a + c) == ff.frobenius(a) + ff.frobenius(c)
 
 
+# Coordinate arithmetic, kept as the reference for the tables: the
+# schoolbook product with reduction, and powers by squaring over it.
+
+def _ref_mul(a, b):
+    f = a.field
+    return ff.FqElem(f, ff._poly_mulmod_fp(a.coeffs, b.coeffs, f.modulus, f.p))
+
+
+def _ref_pow(a, e):
+    """a^e with 0^0 = 1; a negative e reduces mod q - 1 (a is nonzero)."""
+    f = a.field
+    if not a:
+        return f.zero if e else f.one
+    return ff.FqElem(f, ff._poly_powmod_fp(a.coeffs, e % (f.q - 1),
+                                            f.modulus, f.p))
+
+
 def test_primitive_element():
     assert ff.primitive_element(F2) == F2.one
     assert ff.primitive_element(F3) == F3.elem((2,))
@@ -132,8 +167,86 @@ def test_primitive_element():
         x = f.one
         for _ in range(f.q - 1):
             seen.add(x.coeffs)
-            x = x * z
+            x = _ref_mul(x, z)
         assert len(seen) == f.q - 1
+        assert x == f.one
+
+
+TABLE_FIELDS = [F2, F3, F4, F8, F9, ff.make_field(2, 4), ff.make_field(5, 2),
+                ff.make_field(3, 3), ff.make_field(7, 2),
+                ff.parse_field("2^3/1,1,0,1")]  # not the default modulus
+
+
+@pytest.mark.parametrize("f", TABLE_FIELDS, ids=ff.FieldSpec.serialize)
+def test_table_arithmetic_matches_coordinates(f):
+    els = list(f.elements())
+    for a in els:
+        for b in els:
+            assert a * b == _ref_mul(a, b)
+        for e in range(-2 * f.q, 2 * f.q + 1):
+            if a or e >= 0:
+                assert a ** e == _ref_pow(a, e)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    a ** e
+        if a:
+            assert a.inv() == _ref_pow(a, f.q - 2)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a.inv()
+        for k in range(1, f.n + 1):
+            assert ff.frobenius(a, k) == _ref_pow(a, f.p ** k)
+
+
+@pytest.mark.parametrize("p, n", [(2, 12), (2, 13)])
+def test_arithmetic_at_and_above_the_table_bound(p, n):
+    f = ff.make_field(p, n)
+    assert (f.q <= ff.TABLE_MAX) == (n == 12)
+    rng = random.Random(f"{p}^{n}")
+    for _ in range(2000):
+        a, b = (f.elem_by_index(rng.randrange(f.q)) for _ in range(2))
+        e = rng.randrange(-3 * f.q, 3 * f.q)
+        assert a * b == _ref_mul(a, b)
+        if a:
+            assert a.inv() == _ref_pow(a, -1)
+            assert a ** e == _ref_pow(a, e)
+    assert (f._log is not None) == (f.q <= ff.TABLE_MAX)
+
+
+def test_table_fields_invert_without_exponentiation(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kw):
+            calls.append(fn.__name__)
+            return fn(*args, **kw)
+        return wrapped
+
+    fields = (F3, F9, ff.make_field(2, 4))
+    big = ff.make_field(2, 13)
+    for f in fields:
+        f.log(f.one)  # the tables exist from here on
+    monkeypatch.setattr(ff, "power", counting(ff.power))
+    monkeypatch.setattr(ff, "_poly_powmod_fp", counting(ff._poly_powmod_fp))
+    for f in fields:
+        for a in f.elements():
+            if a:
+                a.inv()
+                a ** -5
+            a ** 7
+            ff.frobenius(a)
+    assert calls == []
+    big.gen.inv()
+    assert calls  # above the bound the coordinate path still powers
+
+
+def test_log_is_the_discrete_log():
+    for f in TABLE_FIELDS:
+        z = ff.primitive_element(f)
+        x = f.one
+        for k in range(f.q - 1):
+            assert f.log(x) == k
+            x = _ref_mul(x, z)
 
 
 def test_teichmuller_examples():

@@ -12,7 +12,7 @@ from k2local.errors import (BadIndexPair, DivisionByZero, InvariantViolation,
                             NotReducible, PrecisionTooLow,
                             UndeclaredCurveFactor, UnsupportedLength,
                             UnsupportedPlace, ZeroArgument)
-from k2local.ff import make_field
+from k2local.ff import FqElem, make_field
 from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  CurvePlace, PointFunc, Poly1, Poly2,
                                  RatFunc, as_reduce,
@@ -78,6 +78,20 @@ class TestPolynomials:
         f = Poly1.from_ints(F2, [1, 1, 1])  # u^2 + u + 1
         fac = factor_poly1(f)
         assert fac == {f: 1}
+
+    def test_monic_divisor_needs_no_inverse(self, monkeypatch):
+        F4 = make_field(2, 2)
+        f = Poly1(F4, (F4.gen, F4.one, F4.gen, F4.one))
+        g = Poly1(F4, (F4.one, F4.gen, F4.one))
+        assert f.monic() is f
+        calls = []
+        inv = FqElem.inv
+        monkeypatch.setattr(FqElem, "inv",
+                            lambda a: calls.append(a) or inv(a))
+        q, r = f.divmod(g)
+        assert calls == []
+        assert q * g + r == f and r.deg < g.deg
+        assert (f * F4.gen).monic() == f and len(calls) == 1
 
     def test_ratfunc_reduction(self):
         F3 = make_field(3, 1)

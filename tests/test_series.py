@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from k2local.errors import PrecisionTooLow, ZeroDivisor, ZeroElement
-from k2local.ff import galois_ring, make_field
+from k2local.ff import (FqElem, _poly_mulmod_fp, galois_ring, make_field,
+                        primitive_element)
 from k2local.forms import d_dt, d_du
 from k2local.series import (DEFAULT_T_PREC, DEFAULT_U_PREC, INF, Laurent2,
                             bar_valuation, invert, laurent_domain,
@@ -220,6 +221,22 @@ class TestUnitDecomposition:
         assert dec.zeta_exp == 1  # the generator of F4 is primitive
         assert dec.principal.coeff(0, 0) == F4.one
         assert recompose(dec, F4) == f
+
+    def test_zeta_exp_is_the_discrete_log(self):
+        for dom in (F4, F9, make_field(5, 2)):
+            # reference log: the powers of z by the coordinate product
+            z, x, dlog = primitive_element(dom), dom.one, {}
+            for e in range(dom.q - 1):
+                dlog[x.coeffs] = e
+                x = FqElem(dom, _poly_mulmod_fp(x.coeffs, z.coeffs,
+                                                dom.modulus, dom.p))
+            rng = random.Random(f"zeta:{dom.q}")
+            for _ in range(40):
+                f = rand_series(dom, rng)
+                if f.terms:
+                    j = outer_valuation(f)
+                    lead = f.terms[j][min(f.terms[j])]
+                    assert unit_decompose(f).zeta_exp == dlog[lead.coeffs]
 
     def test_roundtrip_random(self):
         rng = random.Random(23)
