@@ -251,22 +251,16 @@ def _laurent_json(f):
 # --------------------------------------------------------------------------
 
 def _parse_curveset(spec, field):
-    """Curve set syntax: comma-separated 't', 'u', 't=POLY', 'u=POLY'."""
+    """Curve set syntax: comma-separated items VAR or VAR=POLY, VAR being t
+    or u and POLY a polynomial in the other variable; VAR alone is VAR = 0."""
     curves = []
     for item in spec.split(","):
-        item = item.strip()
-        if item == "t":
-            curves.append(AdmissibleCurve(field, "axis_u"))
-        elif item == "u":
-            curves.append(AdmissibleCurve(field, "axis_t"))
-        elif item.startswith("t="):
-            curves.append(AdmissibleCurve(
-                field, "graph_t_of_u", _graph_poly(item[2:], field, "u")))
-        elif item.startswith("u="):
-            curves.append(AdmissibleCurve(
-                field, "graph_u_of_t", _graph_poly(item[2:], field, "t")))
-        else:
-            raise UsageError(f"bad curve item {item!r}")
+        var, eq, rhs = (s.strip() for s in item.partition("="))
+        if var not in ("t", "u") or (eq and not rhs):
+            raise UsageError(f"bad curve item {item.strip()!r}")
+        other = "u" if var == "t" else "t"
+        curves.append(AdmissibleCurve(
+            field, var, _graph_poly(rhs, field, other) if eq else None))
     return curves
 
 
@@ -355,8 +349,8 @@ def _cmd_equiv(args, field):
 def _cmd_reciprocity_curve(args, field):
     exprs = args["exprs"]
     m = args["m"]
-    zero = witt_zero(make_field(field.p, 1), m)
     if args["sweep"]:
+        zero = witt_zero(make_field(field.p, 1), m)
         rng = random.Random(args["seed"])
         runs = []
         ok = True
@@ -377,16 +371,9 @@ def _cmd_reciprocity_curve(args, field):
     f = eval_rational(exprs[0], field)
     g = eval_rational(exprs[1], field)
     comps = [eval_rational(x, field) for x in exprs[2:]]
-    witt = witt_report(curve_witt_terms(f, g, comps, m), zero, "place")
-    out = {"verb": "reciprocity-curve", "m": m, "witt": witt}
-    ok = witt["verdict"]
-    if len(comps) == 1 and comps[0]:
-        tame = tame_report(curve_tame_terms(f, g, comps[0]), field.one,
-                           "place")
-        out["tame"] = tame
-        ok = ok and tame["verdict"]
-    out["verdict"] = ok
-    return out, 0 if ok else 1
+    return _reciprocity_report({"verb": "reciprocity-curve", "m": m},
+                               f, g, comps, curve_witt_terms,
+                               curve_tame_terms, "place")
 
 
 def _cmd_reciprocity_point(args, field):
@@ -398,18 +385,24 @@ def _cmd_reciprocity_point(args, field):
     g = to_pointfunc(eval_rational(exprs[1], field), curves)
     comps = [to_pointfunc(eval_rational(x, field), curves)
              for x in exprs[2:]]
-    m = args["m"]
-    witt = witt_report(point_witt_terms(f, g, comps, m, curves),
-                       witt_zero(make_field(field.p, 1), m), "curve")
-    out = {"verb": "reciprocity-point", "m": m,
-           "curves": [y.serialize() for y in distinct_curves(curves)],
-           "witt": witt}
-    ok = witt["verdict"]
+    out = {"verb": "reciprocity-point", "m": args["m"],
+           "curves": [y.serialize() for y in distinct_curves(curves)]}
+    return _reciprocity_report(
+        out, f, g, comps,
+        lambda f, g, h, m: point_witt_terms(f, g, h, m, curves),
+        lambda f, g, h: point_tame_terms(f, g, h, curves), "curve")
+
+
+def _reciprocity_report(out, f, g, comps, witt_terms, tame_terms, key):
+    """out with the Witt report, the tame report when h is one nonzero
+    component, and the verdict of both; and the exit code."""
+    field, m = f.field, out["m"]
+    out["witt"] = witt_report(witt_terms(f, g, comps, m),
+                              witt_zero(make_field(field.p, 1), m), key)
+    ok = out["witt"]["verdict"]
     if len(comps) == 1 and comps[0]:
-        tame = tame_report(point_tame_terms(f, g, comps[0], curves),
-                           field.one, "curve")
-        out["tame"] = tame
-        ok = ok and tame["verdict"]
+        out["tame"] = tame_report(tame_terms(f, g, comps[0]), field.one, key)
+        ok = ok and out["tame"]["verdict"]
     out["verdict"] = ok
     return out, 0 if ok else 1
 

@@ -365,13 +365,16 @@ class Embedding:
         self.sub = sub
         self.sup = sup
         self.gen_image = self._find_gen_image()
-        # basis images of 1, g, g^2, ..., g^{sub.n-1} as F_p-columns in sup
-        cols = []
+        # basis images of 1, g, g^2, ..., g^{sub.n-1} as F_p-rows in sup
+        self._fp = make_field(sub.p, 1)
+        self._rows = []
         b = sup.one
         for _ in range(sub.n):
-            cols.append(b.coeffs)
+            self._rows.append(self._fp_row(b))
             b = b * self.gen_image
-        self._cols = cols
+
+    def _fp_row(self, b):
+        return [self._fp.from_int(c) for c in b.coeffs]
 
     def _find_gen_image(self):
         sub, sup = self.sub, self.sup
@@ -389,11 +392,19 @@ class Embedding:
         return acc
 
     def section(self, b):
-        """Inverse image of b, or raise NotASubfield if b is not in range."""
-        sol = _solve_fp(self._cols, b.coeffs, self.sub.p)
-        if sol is None:
+        """Inverse image of b, or raise NotASubfield if b is not in range.
+
+        The basis images are independent, so b is in range exactly when
+        the rows of the basis images and of b have a left kernel; its one
+        vector x gives the preimage -x[:-1] / x[-1].
+        """
+        _, kernel = rank_and_left_kernel(self._rows + [self._fp_row(b)],
+                                         self._fp)
+        if not kernel:
             raise NotASubfield("element not in the embedded subfield")
-        return FqElem(self.sub, tuple(sol))
+        x = kernel[0]
+        scale = -x[-1].inv()
+        return FqElem(self.sub, tuple((c * scale).coeffs[0] for c in x[:-1]))
 
 
 @lru_cache(maxsize=None)
@@ -401,43 +412,31 @@ def get_embedding(sub, sup):
     return Embedding(sub, sup)
 
 
-def _solve_fp(cols, target, p):
-    """Solve sum_j x_j * cols[j] = target over F_p; None if inconsistent."""
-    ncols = len(cols)
-    nrows = len(target)
-    # build augmented matrix rows
-    mat = [[cols[j][i] % p for j in range(ncols)] + [target[i] % p]
-           for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
+def rank_and_left_kernel(rows, field):
+    """Row rank and a basis for the left kernel of a matrix over F_q."""
+    n = len(rows)
+    if n == 0:
+        return 0, []
+    width = len(rows[0])
+    aug = [list(rows[r]) + [field.one if c == r else field.zero
+                            for c in range(n)] for r in range(n)]
+    rank = 0
+    for col in range(width):
+        piv = next((r for r in range(rank, n) if aug[r][col]), None)
         if piv is None:
-            pivots.append(None)
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(r)
-        r += 1
-    for i in range(r, nrows):
-        if mat[i][ncols]:
-            return None
-    sol = [0] * ncols
-    for c, piv in enumerate(pivots):
-        if piv is not None:
-            sol[c] = mat[piv][ncols]
-        # free columns default to 0 (solution may be non-unique; any works)
-    # verify (guards the free-column case)
-    for i in range(nrows):
-        s = sum(cols[j][i] * sol[j] for j in range(ncols)) % p
-        if s != target[i] % p:
-            return None
-    return sol
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = aug[rank][col].inv()
+        aug[rank] = [c * inv for c in aug[rank]]
+        for r in range(n):
+            if r != rank and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [c - f * d for c, d in zip(aug[r], aug[rank])]
+        rank += 1
+        if rank == n:
+            break
+    kernel = [row[width:] for row in aug[rank:]]
+    return rank, kernel
 
 
 def norm_rel(a, subfield):

@@ -34,7 +34,7 @@ from .errors import (BadIndexPair, DivisionByZero, InvariantViolation,
                      NotReducible, PrecisionTooLow, UndeclaredCurveFactor,
                      UnsupportedPlace, ZeroArgument, ZeroDivisor)
 from .ff import (FqElem, first_root, get_embedding, make_field, norm_rel,
-                 power)
+                 power, rank_and_left_kernel)
 from .forms import d_du
 from .series import Laurent2, invert, laurent_domain
 from .symbols import (WittPairer, check_length, symbol, tame_symbol_det,
@@ -737,41 +737,44 @@ def curve_tame_terms(f, g, h):
 # --------------------------------------------------------------------------
 
 class AdmissibleCurve:
-    """A branch through the origin with an algorithmic local equation."""
+    """A smooth curve through the origin: var = phi(other), where var is
+    "t" or "u" and phi is a polynomial in the other variable with no
+    constant term.  phi = 0 is an axis.
 
-    KINDS = ("axis_u", "axis_t", "graph_t_of_u", "graph_u_of_t")
+    kind is the solved variable itself or one of the KINDS names, which
+    map to it; graph_poly is phi (None for 0).
+    """
 
-    __slots__ = ("field", "kind", "graph_poly", "_monic")
+    KINDS = {"axis_u": "t", "axis_t": "u",
+             "graph_t_of_u": "t", "graph_u_of_t": "u"}
+
+    __slots__ = ("field", "var", "phi", "_monic")
 
     def __init__(self, field, kind, graph_poly=None):
-        if kind not in self.KINDS:
+        var = self.KINDS.get(kind, kind)
+        if var not in ("t", "u"):
             raise ZeroArgument(f"unknown curve kind {kind!r}")
-        if kind.startswith("graph"):
-            if graph_poly is None or not graph_poly \
-                    or (graph_poly.coeffs and graph_poly.coeffs[0]):
-                raise ZeroArgument(
-                    "graph curves need a nonzero polynomial with zero "
-                    "constant term")
-        else:
-            graph_poly = None
+        phi = graph_poly if graph_poly is not None else Poly1(field, ())
+        if phi.coeffs and phi.coeffs[0]:
+            raise ZeroArgument("a curve through the origin needs a "
+                               "polynomial with zero constant term")
         self.field = field
-        self.kind = kind
-        self.graph_poly = graph_poly
+        self.var = var
+        self.phi = phi
         eq = self.equation()
         self._monic = eq * _lead(eq).inv()
 
+    @property
+    def other(self):
+        return "u" if self.var == "t" else "t"
+
     def equation(self):
-        """The local equation t_y as a bivariate polynomial."""
+        """The local equation t_y = var - phi(other) as a bivariate
+        polynomial."""
         field = self.field
-        t = Poly2.monomial(field, field.one, 0, 1)
-        u = Poly2.monomial(field, field.one, 1, 0)
-        if self.kind == "axis_u":
-            return t
-        if self.kind == "axis_t":
-            return u
-        if self.kind == "graph_t_of_u":
-            return t - Poly2.from_poly1(self.graph_poly, "u")
-        return u - Poly2.from_poly1(self.graph_poly, "t")
+        a, b = (0, 1) if self.var == "t" else (1, 0)
+        return (Poly2.monomial(field, field.one, a, b)
+                - Poly2.from_poly1(self.phi, self.other))
 
     def __eq__(self, other):
         """One curve when the equations agree up to a nonzero constant, as
@@ -783,19 +786,12 @@ class AdmissibleCurve:
         return hash(self._monic)
 
     def sort_key(self):
-        idx = self.KINDS.index(self.kind)
-        tail = tuple(c.coeffs for c in self.graph_poly.coeffs) \
-            if self.graph_poly else ()
-        return (idx, tail)
+        """The axes before the graphs, t = ... before u = ..., then phi."""
+        return (bool(self.phi), self.var == "u",
+                tuple(c.coeffs for c in self.phi.coeffs))
 
     def serialize(self):
-        if self.kind == "axis_u":
-            return "t = 0"
-        if self.kind == "axis_t":
-            return "u = 0"
-        if self.kind == "graph_t_of_u":
-            return f"t = {self.graph_poly.serialize('u')}"
-        return f"u = {self.graph_poly.serialize('t')}"
+        return f"{self.var} = {self.phi.serialize(self.other)}"
 
     def __repr__(self):
         return f"AdmissibleCurve({self.serialize()})"
@@ -877,21 +873,14 @@ def to_pointfunc(f, curves):
     the input has an undeclared branch through the origin.
     """
     field = f.field
-    num, den = f.num, f.den
     exps = {}
+    parts = [f.num, f.den]
     for y in distinct_curves(curves):
-        while True:
-            Q = _try_div_curve(num, y)
-            if Q is None:
-                break
-            num = Q
-            exps[y] = exps.get(y, 0) + 1
-        while True:
-            Q = _try_div_curve(den, y)
-            if Q is None:
-                break
-            den = Q
-            exps[y] = exps.get(y, 0) - 1
+        for k, sign in ((0, 1), (1, -1)):
+            while (Q := _try_div_curve(parts[k], y)) is not None:
+                parts[k] = Q
+                exps[y] = exps.get(y, 0) + sign
+    num, den = parts
     if not num:
         return PointFunc(field, constant=field.zero)
     c_num = num.terms.get((0, 0))
@@ -913,17 +902,18 @@ def to_pointfunc(f, curves):
 def _poly2_to_branch(P, y):
     """Map a bivariate polynomial into branch coordinates (u_{x,y}, t_y).
 
-    The axes relabel the sparse rows.  On the graph t = phi(u), Horner's
-    rule over the t-rows of P substitutes t = phi(u) + T; on u = phi(t) it
-    does the same on the transpose.  The inner variable stays.
+    On a curve solved for u, P is transposed first, so the curve reads
+    t = phi(u).  An axis relabels the sparse rows; on a graph, Horner's
+    rule over the t-rows of P substitutes t = phi(u) + T.  The inner
+    variable stays.
     """
     field = P.field
-    if y.kind in ("axis_t", "graph_u_of_t"):
+    if y.var == "u":
         P = _poly2_transpose(P)
     rows = P.rows()
-    if y.kind.startswith("axis"):
+    if not y.phi:
         return Laurent2(field, rows)
-    phi = {k: c for k, c in enumerate(y.graph_poly.coeffs) if c}
+    phi = {k: c for k, c in enumerate(y.phi.coeffs) if c}
     return _horner([Laurent2(field, {0: rows.get(b, {})})
                     for b in range(P.deg_t() + 1)],
                    Laurent2(field, {0: phi, 1: {0: field.one}}))
@@ -1335,33 +1325,6 @@ def _level_entry(place, phi1, phi2, fhat, k, field):
     return form.coeff(-1, 0)
 
 
-def _rank_and_left_kernel(rows, field):
-    """Row rank and a basis for the left kernel over F_q."""
-    n = len(rows)
-    if n == 0:
-        return 0, []
-    width = len(rows[0])
-    aug = [list(rows[r]) + [field.one if c == r else field.zero
-                            for c in range(n)] for r in range(n)]
-    rank = 0
-    for col in range(width):
-        piv = next((r for r in range(rank, n) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = aug[rank][col].inv()
-        aug[rank] = [c * inv for c in aug[rank]]
-        for r in range(n):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [c - f * d for c, d in zip(aug[r], aug[rank])]
-        rank += 1
-        if rank == n:
-            break
-    kernel = [row[width:] for row in aug[rank:]]
-    return rank, kernel
-
-
 def duality_level_curve(k, pole_bound, field, diag_samples=None):
     """Finite-level pairing matrix for level k on the projective u-line.
 
@@ -1407,7 +1370,7 @@ def duality_level_curve(k, pole_bound, field, diag_samples=None):
         phi2 = mono if comp == 2 else None
         rows.append([_level_entry(x, phi1, phi2, fh, k, field)
                      for fh in fhats[x]])
-    rank, kernel = _rank_and_left_kernel(rows, field)
+    rank, kernel = rank_and_left_kernel(rows, field)
     diag_ok = []
     for a_glob, b_glob in diag_samples or []:
         if any(x.residue_degree > 1 for x in list_places([a_glob, b_glob])):

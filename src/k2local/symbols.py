@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (PrecisionTooLow, StepBudgetExceeded, UnsupportedLength,
                      ZeroArgument, ZeroElement)
-from .ff import FqElem, galois_ring, primitive_element
+from .ff import FqElem, galois_ring, power, primitive_element
 from .forms import TwoForm, dlog, residue, wedge
 from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, bar_valuation,
                      invert, laurent_domain, lift_padic, outer_valuation,
@@ -419,15 +419,8 @@ class _Decomposer:
         return Laurent2(self.field, rows)
 
     def power(self, f, e):
-        result = Laurent2.one(self.field)
-        base = self.box(f)
-        e = e % self.pK
-        while e:
-            if e & 1:
-                result = self.box(result * base)
-            base = self.box(base * base)
-            e >>= 1
-        return result
+        return power(self.box(f), e % self.pK, Laurent2.one(self.field),
+                     lambda a, b: self.box(a * b))
 
     def inv_unit(self, f):
         return self.box(invert(f, t_prec=self.H + 1, u_prec=self.Hu + 1))

@@ -17,7 +17,7 @@ from operator import add
 from .errors import (InsufficientPadicPrecision, InvariantViolation,
                      NonIntegralGhost, RingMismatch, UnsupportedLength,
                      WrongCharacteristic)
-from .ff import FieldSpec, GaloisRing, make_field
+from .ff import FieldSpec, GaloisRing, make_field, power
 
 MAX_LENGTH = 4
 
@@ -137,7 +137,7 @@ def witt_polynomials_mod_p(p, m, op):
 def _eval_monomials(terms, comps, ring):
     powcache = {}
 
-    def power(idx, e):
+    def cpow(idx, e):
         key = (idx, e)
         v = powcache.get(key)
         if v is None:
@@ -150,7 +150,7 @@ def _eval_monomials(terms, comps, ring):
         term = None
         for idx, e in enumerate(exps):
             if e:
-                term = power(idx, e) if term is None else term * power(idx, e)
+                term = cpow(idx, e) if term is None else term * cpow(idx, e)
         if term is None:
             term = ring.one
         acc = acc + ring.from_int(coef) * term
@@ -191,14 +191,7 @@ def witt_scale_int(a, e):
     """e·a in the Witt group, by double-and-add."""
     if e < 0:
         return witt_scale_int(witt_neg(a), -e)
-    acc = witt_zero(a.ring, a.length)
-    base = a
-    while e:
-        if e & 1:
-            acc = witt_add(acc, base)
-        base = witt_add(base, base)
-        e >>= 1
-    return acc
+    return power(a, e, witt_zero(a.ring, a.length), witt_add)
 
 
 # --------------------------------------------------------------------------

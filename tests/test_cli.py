@@ -283,6 +283,22 @@ class TestRun:
         assert rep["curves"] == listed
         assert [c["curve"] for c in rep["witt"]["curves"]] == listed
 
+    def test_curve_item_is_var_or_var_equals_poly(self):
+        def point(curves, f="u*(1+t)"):
+            return run(["reciprocity-point", "--field", "3^1", "--curves",
+                        curves, f, "t*(1+u)", "2"])
+        assert point("t=0,u") == point("t,u")
+        code, rep = point("t, u = 0 , t = u", "(t-u)*(1+t)")
+        assert code == 0, rep
+        assert rep["curves"] == ["t = 0", "u = 0", "t = [1]*u^1"]
+
+    @pytest.mark.parametrize("item", ["x", "t=", "=u", "v=u"])
+    def test_bad_curve_item_is_a_usage_error(self, item):
+        code, rep = run(["reciprocity-point", "--field", "3^1", "--curves",
+                         f"t,{item}", "u", "t", "2"])
+        assert code == 2, rep
+        assert rep["error"] == "UsageError"
+
     def test_internal_error_exit_3(self, monkeypatch):
         def broken(args, field):
             return 1 // 0

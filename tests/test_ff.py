@@ -98,6 +98,21 @@ def test_norm_multiplicative_and_power_on_subfield():
         ff.norm_rel(F8.gen, F4)
 
 
+def test_section_inverts_apply_on_the_subfield():
+    # b is in the image exactly when b^q_sub = b
+    for sub, f in [(F2, F4), (F2, F8), (F4, ff.make_field(2, 4)), (F3, F9),
+                   (F9, ff.make_field(3, 4))]:
+        emb = ff.get_embedding(sub, f)
+        for b in f.elements():
+            if b ** sub.q == b:
+                assert emb.apply(emb.section(b)) == b
+            else:
+                with pytest.raises(NotASubfield):
+                    emb.section(b)
+        for a in sub.elements():
+            assert emb.section(emb.apply(a)) == a
+
+
 def test_first_root_is_the_least_index_root():
     # the embeddings' generator images and the roots at places of degree
     # >= 2 come from this one scan

@@ -24,10 +24,11 @@ from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  point_basis_pair, point_tame_reciprocity,
                                  point_witt_reciprocity, point_witt_terms,
                                  to_pointfunc, witt_report)
-from k2local.globalfield import (_expand_poly2, _irreducibles, _param_series,
-                                 _poly2_div_poly1, _poly2_to_branch,
-                                 _poly2_transpose, _t_coeffs, _try_div_curve,
-                                 expand_point, place_field, poly1_gcd)
+from k2local.globalfield import (_expand_poly2, _irreducibles, _lead,
+                                 _param_series, _poly2_div_poly1,
+                                 _poly2_to_branch, _poly2_transpose,
+                                 _t_coeffs, _try_div_curve, expand_point,
+                                 place_field, poly1_gcd)
 from k2local.series import INF, Laurent2, invert, laurent_domain
 from k2local.symbols import symbol, witt_pair_local
 from k2local.witt import WittVec, witt_zero
@@ -216,8 +217,8 @@ def _reduce_reference(num, den):
 
 
 def _try_div_curve_reference(P, y):
-    if y.kind == "graph_u_of_t":
-        flipped = AdmissibleCurve(P.field, "graph_t_of_u", y.graph_poly)
+    if y.var == "u" and y.phi:
+        flipped = AdmissibleCurve(P.field, "graph_t_of_u", y.phi)
         Q = _try_div_curve_reference(_poly2_transpose(P), flipped)
         return None if Q is None else _poly2_transpose(Q)
     Q, R = _tpoly_divmod(_tpoly(P), _tpoly(y.equation()), P.field)
@@ -592,12 +593,12 @@ class TestExpansionKernel:
 
 def _poly2_to_branch_reference(P, y):
     field = P.field
-    if y.kind == "axis_u":
+    if y.var == "t" and not y.phi:
         return Laurent2(field, P.rows(), INF, {})
-    if y.kind == "axis_t":
+    if y.var == "u" and not y.phi:
         return Laurent2(field, _poly2_transpose(P).rows(), INF, {})
-    phi = y.graph_poly
-    if y.kind == "graph_u_of_t":
+    phi = y.phi
+    if y.var == "u":
         P = _poly2_transpose(P)
     acc = Laurent2.zero(field)
     for (a, b), c in P.terms.items():
@@ -893,6 +894,101 @@ class TestCurveReciprocity:
 # point-mode reciprocity
 # --------------------------------------------------------------------------
 
+class _CurveReference:
+    """The curve with one branch per kind name, kept as a reference."""
+
+    KINDS = ("axis_u", "axis_t", "graph_t_of_u", "graph_u_of_t")
+
+    def __init__(self, field, kind, graph_poly=None):
+        self.field = field
+        self.kind = kind
+        self.graph_poly = graph_poly if kind.startswith("graph") else None
+
+    def equation(self):
+        field = self.field
+        t = Poly2.monomial(field, field.one, 0, 1)
+        u = Poly2.monomial(field, field.one, 1, 0)
+        if self.kind == "axis_u":
+            return t
+        if self.kind == "axis_t":
+            return u
+        if self.kind == "graph_t_of_u":
+            return t - Poly2.from_poly1(self.graph_poly, "u")
+        return u - Poly2.from_poly1(self.graph_poly, "t")
+
+    def monic(self):
+        eq = self.equation()
+        return eq * _lead(eq).inv()
+
+    def sort_key(self):
+        tail = tuple(c.coeffs for c in self.graph_poly.coeffs) \
+            if self.graph_poly else ()
+        return (self.KINDS.index(self.kind), tail)
+
+    def serialize(self):
+        if self.kind == "axis_u":
+            return "t = 0"
+        if self.kind == "axis_t":
+            return "u = 0"
+        if self.kind == "graph_t_of_u":
+            return f"t = {self.graph_poly.serialize('u')}"
+        return f"u = {self.graph_poly.serialize('t')}"
+
+
+class TestCurveShape:
+    @pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2), (5, 1)])
+    def test_matches_the_four_kind_reference(self, q):
+        field = make_field(*q)
+        rng = random.Random(61 + q[0] * 10 + q[1])
+        pairs = []
+        for _ in range(8):
+            for kind in _CurveReference.KINDS:
+                phi = None
+                if kind.startswith("graph"):
+                    phi = Poly1(field, [field.zero] + [
+                        field.elem_by_index(rng.randrange(field.q))
+                        for _ in range(rng.randrange(3))] + [
+                        field.elem_by_index(rng.randrange(1, field.q))])
+                pairs.append((AdmissibleCurve(field, kind, phi),
+                              _CurveReference(field, kind, phi)))
+        c = field.elem_by_index(rng.randrange(1, field.q))
+        for kind, phi in (("graph_t_of_u", Poly1(field, [field.zero, c])),
+                          ("graph_u_of_t", Poly1(field, [field.zero,
+                                                         c.inv()]))):
+            pairs.append((AdmissibleCurve(field, kind, phi),
+                          _CurveReference(field, kind, phi)))
+        for y, ref in pairs:
+            assert y.equation() == ref.equation(), ref.serialize()
+            assert y.serialize() == ref.serialize()
+        equal = 0
+        for y1, ref1 in pairs:
+            for y2, ref2 in pairs:
+                assert (y1.sort_key() < y2.sort_key()) == \
+                    (ref1.sort_key() < ref2.sort_key())
+                same = ref1.monic() == ref2.monic()
+                assert (y1 == y2) == same
+                if same:
+                    assert hash(y1) == hash(y2)
+                    equal += ref1.kind != ref2.kind
+        assert equal  # t = c*u met u = t/c
+
+    def test_zero_phi_is_the_axis_and_phi_makes_a_graph(self):
+        F3 = make_field(3, 1)
+        zero, phi = Poly1(F3, ()), Poly1.from_ints(F3, [0, 1, 2])
+        assert AdmissibleCurve(F3, "graph_t_of_u", zero) == \
+            AdmissibleCurve(F3, "axis_u")
+        assert AdmissibleCurve(F3, "graph_u_of_t", zero).serialize() == \
+            "u = 0"
+        assert AdmissibleCurve(F3, "axis_t", phi) == \
+            AdmissibleCurve(F3, "graph_u_of_t", phi)
+        assert AdmissibleCurve(F3, "t", phi).equation() == \
+            AdmissibleCurve(F3, "graph_t_of_u", phi).equation()
+        with pytest.raises(ZeroArgument):
+            AdmissibleCurve(F3, "graph_t_of_u", Poly1.from_ints(F3, [1, 1]))
+        with pytest.raises(ZeroArgument):
+            AdmissibleCurve(F3, "v")
+
+
 class TestPointReciprocity:
     def setup_method(self):
         self.F4 = make_field(2, 2)
@@ -921,10 +1017,10 @@ class TestPointReciprocity:
         ft = PointFunc(F4, curve_exps={self.ax_u: 1})
         fc = PointFunc(F4, constant=F4.gen)
         from k2local.globalfield import point_tame_terms
-        vals = dict((y.kind, v) for y, v in
+        vals = dict((y.var, v) for y, v in
                     point_tame_terms(fu, ft, fc, [self.ax_u, self.ax_t]))
-        assert vals["axis_u"] == F4.gen
-        assert vals["axis_t"] == F4.gen.inv()
+        assert vals["t"] == F4.gen
+        assert vals["u"] == F4.gen.inv()
         assert point_tame_reciprocity(fu, ft, fc,
                                       [self.ax_u, self.ax_t]) == F4.one
 
