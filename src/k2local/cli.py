@@ -267,7 +267,7 @@ def _parse_curveset(spec, field):
 def _graph_poly(text, field, var):
     rf = eval_rational(text, field)
     rows = (rf.num if var == "u" else _poly2_transpose(rf.num)).t_coeffs()
-    if rf.den != Poly2.one(field) or list(rows) not in ([0], []):
+    if not rf.den.is_one() or list(rows) not in ([0], []):
         raise UsageError(f"curve graph {text!r} must be a polynomial "
                          f"in {var}")
     return rows.get(0, Poly1(field, ()))

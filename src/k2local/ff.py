@@ -4,13 +4,15 @@ Fields are F_p[x]/(m(x)) with a monic irreducible modulus stored
 constant-term-first.  A field of at most TABLE_MAX elements multiplies,
 inverts, raises to powers and takes discrete logs by one log/antilog table
 over its primitive element, built on first use; a larger field multiplies and
-powers on coordinates.  Truncated Witt rings of F_q are modelled as Galois
-rings (Z/p^s)[x]/(m(x)) against the same polynomial basis, which is all the
-characteristic-zero lifting the symbol layer needs.
+powers on coordinates and takes discrete logs by baby-step giant-step.
+Truncated Witt rings of F_q are modelled as Galois rings (Z/p^s)[x]/(m(x))
+against the same polynomial basis, which is all the characteristic-zero
+lifting the symbol layer needs.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import lru_cache
 
@@ -200,6 +202,7 @@ class FieldSpec:
             else self.one
         self._prim = None
         self._exp = self._log = None  # built on first use by _tables
+        self._bsgs = None  # built on first use by log above TABLE_MAX
 
     def _tables(self):
         """exp[k] = z^k for k < 2(q - 1) and log[z^k.coeffs] = k, over
@@ -216,8 +219,29 @@ class FieldSpec:
 
     def log(self, a):
         """The k < q - 1 with a = z^k, z = primitive_element(self), for a
-        nonzero a.  Builds the tables at any q."""
-        return (self._log or self._tables())[a.coeffs]
+        nonzero a.  Up to TABLE_MAX it is read from the tables; above, it is
+        Shanks' baby-step giant-step: with m = ceil(sqrt(q - 1)) baby steps
+        z^j, j < m, kept per field, k = i m + j for the least i such that
+        a z^(-i m) is a baby step."""
+        if self.q <= TABLE_MAX:
+            return (self._log or self._tables())[a.coeffs]
+        if self._bsgs is None:
+            z, n = primitive_element(self).coeffs, self.q - 1
+            m = math.isqrt(n - 1) + 1
+            baby, x = {}, self.one.coeffs
+            for j in range(m):
+                baby[x] = j
+                x = _poly_mulmod_fp(x, z, self.modulus, self.p)
+            self._bsgs = baby, _poly_powmod_fp(z, n - m, self.modulus,
+                                               self.p)
+        baby, giant = self._bsgs
+        x = a.coeffs
+        for i in range(len(baby)):
+            j = baby.get(x)
+            if j is not None:
+                return i * len(baby) + j
+            x = _poly_mulmod_fp(x, giant, self.modulus, self.p)
+        raise InvariantViolation("discrete log of a zero or foreign element")
 
     def elem(self, coeffs):
         coeffs = tuple(c % self.p for c in coeffs)
@@ -330,7 +354,15 @@ def primitive_element(field):
     if q == 2:
         field._prim = field.one
         return field.one
-    prime_divs = [l for l in range(2, q) if (q - 1) % l == 0 and is_prime(l)]
+    prime_divs, r, l = [], q - 1, 2  # by trial division up to sqrt(q - 1)
+    while l * l <= r:
+        if r % l == 0:
+            prime_divs.append(l)
+            while r % l == 0:
+                r //= l
+        l += 1
+    if r > 1:
+        prime_divs.append(r)
     for k in range(1, q):
         a = field.elem_by_index(k)
         # orders by coordinates: the tables are built over this element

@@ -241,6 +241,10 @@ class Poly2:
     def __bool__(self):
         return bool(self.terms)
 
+    def is_one(self):
+        return len(self.terms) == 1 and self.terms.get((0, 0)) == \
+            self.field.one
+
     def __eq__(self, other):
         return (isinstance(other, Poly2) and self.field is other.field
                 and self.terms == other.terms)
@@ -399,6 +403,21 @@ def _prem(A, B):
 def _tpoly_gcd(A, B):
     """A gcd of nonzero A and B in F_q[u][t], up to a unit of F_q.
 
+    When one side is a monomial u^i t^j the gcd is u^min t^min, the least
+    exponents of both sides; otherwise it is _prs_gcd's.
+    """
+    for M, P in ((A, B), (B, A)):
+        if len(M.terms) == 1:
+            (i, j), = M.terms
+            return Poly2.monomial(A.field, A.field.one,
+                                  min(i, min(a for a, _ in P.terms)),
+                                  min(j, min(b for _, b in P.terms)))
+    return _prs_gcd(A, B)
+
+
+def _prs_gcd(A, B):
+    """A gcd of nonzero A and B in F_q[u][t], up to a unit of F_q.
+
     By Gauss's lemma it is the gcd of the u-contents times the primitive part
     of the last nonzero term of the primitive remainder sequence (Knuth,
     TAOCP Vol. 2, 4.6.1; Brown, JACM 18, 1971).
@@ -416,9 +435,36 @@ def _tpoly_gcd(A, B):
     return _poly2_div_poly1(A, _poly2_content_u(A)) * Poly2.from_poly1(c)
 
 
+def _common(A, B):
+    """A nonconstant gcd of nonzero A and B, or None if they are coprime.
+    No gcd is taken when either side is the one polynomial."""
+    if A.is_one() or B.is_one():
+        return None
+    G = _tpoly_gcd(A, B)
+    return None if list(G.terms) == [(0, 0)] else G
+
+
+def _divexact(P, G):
+    Q = _tdiv(P, G)
+    if Q is None:
+        raise InvariantViolation("exact division left a remainder")
+    return Q
+
+
 def _lead(P):
     """The coefficient of the greatest term of P in the (t, u) order."""
     return P.terms[max(P.terms, key=lambda ab: (ab[1], ab[0]))]
+
+
+def _normalize(num, den):
+    """Coprime num and den scaled so that den's lead is 1; zero is 0 / 1."""
+    if not num:
+        return num, Poly2.one(num.field)
+    lead = _lead(den)
+    if lead == num.field.one:
+        return num, den
+    inv = lead.inv()
+    return num * inv, den * inv
 
 
 class RatFunc:
@@ -426,7 +472,17 @@ class RatFunc:
 
     The normal form is num / den with gcd(num, den) = 1 in F_q[u, t] and the
     lead coefficient of den, by the (t, u) order, equal to 1; zero is 0 / 1.
-    The gcd is _tpoly_gcd's, and num and den are divided by it with _tdiv.
+    It is unique, so equal functions have equal num and den.
+
+    RatFunc(num, den) reduces any fraction by the full gcd, _tpoly_gcd's.
+    The arithmetic keeps reduced operands reduced with gcds of their factors
+    only (Knuth, TAOCP Vol. 2, 4.5.1; Henrici, JACM 3, 1956):
+      a/b * c/d = (a/g1 * c/g2) / (b/g2 * d/g1),
+                  g1 = gcd(a, d), g2 = gcd(c, b);
+      a/b + c/d = (s/g2) / (b/g1 * d/g2),
+                  g1 = gcd(b, d), s = a * d/g1 + c * b/g1, g2 = gcd(s, g1),
+    the sum being reduced as it stands when g1 = 1.  No gcd is taken against
+    the one polynomial, and only den's lead is rescaled.
     """
 
     __slots__ = ("field", "num", "den")
@@ -434,24 +490,12 @@ class RatFunc:
     def __init__(self, num, den):
         if not den:
             raise ZeroDivisor("rational function with zero denominator")
-        field = num.field
         if num:
             G = _tpoly_gcd(num, den)
-            if G.deg_u() > 0 or G.deg_t() > 0:
-                num, den = _tdiv(num, G), _tdiv(den, G)
-                if num is None or den is None:
-                    raise InvariantViolation(
-                        "exact division left a remainder")
-        else:
-            den = Poly2.one(field)
-        lead = _lead(den)
-        if lead != field.one:
-            inv = lead.inv()
-            num = num * inv
-            den = den * inv
-        self.field = field
-        self.num = num
-        self.den = den
+            if list(G.terms) != [(0, 0)]:
+                num, den = _divexact(num, G), _divexact(den, G)
+        self.field = num.field
+        self.num, self.den = _normalize(num, den)
 
     @classmethod
     def _adopt(cls, num, den):
@@ -464,11 +508,11 @@ class RatFunc:
 
     @staticmethod
     def from_poly2(p):
-        return RatFunc(p, Poly2.one(p.field))
+        return RatFunc._adopt(p, Poly2.one(p.field))
 
     @staticmethod
     def const(field, c):
-        return RatFunc(Poly2.const(field, c), Poly2.one(field))
+        return RatFunc._adopt(Poly2.const(field, c), Poly2.one(field))
 
     def __bool__(self):
         return bool(self.num)
@@ -481,8 +525,21 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not c:
+            return self
+        if not a:
+            return other
+        if b.is_one() and d.is_one():
+            return RatFunc._adopt(a + c, b)
+        g1 = _common(b, d)
+        if g1 is None:
+            return RatFunc._adopt(a * d + c * b, b * d)
+        b1, d1 = _divexact(b, g1), _divexact(d, g1)
+        s = a * d1 + c * b1
+        if s and (g2 := _common(s, g1)) is not None:
+            s, d = _divexact(s, g2), _divexact(d, g2)
+        return RatFunc._adopt(*_normalize(s, b1 * d))
 
     def __neg__(self):
         return RatFunc._adopt(-self.num, self.den)
@@ -491,7 +548,18 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other):
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a:
+            return self
+        if not c:
+            return other
+        if b.is_one() and d.is_one():
+            return RatFunc._adopt(a * c, b)
+        if (g1 := _common(a, d)) is not None:
+            a, d = _divexact(a, g1), _divexact(d, g1)
+        if (g2 := _common(c, b)) is not None:
+            c, b = _divexact(c, g2), _divexact(b, g2)
+        return RatFunc._adopt(*_normalize(a * c, b * d))
 
     def inv(self):
         return self ** -1
@@ -515,7 +583,7 @@ class RatFunc:
         return RatFunc._adopt(num, den)
 
     def serialize(self):
-        if self.den == Poly2.one(self.field):
+        if self.den.is_one():
             return self.num.serialize()
         return f"({self.num.serialize()}) / ({self.den.serialize()})"
 
@@ -890,12 +958,10 @@ def to_pointfunc(f, curves):
             "input vanishes at the origin along an undeclared branch")
     constant = c_num * c_den.inv()
     units = []
-    scaled_num = num * c_num.inv()
-    if scaled_num != Poly2.one(field):
-        units.append((scaled_num - Poly2.one(field), 1))
-    scaled_den = den * c_den.inv()
-    if scaled_den != Poly2.one(field):
-        units.append((scaled_den - Poly2.one(field), -1))
+    for P, c, sign in ((num, c_num, 1), (den, c_den, -1)):
+        scaled = P * c.inv()
+        if not scaled.is_one():
+            units.append((scaled - Poly2.one(field), sign))
     return PointFunc(field, constant, exps, units)
 
 
@@ -1101,7 +1167,7 @@ def _coeff_pow_p(coeffs, p):
 def _u_text(c):
     """A u-only RatFunc in univariate notation, highest power first."""
     num = c.num.t_coeffs()[0].serialize()
-    if c.den == Poly2.one(c.field):
+    if c.den.is_one():
         return num
     return f"({num}) / ({c.den.t_coeffs()[0].serialize()})"
 

@@ -17,7 +17,7 @@ from operator import add
 from .errors import (InsufficientPadicPrecision, InvariantViolation,
                      NonIntegralGhost, RingMismatch, UnsupportedLength,
                      WrongCharacteristic)
-from .ff import FieldSpec, GaloisRing, make_field, power
+from .ff import FieldSpec, GaloisRing, make_field
 
 MAX_LENGTH = 4
 
@@ -181,17 +181,6 @@ def witt_sub(a, b):
 
 def witt_mul(a, b):
     return witt_arith(a, b, "mul")
-
-
-def witt_neg(a):
-    return witt_sub(witt_zero(a.ring, a.length), a)
-
-
-def witt_scale_int(a, e):
-    """e·a in the Witt group, by double-and-add."""
-    if e < 0:
-        return witt_scale_int(witt_neg(a), -e)
-    return power(a, e, witt_zero(a.ring, a.length), witt_add)
 
 
 # --------------------------------------------------------------------------

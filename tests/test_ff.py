@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -262,6 +263,27 @@ def test_log_is_the_discrete_log():
         for k in range(f.q - 1):
             assert f.log(x) == k
             x = _ref_mul(x, z)
+
+
+@pytest.mark.parametrize("n", [13, 16])
+def test_log_above_the_table_bound_is_the_discrete_log(n):
+    # Baby-step giant-step, checked on walks of z^k: one step at a time over
+    # the first giant steps, then in long strides up to k = q - 2.
+    f = ff.make_field(2, n)
+    assert f.q > ff.TABLE_MAX
+    z = ff.primitive_element(f)
+    m = math.isqrt(f.q - 2) + 1  # ceil(sqrt(q - 1)) baby steps
+    x = f.one
+    for k in range(2 * m + 2):
+        assert f.log(x) == k
+        x = _ref_mul(x, z)
+    stride = (f.q - 1) // 100
+    k = (f.q - 2) % stride
+    x, step = _ref_pow(z, k), _ref_pow(z, stride)
+    while k < f.q - 1:
+        assert f.log(x) == k
+        x, k = _ref_mul(x, step), k + stride
+    assert f._log is None  # no full table was built
 
 
 def test_teichmuller_examples():

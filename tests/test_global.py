@@ -27,8 +27,9 @@ from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
 from k2local.globalfield import (_expand_poly2, _irreducibles, _lead,
                                  _param_series, _poly2_div_poly1,
                                  _poly2_to_branch, _poly2_transpose,
-                                 _t_coeffs, _try_div_curve, expand_point,
-                                 place_field, poly1_gcd)
+                                 _prs_gcd, _t_coeffs, _tpoly_gcd,
+                                 _try_div_curve, expand_point, place_field,
+                                 poly1_gcd)
 from k2local.series import INF, Laurent2, invert, laurent_domain
 from k2local.symbols import symbol, witt_pair_local
 from k2local.witt import WittVec, witt_zero
@@ -299,6 +300,71 @@ class TestBivariateReduction:
                 ref = RatFunc(num ** abs(e), den ** abs(e))
                 got = f ** e
                 assert (got.num, got.den) == (ref.num, ref.den), (f, e)
+
+    def operand_pairs(self, rng, field):
+        """Pairs of reduced RatFuncs: zero, polynomials, monomial
+        denominators, and per kind of planted factor a group whose members
+        share factors, so that the cross-cancellations and Henrici's second
+        gcd have work to do."""
+        zero, one = Poly2(field, {}), Poly2.one(field)
+
+        def rand(deg=2):
+            return _rand_poly2(rng, field, deg, rng.randrange(1, 4))
+
+        def monomial():
+            return Poly2.monomial(field, field.elem_by_index(
+                rng.randrange(1, field.q)), rng.randrange(3), rng.randrange(3))
+
+        simple = [RatFunc(zero, one), RatFunc(rand(), one),
+                  RatFunc(rand(), monomial()), RatFunc(monomial(), rand())]
+        pairs = []
+        for kind in ("content", "t-power", "lead-in-u"):
+            C1, C2 = (self.planted(rng, field, kind) for _ in range(2))
+            A, B, D, E = rand(), rand(), rand(1), rand(1)
+            f = RatFunc(A * C1, B * C2)
+            # the last member plus f is D / E: Henrici's second gcd cancels
+            group = simple + [f, RatFunc(D * C2, E * C1), RatFunc(D, E * C2),
+                              RatFunc(D * B * C2 - A * C1 * E, E * B * C2)]
+            pairs += [(f, g) for f in group for g in group]
+        return pairs
+
+    @pytest.mark.parametrize("q", FIELDS)
+    def test_arithmetic_matches_full_gcd(self, q):
+        # the reference reduces the unreduced cross products by the full gcd
+        field = make_field(*q)
+        rng = random.Random(q[0] * 10 + q[1] + 3)
+        pairs = self.operand_pairs(rng, field)
+        for f, g in pairs:
+            a, b, c, d = f.num, f.den, g.num, g.den
+            refs = {"+": (f + g, RatFunc(a * d + c * b, b * d)),
+                    "-": (f - g, RatFunc(a * d - c * b, b * d)),
+                    "*": (f * g, RatFunc(a * c, b * d))}
+            if g:
+                refs["/"] = (f / g, RatFunc(a * d, b * c))
+            for op, (got, ref) in refs.items():
+                assert (got.num, got.den) == (ref.num, ref.den), (f, op, g)
+        for f, _ in pairs:
+            got, ref = RatFunc.from_poly2(f.num), RatFunc(f.num, f.den ** 0)
+            assert (got.num, got.den) == (ref.num, ref.den)
+        for c in field.elements():
+            got = RatFunc.const(field, c)
+            ref = RatFunc(Poly2.const(field, c), Poly2.one(field))
+            assert (got.num, got.den) == (ref.num, ref.den)
+
+    @pytest.mark.parametrize("q", FIELDS)
+    def test_monomial_gcd_matches_general_path(self, q):
+        field = make_field(*q)
+        rng = random.Random(q[0] * 10 + q[1] + 4)
+
+        def monic(P):
+            return P * _lead(P).inv()
+
+        for _ in range(40):
+            M = Poly2.monomial(field, field.elem_by_index(
+                rng.randrange(1, field.q)), rng.randrange(4), rng.randrange(4))
+            P = _rand_poly2(rng, field, 3, rng.randrange(1, 5))
+            ref = monic(_prs_gcd(M, P))
+            assert _tpoly_gcd(M, P) == ref == _tpoly_gcd(P, M), (M, P)
 
     def test_inexact_division_is_an_invariant_violation(self, monkeypatch):
         import k2local.globalfield as gf
