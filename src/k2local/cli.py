@@ -20,11 +20,11 @@ from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           expand_at_place, place_u, point_tame_terms,
                           point_witt_terms, tame_report,
                           to_pointfunc, witt_report)
-from .globalfield import _poly2_transpose
-from .series import DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, laurent_domain
-from .symbols import (boundary, k2_decompose, k2_equiv, symbol,
-                      tame_symbol_det, with_box, witt_pair_local)
-from .witt import WittVec, witt_zero
+from .globalfield import _poly2_transpose, _tame_terms, _witt_terms, _wv_json
+from .series import DEFAULT_T_PREC, DEFAULT_U_PREC
+from .symbols import (boundary, check_length, k2_decompose, k2_equiv,
+                      pairing_box, symbol, with_box)
+from .witt import witt_zero
 
 SCHEMA = 1
 
@@ -234,10 +234,6 @@ def _fq_json(c):
     return list(c.coeffs)
 
 
-def _wv_out(w):
-    return [_fq_json(c) for c in w.components]
-
-
 def _laurent_json(f):
     out = []
     for j in sorted(f.terms):
@@ -291,28 +287,28 @@ def _exprs(args, n, need):
 
 
 def _cmd_tame(args, field):
-    prec_t, prec_u = args["prec_t"], args["prec_u"]
-    f, g, h = (eval_local(x, field, prec_t, prec_u)
+    f, g, h = (eval_rational(x, field)
                for x in _exprs(args, 3, "tame needs f, g and h"))
-    v = tame_symbol_det(f, g, h).value
+    (_, v), = _tame_terms([place_u(field)], expand_at_place, f, g, h,
+                          (args["prec_t"], args["prec_u"]))
     return {"verb": "tame", "value": _fq_json(v)}, 0
 
 
 def _cmd_witt_pair(args, field):
-    prec_t, prec_u = args["prec_t"], args["prec_u"]
-    m = args["m"]
-    exprs = args["exprs"]
+    m, exprs = args["m"], args["exprs"]
     if len(exprs) < 3:
         raise UsageError("witt-pair needs f, g and at least one "
                               "coefficient component")
-    f = eval_local(exprs[0], field, prec_t, prec_u)
-    g = eval_local(exprs[1], field, prec_t, prec_u)
-    comps = [eval_local(x, field, prec_t, prec_u) for x in exprs[2:]]
-    while len(comps) < m:
-        comps.append(Laurent2.zero(field))
-    w = witt_pair_local(symbol(f, g),
-                        WittVec(laurent_domain(field), comps[:m]), m)
-    return {"verb": "witt-pair", "m": m, "value": _wv_out(w)}, 0
+    check_length(m, traced=True)
+    f, g, *comps = (eval_rational(x, field) for x in exprs)
+    comps = (comps + [RatFunc.const(field, field.zero)] * m)[:m]
+    # start where the pairer's demand does: the poles of the components,
+    # read from their expansions in the (--prec-t, --prec-u) box
+    box = (args["prec_t"], args["prec_u"])
+    demand = [expand_at_place(c, place_u(field), box) for c in comps]
+    (_, w), = _witt_terms([place_u(field)], expand_at_place, f, g, comps, m,
+                          pairing_box(field.p, m, [demand])[0])
+    return {"verb": "witt-pair", "m": m, "value": _wv_json(w)}, 0
 
 
 def _cmd_boundary(args, field):

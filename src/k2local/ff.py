@@ -397,16 +397,20 @@ class Embedding:
         self.sub = sub
         self.sup = sup
         self.gen_image = self._find_gen_image()
-        # basis images of 1, g, g^2, ..., g^{sub.n-1} as F_p-rows in sup
-        self._fp = make_field(sub.p, 1)
-        self._rows = []
-        b = sup.one
-        for _ in range(sub.n):
-            self._rows.append(self._fp_row(b))
+        # Gauss-Jordan once over the F_p-rows (image in sup | coordinates in
+        # sub) of 1, g, ..., g^{sub.n-1}: (pivot column, row that is 1 there
+        # and 0 at the other pivot columns) per basis image
+        p, self._pivots, b = sub.p, [], sup.one
+        for k in range(sub.n):
+            row = list(b.coeffs) + [int(i == k) for i in range(sub.n)]
+            for col, prow in self._pivots:
+                row = [(x - row[col] * y) % p for x, y in zip(row, prow)]
+            col = next(i for i, c in enumerate(row) if c)
+            inv = pow(row[col], -1, p)
+            row = [c * inv % p for c in row]
+            self._pivots = [(c, [(x - r[col] * y) % p for x, y in zip(r, row)])
+                            for c, r in self._pivots] + [(col, row)]
             b = b * self.gen_image
-
-    def _fp_row(self, b):
-        return [self._fp.from_int(c) for c in b.coeffs]
 
     def _find_gen_image(self):
         sub, sup = self.sub, self.sup
@@ -426,17 +430,16 @@ class Embedding:
     def section(self, b):
         """Inverse image of b, or raise NotASubfield if b is not in range.
 
-        The basis images are independent, so b is in range exactly when
-        the rows of the basis images and of b have a left kernel; its one
-        vector x gives the preimage -x[:-1] / x[-1].
+        Clearing b's entry at each pivot column leaves its image part zero
+        exactly when b is in range, and minus the preimage in the rest.
         """
-        _, kernel = rank_and_left_kernel(self._rows + [self._fp_row(b)],
-                                         self._fp)
-        if not kernel:
+        p, n = self.sub.p, self.sup.n
+        row = list(b.coeffs) + [0] * self.sub.n
+        for col, prow in self._pivots:
+            row = [(x - row[col] * y) % p for x, y in zip(row, prow)]
+        if any(row[:n]):
             raise NotASubfield("element not in the embedded subfield")
-        x = kernel[0]
-        scale = -x[-1].inv()
-        return FqElem(self.sub, tuple((c * scale).coeffs[0] for c in x[:-1]))
+        return FqElem(self.sub, tuple(-c % p for c in row[n:]))
 
 
 @lru_cache(maxsize=None)

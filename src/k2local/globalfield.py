@@ -791,13 +791,14 @@ def curve_witt_terms(f, g, h, m):
     """
     comps = _components(h)[:m]
     places = list_places([f, g] + comps)
-    return _witt_terms(places, expand_at_place, f, g, comps, m)
+    return _witt_terms(places, expand_at_place, f, g, comps, m, (2, 2))
 
 
 def curve_tame_terms(f, g, h):
     """Per-place (place, local tame symbol, its norm to F_q) on the u-line."""
     return [(x, v, norm_rel(v, f.field)) for x, v in
-            _tame_terms(list_places([f, g, h]), expand_at_place, f, g, h)]
+            _tame_terms(list_places([f, g, h]), expand_at_place, f, g, h,
+                        (2, 2))]
 
 
 # --------------------------------------------------------------------------
@@ -1010,27 +1011,27 @@ def point_witt_terms(f, g, h, m, curves):
     Each curve sizes its own working box, as _witt_terms says.
     """
     keys, expand = _at_curves(curves)
-    return _witt_terms(keys, expand, f, g, _components(h), m)
+    return _witt_terms(keys, expand, f, g, _components(h), m, (2, 2))
 
 
 def point_tame_terms(f, g, h, curves):
     """Per-curve (curve, local tame symbol) at the origin."""
     keys, expand = _at_curves(curves)
-    return _tame_terms(keys, expand, f, g, h)
+    return _tame_terms(keys, expand, f, g, h, (2, 2))
 
 
 # --------------------------------------------------------------------------
 # Reciprocity sums over places or curves: one fold over (key, value) terms
 # --------------------------------------------------------------------------
 
-def _witt_terms(keys, expand, f, g, comps, m):
+def _witt_terms(keys, expand, f, g, comps, m, start):
     """(key, traced local Witt pairing of {f, g} with (comps)) per key.
 
     At each key, expand(c, key, box) expands f, g and comps in the working
-    box, and a pairer of {f, g} in the same box pairs them.  The box starts at
-    (2, 2) and doubles while a coefficient falls outside the known region
-    (with_box); the data is exact, so some box answers.  m is checked
-    first, so an unsupported length is refused before any expansion.
+    box, and a pairer of {f, g} in the same box pairs them.  The box starts
+    at start ((2, 2) for the sums) and doubles while a coefficient falls
+    outside the known region (with_box); the data is exact, so some box
+    answers.  m is checked first, so a bad length is refused at once.
     """
     check_length(m, traced=True)
 
@@ -1039,16 +1040,16 @@ def _witt_terms(keys, expand, f, g, comps, m):
         ch += [Laurent2.zero(fh.dom)] * (m - len(ch))
         return WittPairer(symbol(fh, gh), m, *box).pair(
             WittVec(laurent_domain(fh.dom), ch), m)
-    return [(key, with_box((2, 2), None, lambda box: pair_at(key, box)))
+    return [(key, with_box(start, None, lambda box: pair_at(key, box)))
             for key in keys]
 
 
-def _tame_terms(keys, expand, f, g, h):
-    """(key, local tame symbol of f, g, h) per key, boxed as _witt_terms."""
+def _tame_terms(keys, expand, f, g, h, start):
+    """(key, local tame symbol of f, g, h), boxed from start as _witt_terms."""
     def tame_at(key, box):
         return tame_symbol_det(*(expand(c, key, box)
                                  for c in (f, g, h))).value
-    return [(key, with_box((2, 2), None, lambda box: tame_at(key, box)))
+    return [(key, with_box(start, None, lambda box: tame_at(key, box)))
             for key in keys]
 
 

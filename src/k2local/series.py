@@ -323,7 +323,7 @@ class Laurent2:
             return Laurent2.zero(self.dom)
         return self.monomial_mul(c)
 
-    def cap_infinite(self, t_hi=DEFAULT_T_PREC, u_hi=DEFAULT_U_PREC):
+    def cap_infinite(self, t_hi, u_hi):
         """Impose a finite working box on any infinite precision directions."""
         tp = self.t_prec if self.t_prec != INF else t_hi
         up = dict(self.u_prec)

@@ -598,3 +598,16 @@ class TestLargeFieldProbes:
         code, _ = cli.run(argv)
         assert code == 0
         assert time.monotonic() - t0 < 1
+
+
+class TestChangedParameterProbe:
+    """An operand in changed parameters, (u, t) -> (u, t(1+u)), with a deep
+    pole: operands and pairer grow one box, from the pairer's first box."""
+
+    def test_answers_within_a_second(self):
+        t0 = time.monotonic()
+        code, rep = cli.run(["witt-pair", "--field", "2^1", "--m", "2",
+                             "u*t*(1+u)", "t*(1+u)+u", "u^-3*(t*(1+u))^-3"])
+        assert code == 0, rep
+        assert rep["value"] == [[0], [0]]
+        assert time.monotonic() - t0 < 1

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -379,6 +380,84 @@ class TestRun:
         out = capsys.readouterr().out
         assert code == 0
         assert "value: [0, 1]" in out
+
+
+# Four families of continuous automorphisms (u, t) -> (U, T) of
+# F_q((u))((t)).
+SIGMAS = [("u+t", "t"), ("u", "t*(1+u)"), ("u*(1+u)+t^2", "t+t^2*u^-1"),
+          ("u+u^-1*t", "t*(1+u+t)")]
+
+# {u·t, t + u} paired with (u^-3·t^-3, 0) in the parameters (u, t(1+u)): it
+# exited 2 with CoefficientOutsidePrecision while the operands were expanded
+# once in the (--prec-t, --prec-u) box; a larger box answers.
+DEEP_POLE_WITT_PAIR = ["witt-pair", "--field", "2^1", "--m", "2",
+                       "u*t*(1+u)", "t*(1+u)+u", "u^-3*(t*(1+u))^-3"]
+
+
+def _substitute(text, sigma):
+    """The expression text with u and t replaced by sigma = (U, T)."""
+    return re.sub("[ut]", lambda v: f"({sigma['ut'.index(v.group())]})",
+                  text)
+
+
+def _witt_pair_probes(seed):
+    """(head, expressions, sigma) for every field and family: m ≤ 3 over
+    F_2 and F_4 and m ≤ 2 over F_3 and F_5, operands c·u^a·t^b·(1 + c′·u·t)
+    and components u^a·t^b with a in [−3, 0] and b in [−2, 0]."""
+    rng = random.Random(seed)
+
+    def coef(q):
+        return rng.choice(["1", "z", "(z+1)"]) if q == 4 else \
+            str(rng.randrange(1, q))
+    for fspec, q, m_max in [("2^1", 2, 3), ("3^1", 3, 2),
+                            ("2^2/1,1,1", 4, 3), ("5^1", 5, 2)]:
+        for sigma in SIGMAS:
+            m = rng.randint(1, m_max)
+            ops = [f"{coef(q)}*u^{rng.randint(-1, 1)}*t^{rng.randint(-1, 1)}"
+                   f"*(1+{coef(q)}*u*t)" for _ in range(2)]
+            comps = [f"u^{rng.randint(-3, 0)}*t^{rng.randint(-2, 0)}"
+                     for _ in range(m)]
+            yield (["witt-pair", "--field", fspec, "--m", str(m)],
+                   ops + comps, sigma)
+
+
+class TestChangeOfParameters:
+    """The local Witt pairing does not depend on the local parameters: the
+    text after (u, t) -> (U, T) answers as the original text (the
+    invariance of the residue).  witt-pair grows one box for operands and
+    pairer, so inputs that a larger box answers are no longer refused."""
+
+    def test_substituted_text_answers_the_same(self):
+        # at seed 2, three of the sixteen substituted probes exited 2 with
+        # CoefficientOutsidePrecision while the operands had a fixed box
+        for head, exprs, sigma in _witt_pair_probes(2):
+            want = run(head + exprs)
+            assert want[0] == 0, (head, exprs, want)
+            got = run(head + [_substitute(x, sigma) for x in exprs])
+            assert got == want, (head, exprs, sigma)
+
+    def test_deep_pole_example(self):
+        code, rep = run(DEEP_POLE_WITT_PAIR)
+        assert code == 0, rep
+        assert rep["value"] == [[0], [0]]
+        assert (code, rep) == run(["witt-pair", "--field", "2^1", "--m", "2",
+                                   "u*t", "t+u", "u^-3*t^-3"])
+
+    @pytest.mark.parametrize("flags", [[], ["--prec-u", "2"],
+                                       ["--prec-t", "2"],
+                                       ["--prec-t", "40", "--prec-u", "40"]])
+    def test_witt_pair_does_not_depend_on_precision(self, flags):
+        code, rep = run(DEEP_POLE_WITT_PAIR[:5] + flags
+                        + DEEP_POLE_WITT_PAIR[5:])
+        assert code == 0, rep
+        assert rep["value"] == [[0], [0]]
+
+    def test_zero_box_side_still_pairs(self):
+        # every denominator is a monomial, so a box with no t-rows expands
+        # each operand exactly, and the pairer's box comes from u^-1
+        code, rep = run(["witt-pair", "--prec-t", "0", "1+u", "t", "u^-1"])
+        assert code == 0, rep
+        assert rep["value"] == [[1]]
 
 
 class TestGolden:

@@ -114,6 +114,40 @@ def test_section_inverts_apply_on_the_subfield():
             assert emb.section(emb.apply(a)) == a
 
 
+def _section_reference(emb, b):
+    """b's preimage from the left kernel of the basis images and b, as section
+    found it before the basis rows were reduced once; None when b is not in
+    the image."""
+    fp = ff.make_field(emb.sub.p, 1)
+    rows, x = [], emb.sup.one
+    for _ in range(emb.sub.n):
+        rows.append(x)
+        x = x * emb.gen_image
+    _, kernel = ff.rank_and_left_kernel(
+        [[fp.from_int(c) for c in r.coeffs] for r in rows + [b]], fp)
+    if not kernel:
+        return None
+    scale = -kernel[0][-1].inv()
+    return ff.FqElem(emb.sub, tuple((c * scale).coeffs[0]
+                                    for c in kernel[0][:-1]))
+
+
+@pytest.mark.parametrize("sub, sup", [(F2, F4), (F4, ff.make_field(2, 4)),
+                                      (F3, F9)])
+def test_section_matches_the_left_kernel_reference(sub, sup):
+    emb = ff.get_embedding(sub, sup)
+    refused = 0
+    for b in sup.elements():
+        want = _section_reference(emb, b)
+        if want is None:
+            refused += 1
+            with pytest.raises(NotASubfield):
+                emb.section(b)
+        else:
+            assert emb.section(b) == want
+    assert refused == sup.q - sub.q
+
+
 def test_first_root_is_the_least_index_root():
     # the embeddings' generator images and the roots at places of degree
     # >= 2 come from this one scan

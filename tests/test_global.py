@@ -119,18 +119,36 @@ class TestPolynomials:
 # RatFunc and divided by curve equations before the bivariate gcd, kept as
 # the reference for the differential test below.  A u-only RatFunc reduces
 # by poly1_gcd of the contents alone, so the reference shares none of the
-# t-direction remainder sequence that it checks.
+# t-direction remainder sequence that it checks.  Its coefficients are built
+# as RatFunc(num, den) of the cross products, the full-gcd constructor, so
+# it shares none of RatFunc's reduced-fraction +, * and inv either.
 
 def _univariate(P):
     """The u-only P as a Poly1."""
     return P.t_coeffs().get(0, Poly1(P.field, ()))
 
 
+def _q_const(field, c):
+    return RatFunc(Poly2.const(field, c), Poly2.one(field))
+
+
+def _q_sub(a, b):
+    return RatFunc(a.num * b.den - b.num * a.den, a.den * b.den)
+
+
+def _q_mul(a, b):
+    return RatFunc(a.num * b.num, a.den * b.den)
+
+
+def _q_inv(a):
+    return RatFunc(a.den, a.num)
+
+
 def _tpoly(P):
     rows = P.t_coeffs()
-    out = [RatFunc.const(P.field, P.field.zero)] * (P.deg_t() + 1)
+    out = [_q_const(P.field, P.field.zero)] * (P.deg_t() + 1)
     for b, poly in rows.items():
-        out[b] = RatFunc.from_poly2(Poly2.from_poly1(poly))
+        out[b] = RatFunc(Poly2.from_poly1(poly), Poly2.one(P.field))
     return out
 
 
@@ -142,15 +160,16 @@ def _tpoly_trim(A):
 
 def _tpoly_divmod(A, B, field):
     A = list(A)
-    Q = [RatFunc.const(field, field.zero)] * max(0, len(A) - len(B) + 1)
-    inv = B[-1].inv()
+    Q = [_q_const(field, field.zero)] * max(0, len(A) - len(B) + 1)
+    inv = _q_inv(B[-1])
     for k in range(len(A) - 1, len(B) - 2, -1):
-        c = A[k] * inv
+        c = _q_mul(A[k], inv)
         if not c:
             continue
         Q[k - (len(B) - 1)] = c
         for j, b in enumerate(B):
-            A[k - (len(B) - 1) + j] = A[k - (len(B) - 1) + j] - c * b
+            A[k - (len(B) - 1) + j] = _q_sub(A[k - (len(B) - 1) + j],
+                                             _q_mul(c, b))
     return Q, _tpoly_trim(A[:len(B) - 1])
 
 
@@ -159,8 +178,8 @@ def _tpoly_euclid(A, B, field):
     while B:
         A, B = B, _tpoly_divmod(A, B, field)[1]
     if A:
-        inv = A[-1].inv()
-        A = [c * inv for c in A]
+        inv = _q_inv(A[-1])
+        A = [_q_mul(c, inv) for c in A]
     return A
 
 
