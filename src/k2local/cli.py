@@ -22,8 +22,7 @@ from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           to_pointfunc, witt_report)
 from .globalfield import _poly2_transpose, _tame_terms, _witt_terms, _wv_json
 from .series import DEFAULT_T_PREC, DEFAULT_U_PREC
-from .symbols import (boundary, check_length, k2_decompose, k2_equiv,
-                      pairing_box, symbol, with_box)
+from .symbols import boundary, k2_decompose, k2_equiv, symbol, with_box
 from .witt import witt_zero
 
 SCHEMA = 1
@@ -299,15 +298,9 @@ def _cmd_witt_pair(args, field):
     if len(exprs) < 3:
         raise UsageError("witt-pair needs f, g and at least one "
                               "coefficient component")
-    check_length(m, traced=True)
     f, g, *comps = (eval_rational(x, field) for x in exprs)
-    comps = (comps + [RatFunc.const(field, field.zero)] * m)[:m]
-    # start where the pairer's demand does: the poles of the components,
-    # read from their expansions in the (--prec-t, --prec-u) box
-    box = (args["prec_t"], args["prec_u"])
-    demand = [expand_at_place(c, place_u(field), box) for c in comps]
-    (_, w), = _witt_terms([place_u(field)], expand_at_place, f, g, comps, m,
-                          pairing_box(field.p, m, [demand])[0])
+    (_, w), = _witt_terms([place_u(field)], expand_at_place, f, g,
+                          comps[:m], m)
     return {"verb": "witt-pair", "m": m, "value": _wv_json(w)}, 0
 
 

@@ -74,7 +74,7 @@ class ZeroArgument(K2LocalError):
 
 
 class StepBudgetExceeded(K2LocalError):
-    """The decomposer ran out of its step budget before settling."""
+    """A budget ran out: the decomposer's steps, or a pairing's terms."""
 
 
 # --- global ----------------------------------------------------------------

@@ -397,20 +397,11 @@ class Embedding:
         self.sub = sub
         self.sup = sup
         self.gen_image = self._find_gen_image()
-        # Gauss-Jordan once over the F_p-rows (image in sup | coordinates in
-        # sub) of 1, g, ..., g^{sub.n-1}: (pivot column, row that is 1 there
-        # and 0 at the other pivot columns) per basis image
-        p, self._pivots, b = sub.p, [], sup.one
-        for k in range(sub.n):
-            row = list(b.coeffs) + [int(i == k) for i in range(sub.n)]
-            for col, prow in self._pivots:
-                row = [(x - row[col] * y) % p for x, y in zip(row, prow)]
-            col = next(i for i, c in enumerate(row) if c)
-            inv = pow(row[col], -1, p)
-            row = [c * inv % p for c in row]
-            self._pivots = [(c, [(x - r[col] * y) % p for x, y in zip(r, row)])
-                            for c, r in self._pivots] + [(col, row)]
-            b = b * self.gen_image
+        # the image of sub is the subgroup of z_sup^d, d = (q_sup-1)/(q_sub-1),
+        # with apply(z_sub) = z_sup^(d*s) for an s prime to q_sub - 1
+        self._d = (sup.q - 1) // (sub.q - 1)
+        s = sup.log(self.apply(primitive_element(sub))) // self._d
+        self._s_inv = pow(s, -1, sub.q - 1)
 
     def _find_gen_image(self):
         sub, sup = self.sub, self.sup
@@ -430,16 +421,15 @@ class Embedding:
     def section(self, b):
         """Inverse image of b, or raise NotASubfield if b is not in range.
 
-        Clearing b's entry at each pivot column leaves its image part zero
-        exactly when b is in range, and minus the preimage in the rest.
+        A nonzero b = z_sup^k is in range exactly when d divides k, and is
+        then the image of z_sub^(k/d / s).
         """
-        p, n = self.sub.p, self.sup.n
-        row = list(b.coeffs) + [0] * self.sub.n
-        for col, prow in self._pivots:
-            row = [(x - row[col] * y) % p for x, y in zip(row, prow)]
-        if any(row[:n]):
+        if not b:
+            return self.sub.zero
+        k, r = divmod(self.sup.log(b), self._d)
+        if r:
             raise NotASubfield("element not in the embedded subfield")
-        return FqElem(self.sub, tuple(-c % p for c in row[n:]))
+        return primitive_element(self.sub) ** (k * self._s_inv)
 
 
 @lru_cache(maxsize=None)

@@ -31,14 +31,16 @@ import operator
 from functools import lru_cache
 
 from .errors import (BadIndexPair, DivisionByZero, InvariantViolation,
-                     NotReducible, PrecisionTooLow, UndeclaredCurveFactor,
-                     UnsupportedPlace, ZeroArgument, ZeroDivisor)
+                     NotReducible, PrecisionTooLow, StepBudgetExceeded,
+                     UndeclaredCurveFactor, UnsupportedPlace, ZeroArgument,
+                     ZeroDivisor)
 from .ff import (FqElem, first_root, get_embedding, make_field, norm_rel,
                  power, rank_and_left_kernel)
 from .forms import d_du
-from .series import Laurent2, invert, laurent_domain
-from .symbols import (WittPairer, check_length, symbol, tame_symbol_det,
-                      witt_pair_local, with_box)
+from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, invert,
+                     laurent_domain)
+from .symbols import (WittPairer, check_length, pairing_box, symbol,
+                      tame_symbol_det, witt_pair_local, with_box)
 from .witt import WittVec, witt_add, witt_zero
 
 INF = math.inf
@@ -1024,24 +1026,41 @@ def point_tame_terms(f, g, h, curves):
 # Reciprocity sums over places or curves: one fold over (key, value) terms
 # --------------------------------------------------------------------------
 
-def _witt_terms(keys, expand, f, g, comps, m, start):
+MAX_TERMS = 6000  # most terms of the operands of one pairing attempt
+
+
+def _witt_terms(keys, expand, f, g, comps, m, start=None):
     """(key, traced local Witt pairing of {f, g} with (comps)) per key.
 
     At each key, expand(c, key, box) expands f, g and comps in the working
     box, and a pairer of {f, g} in the same box pairs them.  The box starts
-    at start ((2, 2) for the sums) and doubles while a coefficient falls
-    outside the known region (with_box); the data is exact, so some box
-    answers.  m is checked first, so a bad length is refused at once.
+    at start ((2, 2) for the sums), or for start=None at pairing_box's first
+    box for comps expanded in the box (DEFAULT_T_PREC, DEFAULT_U_PREC), and
+    doubles while a coefficient falls outside the known region (with_box);
+    the data is exact, so some box answers.  The pairer's products grow with
+    the square of the operands' terms, so a box whose expansions hold more
+    than MAX_TERMS is refused (StepBudgetExceeded).  m is checked first.
     """
     check_length(m, traced=True)
 
     def pair_at(key, box):
-        fh, gh, *ch = (expand(c, key, box) for c in [f, g] + comps)
-        ch += [Laurent2.zero(fh.dom)] * (m - len(ch))
-        return WittPairer(symbol(fh, gh), m, *box).pair(
-            WittVec(laurent_domain(fh.dom), ch), m)
-    return [(key, with_box(start, None, lambda box: pair_at(key, box)))
-            for key in keys]
+        hats = []
+        for c in [f, g] + comps:
+            hats.append(expand(c, key, box))
+            if sum(len(r) for h in hats for r in h.terms.values()) > MAX_TERMS:
+                raise StepBudgetExceeded(
+                    f"working box {box} expands past {MAX_TERMS} terms")
+        ch = hats[2:] + [Laurent2.zero(hats[0].dom)] * (m - len(comps))
+        return WittPairer(symbol(*hats[:2]), m, *box).pair(
+            WittVec(laurent_domain(hats[0].dom), ch), m)
+
+    def first(key):
+        demand = [expand(c, key, (DEFAULT_T_PREC, DEFAULT_U_PREC))
+                  for c in comps]
+        zeros = [Laurent2.zero(demand[0].dom)] * (m - len(comps))
+        return pairing_box(f.field.p, m, [demand + zeros])[0]
+    return [(key, with_box(start or first(key), None,
+                           lambda box: pair_at(key, box))) for key in keys]
 
 
 def _tame_terms(keys, expand, f, g, h, start):
@@ -1054,10 +1073,8 @@ def _tame_terms(keys, expand, f, g, h, start):
 
 
 def _fold(terms, add, acc):
-    """Fold add over the last entry of each term, starting from acc.
-
-    Returns the (term, running value) rows and the final value.
-    """
+    """Fold add over the last entry of each term, starting from acc: the
+    (term, running value) rows and the final value."""
     rows = []
     for term in terms:
         acc = add(acc, term[-1])

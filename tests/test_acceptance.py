@@ -611,3 +611,20 @@ class TestChangedParameterProbe:
         assert code == 0, rep
         assert rep["value"] == [[0], [0]]
         assert time.monotonic() - t0 < 1
+
+    def test_oversized_box_is_refused_within_two_seconds(self):
+        # over F_5 at m = 3, components whose u-pole deepens with the t-row
+        # (tests/test_cli.py OVERSIZED_WITT_PAIR in the parameters
+        # (u + u^-1·t, t(1 + u + t))) meet the term budget at the first box
+        t0 = time.monotonic()
+        code, rep = cli.run(["witt-pair", "--field", "5^1", "--m", "3",
+                             "4*(u+u^-1*t)^-1*(t*(1+u+t))^-2"
+                             "*(1+(t*(1+u+t))^2)",
+                             "4*(u+u^-1*t)^-1*(t*(1+u+t))^-1"
+                             "*(1+3*(t*(1+u+t))^2)",
+                             "(t*(1+u+t))^-2",
+                             "(u+u^-1*t)^-1*(t*(1+u+t))^-2",
+                             "(u+u^-1*t)^-3*(t*(1+u+t))^-2"])
+        assert code == 2, rep
+        assert rep["error"] == "StepBudgetExceeded"
+        assert time.monotonic() - t0 < 2

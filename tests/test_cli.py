@@ -393,6 +393,14 @@ SIGMAS = [("u+t", "t"), ("u", "t*(1+u)"), ("u*(1+u)+t^2", "t+t^2*u^-1"),
 DEEP_POLE_WITT_PAIR = ["witt-pair", "--field", "2^1", "--m", "2",
                        "u*t*(1+u)", "t*(1+u)+u", "u^-3*(t*(1+u))^-3"]
 
+# {4·u^-1·t^-2·(1 + t^2), 4·u^-1·t^-1·(1 + 3·t^2)} paired with (t^-2,
+# u^-1·t^-2, u^-3·t^-2) over F_5 at m = 3 answers [[1], [3], [1]].  In the
+# parameters (u + u^-1·t, t(1 + u + t)) the components' u-pole deepens with
+# the t-row, and the first box, (52, 117), expands past MAX_TERMS terms.
+OVERSIZED_WITT_PAIR = ["witt-pair", "--field", "5^1", "--m", "3",
+                       "4*u^-1*t^-2*(1+t^2)", "4*u^-1*t^-1*(1+3*t^2)", "t^-2",
+                       "u^-1*t^-2", "u^-3*t^-2"]
+
 
 def _substitute(text, sigma):
     """The expression text with u and t replaced by sigma = (U, T)."""
@@ -425,7 +433,8 @@ class TestChangeOfParameters:
     """The local Witt pairing does not depend on the local parameters: the
     text after (u, t) -> (U, T) answers as the original text (the
     invariance of the residue).  witt-pair grows one box for operands and
-    pairer, so inputs that a larger box answers are no longer refused."""
+    pairer, so inputs that a larger box answers are no longer refused; a
+    box past the term budget is refused with StepBudgetExceeded."""
 
     def test_substituted_text_answers_the_same(self):
         # at seed 2, three of the sixteen substituted probes exited 2 with
@@ -452,9 +461,18 @@ class TestChangeOfParameters:
         assert code == 0, rep
         assert rep["value"] == [[0], [0]]
 
+    def test_oversized_box_is_refused(self):
+        head, exprs = OVERSIZED_WITT_PAIR[:5], OVERSIZED_WITT_PAIR[5:]
+        code, rep = run(head + exprs)
+        assert code == 0, rep
+        assert rep["value"] == [[1], [3], [1]]
+        code, rep = run(head + [_substitute(x, SIGMAS[3]) for x in exprs])
+        assert code == 2, rep
+        assert rep["error"] == "StepBudgetExceeded"
+
     def test_zero_box_side_still_pairs(self):
-        # every denominator is a monomial, so a box with no t-rows expands
-        # each operand exactly, and the pairer's box comes from u^-1
+        # witt-pair sizes its box from the components, not from the flags,
+        # so a box side of 0 is not refused
         code, rep = run(["witt-pair", "--prec-t", "0", "1+u", "t", "u^-1"])
         assert code == 0, rep
         assert rep["value"] == [[1]]

@@ -116,8 +116,8 @@ def test_section_inverts_apply_on_the_subfield():
 
 def _section_reference(emb, b):
     """b's preimage from the left kernel of the basis images and b, as section
-    found it before the basis rows were reduced once; None when b is not in
-    the image."""
+    found it before it read the discrete logs; None when b is not in the
+    image."""
     fp = ff.make_field(emb.sub.p, 1)
     rows, x = [], emb.sup.one
     for _ in range(emb.sub.n):
