@@ -17,8 +17,8 @@ from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           as_reduce, as_residual_solves, curve_tame_terms,
                           curve_witt_terms, distinct_curves,
                           duality_kernel_point, duality_level_curve,
-                          expand_at_place, place_u, point_tame_terms,
-                          point_witt_terms, tame_report,
+                          expand_at_place, lead_at_place, place_u,
+                          point_tame_terms, point_witt_terms, tame_report,
                           to_pointfunc, witt_report)
 from .globalfield import _poly2_transpose, _tame_terms, _witt_terms, _wv_json
 from .series import DEFAULT_T_PREC, DEFAULT_U_PREC
@@ -288,8 +288,7 @@ def _exprs(args, n, need):
 def _cmd_tame(args, field):
     f, g, h = (eval_rational(x, field)
                for x in _exprs(args, 3, "tame needs f, g and h"))
-    (_, v), = _tame_terms([place_u(field)], expand_at_place, f, g, h,
-                          (args["prec_t"], args["prec_u"]))
+    (_, v), = _tame_terms([place_u(field)], lead_at_place, f, g, h)
     return {"verb": "tame", "value": _fq_json(v)}, 0
 
 

@@ -20,8 +20,8 @@ step in a working box (t_prec, u_prec).
 
 Reciprocity: the Witt and tame sums over the places of the u-line, or over a
 declared set of curves through the origin, share their pieces: per-key terms
-(expand f, g and h at the key, then take the local symbol) and one running
-fold over them.  The *_reciprocity functions return the fold's last value;
+(expand f, g and h at the key and pair them, or read their exact leading
+terms for the tame symbol) and one running fold over them.  The *_reciprocity functions return the fold's last value;
 witt_report and tame_report build the JSON reports, keyed by "place" or
 "curve".  Every residue is read through forms.residue.
 """
@@ -796,11 +796,43 @@ def curve_witt_terms(f, g, h, m):
     return _witt_terms(places, expand_at_place, f, g, comps, m, (2, 2))
 
 
+def _row_at_place(row, place):
+    """(v, c) with row = c·s^v + O(s^(v+1)) in the place's parameter s, for
+    a nonzero u-polynomial given by its sparse terms; c is in place_field.
+    Away from infinity (s = 1/u) and u (s = u), v is the multiplicity of pi
+    and c = w(root) for w = row / pi^v, since pi(u) = s exactly."""
+    kx, emb, root = place_field(place)
+    if place.kind == "infinity":
+        return -max(row), row[max(row)]
+    if not root:
+        return min(row), row[min(row)]
+    zero = place.field.zero
+    w = Poly1(place.field, [row.get(a, zero) for a in range(max(row) + 1)])
+    v = 0
+    while not (r := w.divmod(place.minimal_poly))[1]:
+        w, v = r[0], v + 1
+    c = kx.zero
+    for a in reversed(w.coeffs):
+        c = c * root + emb(a)
+    return v, c
+
+
+def lead_at_place(f, place):
+    """The leading term of expand_at_place(f, place, box) at every box, as
+    an exact Laurent2 monomial: the least t-rows of num and den at the
+    place (_row_at_place) give its coefficient and both exponents."""
+    kx = place_field(place)[0]
+    if not f:
+        return Laurent2.zero(kx)
+    (jn, rn), (jd, rd) = (min(P.rows().items()) for P in (f.num, f.den))
+    (vn, cn), (vd, cd) = _row_at_place(rn, place), _row_at_place(rd, place)
+    return Laurent2.monomial(kx, cn * cd.inv(), vn - vd, jn - jd)
+
+
 def curve_tame_terms(f, g, h):
     """Per-place (place, local tame symbol, its norm to F_q) on the u-line."""
     return [(x, v, norm_rel(v, f.field)) for x, v in
-            _tame_terms(list_places([f, g, h]), expand_at_place, f, g, h,
-                        (2, 2))]
+            _tame_terms(list_places([f, g, h]), lead_at_place, f, g, h)]
 
 
 # --------------------------------------------------------------------------
@@ -988,23 +1020,33 @@ def _poly2_to_branch(P, y):
                    Laurent2(field, {0: phi, 1: {0: field.one}}))
 
 
-def expand_point(pf, y, declared, box):
-    """Local expansion of a factored F_x element at the branch y: num / den
-    in branch coordinates, in the working box (t_prec, u_prec)."""
+def _check_declared(pf, declared):
     for z in pf.curves():
         if z not in declared:
             raise UndeclaredCurveFactor(
                 f"factor curve {z.serialize()} is not declared admissible")
+
+
+def expand_point(pf, y, declared, box):
+    """Local expansion of a factored F_x element at the branch y: num / den
+    in branch coordinates, in the working box (t_prec, u_prec)."""
+    _check_declared(pf, declared)
     return _quotient(_poly2_to_branch(pf.num, y),
                      _poly2_to_branch(pf.den, y), box)
 
 
-def _at_curves(curves):
-    """The declared curves, each once, in order, and expand(c, y, box) at
-    the curve y."""
-    keys = distinct_curves(curves)
-    declared = set(keys)
-    return keys, lambda c, y, box: expand_point(c, y, declared, box)
+def lead_at_curve(pf, y, declared):
+    """The leading term of expand_point(pf, y, declared, box), exactly.  A
+    unit 1 + eps leads with 1, as eps vanishes at the origin; a curve z
+    leads as its own equation does on the branch, so t = u and u = t, one
+    curve, lead with coefficients -1 apart."""
+    _check_declared(pf, declared)
+    c, i, j = pf.constant, 0, 0
+    for z, e in pf.curve_exps.items():
+        if e:
+            jz, iz, cz = _poly2_to_branch(z.equation(), y).leading()
+            c, i, j = c * cz ** e, i + e * iz, j + e * jz
+    return Laurent2.monomial(pf.field, c, i, j)
 
 
 def point_witt_terms(f, g, h, m, curves):
@@ -1012,14 +1054,18 @@ def point_witt_terms(f, g, h, m, curves):
 
     Each curve sizes its own working box, as _witt_terms says.
     """
-    keys, expand = _at_curves(curves)
-    return _witt_terms(keys, expand, f, g, _components(h), m, (2, 2))
+    keys = distinct_curves(curves)
+    declared = set(keys)
+    return _witt_terms(keys, lambda c, y, box: expand_point(
+        c, y, declared, box), f, g, _components(h), m, (2, 2))
 
 
 def point_tame_terms(f, g, h, curves):
     """Per-curve (curve, local tame symbol) at the origin."""
-    keys, expand = _at_curves(curves)
-    return _tame_terms(keys, expand, f, g, h, (2, 2))
+    keys = distinct_curves(curves)
+    declared = set(keys)
+    return _tame_terms(keys, lambda c, y: lead_at_curve(c, y, declared),
+                       f, g, h)
 
 
 # --------------------------------------------------------------------------
@@ -1063,12 +1109,11 @@ def _witt_terms(keys, expand, f, g, comps, m, start=None):
                            lambda box: pair_at(key, box))) for key in keys]
 
 
-def _tame_terms(keys, expand, f, g, h, start):
-    """(key, local tame symbol of f, g, h), boxed from start as _witt_terms."""
-    def tame_at(key, box):
-        return tame_symbol_det(*(expand(c, key, box)
-                                 for c in (f, g, h))).value
-    return [(key, with_box(start, None, lambda box: tame_at(key, box)))
+def _tame_terms(keys, lead, f, g, h):
+    """(key, local tame symbol of f, g, h) per key.  The symbol reads only
+    each operand's two valuations and leading coefficient, so tame_symbol_det
+    takes lead(c, key), the operand's exact leading monomial: no box."""
+    return [(key, tame_symbol_det(*(lead(c, key) for c in (f, g, h))).value)
             for key in keys]
 
 

@@ -2,9 +2,8 @@
 
 Provides the higher tame symbol (two independent formulas), the boundary map
 to the first residue field, the local Witt pairing against Witt vectors over
-the field, decomposition of symbols into the topological basis, a
-level-bounded pairing-separation equality test, and verifiers for the three
-unit-group identities used throughout.
+the field, decomposition of symbols into the topological basis, and a
+level-bounded pairing-separation equality test.
 """
 
 from __future__ import annotations
@@ -102,8 +101,7 @@ def tame_symbol_det(f1, f2, f3):
     for f in fs:
         if f.is_zero():
             raise ZeroArgument("tame symbol of zero")
-    vt = [_vals(f)[0] for f in fs]
-    vu = [_vals(f)[1] for f in fs]
+    vt, vu = zip(*map(_vals, fs))
     b = [vu[1] * vt[2] - vu[2] * vt[1],
          -(vu[0] * vt[2] - vu[2] * vt[0]),
          vu[0] * vt[1] - vu[1] * vt[0]]
@@ -643,49 +641,3 @@ def k2_equiv(a, b, level):
             done += 1
         return False
     return not _with_pairer(d, 2, [g.components for g in tests], separates)
-
-
-# --------------------------------------------------------------------------
-# identity verifiers
-# --------------------------------------------------------------------------
-
-def verify_appendix_identity(which, params, level):
-    """Check one of the three unit-symbol identities at its natural level.
-
-    1: {1+δ^p t^k, t} ≡ {1+δ^p t^k, δ}^p             (level k+1)
-    2: {1−iv t^j u^i, u} ≡ {1+jv u^i t^j, t}          (level j+1)
-    3: {1+f u^i t^l, 1+g u^j} ≡
-       {1+f u^i · jg u^j (1+g u^j)^{-1} · t^l, u}     (level l+1)
-    """
-    if which == 1:
-        delta, k = params["delta"], params["k"]
-        field = delta.dom
-        p = field.p
-        one = Laurent2.one(field)
-        t = Laurent2.monomial(field, field.one, 0, 1)
-        base = one + (delta ** p) * (t ** k)
-        lhs = symbol(base, t)
-        rhs = symbol(base, delta, p)
-        return k2_equiv(lhs, rhs, level)
-    if which == 2:
-        field = params["v"].field
-        i, j, v = params["i"], params["j"], params["v"]
-        one = Laurent2.one(field)
-        u = Laurent2.monomial(field, field.one, 1, 0)
-        t = Laurent2.monomial(field, field.one, 0, 1)
-        lhs = symbol(one - Laurent2.monomial(field, field.from_int(i) * v, i, j), u)
-        rhs = symbol(one + Laurent2.monomial(field, field.from_int(j) * v, i, j), t)
-        return k2_equiv(lhs, rhs, level)
-    if which == 3:
-        field = params["f"].field
-        f, g = params["f"], params["g"]
-        i, j, l = params["i"], params["j"], params["l"]
-        one = Laurent2.one(field)
-        u = Laurent2.monomial(field, field.one, 1, 0)
-        gu = Laurent2.monomial(field, g, j, 0)
-        lhs = symbol(one + Laurent2.monomial(field, f, i, l), one + gu)
-        inner = Laurent2.monomial(field, f, i, l) * \
-            gu.int_scale(j) * invert(one + gu)
-        rhs = symbol(one + inner, u)
-        return k2_equiv(lhs, rhs, level)
-    raise ZeroArgument(f"unknown identity {which}")

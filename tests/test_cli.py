@@ -195,11 +195,25 @@ class TestRun:
          "UsageError"),
         (["tame", "--field", "2^-1", "u", "u", "t"], "ReducibleModulus"),
         (["tame", "--field", "2^1", "(" * 250 + "u" + ")" * 250, "u", "t"],
-         "ExprSyntaxError")])
+         "ExprSyntaxError"),
+        (["tame", "--field", "2^1", "t-t", "u", "t"], "ZeroArgument"),
+        (["tame", "--field", "3^1", "u", "t", "0"], "ZeroArgument"),
+        (["reciprocity-point", "--field", "3^1", "--curves", "t,u",
+          "t*(1+u)", "u", "t+u"], "UndeclaredCurveFactor")])
     def test_arity_and_range_errors_are_typed(self, argv, error):
         code, rep = run(argv)
         assert code == 2
         assert rep["error"] == error
+
+    def test_tame_reads_no_box(self):
+        # the leading terms are exact, so even a box below 1 answers
+        argv = ["tame", "--field", "5^1", "3*(1+u)/(u^30+t)", "u*(1+t)",
+                "t"]
+        code, rep = run(argv)
+        assert code == 0 and rep["value"] == [3], rep
+        for box in (["--prec-t", "0"], ["--prec-u", "0"],
+                    ["--prec-t", "1", "--prec-u", "1"]):
+            assert run(argv[:3] + box + argv[3:]) == (code, rep)
 
     def test_huge_negative_power_is_cheap(self):
         # the power of a reduced fraction is built without a gcd, so no

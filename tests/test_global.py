@@ -12,18 +12,20 @@ from k2local.errors import (BadIndexPair, DivisionByZero, InvariantViolation,
                             NotReducible, PrecisionTooLow,
                             UndeclaredCurveFactor, UnsupportedLength,
                             UnsupportedPlace, ZeroArgument)
-from k2local.ff import FqElem, make_field
+from k2local.ff import FqElem, make_field, norm_rel
 from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  CurvePlace, PointFunc, Poly1, Poly2,
                                  RatFunc, as_reduce,
                                  as_residual_solves, curve_tame_reciprocity,
                                  curve_tame_terms, curve_witt_reciprocity,
-                                 curve_witt_terms, duality_kernel_point,
-                                 duality_level_curve, expand_at_place,
-                                 factor_poly1, infinity_place, list_places,
+                                 curve_witt_terms, distinct_curves,
+                                 duality_kernel_point, duality_level_curve,
+                                 expand_at_place, factor_poly1,
+                                 infinity_place, lead_at_curve,
+                                 lead_at_place, list_places,
                                  point_basis_pair, point_tame_reciprocity,
-                                 point_witt_reciprocity, point_witt_terms,
-                                 to_pointfunc, witt_report)
+                                 point_tame_terms, point_witt_reciprocity,
+                                 point_witt_terms, to_pointfunc, witt_report)
 from k2local.globalfield import (_expand_poly2, _irreducibles, _lead,
                                  _param_series, _poly2_div_poly1,
                                  _poly2_to_branch, _poly2_transpose,
@@ -31,7 +33,8 @@ from k2local.globalfield import (_expand_poly2, _irreducibles, _lead,
                                  _try_div_curve, expand_point, place_field,
                                  poly1_gcd)
 from k2local.series import INF, Laurent2, invert, laurent_domain
-from k2local.symbols import symbol, witt_pair_local
+from k2local.symbols import (symbol, tame_symbol_det, witt_pair_local,
+                             with_box)
 from k2local.witt import WittVec, witt_zero
 
 
@@ -1183,6 +1186,172 @@ class TestPointReciprocity:
         ft = PointFunc(F4, curve_exps={self.ax_u: 1})
         with pytest.raises(UndeclaredCurveFactor):
             point_witt_reciprocity(fu, ft, [fu], 1, [self.ax_u])
+
+
+# --------------------------------------------------------------------------
+# tame terms from exact leading terms
+# --------------------------------------------------------------------------
+
+def _tame_terms_series(keys, expand, f, g, h):
+    """The series path of _tame_terms, kept as a reference: f, g and h are
+    expanded at each key in a box that doubles from (2, 2) (with_box).
+    Returns the terms and the number of boxes that fell short."""
+    short = [0]
+
+    def tame_at(key, box):
+        try:
+            return tame_symbol_det(*(expand(c, key, box)
+                                     for c in (f, g, h))).value
+        except PrecisionTooLow:
+            short[0] += 1
+            raise
+    return [(key, with_box((2, 2), None, lambda box: tame_at(key, box)))
+            for key in keys], short[0]
+
+
+def _series_leading(expand, c, key):
+    return with_box((2, 2), None, lambda box: expand(c, key, box).leading())
+
+
+def _tame_curve_cases(rng):
+    """Triples shaped as the benchmark's curve cases (f + t, g + u, h + 1,
+    a third of h over u^2 + u + 1 or u^2 + 1, as there), then a sweep with
+    places of degree 1 to 3 to powers, then denominators that the series
+    path must retry: u^30 + t at the place u."""
+    for q in ((2, 1), (3, 1), (2, 2)):
+        field = make_field(*q)
+        one, u, t = uvars(field)
+        quad = eval_rational("u^2+u+1" if field.p == 2 else "u^2+1", field)
+        for k in range(6):
+            deg = 1 if q == (2, 2) else 2
+            h = rand_ratfunc(rng, field, deg)
+            if k % 3 == 0:
+                h = h / quad
+            yield (rand_ratfunc(rng, field, deg) + t,
+                   rand_ratfunc(rng, field, deg) + u, h + one)
+    for q in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        field = make_field(*q)
+        one, u, t = uvars(field)
+        for d in (1, 2, 3):
+            pis = _irreducibles(field, d)
+            for _ in range(2):
+                pi = RatFunc.from_poly2(Poly2.from_poly1(
+                    rng.choice(pis), "u"))
+                k = rng.randint(-3, 3) or 1
+                yield (rand_ratfunc(rng, field) * pi ** k + t,
+                       rand_ratfunc(rng, field) + u * pi,
+                       rand_ratfunc(rng, field) / pi + one)
+        yield (one / (u ** 30 + t), t + u, rand_ratfunc(rng, field) + one)
+        yield (u + t, (one + t) / (u ** 30 + t ** 2), u ** 3 / (u ** 30 + t))
+
+
+def _tame_point_cases(rng):
+    """Point triples shaped as the benchmark's (the three curve sets, both
+    axes and at most one graph), on random graph curves, and on t, u,
+    t = u, u = t over F_3 with factors named by the second, u = t, whose
+    equation is minus that of the first."""
+    def rand_pf(field, curves):
+        eps = Poly2.monomial(field, field.elem_by_index(
+            rng.randrange(field.q)), rng.randint(0, 1), rng.randint(1, 2))
+        return PointFunc(field, field.elem_by_index(
+            1 + rng.randrange(field.q - 1)),
+            {c: rng.randint(-2, 2) for c in curves}, [eps] if eps else [])
+    for q in ((2, 1), (3, 1), (2, 2)):
+        field = make_field(*q)
+        axes = [AdmissibleCurve(field, "axis_u"),
+                AdmissibleCurve(field, "axis_t")]
+        for curves in (axes, axes + [AdmissibleCurve(
+                field, "graph_t_of_u", Poly1.from_ints(field, [0, 1]))],
+                       axes + [AdmissibleCurve(
+                           field, "graph_t_of_u",
+                           Poly1.from_ints(field, [0, 0, 1]))],
+                       _rand_graph_curves(rng, field)):
+            for _ in range(3):
+                yield curves, [rand_pf(field, curves) for _ in range(3)]
+    F3 = make_field(3, 1)
+    axu, axt = AdmissibleCurve(F3, "axis_u"), AdmissibleCurve(F3, "axis_t")
+    diag = AdmissibleCurve(F3, "graph_t_of_u", Poly1.from_ints(F3, [0, 1]))
+    diag_u = AdmissibleCurve(F3, "graph_u_of_t", Poly1.from_ints(F3, [0, 1]))
+    for _ in range(3):
+        yield [axu, axt, diag, diag_u], [rand_pf(F3, [axu, axt, diag_u])
+                                         for _ in range(3)]
+
+
+class TestTameLeadingTerms:
+    def test_curve_terms_match_series_reference(self):
+        rng = random.Random(61)
+        short = compared = 0
+        for f, g, h in _tame_curve_cases(rng):
+            if not (f and g and h):
+                continue
+            field = f.field
+            places = list_places([f, g, h])
+            ref, n = _tame_terms_series(places, expand_at_place, f, g, h)
+            short += n
+            assert curve_tame_terms(f, g, h) == [
+                (x, v, norm_rel(v, field)) for x, v in ref], (f, g, h)
+            for x in places:
+                for c in (f, g, h):
+                    assert lead_at_place(c, x).leading() == \
+                        _series_leading(expand_at_place, c, x), (c, x)
+            compared += len(places)
+        assert short > 0
+        assert compared >= 200
+
+    def test_point_terms_match_series_reference(self):
+        rng = random.Random(67)
+        compared = 0
+        for curves, (f, g, h) in _tame_point_cases(rng):
+            keys = distinct_curves(curves)
+            declared = set(keys)
+
+            def expand(c, y, box):
+                return expand_point(c, y, declared, box)
+            ref, _ = _tame_terms_series(keys, expand, f, g, h)
+            assert point_tame_terms(f, g, h, curves) == ref, (f, g, h)
+            for y in keys:
+                for c in (f, g, h):
+                    assert lead_at_curve(c, y, declared).leading() == \
+                        _series_leading(expand, c, y), (c, y)
+            compared += len(keys)
+        assert compared >= 100
+
+    def test_zero_point_function_is_refused(self):
+        F3 = make_field(3, 1)
+        axu, axt = AdmissibleCurve(F3, "axis_u"), AdmissibleCurve(F3, "axis_t")
+        zero = PointFunc(F3, constant=F3.zero)
+        fu = PointFunc(F3, curve_exps={axt: 1})
+        with pytest.raises(ZeroArgument):
+            point_tame_terms(zero, fu, fu, [axu, axt])
+
+    def test_norm_residue_oracle(self):
+        # for l | q - 1, c^l - h is the norm of c - h^(1/l) from the Kummer
+        # extension K(h^(1/l)), so every local term of {c^l - h, g, h}
+        # has an l-th power norm; the control c^l - h + 1 need not.  Over
+        # F_7, l = 6 is left out: its places of degree 5 and 6 take
+        # seconds to build (place_field).
+        rng = random.Random(71)
+        held = controls = 0
+        for q, ls in (((3, 1), (2,)), ((2, 2), (3,)), ((5, 1), (2, 4)),
+                      ((7, 1), (2, 3))):
+            field = make_field(*q)
+            one, u, t = uvars(field)
+            for l in ls:
+                for _ in range(6):
+                    c = rand_ratfunc(rng, field, 1)
+                    h = rand_ratfunc(rng, field, 1) + t
+                    g = rand_ratfunc(rng, field, 1) + u
+                    a = c ** l - h
+                    if not (a and g and h and a + one):
+                        continue
+                    e = (field.q - 1) // l
+                    for x, _, nv in curve_tame_terms(a, g, h):
+                        assert nv ** e == field.one, (a, g, h, x)
+                        held += 1
+                    controls += sum(nv ** e != field.one for _, _, nv in
+                                    curve_tame_terms(a + one, g, h))
+        assert held >= 150
+        assert controls >= 1
 
 
 # --------------------------------------------------------------------------

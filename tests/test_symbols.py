@@ -16,9 +16,51 @@ from k2local.symbols import (K2Elem, TameValue, WittPairer, _Decomposer,
                              _with_pairer, boundary, k2_decompose, k2_equiv,
                              pairing_box, symbol, tame_symbol_det,
                              tame_symbol_signed, unramified_exponent,
-                             verify_appendix_identity, with_box,
-                             witt_pair_local)
+                             with_box, witt_pair_local)
 from k2local.witt import WittVec, witt_zero
+
+
+def verify_appendix_identity(which, params, level):
+    """Check one of the three unit-symbol identities at its natural level.
+
+    1: {1+δ^p t^k, t} ≡ {1+δ^p t^k, δ}^p             (level k+1)
+    2: {1−iv t^j u^i, u} ≡ {1+jv u^i t^j, t}          (level j+1)
+    3: {1+f u^i t^l, 1+g u^j} ≡
+       {1+f u^i · jg u^j (1+g u^j)^{-1} · t^l, u}     (level l+1)
+    """
+    if which == 1:
+        delta, k = params["delta"], params["k"]
+        field = delta.dom
+        p = field.p
+        one = Laurent2.one(field)
+        t = Laurent2.monomial(field, field.one, 0, 1)
+        base = one + (delta ** p) * (t ** k)
+        lhs = symbol(base, t)
+        rhs = symbol(base, delta, p)
+        return k2_equiv(lhs, rhs, level)
+    if which == 2:
+        field = params["v"].field
+        i, j, v = params["i"], params["j"], params["v"]
+        one = Laurent2.one(field)
+        u = Laurent2.monomial(field, field.one, 1, 0)
+        t = Laurent2.monomial(field, field.one, 0, 1)
+        lhs = symbol(one - Laurent2.monomial(field, field.from_int(i) * v, i, j), u)
+        rhs = symbol(one + Laurent2.monomial(field, field.from_int(j) * v, i, j), t)
+        return k2_equiv(lhs, rhs, level)
+    if which == 3:
+        field = params["f"].field
+        f, g = params["f"], params["g"]
+        i, j, l = params["i"], params["j"], params["l"]
+        one = Laurent2.one(field)
+        u = Laurent2.monomial(field, field.one, 1, 0)
+        gu = Laurent2.monomial(field, g, j, 0)
+        lhs = symbol(one + Laurent2.monomial(field, f, i, l), one + gu)
+        inner = Laurent2.monomial(field, f, i, l) * \
+            gu.int_scale(j) * invert(one + gu)
+        rhs = symbol(one + inner, u)
+        return k2_equiv(lhs, rhs, level)
+    raise ZeroArgument(f"unknown identity {which}")
+
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
