@@ -373,19 +373,108 @@ def primitive_element(field):
     raise AssertionError("no primitive element found")  # pragma: no cover
 
 
+# polynomials over a field, for first_root: lists of elements, constant
+# first, with no zero leading coefficient; every modulus is monic
+
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    s = [x + y for x, y in zip(a, b)] + a[len(b):]
+    while s and not s[-1]:
+        s.pop()
+    return s
+
+
+def _pdivmod(a, b):
+    r, nb, quo = list(a), len(b) - 1, []
+    while len(r) > nb:
+        c = r.pop()
+        quo.append(c)
+        for i in range(nb):
+            r[len(r) - nb + i] -= c * b[i]
+    return quo[::-1], _padd(r, [])
+
+
+def _pmulmod(a, b, m):
+    prod = [m[-1].field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _pdivmod(prod, m)[1]
+
+
+def _powmod(a, e, m):
+    return power(_pdivmod(a, m)[1], e, [m[-1]],
+                 lambda x, y: _pmulmod(x, y, m))
+
+
+def _pgcd(a, b):
+    """The monic gcd of a monic a and any b."""
+    while b:
+        inv = b[-1].inv()
+        a, b = [c * inv for c in b], a
+        b = _pdivmod(b, a)[1]
+    return a
+
+
+def _split_to_root(g, field):
+    """One root of a monic g that is a product of distinct linear factors.
+
+    Equal-degree splitting (Cantor–Zassenhaus): for an element a, the roots
+    r of g with r + a a nonzero square (p odd), or with Tr(a·r) = 0
+    (p = 2), are those of gcd(g, h), h = (x + a)^((q-1)/2) - 1 or
+    h = Tr(a·x) = sum of (a·x)^(2^k), k < n.  Some a tells any two roots
+    apart, so g shrinks to its smaller factor until it is linear.
+    """
+    while len(g) > 2:
+        for a in field.elements():
+            if field.p == 2:
+                h = y = _pdivmod([field.zero, a], g)[1]
+                for _ in range(field.n - 1):
+                    y = _pmulmod(y, y, g)
+                    h = _padd(h, y)
+            else:
+                h = _padd(_powmod([a, field.one], (field.q - 1) // 2, g),
+                          [-field.one])
+            d = _pgcd(g, h)
+            if 1 < len(d) < len(g):
+                break
+        g = d if 2 * len(d) <= len(g) + 1 else _pdivmod(g, d)[0]
+    return -g[0]
+
+
 def first_root(coeffs, field):
     """The first root in the field, in index order, of the polynomial with
-    coefficients coeffs (in the field, constant first)."""
-    for x in field.elements():
-        acc = field.zero
-        pw = field.one
-        for c in coeffs:
-            if c:
-                acc = acc + pw * c
-            pw = pw * x
-        if not acc:
-            return x
-    raise FieldMismatch("polynomial has no root in the field")
+    coefficients coeffs (in the field, constant first).
+
+    The roots in the field are those of g = gcd(P, x^q - x), found without
+    enumerating the field: _split_to_root splits one root r off g, every
+    image r^(p^k) that is a root of g leaves g, and this repeats until g is
+    constant.  When P is irreducible over the field its coefficients
+    generate, the images of one root are all its roots.
+    """
+    zero, one = field.zero, field.one
+    P = _padd(list(coeffs), [])
+    if not P or not P[0]:
+        return zero  # index 0: every element, or 0, is a root
+    inv = P[-1].inv()
+    P = [c * inv for c in P]
+    xq = _powmod([zero, one], field.q, P)
+    g = _pgcd(P, _pdivmod(_padd(xq, [zero, -one]), P)[1])
+    roots = []
+    while len(g) > 1:
+        r = y = _split_to_root(g, field)
+        while True:
+            quo, rem = _pdivmod(g, [-y, one])
+            if not rem:
+                roots.append(y)
+                g = quo
+            y = y ** field.p
+            if y == r:
+                break
+    if not roots:
+        raise FieldMismatch("polynomial has no root in the field")
+    return min(roots, key=lambda y: y.coeffs[::-1])
 
 
 class Embedding:

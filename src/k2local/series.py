@@ -23,6 +23,10 @@ that no accumulated sum carries.  Each output coefficient is reduced once,
 mod char (p or p^s) and mod the modulus polynomial, and becomes an
 FqElem/GRElem only when it is nonzero.  mul_coeff reads one coefficient of
 a product by the same region rule, as a dot product, without forming it.
+An exact monomial c·u^i·t^j operand (one term, no row bounds, t_prec = ∞),
+in either order, skips the kernel: the product is the other operand's
+monomial multiple, whose t-window is its t_prec + j and whose row bounds
+are shifted by i, which is what the region rule gives.
 
 Sums, negation, monomial multiples and the Teichmüller lift adopt their
 result without the validating constructor: their terms already lie in the
@@ -32,14 +36,17 @@ monomial multiple drops the products that vanish (in a Galois ring c·v is
 values, since no operation changes one in place.
 
 invert sums the geometric series 1 - eps + eps^2 - ... in a fixed working
-box.  Every power is one product through the kernel above, followed by a
-truncate that trusts its input: the terms already lie in the old region, so
-only rows whose bound tightened are filtered and the rest are reused without
+box, for f = c·u^i0·t^j0·(1 + eps).  It builds -eps in one pass from f's
+terms (scaled by -c^-1, shifted, the leading 1 dropped, the box imposed on
+every infinite direction).  The first power is -eps itself; every later
+power is one product through the kernel above, followed by a truncate that
+trusts its input: the terms already lie in the old region, so only rows
+whose bound tightened are filtered and the rest are reused without
 re-validation.  The sum is kept as integer coordinates and its region as
 running minima of t_prec and the per-row u_prec; it is wrapped into elements
-once, through the validating constructor.  Regions only shrink along the
-loop, so that one final filter drops exactly the terms a filter after every
-addition would have dropped.
+once, through the validating constructor, already scaled by c^-1 and
+shifted back.  Regions only shrink along the loop, so that one final filter
+drops exactly the terms a filter after every addition would have dropped.
 """
 
 from __future__ import annotations
@@ -107,20 +114,6 @@ class Laurent2:
         if cands:
             return min(cands)
         return self.t_prec  # possibly INF: certainly zero
-
-    def row_lb(self, j):
-        """Lower bound for u-exponents of nonzero content in row j.
-
-        Returns None when the row is certainly zero.
-        """
-        row = self.terms.get(j)
-        if row:
-            return min(row)
-        b = self.u_prec.get(j)
-        return b  # None: exact empty row
-
-    def possible_rows(self):
-        return sorted(set(self.terms) | set(self.u_prec))
 
     def is_zero(self):
         """Certainly zero everywhere (exactly the zero element)."""
@@ -214,6 +207,14 @@ class Laurent2:
     def __mul__(self, other):
         self._check(other)
         fterms, gterms = self.terms, other.terms
+        # an exact monomial c·u^i·t^j operand: the product is a shift
+        for mono, rest in ((other, self), (self, other)):
+            terms = mono.terms
+            if len(terms) == 1 and not mono.u_prec and mono.t_prec == INF:
+                (j, row), = terms.items()
+                if len(row) == 1:
+                    (i, c), = row.items()
+                    return rest.monomial_mul(c, i, j)
         dom = self.dom
         char, n, elem, bits, fold = _mul_consts(dom)
         w = None
@@ -322,17 +323,6 @@ class Laurent2:
         if not c:
             return Laurent2.zero(self.dom)
         return self.monomial_mul(c)
-
-    def cap_infinite(self, t_hi, u_hi):
-        """Impose a finite working box on any infinite precision directions."""
-        tp = self.t_prec if self.t_prec != INF else t_hi
-        up = dict(self.u_prec)
-        lo = self.tlb()
-        if lo != INF:
-            for j in range(int(lo), int(tp)):
-                if self.uprec(j) == INF:
-                    up[j] = u_hi
-        return Laurent2(self.dom, self.terms, tp, up)
 
     def truncate(self, t_prec=None, u_prec=None):
         """Intersect the region with the given uniform bounds."""
@@ -619,31 +609,40 @@ def invert(f, t_prec=None, u_prec=None):
         u_prec = DEFAULT_U_PREC
     j0, i0, c = f.leading()
     cinv = c.inv()
-    fhat = f.monomial_mul(cinv, -i0, -j0)
     dom = f.dom
-    one = Laurent2.one(dom)
-    eps = fhat - one
-    if eps.has_no_known_terms() and not eps.u_prec and eps.t_prec == INF:
-        return Laurent2.monomial(dom, cinv, -i0, -j0,
-                                 None if f.t_prec == INF else
-                                 int(f.t_prec) - 2 * j0, None)
-    eps = eps.cap_infinite(t_prec, u_prec)
+    fterms = f.terms
+    if f.t_prec == INF and not f.u_prec and len(fterms) == 1 \
+            and len(fterms[j0]) == 1:
+        return Laurent2.monomial(dom, cinv, -i0, -j0)
+    # f = c·u^i0·t^j0·(1 + eps); -eps in one pass: f's other terms scaled by
+    # -c^-1 and shifted, in f's shifted region with each infinite direction
+    # capped to the working box (t at t_prec, every row from the first that
+    # may hold content at u_prec), filtered by the validating constructor
+    ncinv = -cinv
+    rows = {}
+    for j, row in fterms.items():
+        dst = {i - i0: ncinv * v for i, v in row.items()}
+        if j == j0:
+            del dst[0]
+        if dst:
+            rows[j - j0] = dst
+    t_box = t_prec if f.t_prec == INF else int(f.t_prec) - j0
+    up = {j - j0: b - i0 for j, b in f.u_prec.items()}
+    for j in range(min(rows.keys() | up.keys(), default=t_box), t_box):
+        if j not in up:
+            up[j] = u_prec
+    neg = Laurent2(dom, rows, t_box, up)
     # fixed working box: powers of eps gain precision as they gain valuation,
     # so without a hard cutoff the geometric loop would never terminate
-    t_box = int(eps.t_prec)
-    u_box = max([u_prec]
-                + [int(b) for b in eps.u_prec.values()])
+    u_box = max([u_prec] + [int(b) for b in neg.u_prec.values()])
     # the sum of the powers of -eps as integer coordinates, its region as
     # running minima; filtered once at the end (see the module docstring)
     sums = {0: {0: list(dom.one.coeffs)}}
-    tp = eps.t_prec
-    up = dict(eps.u_prec)
-    neg = -eps
-    pw = one
-    while True:
-        pw = (pw * neg).truncate(t_box, u_box)
-        if pw.has_no_known_terms():
-            break
+    tp = t_box
+    up = dict(neg.u_prec)
+    # the first power is -eps itself
+    pw = neg.truncate(t_box, u_box)
+    while pw.terms:
         if pw.t_prec < tp:
             tp = pw.t_prec
         for j, b in pw.u_prec.items():
@@ -660,6 +659,7 @@ def invert(f, t_prec=None, u_prec=None):
                 else:
                     for k, a in enumerate(cf.coeffs):
                         v[k] += a
+        pw = (pw * neg).truncate(t_box, u_box)
     # The remaining powers of eps contribute no known terms, but their
     # unknown regions still constrain the result.  Close the first empty
     # power's region under multiplication by eps (each eps term shifts a row
@@ -667,7 +667,7 @@ def invert(f, t_prec=None, u_prec=None):
     if pw.u_prec or pw.t_prec != INF:
         tail_t = min(pw.t_prec, t_box)
         dist = {j: b for j, b in pw.u_prec.items() if j < tail_t}
-        edges = _region_rows(eps)
+        edges = _region_rows(neg)
         for _ in range(int(tail_t) - min(dist, default=int(tail_t)) + 1):
             changed = False
             for j, b in list(dist.items()):
@@ -685,6 +685,7 @@ def invert(f, t_prec=None, u_prec=None):
         for j, b in dist.items():
             if b < up.get(j, INF):
                 up[j] = b
+    # the sum wrapped once, scaled by c^-1 and shifted back
     char, elem = dom.char, type(dom.one)
     rows = {}
     for j, dst in sums.items():
@@ -692,10 +693,10 @@ def invert(f, t_prec=None, u_prec=None):
         for i, v in dst.items():
             cs = tuple(a % char for a in v)
             if any(cs):
-                row[i] = elem(dom, cs)
-        rows[j] = row
-    acc = Laurent2(dom, rows, None if tp == INF else tp, up)
-    return acc.monomial_mul(cinv, -i0, -j0)
+                row[i - i0] = cinv * elem(dom, cs)
+        rows[j - j0] = row
+    return Laurent2(dom, rows, tp - j0,
+                    {j - j0: b - i0 for j, b in up.items()})
 
 
 @dataclass(frozen=True)

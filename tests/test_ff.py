@@ -12,6 +12,7 @@ F3 = ff.make_field(3, 1)
 F4 = ff.make_field(2, 2)
 F8 = ff.make_field(2, 3)
 F9 = ff.make_field(3, 2)
+F7 = ff.make_field(7, 1)
 
 SMALL = [F2, F3, F4, F8, F9, ff.make_field(5, 1), ff.make_field(2, 4)]
 
@@ -148,20 +149,46 @@ def test_section_matches_the_left_kernel_reference(sub, sup):
     assert refused == sup.q - sub.q
 
 
-def test_first_root_is_the_least_index_root():
-    # the embeddings' generator images and the roots at places of degree
-    # >= 2 come from this one scan
+def _root_finder_inputs(rng):
+    """(field, coefficients): fixed cubics and quadratics, then random
+    polynomials, products of linear factors with repeats, and polynomials
+    over a subfield (as a place's minimal polynomial in its residue field)."""
     for f in [F4, F8, F9]:
         for coeffs in ([f.one, f.one, f.one], [f.gen, f.zero, f.one],
                        [f.one, f.one, f.zero, f.one]):
-            roots = [x for x in f.elements()
-                     if not sum((c * x ** k for k, c in enumerate(coeffs)),
-                                f.zero)]
-            if roots:
-                assert ff.first_root(coeffs, f) == roots[0]
+            yield f, coeffs
+    for f, sub in [(F4, F2), (F8, F2), (F9, F3), (ff.make_field(2, 4), F4),
+                   (ff.make_field(3, 3), F3), (ff.make_field(7, 2), F7)]:
+        emb = ff.get_embedding(sub, f)
+        for _ in range(30):
+            kind = rng.randrange(3)
+            if kind == 0:
+                coeffs = [f.one]
+                for _ in range(rng.randrange(1, 5)):
+                    r = f.elem_by_index(rng.randrange(f.q))
+                    coeffs = [a - r * b for a, b in
+                              zip([f.zero] + coeffs, coeffs + [f.zero])]
+            elif kind == 1:
+                coeffs = [emb.apply(sub.elem_by_index(rng.randrange(sub.q)))
+                          for _ in range(f.n // sub.n)] + [f.one]
             else:
-                with pytest.raises(FieldMismatch):
-                    ff.first_root(coeffs, f)
+                coeffs = [f.elem_by_index(rng.randrange(f.q))
+                          for _ in range(rng.randrange(1, 6))]
+            yield f, coeffs
+
+
+def test_first_root_is_the_least_index_root():
+    # the embeddings' generator images and the roots at places of degree
+    # >= 2 come from this one root finder; the reference scans the field
+    for f, coeffs in _root_finder_inputs(random.Random(41)):
+        roots = [x for x in f.elements()
+                 if not sum((c * x ** k for k, c in enumerate(coeffs)),
+                            f.zero)]
+        if roots:
+            assert ff.first_root(coeffs, f) == roots[0], coeffs
+        else:
+            with pytest.raises(FieldMismatch):
+                ff.first_root(coeffs, f)
     with pytest.raises(FieldMismatch):
         ff.first_root([F2.one, F2.one, F2.one], F2)
     for f, sub in [(ff.make_field(2, 4), F4), (ff.make_field(3, 4), F9),
@@ -169,6 +196,22 @@ def test_first_root_is_the_least_index_root():
         gen = ff.get_embedding(sub, f).gen_image
         assert gen == (ff.first_root([f.from_int(c) for c in sub.modulus], f)
                        if sub.n > 1 else f.one)
+
+
+def test_first_root_at_degree_six_over_f7():
+    # F_7^6 has 117 649 elements, too many to scan.  The modulus' roots are
+    # x and its conjugates, none of them in F_7, so x (index 7) is the
+    # least; an irreducible cubic's roots are one root's three conjugates
+    big = ff.make_field(7, 6)
+    assert ff.first_root([big.from_int(c) for c in big.modulus], big) \
+        == big.gen
+    sub = ff.make_field(7, 3)
+    gen = ff.get_embedding(sub, big).gen_image
+    roots = [gen ** 7 ** k for k in range(3)]
+    assert all(not sum((big.from_int(c) * r ** k
+                        for k, c in enumerate(sub.modulus)), big.zero)
+               for r in roots)
+    assert gen == min(roots, key=lambda r: r.coeffs[::-1])
 
 
 def test_trace_rel_tower():

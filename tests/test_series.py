@@ -291,6 +291,33 @@ class TestWittOverLaurent:
 # differential test of the product kernel against the plain double loop
 # --------------------------------------------------------------------------
 
+def _row_lb(f, j):
+    """Lower bound for u-exponents of nonzero content in row j of f.
+
+    Returns None when the row is certainly zero.
+    """
+    row = f.terms.get(j)
+    if row:
+        return min(row)
+    return f.u_prec.get(j)  # None: exact empty row
+
+
+def _possible_rows(f):
+    return sorted(set(f.terms) | set(f.u_prec))
+
+
+def _cap_infinite(f, t_hi, u_hi):
+    """Impose a finite working box on any infinite precision directions."""
+    tp = f.t_prec if f.t_prec != INF else t_hi
+    up = dict(f.u_prec)
+    lo = f.tlb()
+    if lo != INF:
+        for j in range(int(lo), int(tp)):
+            if f.uprec(j) == INF:
+                up[j] = u_hi
+    return Laurent2(f.dom, f.terms, tp, up)
+
+
 def _mul_reference(self, other):
     """The product as a double loop over element objects (test oracle)."""
     self._check(other)
@@ -319,10 +346,10 @@ def _mul_reference(self, other):
                         dst[i] = c
     up = {}
     if self.u_prec or other.u_prec:
-        frows = [(j, self.row_lb(j), self.uprec(j))
-                 for j in self.possible_rows()]
-        grows = [(j, other.row_lb(j), other.uprec(j))
-                 for j in other.possible_rows()]
+        frows = [(j, _row_lb(self, j), self.uprec(j))
+                 for j in _possible_rows(self)]
+        grows = [(j, _row_lb(other, j), other.uprec(j))
+                 for j in _possible_rows(other)]
         for j1, lb1, up1 in frows:
             if lb1 is None:
                 continue
@@ -370,6 +397,28 @@ _operands = st.sampled_from(KERNEL_DOMAINS).flatmap(
     lambda dom: st.tuples(_series(dom), _series(dom)))
 
 
+@st.composite
+def _monomial(draw, dom, unit=False):
+    """An exact monomial c·u^i·t^j, c nonzero (a unit when unit is set)."""
+    cs = list(draw(st.tuples(*[_coords(dom)] * dom.n).filter(any)))
+    if unit and not any(a % dom.p for a in cs):
+        cs[0] = (cs[0] + 1) % dom.char
+    return Laurent2.monomial(dom, type(dom.one)(dom, tuple(cs)),
+                             draw(st.integers(-4, 4)), draw(st.integers(-3, 3)))
+
+
+def _zeros(dom):
+    """The zero series and two apparent zeros, as in APPARENT_ZEROS."""
+    return [Laurent2.zero(dom), Laurent2(dom, {}, None, {0: 2}),
+            Laurent2(dom, {}, 3)]
+
+
+_monomial_operands = st.sampled_from(KERNEL_DOMAINS).flatmap(
+    lambda dom: st.tuples(_monomial(dom),
+                          _series(dom) | _monomial(dom)
+                          | st.sampled_from(_zeros(dom))))
+
+
 class TestMulKernel:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -381,6 +430,40 @@ class TestMulKernel:
         assert prod.terms == ref.terms
         assert prod.t_prec == ref.t_prec
         assert prod.u_prec == ref.u_prec
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_monomial_operands)
+    def test_monomial_operand_matches_reference(self, mg):
+        # an exact monomial operand is a shift, in either operand order
+        m, g = mg
+        _same_series(m * g, _mul_reference(m, g))
+        _same_series(g * m, _mul_reference(g, m))
+
+    @pytest.mark.parametrize("dom", KERNEL_DOMAINS)
+    def test_monomial_operand_cases(self, dom):
+        m = Laurent2.monomial(dom, dom.from_int(dom.p - 1), 2, -1)
+        g = Laurent2.from_dict(dom, {(0, 0): 1, (1, -2): dom.p - 1,
+                                     (2, 5): 1}, t_prec=3, u_prec={1: 0})
+        for f in [g, *_zeros(dom)]:
+            _same_series(m * f, _mul_reference(m, f))
+            _same_series(f * m, _mul_reference(f, m))
+        prod = m * g
+        assert prod.t_prec == 2 and prod.u_prec == {0: 2}
+        assert prod.coeff(2, -1) == dom.from_int(dom.p - 1)
+
+    @pytest.mark.parametrize("dom", [W3F4, W5F9])
+    def test_non_unit_monomial_operand_cancels(self, dom):
+        # p·1 times p^(s-1)·v is p^s·v = 0 in W_s: the term drops out
+        m = Laurent2.monomial(dom, dom.from_int(dom.p), 1, 1)
+        q = dom.from_int(dom.char // dom.p)
+        g = Laurent2.from_dict(dom, {(0, 0): q, (0, 2): dom.one},
+                               u_prec={0: 4})
+        for prod, ref in ((m * g, _mul_reference(m, g)),
+                          (g * m, _mul_reference(g, m))):
+            _same_series(prod, ref)
+            assert prod.terms == {1: {3: dom.from_int(dom.p)}}
+            assert prod.u_prec == {1: 5}
 
     @pytest.mark.parametrize("dom", [W3F4, W5F9])
     def test_zero_divisors_cancel(self, dom):
@@ -442,7 +525,7 @@ def _invert_reference(f, t_prec=None, u_prec=None):
         return Laurent2.monomial(f.dom, cinv, -i0, -j0,
                                  None if f.t_prec == INF else
                                  int(f.t_prec) - 2 * j0, None)
-    eps = eps.cap_infinite(t_prec, u_prec)
+    eps = _cap_infinite(eps, t_prec, u_prec)
     # fixed working box: powers of eps gain precision as they gain valuation,
     # so without a hard cutoff the geometric loop would never terminate
     t_box = int(eps.t_prec)
@@ -462,8 +545,8 @@ def _invert_reference(f, t_prec=None, u_prec=None):
     if pw.u_prec or pw.t_prec != INF:
         tail_t = min(pw.t_prec, t_box)
         dist = {j: b for j, b in pw.u_prec.items() if j < tail_t}
-        edges = [(j2, eps.row_lb(j2)) for j2 in eps.possible_rows()
-                 if eps.row_lb(j2) is not None]
+        edges = [(j2, _row_lb(eps, j2)) for j2 in _possible_rows(eps)
+                 if _row_lb(eps, j2) is not None]
         for _ in range(int(tail_t) - min(dist, default=int(tail_t)) + 1):
             changed = False
             for j, b in list(dist.items()):
@@ -505,6 +588,15 @@ def _unit_series(draw, dom):
     return Laurent2(dom, rows, t_prec, u_prec)
 
 
+@st.composite
+def _unit_series_finite_t(draw, dom):
+    """A _unit_series draw with a finite t_prec."""
+    f = draw(_unit_series(dom))
+    j0 = min(f.terms)
+    t_prec = f.t_prec if f.t_prec != INF else j0 + draw(st.integers(1, 6))
+    return Laurent2(dom, f.terms, t_prec, f.u_prec)
+
+
 _boxes = st.none() | st.integers(1, 6)
 
 
@@ -522,6 +614,36 @@ class TestInvertKernel:
     def test_invert_matches_reference(self, f, t_box, u_box):
         _same_series(invert(f, t_box, u_box),
                      _invert_reference(f, t_box, u_box))
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(
+        lambda dom: _monomial(dom, unit=True) | _unit_series_finite_t(dom)),
+        _boxes, _boxes)
+    def test_invert_monomial_and_finite_t_match_reference(self, f, t_box,
+                                                          u_box):
+        # an exact monomial takes the eps = 0 shortcut; a finite t_prec
+        # sets the t-box in place of the working bound
+        _same_series(invert(f, t_box, u_box),
+                     _invert_reference(f, t_box, u_box))
+
+    def test_invert_makes_one_product_per_power(self, monkeypatch):
+        # 1 + u + t over F_3 in the box (4, 4): -eps = -(u + t) is the first
+        # power, with no identity product, and each later power is one
+        # product, up to the 7th, the first with no known term
+        one = Laurent2.one(F3)
+        f = one + poly(F3, {(0, 1): 1}) + poly(F3, {(1, 0): 1})
+        mul = Laurent2.__mul__
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+        monkeypatch.setattr(Laurent2, "__mul__", counted)
+        got = invert(f, 4, 4)
+        monkeypatch.undo()
+        assert len(calls) == 6
+        _same_series(got, _invert_reference(f, 4, 4))
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
