@@ -1,7 +1,8 @@
 """k2local: exact two-dimensional local field arithmetic and reciprocity.
 
 Modules:
-  ff        finite fields F_q, traces/norms, Teichmüller lifts, Galois rings
+  ff        finite fields F_q, traces/norms, Teichmüller lifts, Galois rings,
+            polynomials Poly1 over F_q (gcd and roots)
   series    precision-tracked Laurent series in two variables k((u))((t))
   witt      finite-length Witt vectors, ghost coordinates, universal polynomials
   forms     continuous 1-/2-forms, dlog, wedge, residue

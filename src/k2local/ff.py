@@ -7,7 +7,8 @@ over its primitive element, built on first use; a larger field multiplies and
 powers on coordinates and takes discrete logs by baby-step giant-step.
 Truncated Witt rings of F_q are modelled as Galois rings (Z/p^s)[x]/(m(x))
 against the same polynomial basis, which is all the characteristic-zero
-lifting the symbol layer needs.
+lifting the symbol layer needs.  Poly1 is the one polynomial type over F_q,
+with its gcd and the root finder that embeddings and places use.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import operator
 from functools import lru_cache
 
 from .errors import (CompositeP, FieldMismatch, InvariantViolation,
-                     NotASubfield, ReducibleModulus, UsageError)
+                     NotASubfield, ReducibleModulus, UsageError, ZeroDivisor)
 
 TABLE_MAX = 1 << 12  # largest q whose arithmetic goes through the tables
 
@@ -373,52 +374,129 @@ def primitive_element(field):
     raise AssertionError("no primitive element found")  # pragma: no cover
 
 
-# polynomials over a field, for first_root: lists of elements, constant
-# first, with no zero leading coefficient; every modulus is monic
+class Poly1:
+    """Polynomial in one variable over F_q; coefficients constant-first."""
 
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    s = [x + y for x, y in zip(a, b)] + a[len(b):]
-    while s and not s[-1]:
-        s.pop()
-    return s
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.field = field
+        self.coeffs = tuple(cs)
+
+    @staticmethod
+    def const(field, c):
+        return Poly1(field, (c,))
+
+    @staticmethod
+    def from_ints(field, ints):
+        return Poly1(field, tuple(field.from_int(k) for k in ints))
+
+    @property
+    def deg(self):
+        return len(self.coeffs) - 1  # -1 for the zero polynomial
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return (isinstance(other, Poly1) and self.field is other.field
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((id(self.field), self.coeffs))
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] = out[k] + c
+        return Poly1(self.field, out)
+
+    def __neg__(self):
+        return Poly1(self.field, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, FqElem):
+            return Poly1(self.field, tuple(c * other for c in self.coeffs))
+        if not self or not other:
+            return Poly1(self.field, ())
+        out = [self.field.zero] * (self.deg + other.deg + 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b:
+                    out[i + j] = out[i + j] + a * b
+        return Poly1(self.field, out)
+
+    def __pow__(self, e):
+        return power(self, e, Poly1.const(self.field, self.field.one))
+
+    def divmod(self, other):
+        if not other:
+            raise ZeroDivisor("polynomial division by zero")
+        rem = list(self.coeffs)
+        quo = [self.field.zero] * max(0, len(rem) - other.deg)
+        lead = other.coeffs[-1]
+        inv_lead = None if lead == self.field.one else lead.inv()
+        for k in range(len(rem) - 1, other.deg - 1, -1):
+            c = rem[k] if inv_lead is None else rem[k] * inv_lead
+            if not c:
+                continue
+            quo[k - other.deg] = c
+            for j, b in enumerate(other.coeffs):
+                rem[k - other.deg + j] = rem[k - other.deg + j] - c * b
+        return Poly1(self.field, quo), Poly1(self.field, rem)
+
+    def monic(self):
+        if not self or self.coeffs[-1] == self.field.one:
+            return self
+        return self * self.coeffs[-1].inv()
+
+    def derivative(self):
+        return Poly1(self.field, tuple(c * self.field.from_int(k)
+                                       for k, c in enumerate(self.coeffs))
+                     [1:])
+
+    def serialize(self, var="u"):
+        if not self:
+            return "0"
+        bits = []
+        for k in range(self.deg, -1, -1):
+            c = self.coeffs[k]
+            if not c:
+                continue
+            head = "[" + ",".join(str(v) for v in c.coeffs) + "]"
+            bits.append(head + (f"*{var}^{k}" if k else ""))
+        return " + ".join(bits)
+
+    def __repr__(self):
+        return f"Poly1({self.serialize()})"
 
 
-def _pdivmod(a, b):
-    r, nb, quo = list(a), len(b) - 1, []
-    while len(r) > nb:
-        c = r.pop()
-        quo.append(c)
-        for i in range(nb):
-            r[len(r) - nb + i] -= c * b[i]
-    return quo[::-1], _padd(r, [])
-
-
-def _pmulmod(a, b, m):
-    prod = [m[-1].field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    return _pdivmod(prod, m)[1]
+def poly1_gcd(a, b):
+    while b:
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
 
 
 def _powmod(a, e, m):
-    return power(_pdivmod(a, m)[1], e, [m[-1]],
-                 lambda x, y: _pmulmod(x, y, m))
+    """a^e mod m, for Poly1 a and a nonconstant Poly1 m."""
+    return power(a.divmod(m)[1], e, Poly1.const(m.field, m.field.one),
+                 lambda x, y: (x * y).divmod(m)[1])
 
 
-def _pgcd(a, b):
-    """The monic gcd of a monic a and any b."""
-    while b:
-        inv = b[-1].inv()
-        a, b = [c * inv for c in b], a
-        b = _pdivmod(b, a)[1]
-    return a
-
-
-def _split_to_root(g, field):
-    """One root of a monic g that is a product of distinct linear factors.
+def _split_to_root(g):
+    """One root of a monic Poly1 g that is a product of distinct linear
+    factors.
 
     Equal-degree splitting (Cantor–Zassenhaus): for an element a, the roots
     r of g with r + a a nonzero square (p odd), or with Tr(a·r) = 0
@@ -426,21 +504,23 @@ def _split_to_root(g, field):
     h = Tr(a·x) = sum of (a·x)^(2^k), k < n.  Some a tells any two roots
     apart, so g shrinks to its smaller factor until it is linear.
     """
-    while len(g) > 2:
+    field = g.field
+    one = Poly1.const(field, field.one)
+    while g.deg > 1:
         for a in field.elements():
             if field.p == 2:
-                h = y = _pdivmod([field.zero, a], g)[1]
+                h = y = Poly1(field, (field.zero, a)).divmod(g)[1]
                 for _ in range(field.n - 1):
-                    y = _pmulmod(y, y, g)
-                    h = _padd(h, y)
+                    y = (y * y).divmod(g)[1]
+                    h = h + y
             else:
-                h = _padd(_powmod([a, field.one], (field.q - 1) // 2, g),
-                          [-field.one])
-            d = _pgcd(g, h)
-            if 1 < len(d) < len(g):
+                h = _powmod(Poly1(field, (a, field.one)), (field.q - 1) // 2,
+                            g) - one
+            d = poly1_gcd(g, h)
+            if 0 < d.deg < g.deg:
                 break
-        g = d if 2 * len(d) <= len(g) + 1 else _pdivmod(g, d)[0]
-    return -g[0]
+        g = d if 2 * d.deg <= g.deg else g.divmod(d)[0]
+    return -g.coeffs[0]
 
 
 def first_root(coeffs, field):
@@ -453,19 +533,17 @@ def first_root(coeffs, field):
     constant.  When P is irreducible over the field its coefficients
     generate, the images of one root are all its roots.
     """
-    zero, one = field.zero, field.one
-    P = _padd(list(coeffs), [])
-    if not P or not P[0]:
-        return zero  # index 0: every element, or 0, is a root
-    inv = P[-1].inv()
-    P = [c * inv for c in P]
-    xq = _powmod([zero, one], field.q, P)
-    g = _pgcd(P, _pdivmod(_padd(xq, [zero, -one]), P)[1])
+    P = Poly1(field, coeffs)
+    if not P or not P.coeffs[0]:
+        return field.zero  # index 0: every element, or 0, is a root
+    P = P.monic()
+    x = Poly1(field, (field.zero, field.one))
+    g = poly1_gcd(P, _powmod(x, field.q, P) - x)
     roots = []
-    while len(g) > 1:
-        r = y = _split_to_root(g, field)
+    while g.deg > 0:
+        r = y = _split_to_root(g)
         while True:
-            quo, rem = _pdivmod(g, [-y, one])
+            quo, rem = g.divmod(Poly1(field, (-y, field.one)))
             if not rem:
                 roots.append(y)
                 g = quo

@@ -34,8 +34,8 @@ from .errors import (BadIndexPair, DivisionByZero, InvariantViolation,
                      NotReducible, PrecisionTooLow, StepBudgetExceeded,
                      UndeclaredCurveFactor, UnsupportedPlace, ZeroArgument,
                      ZeroDivisor)
-from .ff import (FqElem, first_root, get_embedding, make_field, norm_rel,
-                 power, rank_and_left_kernel)
+from .ff import (FqElem, Poly1, first_root, get_embedding, make_field,
+                 norm_rel, poly1_gcd, power, rank_and_left_kernel)
 from .forms import d_du
 from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, invert,
                      laurent_domain)
@@ -47,122 +47,8 @@ INF = math.inf
 
 
 # --------------------------------------------------------------------------
-# Univariate polynomials over F_q
+# Factoring univariate polynomials over F_q (Poly1, from ff)
 # --------------------------------------------------------------------------
-
-class Poly1:
-    """Polynomial in one variable over F_q; coefficients constant-first."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def const(field, c):
-        return Poly1(field, (c,))
-
-    @staticmethod
-    def from_ints(field, ints):
-        return Poly1(field, tuple(field.from_int(k) for k in ints))
-
-    @property
-    def deg(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, Poly1) and self.field is other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly1(self.field, out)
-
-    def __neg__(self):
-        return Poly1(self.field, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, FqElem):
-            return Poly1(self.field, tuple(c * other for c in self.coeffs))
-        if not self or not other:
-            return Poly1(self.field, ())
-        out = [self.field.zero] * (self.deg + other.deg + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return Poly1(self.field, out)
-
-    def __pow__(self, e):
-        return power(self, e, Poly1.const(self.field, self.field.one))
-
-    def divmod(self, other):
-        if not other:
-            raise ZeroDivisor("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [self.field.zero] * max(0, len(rem) - other.deg)
-        lead = other.coeffs[-1]
-        inv_lead = None if lead == self.field.one else lead.inv()
-        for k in range(len(rem) - 1, other.deg - 1, -1):
-            c = rem[k] if inv_lead is None else rem[k] * inv_lead
-            if not c:
-                continue
-            quo[k - other.deg] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k - other.deg + j] = rem[k - other.deg + j] - c * b
-        return Poly1(self.field, quo), Poly1(self.field, rem)
-
-    def monic(self):
-        if not self or self.coeffs[-1] == self.field.one:
-            return self
-        return self * self.coeffs[-1].inv()
-
-    def derivative(self):
-        return Poly1(self.field, tuple(c * self.field.from_int(k)
-                                       for k, c in enumerate(self.coeffs))
-                     [1:])
-
-    def serialize(self, var="u"):
-        if not self:
-            return "0"
-        bits = []
-        for k in range(self.deg, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            head = "[" + ",".join(str(v) for v in c.coeffs) + "]"
-            bits.append(head + (f"*{var}^{k}" if k else ""))
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"Poly1({self.serialize()})"
-
-
-def poly1_gcd(a, b):
-    while b:
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
-
 
 @lru_cache(maxsize=None)
 def _irreducibles(field, d):

@@ -119,9 +119,6 @@ class Laurent2:
         """Certainly zero everywhere (exactly the zero element)."""
         return not self.terms and not self.u_prec and self.t_prec == INF
 
-    def has_no_known_terms(self):
-        return not self.terms
-
     # -- construction helpers ----------------------------------------------
 
     @staticmethod
@@ -319,6 +316,8 @@ class Laurent2:
         return Laurent2._adopt(self.dom, rows, self.t_prec + j_shift, up)
 
     def int_scale(self, k):
+        if k == 1:
+            return self  # values are never changed in place
         c = self.dom.from_int(k)
         if not c:
             return Laurent2.zero(self.dom)
@@ -664,27 +663,26 @@ def invert(f, t_prec=None, u_prec=None):
     # unknown regions still constrain the result.  Close the first empty
     # power's region under multiplication by eps (each eps term shifts a row
     # j1 bound by (j2, row lower bound)) and intersect.
-    if pw.u_prec or pw.t_prec != INF:
-        tail_t = min(pw.t_prec, t_box)
-        dist = {j: b for j, b in pw.u_prec.items() if j < tail_t}
-        edges = _region_rows(neg)
-        for _ in range(int(tail_t) - min(dist, default=int(tail_t)) + 1):
-            changed = False
-            for j, b in list(dist.items()):
-                for dj, w in edges:
-                    jj = j + dj
-                    if jj >= tail_t:
-                        continue
-                    if b + w < dist.get(jj, INF):
-                        dist[jj] = b + w
-                        changed = True
-            if not changed:
-                break
-        if tail_t < tp:
-            tp = tail_t
-        for j, b in dist.items():
-            if b < up.get(j, INF):
-                up[j] = b
+    tail_t = min(pw.t_prec, t_box)
+    dist = {j: b for j, b in pw.u_prec.items() if j < tail_t}
+    edges = _region_rows(neg)
+    for _ in range(int(tail_t) - min(dist, default=int(tail_t)) + 1):
+        changed = False
+        for j, b in list(dist.items()):
+            for dj, w in edges:
+                jj = j + dj
+                if jj >= tail_t:
+                    continue
+                if b + w < dist.get(jj, INF):
+                    dist[jj] = b + w
+                    changed = True
+        if not changed:
+            break
+    if tail_t < tp:
+        tp = tail_t
+    for j, b in dist.items():
+        if b < up.get(j, INF):
+            up[j] = b
     # the sum wrapped once, scaled by c^-1 and shifted back
     char, elem = dom.char, type(dom.one)
     rows = {}

@@ -42,6 +42,36 @@ def test_default_modulus_is_the_lex_least_irreducible(p):
         n += 1
 
 
+def _monic_int_polys(p, d):
+    """Every monic polynomial of degree d over F_p, as int tuples with the
+    constant term first."""
+    for k in range(p ** d):
+        yield tuple((k // p ** i) % p for i in range(d)) + (1,)
+
+
+# Möbius function up to 6, for Gauss's count of the monic irreducibles
+_MOBIUS = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 4), (5, 3), (7, 3)])
+def test_rabin_test_matches_trial_division(p, top):
+    # an oracle independent of Rabin's test: m is irreducible exactly when
+    # no monic polynomial of degree 1 to deg(m)/2 divides it
+    f = ff.make_field(p, 1)
+    divisors = [ff.Poly1.from_ints(f, c) for d in range(1, top // 2 + 1)
+                for c in _monic_int_polys(p, d)]
+    for n in range(1, top + 1):
+        count = 0
+        for m in _monic_int_polys(p, n):
+            poly = ff.Poly1.from_ints(f, m)
+            irreducible = all(poly.divmod(g)[1] for g in divisors
+                              if 2 * g.deg <= n)
+            assert ff._is_irreducible(m, p) == irreducible, m
+            count += irreducible
+        assert count == sum(_MOBIUS[d] * p ** (n // d)
+                            for d in range(1, n + 1) if n % d == 0) // n
+
+
 def test_parse_field_roundtrip():
     for f in SMALL:
         assert ff.parse_field(f.serialize()) is f

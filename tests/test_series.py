@@ -302,6 +302,10 @@ def _row_lb(f, j):
     return f.u_prec.get(j)  # None: exact empty row
 
 
+def _has_no_known_terms(f):
+    return not f.terms
+
+
 def _possible_rows(f):
     return sorted(set(f.terms) | set(f.u_prec))
 
@@ -521,7 +525,7 @@ def _invert_reference(f, t_prec=None, u_prec=None):
     fhat = f.monomial_mul(cinv, -i0, -j0)
     one = Laurent2.one(f.dom)
     eps = fhat - one
-    if eps.has_no_known_terms() and not eps.u_prec and eps.t_prec == INF:
+    if _has_no_known_terms(eps) and not eps.u_prec and eps.t_prec == INF:
         return Laurent2.monomial(f.dom, cinv, -i0, -j0,
                                  None if f.t_prec == INF else
                                  int(f.t_prec) - 2 * j0, None)
@@ -535,7 +539,7 @@ def _invert_reference(f, t_prec=None, u_prec=None):
     pw = one
     while True:
         pw = _truncate_reference(pw * (-eps), t_box, u_box)
-        if pw.has_no_known_terms():
+        if _has_no_known_terms(pw):
             break
         acc = acc + pw
     # The remaining powers of eps contribute no known terms, but their
