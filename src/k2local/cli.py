@@ -234,11 +234,9 @@ def _fq_json(c):
 
 
 def _laurent_json(f):
-    out = []
-    for j in sorted(f.terms):
-        for i in sorted(f.terms[j]):
-            out.append({"u": i, "t": j, "c": _fq_json(f.terms[j][i])})
-    return out
+    terms = f.terms
+    return [{"u": i, "t": j, "c": _fq_json(terms[j][i])}
+            for j in sorted(terms) for i in sorted(terms[j])]
 
 
 # --------------------------------------------------------------------------

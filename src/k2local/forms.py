@@ -6,56 +6,21 @@ the coefficient of u^{-1}t^{-1} in its du∧dt expression; residue(form, g)
 is the residue of g·form, read as a dot product of g with the coefficients
 of form, without forming the product.  No trace to the prime field is
 applied here — callers that need a trace apply it themselves.
-
-The derivatives scale integer coordinates and adopt their result without
-re-validation: the terms stay inside the shifted region.
 """
 
 from __future__ import annotations
 
 from .errors import CoefficientOutsidePrecision, FieldMismatch, PrecisionTooLow
-from .series import Laurent2
-
-
-def _int_multiple(dom, k, c):
-    """k·c for an integer k, coordinatewise; None when it is zero.
-
-    In a Galois ring k·c can be zero for c nonzero, when p | k.
-    """
-    cs = tuple(k * a % dom.char for a in c.coeffs)
-    return type(c)(dom, cs) if any(cs) else None
 
 
 def d_du(f):
     """Partial derivative of a Laurent2 with respect to u."""
-    dom = f.dom
-    rows = {}
-    for j, row in f.terms.items():
-        dst = {}
-        for i, c in row.items():
-            cc = _int_multiple(dom, i, c)
-            if cc is not None:
-                dst[i - 1] = cc
-        if dst:
-            rows[j] = dst
-    up = {j: b - 1 for j, b in f.u_prec.items()}
-    return Laurent2._adopt(dom, rows, f.t_prec, up)
+    return f._derivative(1, 0)
 
 
 def d_dt(f):
     """Partial derivative of a Laurent2 with respect to t."""
-    dom = f.dom
-    rows = {}
-    for j, row in f.terms.items():
-        dst = {}
-        for i, c in row.items():
-            cc = _int_multiple(dom, j, c)
-            if cc is not None:
-                dst[i] = cc
-        if dst:
-            rows[j - 1] = dst
-    up = {j - 1: b for j, b in f.u_prec.items()}
-    return Laurent2._adopt(dom, rows, f.t_prec - 1, up)
+    return f._derivative(0, 1)
 
 
 class OneForm:

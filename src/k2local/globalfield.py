@@ -37,8 +37,8 @@ from .errors import (BadIndexPair, DivisionByZero, InvariantViolation,
 from .ff import (FqElem, Poly1, first_root, get_embedding, make_field,
                  norm_rel, poly1_gcd, power, rank_and_left_kernel)
 from .forms import d_du
-from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, invert,
-                     laurent_domain)
+from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, _inverse,
+                     invert, laurent_domain)
 from .symbols import (WittPairer, check_length, pairing_box, symbol,
                       tame_symbol_det, witt_pair_local, with_box)
 from .witt import WittVec, witt_add, witt_zero
@@ -608,9 +608,9 @@ def _param_series(place, prec):
         # U is right below the previous n and one step doubles that, which
         # the region calculus cannot see: declare n digits, the new ones
         # zero, so that pi(U) and pi'(U) are computed to s^n.
-        U = Laurent2(kx, U.terms, None, {0: n})
+        U = Laurent2._of_codes(kx, U.codes, None, {0: n})
         U = U - (_horner(pi, U) - s) * invert(_horner(dpi, U), 1, n)
-    _param_cache[key] = (kx, Laurent2(kx, U.terms, None, {0: prec}))
+    _param_cache[key] = (kx, Laurent2._of_codes(kx, U.codes, None, {0: prec}))
     return _param_cache[key]
 
 
@@ -635,17 +635,18 @@ def _expand_poly2(P, place, prec):
     if place.residue_degree == 1:
         return _horner(coeffs, Laurent2(kx, {0: {0: root, 1: kx.one}}))
     acc = _horner(coeffs, _param_series(place, prec)[1])
-    return Laurent2(kx, acc.terms, None, {b: prec for _, b in P.terms})
+    return Laurent2._of_codes(kx, acc.codes, None,
+                              {b: prec for _, b in P.terms})
 
 
 def _quotient(num, den, box):
     """num / den: a shift when den is an exact monomial, else num times the
     inverse of den in the working box (t_prec, u_prec)."""
-    if den.t_prec == INF and not den.u_prec and len(den.terms) == 1:
-        (j, row), = den.terms.items()
+    if den.t_prec == INF and not den.u_prec and len(den.codes) == 1:
+        (j, row), = den.codes.items()
         if len(row) == 1:
             (i, c), = row.items()
-            return num.monomial_mul(c.inv(), -i, -j)
+            return num._scale(_inverse(den.dom, c), -i, -j)
     return num * invert(den, *box)
 
 
@@ -737,7 +738,7 @@ class AdmissibleCurve:
     KINDS = {"axis_u": "t", "axis_t": "u",
              "graph_t_of_u": "t", "graph_u_of_t": "u"}
 
-    __slots__ = ("field", "var", "phi", "_monic")
+    __slots__ = ("field", "var", "phi", "_equation", "_monic")
 
     def __init__(self, field, kind, graph_poly=None):
         var = self.KINDS.get(kind, kind)
@@ -750,7 +751,10 @@ class AdmissibleCurve:
         self.field = field
         self.var = var
         self.phi = phi
-        eq = self.equation()
+        a, b = (0, 1) if var == "t" else (1, 0)
+        eq = (Poly2.monomial(field, field.one, a, b)
+              - Poly2.from_poly1(phi, self.other))
+        self._equation = eq
         self._monic = eq * _lead(eq).inv()
 
     @property
@@ -759,11 +763,8 @@ class AdmissibleCurve:
 
     def equation(self):
         """The local equation t_y = var - phi(other) as a bivariate
-        polynomial."""
-        field = self.field
-        a, b = (0, 1) if self.var == "t" else (1, 0)
-        return (Poly2.monomial(field, field.one, a, b)
-                - Poly2.from_poly1(self.phi, self.other))
+        polynomial, built once: Poly2 values are never changed in place."""
+        return self._equation
 
     def __eq__(self, other):
         """One curve when the equations agree up to a nonzero constant, as
@@ -979,7 +980,7 @@ def _witt_terms(keys, expand, f, g, comps, m, start=None):
         hats = []
         for c in [f, g] + comps:
             hats.append(expand(c, key, box))
-            if sum(len(r) for h in hats for r in h.terms.values()) > MAX_TERMS:
+            if sum(len(r) for h in hats for r in h.codes.values()) > MAX_TERMS:
                 raise StepBudgetExceeded(
                     f"working box {box} expands past {MAX_TERMS} terms")
         ch = hats[2:] + [Laurent2.zero(hats[0].dom)] * (m - len(comps))

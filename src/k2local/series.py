@@ -5,48 +5,43 @@ region of knowledge: terms with t-exponent >= t_prec are unknown, and within
 each row j, terms with u-exponent >= u_prec(j) are unknown.  Rows without a
 finite u_prec entry are completely known, and t_prec=None means every row is
 known.  Every operation computes the guaranteed region of its output; callers
-that need a coefficient outside it fail loudly.
+that need a coefficient outside it fail loudly.  The coefficient domain is
+F_q (Laurent2 proper) or the Galois ring W_s(F_q) of the Witt pairing.
 
-The same machinery runs over F_q coefficients (Laurent2 proper) and over
-Galois-ring coefficients W_s(F_q) (the characteristic-zero lift used by the
-Witt pairing); the coefficient domain is pluggable.
+Coefficients are held as integer codes {j: {i: code}}, every code nonzero
+and reduced: the coordinate itself when n = 1, else the n coordinates
+Kronecker-packed into one int at the domain's one digit width w.  w leaves
+room above the largest digit of a product of two codes for 2^HEADROOM - 1
+summands, so products, dot products and invert's running sums add codes as
+they are and reduce each result once, mod char (p or p^s) and mod the
+modulus; an operation that could sum more raises StepBudgetExceeded before
+it starts, and no digit ever carries.  FqElem/GRElem values exist only at
+the edges: the constructor, from_dict, monomial and monomial_mul take them,
+and terms, coeff, leading and mul_coeff return them.  Inverses over n > 1
+and Teichmüller lifts go through per-domain code tables filled on demand.
 
-The product is one integer kernel.  It fixes the Kronecker width from the
-term counts, then makes one sorted pass over each operand's rows, which
-gives for each row its u lower bound, its u bound and its terms as ints.
-From those rows it computes the output region first (the t-window and the
-per-row u-bounds), then multiplies only the term pairs that land inside it,
-walking each row in sorted u-order and stopping at the row's bound.
-Coefficients enter as plain ints: the single coordinate when n = 1, else
-the coordinate tuple Kronecker-packed into one int with digits wide enough
-that no accumulated sum carries.  Each output coefficient is reduced once,
-mod char (p or p^s) and mod the modulus polynomial, and becomes an
-FqElem/GRElem only when it is nonzero.  mul_coeff reads one coefficient of
-a product by the same region rule, as a dot product, without forming it.
-An exact monomial c·u^i·t^j operand (one term, no row bounds, t_prec = ∞),
-in either order, skips the kernel: the product is the other operand's
-monomial multiple, whose t-window is its t_prec + j and whose row bounds
-are shifted by i, which is what the region rule gives.
-
-Sums, negation, monomial multiples and the Teichmüller lift adopt their
-result without the validating constructor: their terms already lie in the
-new region, so a sum filters only the rows whose bound tightened, and a
-monomial multiple drops the products that vanish (in a Galois ring c·v is
-0 when c is not a unit).  Term rows and region dicts are shared between
-values, since no operation changes one in place.
+The product makes one sorted pass over each operand's rows, which gives for
+each row its u lower bound, its u bound and its (i, code) pairs.  From those
+it computes the output region first (the t-window and the per-row
+u-bounds), then multiplies only the term pairs that land inside it, walking
+each row in sorted u-order and stopping at the row's bound.  mul_coeff reads
+one coefficient of a product by the same rule, as a dot product.  An exact
+zero operand gives the exact zero, and an exact monomial c·u^i·t^j operand
+(one term, no row bounds, t_prec = ∞) makes the product the other operand's
+monomial multiple, as the region rule gives.  Sums, negation, monomial
+multiples and lifts adopt their result without the validating constructor,
+filtering only rows whose bound tightened; code rows and region dicts are
+shared between values, since no operation changes one in place.
 
 invert sums the geometric series 1 - eps + eps^2 - ... in a fixed working
-box, for f = c·u^i0·t^j0·(1 + eps).  It builds -eps in one pass from f's
-terms (scaled by -c^-1, shifted, the leading 1 dropped, the box imposed on
-every infinite direction).  The first power is -eps itself; every later
-power is one product through the kernel above, followed by a truncate that
-trusts its input: the terms already lie in the old region, so only rows
-whose bound tightened are filtered and the rest are reused without
-re-validation.  The sum is kept as integer coordinates and its region as
-running minima of t_prec and the per-row u_prec; it is wrapped into elements
-once, through the validating constructor, already scaled by c^-1 and
-shifted back.  Regions only shrink along the loop, so that one final filter
-drops exactly the terms a filter after every addition would have dropped.
+box, for f = c·u^i0·t^j0·(1 + eps).  It builds -eps in one pass (scaled by
+-c^-1, shifted, the leading 1 dropped, the box imposed on every infinite
+direction); each later power is one product and a truncate.  The sum is
+kept as unreduced codes and its region as running minima of t_prec and the
+per-row u_prec; it is scaled by c^-1, reduced and shifted back once,
+through the validating constructor.  Regions only shrink along the loop, so
+that one final filter drops exactly the terms a filter after every
+addition would have dropped.
 """
 
 from __future__ import annotations
@@ -55,7 +50,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (FieldMismatch, PrecisionTooLow, ZeroDivisor, ZeroElement)
+from .errors import (FieldMismatch, PrecisionTooLow, StepBudgetExceeded,
+                     ZeroDivisor, ZeroElement)
 from .ff import (FieldSpec, GaloisRing, galois_ring, power,
                  primitive_element)
 
@@ -65,43 +61,68 @@ INF = math.inf
 DEFAULT_T_PREC = 12
 DEFAULT_U_PREC = 12
 
+#: bits of room above the largest digit of a product of two codes
+HEADROOM = 16
+
 
 class Laurent2:
     """Two-variable Laurent series over a coefficient domain.
 
-    terms: {j: {i: coeff}} with all coefficients nonzero and inside the
-    guaranteed region; t_prec: int or None; u_prec: {j: int} for the rows
-    with only finitely many known u-digits.
+    codes: {j: {i: code}} with all codes nonzero and inside the guaranteed
+    region; t_prec: int or INF; u_prec: {j: int} for the rows with only
+    finitely many known u-digits.  terms gives the same table with the
+    codes wrapped as elements.
     """
 
-    __slots__ = ("dom", "terms", "t_prec", "u_prec")
+    __slots__ = ("dom", "codes", "t_prec", "u_prec")
 
     def __init__(self, dom, terms, t_prec=None, u_prec=None):
-        self.dom = dom
+        _, n, _, w, _, _ = _mul_consts(dom)
+        self._clip(dom, {j: {i: c.coeffs[0] if n == 1 else _pack(c.coeffs, w)
+                             for i, c in row.items()}
+                         for j, row in terms.items()}, t_prec, u_prec)
+
+    @classmethod
+    def _of_codes(cls, dom, codes, t_prec=None, u_prec=None):
+        """The validating constructor on codes: zero codes and codes
+        outside the region are dropped."""
+        self = object.__new__(cls)
+        self._clip(dom, codes, t_prec, u_prec)
+        return self
+
+    def _clip(self, dom, codes, t_prec, u_prec):
         tp = INF if t_prec is None else t_prec
         up = dict(u_prec) if u_prec else {}
         up = {j: b for j, b in up.items() if j < tp and b != INF}
         clean = {}
-        for j, row in terms.items():
+        for j, row in codes.items():
             if j >= tp:
                 continue
             bound = up.get(j, INF)
             r = {i: c for i, c in row.items() if c and i < bound}
             if r:
                 clean[j] = r
-        self.terms = clean
+        self.dom = dom
+        self.codes = clean
         self.t_prec = tp
         self.u_prec = up
 
     @classmethod
-    def _adopt(cls, dom, terms, tp, up):
+    def _adopt(cls, dom, codes, tp, up):
         """Adopt data that already meets the invariants, without copying."""
         self = object.__new__(cls)
         self.dom = dom
-        self.terms = terms
+        self.codes = codes
         self.t_prec = tp
         self.u_prec = up
         return self
+
+    @property
+    def terms(self):
+        """The coefficient table {j: {i: element}}, wrapped on each read."""
+        dom = self.dom
+        return {j: {i: _decode(dom, v) for i, v in row.items()}
+                for j, row in self.codes.items()}
 
     # -- region helpers ----------------------------------------------------
 
@@ -110,20 +131,20 @@ class Laurent2:
 
     def tlb(self):
         """Lower bound for the t-valuation of any nonzero content."""
-        cands = list(self.terms) + list(self.u_prec)
+        cands = list(self.codes) + list(self.u_prec)
         if cands:
             return min(cands)
         return self.t_prec  # possibly INF: certainly zero
 
     def is_zero(self):
         """Certainly zero everywhere (exactly the zero element)."""
-        return not self.terms and not self.u_prec and self.t_prec == INF
+        return not self.codes and not self.u_prec and self.t_prec == INF
 
     # -- construction helpers ----------------------------------------------
 
     @staticmethod
     def zero(dom):
-        return Laurent2(dom, {})
+        return Laurent2._adopt(dom, {}, INF, {})
 
     @staticmethod
     def monomial(dom, c, i=0, j=0, t_prec=None, u_prec=None):
@@ -131,7 +152,7 @@ class Laurent2:
 
     @staticmethod
     def one(dom):
-        return Laurent2.monomial(dom, dom.one)
+        return Laurent2._adopt(dom, {0: {0: 1}}, INF, {})
 
     @staticmethod
     def from_dict(dom, d, t_prec=None, u_prec=None):
@@ -158,12 +179,13 @@ class Laurent2:
             b = min(self.uprec(j), other.uprec(j))
             if j < tp and b != INF:
                 up[j] = b
+        char, n, _, w, fold, _ = _mul_consts(self.dom)
         # each operand's terms lie in its own region: only rows whose bound
         # tightened are filtered, as in truncate; a row of one operand alone
         # is reused as it is
         rows = {}
-        for src, sup in ((self.terms, self.u_prec),
-                         (other.terms, other.u_prec)):
+        for src, sup in ((self.codes, self.u_prec),
+                         (other.codes, other.u_prec)):
             for j, row in src.items():
                 if j >= tp:
                     continue
@@ -181,6 +203,8 @@ class Laurent2:
                         continue
                     if i in dst:
                         s = dst[i] + c
+                        s = s % char if n == 1 else _reduce(s, w, n, char,
+                                                            fold)
                         if s:
                             dst[i] = s
                         else:
@@ -194,8 +218,11 @@ class Laurent2:
         return Laurent2._adopt(self.dom, rows, tp, up)
 
     def __neg__(self):
-        rows = {j: {i: -c for i, c in row.items()}
-                for j, row in self.terms.items()}
+        char, n, _, w, fold, _ = _mul_consts(self.dom)
+        rows = {j: {i: char - c if n == 1 else
+                    _reduce((char - 1) * c, w, n, char, fold)
+                    for i, c in row.items()}
+                for j, row in self.codes.items()}
         return Laurent2._adopt(self.dom, rows, self.t_prec, self.u_prec)
 
     def __sub__(self, other):
@@ -203,25 +230,23 @@ class Laurent2:
 
     def __mul__(self, other):
         self._check(other)
-        fterms, gterms = self.terms, other.terms
+        dom = self.dom
+        if self.is_zero() or other.is_zero():
+            # the region rule gives t-window ∞ and no row bounds
+            return Laurent2._adopt(dom, {}, INF, {})
+        fcodes, gcodes = self.codes, other.codes
         # an exact monomial c·u^i·t^j operand: the product is a shift
         for mono, rest in ((other, self), (self, other)):
-            terms = mono.terms
-            if len(terms) == 1 and not mono.u_prec and mono.t_prec == INF:
-                (j, row), = terms.items()
+            codes = mono.codes
+            if len(codes) == 1 and not mono.u_prec and mono.t_prec == INF:
+                (j, row), = codes.items()
                 if len(row) == 1:
                     (i, c), = row.items()
-                    return rest.monomial_mul(c, i, j)
-        dom = self.dom
-        char, n, elem, bits, fold = _mul_consts(dom)
-        w = None
+                    return rest._scale(c, i, j)
+        char, n, _, w, fold, cap = _mul_consts(dom)
         if n > 1:
-            # Kronecker digits of w bits.  A digit of one packed product is
-            # below 2^bits, and an output coefficient sums at most
-            # min(#f terms, #g terms) such products, so no digit carries.
-            w = bits + min(sum(map(len, fterms.values())),
-                           sum(map(len, gterms.values()))).bit_length()
-        frows, grows = _operand_rows(self, w), _operand_rows(other, w)
+            _check_width(fcodes, gcodes, cap)
+        frows, grows = _operand_rows(self), _operand_rows(other)
         # the region first: the product's t-window and per-row u-bounds
         ftlb = frows[0][0] if frows else self.t_prec
         gtlb = grows[0][0] if grows else other.t_prec
@@ -241,7 +266,7 @@ class Laurent2:
                         b = c
                     if b < up.get(j, INF):
                         up[j] = b
-        if not fterms or not gterms:
+        if not fcodes or not gcodes:
             return Laurent2._adopt(dom, {}, tp, up)
         # accumulate in-region pairs only: rows below tp, u below up[j]
         acc = {}
@@ -280,7 +305,7 @@ class Laurent2:
                                 dst[i] += a * b
                             else:
                                 dst[i] = a * b
-        # reduce each output coefficient once and wrap the nonzero ones
+        # reduce each output coefficient once and keep the nonzero ones
         rows = {}
         for j, dst in acc.items():
             row = {}
@@ -288,12 +313,12 @@ class Laurent2:
                 for i, v in dst.items():
                     v %= char
                     if v:
-                        row[i] = elem(dom, (v,))
+                        row[i] = v
             else:
                 for i, v in dst.items():
-                    cs = _unpack(v, w, n, char, fold)
-                    if cs:
-                        row[i] = elem(dom, cs)
+                    v = _reduce(v, w, n, char, fold)
+                    if v:
+                        row[i] = v
             if row:
                 rows[j] = row
         return Laurent2._adopt(dom, rows, tp, up)
@@ -302,26 +327,54 @@ class Laurent2:
         """Multiply by the exact monomial c·u^{i_shift}·t^{j_shift}."""
         if not c:
             return Laurent2.zero(self.dom)
-        # in a Galois ring c·v is 0 when c is not a unit and p | v
-        rows = {}
-        for j, row in self.terms.items():
-            dst = {}
-            for i, v in row.items():
-                cv = c * v
-                if cv:
-                    dst[i + i_shift] = cv
-            if dst:
-                rows[j + j_shift] = dst
+        return self._scale(_encode(self.dom, c), i_shift, j_shift)
+
+    def _scale(self, c, i_shift=0, j_shift=0):
+        """monomial_mul for a nonzero code c."""
+        dom = self.dom
+        if c == 1:
+            if not i_shift and not j_shift:
+                return self  # values are never changed in place
+            rows = {j + j_shift: {i + i_shift: v for i, v in row.items()}
+                    for j, row in self.codes.items()}
+        else:
+            char, n, _, w, fold, _ = _mul_consts(dom)
+            # in a Galois ring c·v is 0 when c is not a unit and p | v
+            rows = {}
+            for j, row in self.codes.items():
+                dst = {}
+                for i, v in row.items():
+                    v = c * v % char if n == 1 else _reduce(c * v, w, n,
+                                                            char, fold)
+                    if v:
+                        dst[i + i_shift] = v
+                if dst:
+                    rows[j + j_shift] = dst
         up = {j + j_shift: b + i_shift for j, b in self.u_prec.items()}
-        return Laurent2._adopt(self.dom, rows, self.t_prec + j_shift, up)
+        return Laurent2._adopt(dom, rows, self.t_prec + j_shift, up)
 
     def int_scale(self, k):
-        if k == 1:
-            return self  # values are never changed in place
-        c = self.dom.from_int(k)
-        if not c:
+        k %= self.dom.char  # the code of k, in the first digit
+        if not k:
             return Laurent2.zero(self.dom)
-        return self.monomial_mul(c)
+        return self._scale(k)
+
+    def _derivative(self, di, dj):
+        """d/du (di, dj = 1, 0) or d/dt (0, 1): each code times its u- or
+        t-exponent, shifted down by one, adopted in the shifted region.  In
+        a Galois ring k·v can be zero for v nonzero, when p | k."""
+        char, n, _, w, fold, _ = _mul_consts(self.dom)
+        rows = {}
+        for j, row in self.codes.items():
+            dst = {}
+            for i, v in row.items():
+                v = _reduce((i * di + j * dj) % char * v, w, n, char, fold)
+                if v:
+                    dst[i - di] = v
+            if dst:
+                rows[j - dj] = dst
+        up = {j - dj: b - di for j, b in self.u_prec.items()}
+        return Laurent2._adopt(self.dom, rows, self.t_prec - dj, up)
 
     def truncate(self, t_prec=None, u_prec=None):
         """Intersect the region with the given uniform bounds."""
@@ -339,8 +392,8 @@ class Laurent2:
         # the terms already lie in the old region: only rows whose bound
         # tightened are filtered, every other row is reused as it is
         old = self.u_prec
-        terms = {}
-        for j, row in self.terms.items():
+        codes = {}
+        for j, row in self.codes.items():
             if j >= tp:
                 continue
             b = up.get(j, INF)
@@ -348,8 +401,8 @@ class Laurent2:
                 row = {i: c for i, c in row.items() if i < b}
                 if not row:
                     continue
-            terms[j] = row
-        return Laurent2._adopt(self.dom, terms, tp, up)
+            codes[j] = row
+        return Laurent2._adopt(self.dom, codes, tp, up)
 
     def __pow__(self, e):
         if e < 0:
@@ -360,28 +413,26 @@ class Laurent2:
 
     def __eq__(self, other):
         return (isinstance(other, Laurent2) and self.dom is other.dom
-                and self.terms == other.terms and self.t_prec == other.t_prec
+                and self.codes == other.codes and self.t_prec == other.t_prec
                 and self.u_prec == other.u_prec)
 
     def __hash__(self):
         return hash((id(self.dom), self.t_prec,
-                     tuple(sorted((j, tuple(sorted(r.items(), key=lambda x: x[0])))
-                                  for j, r in self.terms.items())),
+                     tuple(sorted((j, tuple(sorted(r.items())))
+                                  for j, r in self.codes.items())),
                      tuple(sorted(self.u_prec.items()))))
 
     def same_known_terms(self, other):
         """Equal coefficient tables on the intersection of known regions."""
         tp = min(self.t_prec, other.t_prec)
-        for j in set(self.terms) | set(other.terms):
+        for j in set(self.codes) | set(other.codes):
             if j >= tp:
                 continue
             bound = min(self.uprec(j), other.uprec(j))
-            r1 = self.terms.get(j, {})
-            r2 = other.terms.get(j, {})
+            r1 = self.codes.get(j, {})
+            r2 = other.codes.get(j, {})
             for i in set(r1) | set(r2):
-                if i >= bound:
-                    continue
-                if r1.get(i, self.dom.zero) != r2.get(i, self.dom.zero):
+                if i < bound and r1.get(i, 0) != r2.get(i, 0):
                     return False
         return True
 
@@ -391,7 +442,8 @@ class Laurent2:
         """Coefficient of u^i t^j; raises if outside the known region."""
         if j >= self.t_prec or i >= self.uprec(j):
             raise PrecisionTooLow(f"coefficient ({j},{i}) outside precision")
-        return self.terms.get(j, {}).get(i, self.dom.zero)
+        v = self.codes.get(j, {}).get(i)
+        return self.dom.zero if v is None else _decode(self.dom, v)
 
     def mul_coeff(self, other, i, j):
         """Coefficient of u^i t^j in self·other, without forming the product.
@@ -401,23 +453,23 @@ class Laurent2:
         of __mul__ gives row j, the least min(up1 + lb2, up2 + lb1) over the
         rows j1 + j2 = j that may hold content (lb a row's u lower bound, up
         its u bound); otherwise PrecisionTooLow.  The value is the dot
-        product Σ self[j1][i1]·other[j − j1][i − i1] over integer
-        coordinates, reduced once as in the product kernel.
+        product Σ self[j1][i1]·other[j − j1][i − i1] over the codes,
+        reduced once as in the product kernel.
         """
         self._check(other)
-        fterms, gterms = self.terms, other.terms
+        fcodes, gcodes = self.codes, other.codes
         tp = min(self.t_prec + other.tlb(), other.t_prec + self.tlb())
         if j >= tp:
             raise PrecisionTooLow(f"coefficient ({j},{i}) outside precision")
         fups, gups = self.u_prec, other.u_prec
         if fups or gups:
             bound = INF
-            for j1 in fterms.keys() | fups.keys():
+            for j1 in fcodes.keys() | fups.keys():
                 j2 = j - j1
-                row2 = gterms.get(j2)
+                row2 = gcodes.get(j2)
                 if row2 is None and j2 not in gups:
                     continue
-                row1 = fterms.get(j1)
+                row1 = fcodes.get(j1)
                 b = fups.get(j1, INF) + (min(row2) if row2 else gups[j2])
                 c = gups.get(j2, INF) + (min(row1) if row1 else fups[j1])
                 if c < b:
@@ -427,9 +479,13 @@ class Laurent2:
             if i >= bound:
                 raise PrecisionTooLow(
                     f"coefficient ({j},{i}) outside precision")
-        pairs = []
-        for j1, row1 in fterms.items():
-            row2 = gterms.get(j - j1)
+        dom = self.dom
+        char, n, _, w, fold, cap = _mul_consts(dom)
+        if n > 1:
+            _check_width(fcodes, gcodes, cap)
+        v = 0
+        for j1, row1 in fcodes.items():
+            row2 = gcodes.get(j - j1)
             if row2 is None:
                 continue
             if len(row2) < len(row1):
@@ -437,41 +493,40 @@ class Laurent2:
             for i1, a in row1.items():
                 b = row2.get(i - i1)
                 if b is not None:
-                    pairs.append((a.coeffs, b.coeffs))
-        dom = self.dom
-        char, n, elem, bits, fold = _mul_consts(dom)
-        if n == 1:
-            v = sum(a[0] * b[0] for a, b in pairs) % char
-            return elem(dom, (v,)) if v else dom.zero
-        w = bits + len(pairs).bit_length()
-        cs = _unpack(sum(_pack(a, w) * _pack(b, w) for a, b in pairs),
-                     w, n, char, fold)
-        return elem(dom, cs) if cs else dom.zero
+                    v += a * b
+        v = _reduce(v, w, n, char, fold)
+        return _decode(dom, v) if v else dom.zero
+
+    def _lead(self):
+        """leading() with the coefficient's code."""
+        if self.is_zero():
+            raise ZeroDivisor("zero has no leading term")
+        if not self.codes:
+            raise PrecisionTooLow("no known nonzero coefficient")
+        j0 = min(self.codes)
+        hidden = [j for j in self.u_prec if j < j0]
+        if hidden:
+            raise PrecisionTooLow(
+                f"row {min(hidden)} has unknown content below leading row {j0}")
+        row = self.codes[j0]
+        i0 = min(row)
+        return j0, i0, row[i0]
 
     def leading(self):
         """(j, i, c) of the (t,u)-lexicographically least known term.
 
         Requires certainty: no possibly-hidden content lex-below it.
         """
-        if self.is_zero():
-            raise ZeroDivisor("zero has no leading term")
-        if not self.terms:
-            raise PrecisionTooLow("no known nonzero coefficient")
-        j0 = min(self.terms)
-        hidden = [j for j in self.u_prec if j < j0]
-        if hidden:
-            raise PrecisionTooLow(
-                f"row {min(hidden)} has unknown content below leading row {j0}")
-        i0 = min(self.terms[j0])
-        return j0, i0, self.terms[j0][i0]
+        j0, i0, v = self._lead()
+        return j0, i0, _decode(self.dom, v)
 
     def serialize(self):
+        _, n, _, w, _, _ = _mul_consts(self.dom)
         bits = []
-        for j in sorted(self.terms):
-            for i in sorted(self.terms[j]):
-                c = self.terms[j][i]
-                cs = ",".join(str(x) for x in c.coeffs)
-                term = f"[{cs}]"
+        for j in sorted(self.codes):
+            row = self.codes[j]
+            for i in sorted(row):
+                term = "[" + ",".join(map(str, _digits(row[i], w, n))) + "]"
                 if i:
                     term += f"*u^{i}"
                 if j:
@@ -481,24 +536,28 @@ class Laurent2:
         if self.t_prec != INF:
             s += f" + O_t({int(self.t_prec)})"
         if self.u_prec:
-            lows = min(self.u_prec.values())
-            s += f" + O_u({int(lows)})"
+            s += f" + O_u({int(min(self.u_prec.values()))})"
         return s
 
     def __repr__(self):
         return f"Laurent2({self.serialize()})"
 
 
+# --------------------------------------------------------------------------
+# the integer codes of one coefficient domain
+# --------------------------------------------------------------------------
+
 @lru_cache(maxsize=None)
 def _mul_consts(dom):
-    """Constants of the product kernel for one coefficient domain.
+    """Constants of the codes of one coefficient domain.
 
-    (char, n, element class, bits, fold): every coordinate is an integer
-    in [0, char); each digit of the product of two packed elements is
-    below 2**bits; fold[k] holds the coordinates of x^(n+k) mod the modulus.
+    (char, n, element class, w, fold, cap): every coordinate is an integer
+    in [0, char); a code of n > 1 coordinates packs them at the digit width
+    w; fold[k] holds the coordinates of x^(n+k) mod the modulus.  A digit of
+    the product of two codes is below 2**bits, so w = bits + HEADROOM holds
+    a sum of up to cap = 2**HEADROOM - 1 such products without a carry.
     """
     char, n = dom.char, dom.n
-    elem = type(dom.one)
     bits = (n * (char - 1) ** 2).bit_length()
     fold = []
     xk = [(-c) % char for c in dom.modulus[:n]]  # x^n
@@ -506,43 +565,27 @@ def _mul_consts(dom):
         fold.append(tuple(xk))
         top = xk[-1]
         xk = [(a + top * b) % char for a, b in zip([0] + xk[:-1], fold[0])]
-    return char, n, elem, bits, tuple(fold)
+    return (char, n, type(dom.one), bits + HEADROOM, tuple(fold),
+            (1 << HEADROOM) - 1)
 
 
-def _region_rows(f):
-    """Rows that may hold content as [(j, u lower bound)], by j.
-
-    A row with terms is bounded below by its least u-exponent, a row with a
-    bound and no terms by that bound.  invert's tail closure reads these.
-    """
-    terms, ups = f.terms, f.u_prec
-    return [(j, min(terms[j]) if j in terms else ups[j])
-            for j in sorted(terms.keys() | ups.keys())]
+def _check_width(fcodes, gcodes, cap):
+    """Refuse a product whose output coefficients may sum more than cap
+    products of codes: their digits could carry at the domain's width."""
+    if min(sum(map(len, fcodes.values())),
+           sum(map(len, gcodes.values()))) > cap:
+        raise StepBudgetExceeded(f"both operands have over {cap} terms")
 
 
-def _operand_rows(f, w):
-    """One sorted pass over a product operand's rows that may hold content.
+def _encode(dom, c):
+    """The code of the element c."""
+    return _pack(c.coeffs, _mul_consts(dom)[3])
 
-    Returns [(j, u lower bound, u bound, int row)] sorted by j.  The int row
-    is [(i, int)] sorted by i, so its first u-exponent is the lower bound; a
-    row with a bound and no terms has an empty int row and that bound as its
-    lower bound.  The int is the single coordinate when w is None, else the
-    coordinates Kronecker-packed with w-bit digits.
-    """
-    terms, ups = f.terms, f.u_prec
-    rows = []
-    for j in sorted(terms.keys() | ups.keys()) if ups else sorted(terms):
-        row = terms.get(j)
-        ub = ups.get(j, INF)
-        if not row:
-            rows.append((j, ub, ub, ()))
-            continue
-        if w is None:
-            ints = [(i, c.coeffs[0]) for i, c in sorted(row.items())]
-        else:
-            ints = [(i, _pack(c.coeffs, w)) for i, c in sorted(row.items())]
-        rows.append((j, ints[0][0], ub, ints))
-    return rows
+
+def _decode(dom, v):
+    """The element of the code v."""
+    _, n, elem, w, _, _ = _mul_consts(dom)
+    return elem(dom, _digits(v, w, n))
 
 
 def _pack(coeffs, w):
@@ -553,22 +596,58 @@ def _pack(coeffs, w):
     return v
 
 
-def _unpack(v, w, n, char, fold):
-    """Coordinates of a packed sum of products, reduced once; () if zero."""
+def _digits(v, w, n):
+    """The n digits of width w of v, least first."""
     mask = (1 << w) - 1
-    cs = []
+    out = []
     for _ in range(n):
-        cs.append(v & mask)
+        out.append(v & mask)
         v >>= w
-    for xk in fold:
-        if not v:
-            break
-        d = v & mask
-        v >>= w
+    return tuple(out)
+
+
+def _reduce(v, w, n, char, fold):
+    """The code of a sum of products of codes (up to 2n - 1 digits, none
+    carried), reduced once; 0 if it is zero."""
+    if n == 1:
+        return v % char
+    ds = _digits(v, w, 2 * n - 1)
+    cs = ds[:n]
+    for d, xk in zip(ds[n:], fold):
         if d:
             cs = [a + d * b for a, b in zip(cs, xk)]
-    cs = tuple(a % char for a in cs)
-    return cs if any(cs) else ()
+    return _pack([a % char for a in cs], w)
+
+
+@lru_cache(maxsize=None)
+def _inverse(dom, v):
+    """The code of the inverse of the unit with code v, kept per domain."""
+    if dom.n > 1:
+        return _encode(dom, _decode(dom, v).inv())
+    if not v % dom.p:
+        raise ZeroDivisionError("non-unit in Galois ring")
+    return pow(v, -1, dom.char)
+
+
+def _operand_rows(f):
+    """One sorted pass over a product operand's rows that may hold content.
+
+    Returns [(j, u lower bound, u bound, code row)] sorted by j.  The code
+    row is [(i, code)] sorted by i, so its first u-exponent is the lower
+    bound; a row with a bound and no terms has an empty code row and that
+    bound as its lower bound.
+    """
+    codes, ups = f.codes, f.u_prec
+    rows = []
+    for j in sorted(codes.keys() | ups.keys()) if ups else sorted(codes):
+        row = codes.get(j)
+        ub = ups.get(j, INF)
+        if not row:
+            rows.append((j, ub, ub, ()))
+            continue
+        items = sorted(row.items())
+        rows.append((j, items[0][0], ub, items))
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -579,9 +658,9 @@ def outer_valuation(f):
     """v_t(f): least t-exponent with a nonzero coefficient row."""
     if f.is_zero():
         raise ZeroElement("outer_valuation of zero")
-    if not f.terms:
+    if not f.codes:
         raise PrecisionTooLow("no known nonzero coefficient")
-    j0 = min(f.terms)
+    j0 = min(f.codes)
     if any(j < j0 for j in f.u_prec):
         raise PrecisionTooLow("t-valuation not determined at this precision")
     return j0
@@ -590,7 +669,7 @@ def outer_valuation(f):
 def bar_valuation(f):
     """u-valuation of the leading-in-t coefficient series."""
     j0 = outer_valuation(f)
-    return min(f.terms[j0])
+    return min(f.codes[j0])
 
 
 def invert(f, t_prec=None, u_prec=None):
@@ -606,21 +685,23 @@ def invert(f, t_prec=None, u_prec=None):
         t_prec = DEFAULT_T_PREC
     if u_prec is None:
         u_prec = DEFAULT_U_PREC
-    j0, i0, c = f.leading()
-    cinv = c.inv()
+    j0, i0, c = f._lead()
     dom = f.dom
-    fterms = f.terms
-    if f.t_prec == INF and not f.u_prec and len(fterms) == 1 \
-            and len(fterms[j0]) == 1:
-        return Laurent2.monomial(dom, cinv, -i0, -j0)
+    cinv = _inverse(dom, c)
+    fcodes = f.codes
+    if f.t_prec == INF and not f.u_prec and len(fcodes) == 1 \
+            and len(fcodes[j0]) == 1:
+        return Laurent2._adopt(dom, {-j0: {-i0: cinv}}, INF, {})
+    char, n, _, w, fold, cap = _mul_consts(dom)
     # f = c·u^i0·t^j0·(1 + eps); -eps in one pass: f's other terms scaled by
     # -c^-1 and shifted, in f's shifted region with each infinite direction
     # capped to the working box (t at t_prec, every row from the first that
     # may hold content at u_prec), filtered by the validating constructor
-    ncinv = -cinv
     rows = {}
-    for j, row in fterms.items():
-        dst = {i - i0: ncinv * v for i, v in row.items()}
+    ncinv = _reduce((char - 1) * cinv, w, n, char, fold)
+    for j, row in fcodes.items():
+        dst = {i - i0: _reduce(ncinv * v, w, n, char, fold)
+               for i, v in row.items()}
         if j == j0:
             del dst[0]
         if dst:
@@ -630,34 +711,34 @@ def invert(f, t_prec=None, u_prec=None):
     for j in range(min(rows.keys() | up.keys(), default=t_box), t_box):
         if j not in up:
             up[j] = u_prec
-    neg = Laurent2(dom, rows, t_box, up)
+    neg = Laurent2._of_codes(dom, rows, t_box, up)
     # fixed working box: powers of eps gain precision as they gain valuation,
     # so without a hard cutoff the geometric loop would never terminate
     u_box = max([u_prec] + [int(b) for b in neg.u_prec.values()])
-    # the sum of the powers of -eps as integer coordinates, its region as
+    # the sum of the powers of -eps as unreduced codes, its region as
     # running minima; filtered once at the end (see the module docstring)
-    sums = {0: {0: list(dom.one.coeffs)}}
+    sums = {0: {0: 1}}
     tp = t_box
     up = dict(neg.u_prec)
     # the first power is -eps itself
     pw = neg.truncate(t_box, u_box)
-    while pw.terms:
+    powers = 0
+    while pw.codes:
+        powers += 1
+        if n > 1 and powers > cap:
+            raise StepBudgetExceeded(f"inverse sums over {cap} powers")
         if pw.t_prec < tp:
             tp = pw.t_prec
         for j, b in pw.u_prec.items():
             if b < up.get(j, INF):
                 up[j] = b
-        for j, row in pw.terms.items():
+        for j, row in pw.codes.items():
             dst = sums.get(j)
             if dst is None:
-                dst = sums[j] = {}
-            for i, cf in row.items():
-                v = dst.get(i)
-                if v is None:
-                    dst[i] = list(cf.coeffs)
-                else:
-                    for k, a in enumerate(cf.coeffs):
-                        v[k] += a
+                sums[j] = dict(row)
+                continue
+            for i, v in row.items():
+                dst[i] = dst.get(i, 0) + v
         pw = (pw * neg).truncate(t_box, u_box)
     # The remaining powers of eps contribute no known terms, but their
     # unknown regions still constrain the result.  Close the first empty
@@ -665,16 +746,16 @@ def invert(f, t_prec=None, u_prec=None):
     # j1 bound by (j2, row lower bound)) and intersect.
     tail_t = min(pw.t_prec, t_box)
     dist = {j: b for j, b in pw.u_prec.items() if j < tail_t}
-    edges = _region_rows(neg)
+    edges = [(j, lb) for j, lb, _, _ in _operand_rows(neg)]
     for _ in range(int(tail_t) - min(dist, default=int(tail_t)) + 1):
         changed = False
         for j, b in list(dist.items()):
-            for dj, w in edges:
+            for dj, e in edges:
                 jj = j + dj
                 if jj >= tail_t:
                     continue
-                if b + w < dist.get(jj, INF):
-                    dist[jj] = b + w
+                if b + e < dist.get(jj, INF):
+                    dist[jj] = b + e
                     changed = True
         if not changed:
             break
@@ -683,18 +764,12 @@ def invert(f, t_prec=None, u_prec=None):
     for j, b in dist.items():
         if b < up.get(j, INF):
             up[j] = b
-    # the sum wrapped once, scaled by c^-1 and shifted back
-    char, elem = dom.char, type(dom.one)
-    rows = {}
-    for j, dst in sums.items():
-        row = {}
-        for i, v in dst.items():
-            cs = tuple(a % char for a in v)
-            if any(cs):
-                row[i - i0] = cinv * elem(dom, cs)
-        rows[j - j0] = row
-    return Laurent2(dom, rows, tp - j0,
-                    {j - j0: b - i0 for j, b in up.items()})
+    # each sum scaled by c^-1 and reduced once, shifted back; a digit of
+    # c^-1 times a sum of at most cap + 1 codes is below 2^w
+    rows = {j - j0: {i - i0: _reduce(cinv * v, w, n, char, fold)
+                     for i, v in dst.items()} for j, dst in sums.items()}
+    return Laurent2._of_codes(dom, rows, tp - j0,
+                              {j - j0: b - i0 for j, b in up.items()})
 
 
 @dataclass(frozen=True)
@@ -708,8 +783,8 @@ class UnitDecomposition:
 def unit_decompose(f):
     """f = ζ^a · u^i · t^j · ε with ε a principal unit."""
     j0 = outer_valuation(f)
-    i0 = min(f.terms[j0])
-    c = f.terms[j0][i0]
+    i0 = min(f.codes[j0])
+    c = f.coeff(i0, j0)
     a = f.dom.log(c)
     principal = f.monomial_mul(c.inv(), -i0, -j0)
     return UnitDecomposition(a, i0, j0, principal)
@@ -724,23 +799,41 @@ def recompose(dec, dom):
 # characteristic-zero lifts
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _teichmuller_codes(ring):
+    """The code table field code -> code of its Teichmüller lift in ring,
+    filled on demand: at most q entries."""
+    return {}
+
+
 def lift_padic(f, s):
     """Coefficientwise Teichmüller lift into W_s(F_q)-coefficient series."""
-    ring = galois_ring(f.dom, s)
-    lift = ring.teichmuller
+    field = f.dom
+    ring = galois_ring(field, s)
+    table = _teichmuller_codes(ring)
+    rows = {}
+    for j, row in f.codes.items():
+        dst = rows[j] = {}
+        for i, v in row.items():
+            x = table.get(v)
+            if x is None:
+                x = table[v] = _encode(ring,
+                                       ring.teichmuller(_decode(field, v)))
+            dst[i] = x
     # a lift of a nonzero coefficient is a unit: the region carries over
-    rows = {j: {i: lift(c) for i, c in row.items()}
-            for j, row in f.terms.items()}
     return Laurent2._adopt(ring, rows, f.t_prec, f.u_prec)
 
 
 def reduce_mod_p(f, field):
     """Reduce a Galois-ring-coefficient series back to F_q coefficients."""
     ring = f.dom
-    rows = {j: {i: ring.reduce_mod_p(c) for i, c in row.items()}
-            for j, row in f.terms.items()}
-    return Laurent2(field, rows,
-                    None if f.t_prec == INF else int(f.t_prec), f.u_prec)
+    p, n = ring.p, ring.n
+    wr, wf = _mul_consts(ring)[3], _mul_consts(field)[3]
+    rows = {j: {i: _pack([d % p for d in _digits(v, wr, n)], wf)
+                for i, v in row.items()} for j, row in f.codes.items()}
+    return Laurent2._of_codes(field, rows,
+                              None if f.t_prec == INF else int(f.t_prec),
+                              f.u_prec)
 
 
 # --------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (PrecisionTooLow, StepBudgetExceeded, UnsupportedLength,
-                     ZeroArgument, ZeroElement)
+from .errors import (FieldMismatch, PrecisionTooLow, StepBudgetExceeded,
+                     UnsupportedLength, ZeroArgument, ZeroElement)
 from .ff import FqElem, galois_ring, power, primitive_element
 from .forms import TwoForm, dlog, residue, wedge
 from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, bar_valuation,
@@ -36,10 +36,10 @@ class K2Elem:
         clean = []
         for f, g, e in factors:
             if f.dom is not field or g.dom is not field:
-                raise ZeroArgument("symbol factor over the wrong field")
+                raise FieldMismatch("symbol factor over the wrong field")
             if f.is_zero() or g.is_zero():
                 raise ZeroArgument("symbol entries must be nonzero")
-            if not f.terms or not g.terms:
+            if not f.codes or not g.codes:
                 raise PrecisionTooLow("symbol entry has no known term")
             if e:
                 clean.append((f, g, int(e)))
@@ -47,6 +47,8 @@ class K2Elem:
         self.factors = tuple(clean)
 
     def __mul__(self, other):
+        if other.field is not self.field:
+            raise FieldMismatch("symbols over different fields")
         return K2Elem(self.field, self.factors + other.factors)
 
     def inv(self):
@@ -113,7 +115,7 @@ def tame_symbol_det(f1, f2, f3):
     for idx, f in enumerate(fs):
         j0 = vt[idx]
         i0 = vu[idx]
-        value = value * (f.terms[j0][i0] ** b[idx])
+        value = value * (f.coeff(i0, j0) ** b[idx])
     return TameValue(value)
 
 
@@ -124,7 +126,7 @@ def tame_symbol_signed(f, g, h):
     independent cross-check of the determinant form.
     """
     for x in (f, g, h):
-        if not x.terms:
+        if not x.codes:
             raise ZeroArgument("tame symbol of zero")
     vtf, vuf = _vals(f)
     vtg, vug = _vals(g)
@@ -159,9 +161,9 @@ def boundary(e):
         if (vf * vg) % 2:
             val = -val
         out = out * (val ** exp)
-    row = out.terms.get(0, {})
+    row = out.codes.get(0)
     up = {0: out.uprec(0)} if out.uprec(0) != INF else {}
-    return Laurent2(field, {0: dict(row)} if row else {}, None, up)
+    return Laurent2._adopt(field, {0: row} if row else {}, INF, up)
 
 
 def unramified_exponent(e):
@@ -253,7 +255,7 @@ def pairing_box(p, m, demand):
         for r, c in enumerate(comps):
             w = p ** (len(comps) - 1 - r)
             # each row that may hold content, with its least u-exponent
-            corners = [(j, min(row)) for j, row in c.terms.items()]
+            corners = [(j, min(row)) for j, row in c.codes.items()]
             corners += c.u_prec.items()
             for j, i in corners:
                 for side, d in ((0, -j), (1, -i)):
@@ -409,12 +411,12 @@ class _Decomposer:
 
     def box(self, f):
         rows = {}
-        for j, row in f.terms.items():
+        for j, row in f.codes.items():
             if 0 <= j <= self.H:
                 r = {i: c for i, c in row.items() if i <= self.Hu}
                 if r:
                     rows[j] = r
-        return Laurent2(self.field, rows)
+        return Laurent2._adopt(self.field, rows, INF, {})
 
     def power(self, f, e):
         return power(self.box(f), e % self.pK, Laurent2.one(self.field),
@@ -457,7 +459,7 @@ class _Decomposer:
         else:
             del table[(i, j)]
             corr = one + x2
-        if (corr - one).terms:
+        if (corr - one).codes:
             self.work.append(("EU", corr, slot, 1))
 
     def elementary(self, c, i, j, slot, exp):
@@ -503,7 +505,7 @@ class _Decomposer:
         if dec.t_exp:
             self.work.append(("EU", eps, "t", exp * dec.t_exp))
         principal = self.box(dec.principal)
-        if (principal - Laurent2.one(self.field)).terms:
+        if (principal - Laurent2.one(self.field)).codes:
             self.work.append(("EE", eps, principal, exp))
 
     def process_eu(self, eps, slot, exp):
@@ -515,11 +517,11 @@ class _Decomposer:
         while True:
             self.spend()
             rem = eps - one
-            if not rem.terms:
+            if not rem.codes:
                 return
-            j = min(rem.terms)
-            i = min(rem.terms[j])
-            c = rem.terms[j][i]
+            j = min(rem.codes)
+            i = min(rem.codes[j])
+            c = rem.coeff(i, j)
             self.elementary(c, i, j, slot, 1)
             factor = one + Laurent2.monomial(self.field, c, i, j)
             eps = self.box(eps * self.inv_unit(factor))
@@ -532,17 +534,17 @@ class _Decomposer:
         one = Laurent2.one(self.field)
         eps = self.power(eps, exp)
         a = eps - one
-        if not a.terms:
+        if not a.codes:
             return
         d = delta - one
-        if not d.terms:
+        if not d.codes:
             return
-        if min(a.terms) + min(d.terms) > self.H:
+        if min(a.codes) + min(d.codes) > self.H:
             return  # wedge lives beyond the t-visibility horizon
         # {1+A, δ} = −{1+A″, −A} − {1+A″, δ} with A″ = A(δ−1)(1+A)^{-1}
         a2 = self.box(a * d * self.inv_unit(eps))
         eps2 = one + a2
-        if a2.terms:
+        if a2.codes:
             self.work.append(("EE", eps2, delta, -1))
             self.push_unit_pair(eps2, -a, -1)
 
@@ -562,17 +564,17 @@ class _Decomposer:
             self.basis.zeta_t_exp += exp * (af * l - j * bg + half * j * l)
             ef = self.known_box(df.principal)
             eg = self.known_box(dg.principal)
-            if (ef - one).terms:
+            if (ef - one).codes:
                 if k:
                     self.work.append(("EU", ef, "u", exp * k))
                 if l:
                     self.work.append(("EU", ef, "t", exp * l))
-            if (eg - one).terms:
+            if (eg - one).codes:
                 if i:
                     self.work.append(("EU", eg, "u", -exp * i))
                 if j:
                     self.work.append(("EU", eg, "t", -exp * j))
-            if (ef - one).terms and (eg - one).terms:
+            if (ef - one).codes and (eg - one).codes:
                 self.work.append(("EE", ef, eg, exp))
         while self.work:
             item = self.work.pop()

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from k2local.errors import PrecisionTooLow, ZeroDivisor, ZeroElement
-from k2local.ff import (FqElem, _poly_mulmod_fp, galois_ring, make_field,
-                        primitive_element)
+from k2local import series
+from k2local.errors import (PrecisionTooLow, StepBudgetExceeded, ZeroDivisor,
+                            ZeroElement)
+from k2local.ff import (FieldSpec, FqElem, GRElem, _poly_mulmod_fp,
+                        galois_ring, make_field, primitive_element)
 from k2local.forms import d_dt, d_du
 from k2local.series import (DEFAULT_T_PREC, DEFAULT_U_PREC, INF, Laurent2,
                             bar_valuation, invert, laurent_domain,
@@ -909,3 +911,117 @@ class TestLinearKernels:
            st.integers(1, 4))
     def test_lift_padic_matches_reference(self, f, s):
         _same_series(lift_padic(f, s), _lift_padic_reference(f, s))
+
+
+# --------------------------------------------------------------------------
+# the integer codes: one coefficient representation inside Laurent2
+# --------------------------------------------------------------------------
+
+W3F9 = galois_ring(F9, 3)
+
+
+def _serialize_reference(f):
+    """Laurent2.serialize written on the elements of f.terms."""
+    terms = f.terms
+    bits = []
+    for j in sorted(terms):
+        for i in sorted(terms[j]):
+            term = "[" + ",".join(str(x) for x in terms[j][i].coeffs) + "]"
+            term += f"*u^{i}" if i else ""
+            term += f"*t^{j}" if j else ""
+            bits.append(term)
+    s = " + ".join(bits) if bits else "0"
+    if f.t_prec != INF:
+        s += f" + O_t({int(f.t_prec)})"
+    if f.u_prec:
+        s += f" + O_u({int(min(f.u_prec.values()))})"
+    return s
+
+
+class TestCodes:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(_series))
+    def test_zero_operand_matches_reference(self, f):
+        zero = Laurent2.zero(f.dom)
+        for a, b in ((zero, f), (f, zero)):
+            prod = a * b
+            _same_series(prod, _mul_reference(a, b))
+            assert prod.is_zero()
+
+    @pytest.mark.parametrize("dom", KERNEL_DOMAINS)
+    def test_round_trip_through_elements(self, dom):
+        elem = type(dom.one)
+        values = sorted({0, dom.p % dom.char, dom.char - 1})
+        coords = [()]
+        for _ in range(dom.n):
+            coords = [cs + (v,) for cs in coords for v in values]
+        rows = {}
+        for k, cs in enumerate(coords):
+            rows.setdefault(k % 3 - 1, {})[k - 4] = elem(dom, cs)
+        for t_prec, u_prec in ((None, None), (2, {0: 3}), (1, {-1: 0})):
+            f = Laurent2(dom, rows, t_prec, u_prec)
+            terms = f.terms
+            for j, row in terms.items():
+                for i, c in row.items():
+                    assert c and c == rows[j][i]
+            assert sum(map(len, terms.values())) == sum(
+                1 for j, row in rows.items() for i, c in row.items()
+                if c and j < f.t_prec and i < f.uprec(j))
+            g = Laurent2(dom, terms, f.t_prec, f.u_prec)
+            assert g == f
+            assert g.serialize() == f.serialize() == _serialize_reference(f)
+
+    def test_inner_loop_builds_no_elements(self, monkeypatch):
+        # after one warm-up run has filled the inverse and Teichmüller
+        # tables, the kernels run on codes alone; a reader builds only the
+        # element it returns
+        fixtures = []
+        for dom in (F9, W3F9):
+            f = Laurent2.from_dict(dom, {(0, 0): 1, (0, 1): 2, (1, -1): 1,
+                                         (2, 3): dom.char - 1}, u_prec={1: 4})
+            g = Laurent2.from_dict(dom, {(0, 0): 2, (1, 0): 1, (1, 2): 1})
+            fixtures.append((f, g, type(dom.one)(dom, (1, 1))))
+
+        def kernels():
+            for f, g, c in fixtures:
+                f * g, f + g, -f, f.monomial_mul(c, 1, -1), f.truncate(2, 2)
+                invert(f, 3, 3), invert(g, 3, 3), d_du(f), d_dt(g)
+                if f.dom is F9:
+                    lift_padic(f, 3)
+        counted = []
+        for cls in (FqElem, GRElem):
+            def counting(self, *args, _init=cls.__init__):
+                counted.append(1)
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counting)
+        kernels()
+        counted.clear()
+        kernels()
+        assert not counted
+        for f, g, _ in fixtures:
+            for read in (lambda: f.coeff(1, 0), lambda: f.leading()[2],
+                         lambda: f.mul_coeff(g, 0, 1),
+                         lambda: f.mul_coeff(g, -7, 1)):
+                counted.clear()
+                value = read()
+                assert len(counted) == (1 if value else 0)
+
+    def test_width_guard(self, monkeypatch):
+        # a fresh F_9 with 2 bits of headroom: at most 3 products of codes
+        # may meet in one coefficient
+        monkeypatch.setattr(series, "HEADROOM", 2)
+        dom = FieldSpec(3, 2, F9.modulus)
+        one = dom.one
+        three = Laurent2(dom, {0: {i: one for i in range(3)}})
+        four = Laurent2(dom, {0: {i: one for i in range(4)}})
+        _same_series(three * three, _mul_reference(three, three))
+        assert three * four == _mul_reference(three, four)
+        for call in (lambda: four * four, lambda: four.mul_coeff(four, 3, 0)):
+            with pytest.raises(StepBudgetExceeded):
+                call()
+        # the box (1, 4) sums three powers of -u, the box (1, 5) four
+        f = Laurent2.one(dom) + Laurent2.monomial(dom, one, 1)
+        _same_series(invert(f, 1, 4), _invert_reference(f, 1, 4))
+        with pytest.raises(StepBudgetExceeded):
+            invert(f, 1, 5)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from k2local.errors import (CoefficientOutsidePrecision, PrecisionTooLow,
-                            StepBudgetExceeded, UnsupportedLength,
-                            ZeroArgument)
+from k2local.errors import (CoefficientOutsidePrecision, FieldMismatch,
+                            PrecisionTooLow, StepBudgetExceeded,
+                            UnsupportedLength, ZeroArgument)
 from k2local.ff import make_field, primitive_element, trace_abs
 from k2local.series import Laurent2, invert, laurent_domain
 from k2local.symbols import (K2Elem, TameValue, WittPairer, _Decomposer,
@@ -163,6 +163,21 @@ class TestZeroEntries:
                      lambda: tame_symbol_det(U(F2), f, T(F2))):
             with pytest.raises(PrecisionTooLow):
                 call()
+
+
+class TestFieldMismatch:
+    def test_entry_over_another_field(self):
+        for f, g in ((U(F3), T(F2)), (U(F2), T(F3)), (U(F3), T(F3))):
+            with pytest.raises(FieldMismatch):
+                K2Elem(F2, [(f, g, 1)])
+
+    def test_product_over_two_fields(self):
+        for a, b in ((symbol(U(F2), T(F2)), symbol(U(F3), T(F3))),
+                     (K2Elem(F2, []), K2Elem(F4, []))):
+            with pytest.raises(FieldMismatch):
+                a * b
+            with pytest.raises(FieldMismatch):
+                b * a
 
 
 class TestBoundary:
