@@ -8,17 +8,20 @@ powers on coordinates and takes discrete logs by baby-step giant-step.
 Truncated Witt rings of F_q are modelled as Galois rings (Z/p^s)[x]/(m(x))
 against the same polynomial basis, which is all the characteristic-zero
 lifting the symbol layer needs.  Poly1 is the one polynomial type over F_q,
-with its gcd and the root finder that embeddings and places use.
+with its gcd and one splitting routine, distinct-degree then equal-degree
+(Cantor–Zassenhaus), behind factor_poly1, first_root and the modulus check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from functools import lru_cache
 
 from .errors import (CompositeP, FieldMismatch, InvariantViolation,
-                     NotASubfield, ReducibleModulus, UsageError, ZeroDivisor)
+                     NotASubfield, ReducibleModulus, UsageError, ZeroArgument,
+                     ZeroDivisor)
 
 TABLE_MAX = 1 << 12  # largest q whose arithmetic goes through the tables
 
@@ -74,51 +77,6 @@ def _poly_powmod_fp(a, e, modulus, p):
     base = tuple(a) + (0,) * (n - len(a))
     return power(base, e, tuple([1] + [0] * (n - 1)),
                  lambda x, y: _poly_mulmod_fp(x, y, modulus, p))
-
-
-def _poly_gcd_fp(a, b, p):
-    """Gcd of int-tuple polynomials (constant first) over F_p."""
-    def trim(v):
-        v = list(v)
-        while v and v[-1] % p == 0:
-            v.pop()
-        return v
-
-    a, b = trim(a), trim(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        r = [c % p for c in a]
-        while len(r) >= len(b):
-            c = (r[-1] * inv) % p
-            shift = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[shift + i] = (r[shift + i] - c * bc) % p
-            r = trim(r)
-            if not r:
-                break
-        a, b = b, r
-    return a
-
-
-def _is_irreducible(modulus, p):
-    """Rabin's test: x^{p^n} = x mod f and gcd(x^{p^{n/l}} - x, f) = 1 for
-    every prime l dividing n."""
-    n = len(modulus) - 1
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    xq = _poly_powmod_fp((0, 1), p ** n, modulus, p)
-    if xq != tuple([0, 1] + [0] * (n - 2)):
-        return False
-    for l in range(2, n + 1):
-        if n % l == 0 and is_prime(l):
-            xs = list(_poly_powmod_fp((0, 1), p ** (n // l), modulus, p))
-            xs[1] = (xs[1] - 1) % p
-            g = _poly_gcd_fp(xs, modulus, p)
-            if len(g) != 1:
-                return False
-    return True
 
 
 class FqElem:
@@ -270,24 +228,16 @@ class FieldSpec:
         return f"FieldSpec({self.serialize()})"
 
 
+@lru_cache(maxsize=None)
 def _default_modulus(p, n):
     """Lexicographically least monic irreducible, constant-term-first order."""
     if n == 1:
         return (0, 1)
-    # iterate lower-coefficient tuples (a_0, ..., a_{n-1}) in lex order;
-    # a_0 = 0 is skipped, since x divides those candidates
-    def tuples(prefix, k):
-        if k == n:
-            yield tuple(prefix)
-            return
-        for c in range(0 if k else 1, p):
-            yield from tuples(prefix + [c], k + 1)
-
-    # every degree n >= 1 has an irreducible, so the loop returns
-    for lower in tuples([], 0):
-        cand = lower + (1,)
-        if _is_irreducible(cand, p):
-            return cand
+    # (a_0, ..., a_{n-1}) in lex order, a_0 = 0 skipped since x divides those
+    # candidates; every degree n >= 1 has an irreducible, so one is found
+    lowers = itertools.product(range(1, p), *[range(p)] * (n - 1))
+    return next(c for c in (lo + (1,) for lo in lowers)
+                if _is_irreducible(c, p))
 
 
 def make_field(p, n, modulus=None):
@@ -301,13 +251,15 @@ def make_field(p, n, modulus=None):
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise ReducibleModulus("modulus must be monic of degree n")
-        if not _is_irreducible(modulus, p):
-            raise ReducibleModulus(f"{modulus} is reducible over F_{p}")
     return _field_instance(p, n, modulus)
 
 
 @lru_cache(maxsize=None)
 def _field_instance(p, n, modulus):
+    """The one FieldSpec per modulus, checked for irreducibility when it is
+    first built; a refusal raises, so it is not cached and recurs."""
+    if n > 1 and not _is_irreducible(modulus, p):
+        raise ReducibleModulus(f"{modulus} is reducible over F_{p}")
     return FieldSpec(p, n, modulus)
 
 
@@ -443,18 +395,18 @@ class Poly1:
     def divmod(self, other):
         if not other:
             raise ZeroDivisor("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [self.field.zero] * max(0, len(rem) - other.deg)
-        lead = other.coeffs[-1]
+        rem, n = list(self.coeffs), other.deg
+        quo = [self.field.zero] * max(0, len(rem) - n)
+        *low, lead = other.coeffs
         inv_lead = None if lead == self.field.one else lead.inv()
-        for k in range(len(rem) - 1, other.deg - 1, -1):
+        for k in range(len(rem) - 1, n - 1, -1):
             c = rem[k] if inv_lead is None else rem[k] * inv_lead
             if not c:
                 continue
-            quo[k - other.deg] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k - other.deg + j] = rem[k - other.deg + j] - c * b
-        return Poly1(self.field, quo), Poly1(self.field, rem)
+            quo[k - n] = c  # rem[k] - c·lead is zero, and is not formed
+            for j, b in enumerate(low):
+                rem[k - n + j] = rem[k - n + j] - c * b
+        return Poly1(self.field, quo), Poly1(self.field, rem[:n])
 
     def monic(self):
         if not self or self.coeffs[-1] == self.field.one:
@@ -489,59 +441,124 @@ def poly1_gcd(a, b):
 
 
 def _powmod(a, e, m):
-    """a^e mod m, for Poly1 a and a nonconstant Poly1 m."""
-    return power(a.divmod(m)[1], e, Poly1.const(m.field, m.field.one),
-                 lambda x, y: (x * y).divmod(m)[1])
+    """a^e mod m, for Poly1 a, an int e >= 1 and a nonconstant Poly1 m; as
+    a·a^(e-1), so that no product is by one."""
+    a = a.divmod(m)[1]
+    return power(a, e - 1, a, lambda x, y: (x * y).divmod(m)[1])
 
 
-def _split_to_root(g):
-    """One root of a monic Poly1 g that is a product of distinct linear
-    factors.
+def _distinct_degree(f):
+    """Distinct-degree splitting of a monic Poly1 f.
 
-    Equal-degree splitting (Cantor–Zassenhaus): for an element a, the roots
-    r of g with r + a a nonzero square (p odd), or with Tr(a·r) = 0
-    (p = 2), are those of gcd(g, h), h = (x + a)^((q-1)/2) - 1 or
-    h = Tr(a·x) = sum of (a·x)^(2^k), k < n.  Some a tells any two roots
-    apart, so g shrinks to its smaller factor until it is linear.
+    Yields (d, g) for increasing d, g != 1 the product of the distinct
+    monic irreducible factors of f of degree d: g = gcd(f, x^(q^d) - x)
+    once every factor of degree below d is divided out of f with its
+    multiplicity.  When 2d exceeds the degree of what is left, that is one
+    irreducible factor, yielded last.  A constant f yields nothing.
+    """
+    field = f.field
+    x = xq = Poly1(field, (field.zero, field.one))
+    d = 1
+    while 2 * d <= f.deg:
+        xq = _powmod(xq, field.q, f)
+        g = poly1_gcd(f, xq - x)
+        if g.deg > 0:
+            yield d, g
+            if g == f:
+                return
+            while g.deg > 0:
+                f = f.divmod(g)[0]
+                g = poly1_gcd(f, g)
+        d += 1
+    if f.deg > 0:
+        yield f.deg, f
+
+
+def _split(g, d):
+    """A proper monic factor of g, a product of two or more distinct monic
+    irreducibles of degree d (equal-degree splitting, Cantor–Zassenhaus).
+
+    For b in F_q[x], the factors pi of g with b mod pi a nonzero square
+    (p odd), or with Tr(b mod pi) = 0 (p = 2), are those of gcd(g, h) for
+    h = b^((q^d-1)/2) - 1 or h = sum of b^(2^k), k < nd, mod g.  The b go
+    in index order (base-q digits, constant first) from x + a, or for p = 2
+    over b = x·c from a·x, since a constant term only swaps the two sides.
+    By the Chinese remainder theorem some b of degree < deg g splits g.
     """
     field = g.field
-    one = Poly1.const(field, field.one)
-    while g.deg > 1:
-        for a in field.elements():
-            if field.p == 2:
-                h = y = Poly1(field, (field.zero, a)).divmod(g)[1]
-                for _ in range(field.n - 1):
-                    y = (y * y).divmod(g)[1]
-                    h = h + y
+    q, one = field.q, Poly1.const(field, field.one)
+    for k in range(q, q ** g.deg, q if field.p == 2 else 1):
+        b = Poly1(field, [field.elem_by_index(k // q ** i % q)
+                          for i in range(g.deg)])
+        if field.p == 2:
+            h = y = b
+            for _ in range(field.n * d - 1):
+                y = (y * y).divmod(g)[1]
+                h = h + y
+        else:
+            h = _powmod(b, (q ** d - 1) // 2, g) - one
+        s = poly1_gcd(g, h)
+        if 0 < s.deg < g.deg:
+            return s
+
+
+def factor_poly1(f):
+    """Monic irreducible factors with multiplicities (unit part dropped).
+
+    _split splits each product from _distinct_degree until every piece has
+    its degree d; a piece's multiplicity is 1 when the product is all that
+    is left of f, else the number of times it divides f.
+    """
+    if not f:
+        raise ZeroArgument("cannot factor the zero polynomial")
+    f = f.monic()
+    out = {}
+    for d, g in _distinct_degree(f):
+        simple, todo = g == f, [g]
+        while todo:
+            g = todo.pop()
+            if g.deg > d:
+                s = _split(g, d)
+                todo += [s, g.divmod(s)[0]]
+            elif simple:
+                out[g] = 1
             else:
-                h = _powmod(Poly1(field, (a, field.one)), (field.q - 1) // 2,
-                            g) - one
-            d = poly1_gcd(g, h)
-            if 0 < d.deg < g.deg:
-                break
-        g = d if 2 * d.deg <= g.deg else g.divmod(d)[0]
-    return -g.coeffs[0]
+                out[g] = 0
+                while not (qr := f.divmod(g))[1]:
+                    f, out[g] = qr[0], out[g] + 1
+    return out
+
+
+def _is_irreducible(modulus, p):
+    """Is the monic int tuple modulus irreducible over F_p?  It is when the
+    first factor _distinct_degree finds is the whole of it."""
+    P = Poly1.from_ints(make_field(p, 1), modulus)
+    return P.deg > 0 and next(_distinct_degree(P))[0] == P.deg
 
 
 def first_root(coeffs, field):
     """The first root in the field, in index order, of the polynomial with
     coefficients coeffs (in the field, constant first).
 
-    The roots in the field are those of g = gcd(P, x^q - x), found without
-    enumerating the field: _split_to_root splits one root r off g, every
-    image r^(p^k) that is a root of g leaves g, and this repeats until g is
-    constant.  When P is irreducible over the field its coefficients
-    generate, the images of one root are all its roots.
+    The degree-1 case of the splitting: the roots are those of the first
+    product from _distinct_degree when its d is 1.  _split halves it to one
+    root r, every image r^(p^k) that is a root leaves it, and this repeats
+    until it is constant.  When P is irreducible over the field its
+    coefficients generate, the images of one root are all its roots.
     """
     P = Poly1(field, coeffs)
     if not P or not P.coeffs[0]:
         return field.zero  # index 0: every element, or 0, is a root
-    P = P.monic()
-    x = Poly1(field, (field.zero, field.one))
-    g = poly1_gcd(P, _powmod(x, field.q, P) - x)
+    d, g = next(_distinct_degree(P.monic()), (0, None))
+    if d != 1:
+        raise FieldMismatch("polynomial has no root in the field")
     roots = []
     while g.deg > 0:
-        r = y = _split_to_root(g)
+        s = g
+        while s.deg > 1:
+            h = _split(s, 1)
+            s = h if 2 * h.deg <= s.deg else s.divmod(h)[0]
+        r = y = -s.coeffs[0]
         while True:
             quo, rem = g.divmod(Poly1(field, (-y, field.one)))
             if not rem:
@@ -550,8 +567,6 @@ def first_root(coeffs, field):
             y = y ** field.p
             if y == r:
                 break
-    if not roots:
-        raise FieldMismatch("polynomial has no root in the field")
     return min(roots, key=lambda y: y.coeffs[::-1])
 
 

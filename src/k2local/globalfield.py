@@ -1,10 +1,11 @@
 """Semi-global objects at desk scale.
 
 Curve side: the projective u-line over F_q, places (monic irreducible
-polynomials in u plus infinity), and coefficientwise local expansion of
-rational data.  At a place of degree d >= 2 the expansion is a Laurent2 over
-k(x) = F_{q^d}: u is a power series in the parameter pi(u), found by Newton
-iteration.
+polynomials in u plus infinity, found by ff.factor_poly1, whose splitting
+routine also serves first_root and the modulus check), and coefficientwise
+local expansion of rational data.  At a place of degree d >= 2 the
+expansion is a Laurent2 over k(x) = F_{q^d}: u is a power series in the
+parameter pi(u), found by Newton iteration.
 
 Point side: admissible curves through the origin of the (u, t)-plane, branch
 expansions, canonical Artin-Schreier representatives, and the finite-level
@@ -15,8 +16,8 @@ t-coefficients, u-only RatFuncs, are what as_reduce works on.  A PointFunc
 multiplies its factors out once into a num and a den.  Every expansion, of a
 RatFunc at a place or of a PointFunc at a branch, maps num and den alike: it
 relabels sparse rows or substitutes by the one Horner routine (u = root + s,
-u = the parameter series, t = phi(u) + T), then divides by the one quotient
-step in a working box (t_prec, u_prec).
+u = the parameter series, t = phi(u) + T), then multiplies num by the
+inverse of den in a working box (t_prec, u_prec).
 
 Reciprocity: the Witt and tame sums over the places of the u-line, or over a
 declared set of curves through the origin, share their pieces: per-key terms
@@ -34,65 +35,16 @@ from .errors import (BadIndexPair, DivisionByZero, InvariantViolation,
                      NotReducible, PrecisionTooLow, StepBudgetExceeded,
                      UndeclaredCurveFactor, UnsupportedPlace, ZeroArgument,
                      ZeroDivisor)
-from .ff import (FqElem, Poly1, first_root, get_embedding, make_field,
-                 norm_rel, poly1_gcd, power, rank_and_left_kernel)
+from .ff import (FqElem, Poly1, factor_poly1, first_root, get_embedding,
+                 make_field, norm_rel, poly1_gcd, power, rank_and_left_kernel)
 from .forms import d_du
-from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, _inverse,
-                     invert, laurent_domain)
+from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, invert,
+                     laurent_domain)
 from .symbols import (WittPairer, check_length, pairing_box, symbol,
                       tame_symbol_det, witt_pair_local, with_box)
 from .witt import WittVec, witt_add, witt_zero
 
 INF = math.inf
-
-
-# --------------------------------------------------------------------------
-# Factoring univariate polynomials over F_q (Poly1, from ff)
-# --------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _irreducibles(field, d):
-    """All monic irreducible polynomials of degree d over the field."""
-    if d == 1:
-        return tuple(Poly1(field, (lam, field.one))
-                     for lam in field.elements())
-    smaller = []
-    for e in range(1, d // 2 + 1):
-        smaller.extend(_irreducibles(field, e))
-    out = []
-    for idx in range(field.q ** d):
-        coeffs = []
-        k = idx
-        for _ in range(d):
-            coeffs.append(field.elem_by_index(k % field.q))
-            k //= field.q
-        f = Poly1(field, tuple(coeffs) + (field.one,))
-        if all(f.divmod(g)[1] for g in smaller):
-            out.append(f)
-    return tuple(out)
-
-
-def factor_poly1(f):
-    """Monic irreducible factors with multiplicities (unit part dropped)."""
-    if not f:
-        raise ZeroArgument("cannot factor the zero polynomial")
-    field = f.field
-    g = f.monic()
-    out = {}
-    d = 1
-    while g.deg > 0:
-        if d > g.deg // 2:
-            out[g] = out.get(g, 0) + 1
-            break
-        for pi in _irreducibles(field, d):
-            while True:
-                q, r = g.divmod(pi)
-                if r:
-                    break
-                out[pi] = out.get(pi, 0) + 1
-                g = q
-        d += 1
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -639,17 +591,6 @@ def _expand_poly2(P, place, prec):
                               {b: prec for _, b in P.terms})
 
 
-def _quotient(num, den, box):
-    """num / den: a shift when den is an exact monomial, else num times the
-    inverse of den in the working box (t_prec, u_prec)."""
-    if den.t_prec == INF and not den.u_prec and len(den.codes) == 1:
-        (j, row), = den.codes.items()
-        if len(row) == 1:
-            (i, c), = row.items()
-            return num._scale(_inverse(den.dom, c), -i, -j)
-    return num * invert(den, *box)
-
-
 def expand_at_place(f, place, box):
     """Coefficientwise expansion of a RatFunc at a place of the u-line.
 
@@ -660,7 +601,7 @@ def expand_at_place(f, place, box):
     digits.
     """
     num = _expand_poly2(f.num, place, box[1])
-    return _quotient(num, _expand_poly2(f.den, place, box[1]), box)
+    return num * invert(_expand_poly2(f.den, place, box[1]), *box)
 
 
 # --------------------------------------------------------------------------
@@ -918,8 +859,8 @@ def expand_point(pf, y, declared, box):
     """Local expansion of a factored F_x element at the branch y: num / den
     in branch coordinates, in the working box (t_prec, u_prec)."""
     _check_declared(pf, declared)
-    return _quotient(_poly2_to_branch(pf.num, y),
-                     _poly2_to_branch(pf.den, y), box)
+    den = _poly2_to_branch(pf.den, y)
+    return _poly2_to_branch(pf.num, y) * invert(den, *box)
 
 
 def lead_at_curve(pf, y, declared):
@@ -1422,7 +1363,7 @@ def _diagonal_row(a_glob, b_glob, k, places, fhats, box, field):
     for x in places:
         ah = expand_at_place(a_glob, x, box)
         bh = expand_at_place(b_glob, x, box)
-        w = _quotient(ah * d_du(bh).monomial_mul(field.one, 1, 0), bh, box)
+        w = ah * d_du(bh).monomial_mul(field.one, 1, 0) * invert(bh, *box)
         # eta kills the non-p-power exponents of w
         eta_terms = {}
         for i2, c in w.terms.get(0, {}).items():

@@ -677,14 +677,8 @@ def invert(f, t_prec=None, u_prec=None):
 
     t_prec and u_prec bound the working box when f's precision is infinite;
     None means DEFAULT_T_PREC / DEFAULT_U_PREC, and a bound <= 0 is refused.
+    An exact monomial needs no box: its inverse is exact.
     """
-    for bound in (t_prec, u_prec):
-        if bound is not None and bound <= 0:
-            raise PrecisionTooLow(f"working precision {bound} is not positive")
-    if t_prec is None:
-        t_prec = DEFAULT_T_PREC
-    if u_prec is None:
-        u_prec = DEFAULT_U_PREC
     j0, i0, c = f._lead()
     dom = f.dom
     cinv = _inverse(dom, c)
@@ -692,6 +686,13 @@ def invert(f, t_prec=None, u_prec=None):
     if f.t_prec == INF and not f.u_prec and len(fcodes) == 1 \
             and len(fcodes[j0]) == 1:
         return Laurent2._adopt(dom, {-j0: {-i0: cinv}}, INF, {})
+    for bound in (t_prec, u_prec):
+        if bound is not None and bound <= 0:
+            raise PrecisionTooLow(f"working precision {bound} is not positive")
+    if t_prec is None:
+        t_prec = DEFAULT_T_PREC
+    if u_prec is None:
+        u_prec = DEFAULT_U_PREC
     char, n, _, w, fold, cap = _mul_consts(dom)
     # f = c·u^i0·t^j0·(1 + eps); -eps in one pass: f's other terms scaled by
     # -c^-1 and shifted, in f's shifted region with each infinite direction

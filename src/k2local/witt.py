@@ -43,8 +43,8 @@ class WittVec:
     def __hash__(self):
         return hash((id(self.ring), self.components))
 
-    def serialize(self, comp_str=str):
-        body = "; ".join(comp_str(c) for c in self.components)
+    def serialize(self):
+        body = "; ".join(str(c) for c in self.components)
         return f"W_{self.length}[{self.ring.p}]({body})"
 
     def __repr__(self):

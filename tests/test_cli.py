@@ -280,6 +280,22 @@ class TestRun:
         assert code == 2
         assert rep["error"] == "PrecisionTooLow"
 
+    @pytest.mark.parametrize("argv, report", [
+        ("decompose --field 2^1 --prec-t 0 1+u*t t",
+         {"basis": {"e1_terms": [{"a": [1], "i": 1, "j": 1}], "e2_terms": [],
+                    "level": 3, "ut_exp": 0, "zeta_t_exp": 0,
+                    "zeta_u_exp": 0}, "level": 3}),
+        ("boundary --field 3^1 --prec-t 0 u*t t",
+         {"value": [{"c": [2], "t": 0, "u": 1}]}),
+        ("equiv --field 2^1 --prec-u 0 --level 2 1+u*t t 1+u*t t",
+         {"equal": True, "level": 2})])
+    def test_zero_box_divides_by_monomials(self, argv, report):
+        # the denominators are exact monomials, whose inverses need no box
+        code, rep = run(argv.split())
+        assert code == 0, rep
+        assert {k: v for k, v in rep.items()
+                if k not in ("verb", "schema", "field")} == report
+
     def test_zero_box_answers_without_an_inverse(self):
         # every denominator is a monomial, so no inverse needs the box
         code, rep = run(["tame", "--field", "2^1", "--prec-t", "0", "u", "t",

@@ -228,6 +228,23 @@ def test_first_root_is_the_least_index_root():
                        if sub.n > 1 else f.one)
 
 
+@pytest.mark.parametrize("f", [F4, F8, F9, ff.make_field(5, 1)])
+def test_first_root_matches_a_scan_on_every_small_polynomial(f):
+    # every monic polynomial of degree 1 to 3, against a scan of the field
+    for d in (1, 2, 3):
+        for k in range(f.q ** d):
+            coeffs = [f.elem_by_index(k // f.q ** i % f.q)
+                      for i in range(d)] + [f.one]
+            roots = [x for x in f.elements()
+                     if not sum((c * x ** i for i, c in enumerate(coeffs)),
+                                f.zero)]
+            if roots:
+                assert ff.first_root(coeffs, f) == roots[0], coeffs
+            else:
+                with pytest.raises(FieldMismatch):
+                    ff.first_root(coeffs, f)
+
+
 def test_first_root_at_degree_six_over_f7():
     # F_7^6 has 117 649 elements, too many to scan.  The modulus' roots are
     # x and its conjugates, none of them in F_7, so x (index 7) is the

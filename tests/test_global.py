@@ -4,10 +4,11 @@ finite-level duality."""
 import math
 import random
 import time
+from functools import lru_cache
 
 import pytest
 
-from k2local.cli import eval_rational
+from k2local.cli import eval_rational, run
 from k2local.errors import (BadIndexPair, DivisionByZero, InvariantViolation,
                             NotReducible, PrecisionTooLow,
                             UndeclaredCurveFactor, UnsupportedLength,
@@ -26,7 +27,7 @@ from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  point_basis_pair, point_tame_reciprocity,
                                  point_tame_terms, point_witt_reciprocity,
                                  point_witt_terms, to_pointfunc, witt_report)
-from k2local.globalfield import (_expand_poly2, _irreducibles, _lead,
+from k2local.globalfield import (_expand_poly2, _lead,
                                  _param_series, _poly2_div_poly1,
                                  _poly2_to_branch, _poly2_transpose,
                                  _prs_gcd, _t_coeffs, _tpoly_gcd,
@@ -69,6 +70,108 @@ def rand_ratfunc(rng, field, deg=2, require_nonzero=True):
 # --------------------------------------------------------------------------
 # univariate support machinery
 # --------------------------------------------------------------------------
+
+def _monic_polys(field, d):
+    """Every monic polynomial of degree d over the field, in index order."""
+    for idx in range(field.q ** d):
+        coeffs = []
+        for _ in range(d):
+            coeffs.append(field.elem_by_index(idx % field.q))
+            idx //= field.q
+        yield Poly1(field, tuple(coeffs) + (field.one,))
+
+
+@lru_cache(maxsize=None)
+def _irreducibles(field, d):
+    """All monic irreducible polynomials of degree d over the field, by
+    trial division of every monic candidate; the reference for the
+    splitting in factor_poly1."""
+    if d == 1:
+        return tuple(_monic_polys(field, 1))
+    smaller = [g for e in range(1, d // 2 + 1) for g in _irreducibles(field, e)]
+    return tuple(f for f in _monic_polys(field, d)
+                 if all(f.divmod(g)[1] for g in smaller))
+
+
+def _factor_reference(f):
+    """Monic irreducible factors with multiplicities by trial division by
+    every monic irreducible of degree up to half of what is left."""
+    g = f.monic()
+    out = {}
+    d = 1
+    while g.deg > 0:
+        if d > g.deg // 2:
+            out[g] = out.get(g, 0) + 1
+            break
+        for pi in _irreducibles(f.field, d):
+            while True:
+                q, r = g.divmod(pi)
+                if r:
+                    break
+                out[pi] = out.get(pi, 0) + 1
+                g = q
+        d += 1
+    return out
+
+
+# h has poles at two irreducible quintics over F_7; listing its places by
+# trial division enumerated all 7^5 monic quintics
+_SLOW_PROBE = ["reciprocity-curve", "--field", "7^1", "--m", "1", "t", "u",
+               "1/((1+4*u+4*u^2+u^3+2*u^4+u^5)*(4+3*u+5*u^2+4*u^3+u^5))"]
+
+
+class TestFactoring:
+    @pytest.mark.parametrize("q, top", [((2, 1), 8), ((3, 1), 5),
+                                        ((2, 2), 4), ((5, 1), 3)])
+    def test_matches_trial_division(self, q, top):
+        # every monic polynomial up to the degree top, and a unit multiple
+        field = make_field(*q)
+        unit = field.elem_by_index(field.q - 1)
+        for d in range(top + 1):
+            for f in _monic_polys(field, d):
+                want = _factor_reference(f)
+                assert factor_poly1(f) == want, f
+                assert factor_poly1(f * unit) == want, f
+
+    def test_pth_powers_and_multiplicities(self):
+        F2, F3 = make_field(2, 1), make_field(3, 1)
+        quad2, quad3 = Poly1.from_ints(F2, [1, 1, 1]), \
+            Poly1.from_ints(F3, [1, 0, 1])
+        assert factor_poly1(quad2 ** 2) == {quad2: 2}
+        assert factor_poly1(quad3 ** 3) == {quad3: 3}
+        rng = random.Random(25)
+        for q in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 1), (7, 1)):
+            field = make_field(*q)
+            for _ in range(8):
+                f = Poly1.const(field,
+                                field.elem_by_index(rng.randrange(1, field.q)))
+                want = {}
+                for _ in range(rng.randrange(1, 4)):
+                    pi = rng.choice(_irreducibles(field, rng.randrange(1, 4)))
+                    e = rng.choice((1, 2, field.p, field.p + 1))
+                    want[pi] = want.get(pi, 0) + e
+                    f = f * pi ** e
+                assert factor_poly1(f) == want, (q, want)
+
+    def test_zero_is_refused(self):
+        with pytest.raises(ZeroArgument):
+            factor_poly1(Poly1(make_field(3, 1), ()))
+
+    def test_squared_octic_over_f7_within_a_second(self):
+        # trial division would list 7^8 candidates of degree 8
+        field = make_field(7, 1)
+        octic = Poly1.from_ints(field, make_field(7, 8).modulus)
+        start = time.perf_counter()
+        assert factor_poly1(octic ** 2) == {octic: 2}
+        assert time.perf_counter() - start < 1.0
+
+    def test_places_of_two_quintics_within_two_seconds(self):
+        start = time.perf_counter()
+        code, rep = run(_SLOW_PROBE)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0, rep
+        assert rep["verdict"] is True
+        assert len(rep["witt"]["places"]) == 4  # u, both quintics and ∞
 
 class TestPolynomials:
     def test_factor_quadratic(self):

@@ -212,6 +212,14 @@ class TestInvert:
         assert invert(f, None, None) == invert(f)
         assert invert(f, 1, 1).t_prec == 1
 
+    def test_exact_monomial_needs_no_box(self):
+        # its inverse is exact, so a box of (0, 0) is never read
+        m = Laurent2.monomial(F4, F4.gen, 2, -3)
+        inv = invert(m, 0, 0)
+        assert inv == Laurent2.monomial(F4, F4.gen.inv(), -2, 3)
+        assert inv.t_prec == INF and not inv.u_prec
+        assert (m * inv).same_known_terms(Laurent2.one(F4))
+
 
 class TestUnitDecomposition:
     def test_example(self):
