@@ -318,7 +318,7 @@ def _cmd_decompose(args, field):
         return k2_decompose(symbol(f, g), args["level"])
     # the decomposer reads a fixed box of each entry; the expressions are
     # exact, so they are expanded until that box is known
-    basis = with_box((args["prec_t"], args["prec_u"]), None, run)
+    basis = with_box((args["prec_t"], args["prec_u"]), run)
     return {"verb": "decompose", "level": args["level"],
             "basis": basis.to_json()}, 0
 

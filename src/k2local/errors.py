@@ -38,7 +38,12 @@ class ZeroDivisor(K2LocalError):
 
 
 class PrecisionTooLow(K2LocalError):
-    """A required coefficient lies outside the guaranteed precision."""
+    """A required coefficient lies outside the guaranteed precision; a read
+    names its side (t or u), exponent needed, known edge and u's t-row."""
+
+    def __init__(self, message, side=None, need=None, edge=None, row=None):
+        super().__init__(message)
+        self.side, self.need, self.edge, self.row = side, need, edge, row
 
 
 # --- witt ------------------------------------------------------------------

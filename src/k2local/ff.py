@@ -57,19 +57,22 @@ def _poly_mulmod_fp(a, b, modulus, p):
 
 
 def power(base, e, one, mul=operator.mul):
-    """base^e for an int e >= 0 by binary powering from one.
+    """base^e for an int e >= 0 by binary powering; one only for e = 0.
 
-    One product per set bit of e, and one squaring per bit below the top
-    one: the base is not squared again after the last bit.
+    The result starts as the base's power at the lowest set bit of e, then
+    takes one product per further set bit, after one squaring per bit below
+    the top one: popcount(e) + bit_length(e) - 2 products for e >= 1.
     """
-    result = one
-    while True:
+    if not e:
+        return one
+    while not e & 1:
+        base, e = mul(base, base), e >> 1
+    result = base
+    while e > 1:
+        base, e = mul(base, base), e >> 1
         if e & 1:
             result = mul(result, base)
-        e >>= 1
-        if not e:
-            return result
-        base = mul(base, base)
+    return result
 
 
 def _poly_powmod_fp(a, e, modulus, p):
@@ -90,11 +93,15 @@ class FqElem:
 
     def __add__(self, other):
         f = self.field
+        if f.n == 1:
+            return FqElem(f, ((self.coeffs[0] + other.coeffs[0]) % f.p,))
         return FqElem(f, tuple((a + b) % f.p
                                for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         f = self.field
+        if f.n == 1:
+            return FqElem(f, ((self.coeffs[0] - other.coeffs[0]) % f.p,))
         return FqElem(f, tuple((a - b) % f.p
                                for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -441,10 +448,8 @@ def poly1_gcd(a, b):
 
 
 def _powmod(a, e, m):
-    """a^e mod m, for Poly1 a, an int e >= 1 and a nonconstant Poly1 m; as
-    a·a^(e-1), so that no product is by one."""
-    a = a.divmod(m)[1]
-    return power(a, e - 1, a, lambda x, y: (x * y).divmod(m)[1])
+    """a^e mod m, for Poly1 a, an int e >= 1 and a nonconstant Poly1 m."""
+    return power(a.divmod(m)[1], e, None, lambda x, y: (x * y).divmod(m)[1])
 
 
 def _distinct_degree(f):
@@ -800,8 +805,3 @@ class GaloisRing:
 @lru_cache(maxsize=None)
 def galois_ring(field, s):
     return GaloisRing(field, s)
-
-
-def teichmuller_lift(a, s):
-    """Multiplicative lift of a ∈ F_q into W_s(F_q)."""
-    return galois_ring(a.field, s).teichmuller(a)

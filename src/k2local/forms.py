@@ -92,9 +92,9 @@ def residue(form, g=None):
     With g given, the residue of g·form: the coefficient of u^{-1}t^{-1} in
     g·form.a, read as the dot product Σ g[j][i]·a[−1−j][−1−i] without
     forming the product (Laurent2.mul_coeff), and known exactly where the
-    product would mark it known.  Raises CoefficientOutsidePrecision when
-    the coefficient lies outside the known region; any other error passes
-    through.
+    product would mark it known.  Raises CoefficientOutsidePrecision, with
+    the shortfall of the coefficient read, when it lies outside the known
+    region; any other error passes through.
     """
     try:
         if g is None:
@@ -102,4 +102,5 @@ def residue(form, g=None):
         return g.mul_coeff(form.a, -1, -1)
     except PrecisionTooLow as exc:
         raise CoefficientOutsidePrecision(
-            "residue coefficient not determined at this precision") from exc
+            "residue coefficient not determined at this precision",
+            exc.side, exc.need, exc.edge, exc.row) from exc

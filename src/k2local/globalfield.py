@@ -40,8 +40,8 @@ from .ff import (FqElem, Poly1, factor_poly1, first_root, get_embedding,
 from .forms import d_du
 from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, invert,
                      laurent_domain)
-from .symbols import (WittPairer, check_length, pairing_box, symbol,
-                      tame_symbol_det, witt_pair_local, with_box)
+from .symbols import (MAX_TERMS, WittPairer, check_length, pairing_box,
+                      symbol, tame_symbol_det, witt_pair_local, with_box)
 from .witt import WittVec, witt_add, witt_zero
 
 INF = math.inf
@@ -900,20 +900,17 @@ def point_tame_terms(f, g, h, curves):
 # Reciprocity sums over places or curves: one fold over (key, value) terms
 # --------------------------------------------------------------------------
 
-MAX_TERMS = 6000  # most terms of the operands of one pairing attempt
-
-
 def _witt_terms(keys, expand, f, g, comps, m, start=None):
     """(key, traced local Witt pairing of {f, g} with (comps)) per key.
 
     At each key, expand(c, key, box) expands f, g and comps in the working
     box, and a pairer of {f, g} in the same box pairs them.  The box starts
-    at start ((2, 2) for the sums), or for start=None at pairing_box's first
-    box for comps expanded in the box (DEFAULT_T_PREC, DEFAULT_U_PREC), and
-    doubles while a coefficient falls outside the known region (with_box);
-    the data is exact, so some box answers.  The pairer's products grow with
-    the square of the operands' terms, so a box whose expansions hold more
-    than MAX_TERMS is refused (StepBudgetExceeded).  m is checked first.
+    at start ((2, 2) for the sums), or for start=None at pairing_box of
+    comps expanded in the box (DEFAULT_T_PREC, DEFAULT_U_PREC), and grows
+    (with_box); the data is exact, so some box answers.  The pairer's
+    products grow with the square of the operands' terms, so a box whose
+    expansions or two-form hold more than MAX_TERMS terms is refused
+    (StepBudgetExceeded).  m is checked first.
     """
     check_length(m, traced=True)
 
@@ -932,9 +929,9 @@ def _witt_terms(keys, expand, f, g, comps, m, start=None):
         demand = [expand(c, key, (DEFAULT_T_PREC, DEFAULT_U_PREC))
                   for c in comps]
         zeros = [Laurent2.zero(demand[0].dom)] * (m - len(comps))
-        return pairing_box(f.field.p, m, [demand + zeros])[0]
-    return [(key, with_box(start or first(key), None,
-                           lambda box: pair_at(key, box))) for key in keys]
+        return pairing_box(f.field.p, [demand + zeros])
+    return [(key, with_box(start or first(key), lambda box: pair_at(key, box)))
+            for key in keys]
 
 
 def _tame_terms(keys, lead, f, g, h):
@@ -1333,7 +1330,7 @@ def duality_level_curve(k, pole_bound, field, diag_samples=None):
         if any(x.residue_degree > 1 for x in list_places([a_glob, b_glob])):
             raise UnsupportedPlace("diagonal sample meets a place of degree "
                                    ">= 2; the sum runs over rational places")
-        row = with_box((2, 2), None, lambda box: _diagonal_row(
+        row = with_box((2, 2), lambda box: _diagonal_row(
             a_glob, b_glob, k, places, fhats, box, field))
         diag_ok.append(not any(row))
     return {

@@ -440,8 +440,10 @@ class Laurent2:
 
     def coeff(self, i, j):
         """Coefficient of u^i t^j; raises if outside the known region."""
-        if j >= self.t_prec or i >= self.uprec(j):
-            raise PrecisionTooLow(f"coefficient ({j},{i}) outside precision")
+        if j >= self.t_prec:
+            raise _shortfall("t", j, self.t_prec)
+        if i >= self.uprec(j):
+            raise _shortfall("u", i, self.uprec(j), j)
         v = self.codes.get(j, {}).get(i)
         return self.dom.zero if v is None else _decode(self.dom, v)
 
@@ -452,15 +454,15 @@ class Laurent2:
         the product's t-window and i below the u-bound that the region rule
         of __mul__ gives row j, the least min(up1 + lb2, up2 + lb1) over the
         rows j1 + j2 = j that may hold content (lb a row's u lower bound, up
-        its u bound); otherwise PrecisionTooLow.  The value is the dot
-        product Σ self[j1][i1]·other[j − j1][i − i1] over the codes,
-        reduced once as in the product kernel.
+        its u bound); otherwise the shortfall of the operand that fell short.
+        The value is the dot product Σ self[j1][i1]·other[j − j1][i − i1]
+        over the codes, reduced once as in the product kernel.
         """
         self._check(other)
         fcodes, gcodes = self.codes, other.codes
-        tp = min(self.t_prec + other.tlb(), other.t_prec + self.tlb())
-        if j >= tp:
-            raise PrecisionTooLow(f"coefficient ({j},{i}) outside precision")
+        for x, y in ((self, other), (other, self)):
+            if j >= x.t_prec + y.tlb():
+                raise _shortfall("t", j - y.tlb(), x.t_prec)
         fups, gups = self.u_prec, other.u_prec
         if fups or gups:
             bound = INF
@@ -470,15 +472,14 @@ class Laurent2:
                 if row2 is None and j2 not in gups:
                     continue
                 row1 = fcodes.get(j1)
-                b = fups.get(j1, INF) + (min(row2) if row2 else gups[j2])
-                c = gups.get(j2, INF) + (min(row1) if row1 else fups[j1])
-                if c < b:
-                    b = c
-                if b < bound:
-                    bound = b
+                lb1 = min(row1) if row1 else fups[j1]
+                lb2 = min(row2) if row2 else gups[j2]
+                for row, up, lb in ((j1, fups.get(j1, INF), lb2),
+                                    (j2, gups.get(j2, INF), lb1)):
+                    if up + lb < bound:
+                        bound, short = up + lb, (i - lb, up, row)
             if i >= bound:
-                raise PrecisionTooLow(
-                    f"coefficient ({j},{i}) outside precision")
+                raise _shortfall("u", *short)
         dom = self.dom
         char, n, _, w, fold, cap = _mul_consts(dom)
         if n > 1:
@@ -498,16 +499,15 @@ class Laurent2:
         return _decode(dom, v) if v else dom.zero
 
     def _lead(self):
-        """leading() with the coefficient's code."""
+        """leading() with the coefficient's code, or the shortfall below."""
         if self.is_zero():
             raise ZeroDivisor("zero has no leading term")
+        j0 = min(self.codes, default=self.t_prec)
+        j = min((j for j in self.u_prec if j < j0), default=None)
+        if j is not None:
+            raise _shortfall("u", self.u_prec[j], self.u_prec[j], j)
         if not self.codes:
-            raise PrecisionTooLow("no known nonzero coefficient")
-        j0 = min(self.codes)
-        hidden = [j for j in self.u_prec if j < j0]
-        if hidden:
-            raise PrecisionTooLow(
-                f"row {min(hidden)} has unknown content below leading row {j0}")
+            raise _shortfall("t", j0, j0)
         row = self.codes[j0]
         i0 = min(row)
         return j0, i0, row[i0]
@@ -567,6 +567,12 @@ def _mul_consts(dom):
         xk = [(a + top * b) % char for a, b in zip([0] + xk[:-1], fold[0])]
     return (char, n, type(dom.one), bits + HEADROOM, tuple(fold),
             (1 << HEADROOM) - 1)
+
+
+def _shortfall(side, need, edge, row=None):
+    """PrecisionTooLow for side^need read at or past edge (in t-row row)."""
+    return PrecisionTooLow(f"{side}^{need} outside precision, known below "
+                           f"{side}^{edge}", side, need, edge, row)
 
 
 def _check_width(fcodes, gcodes, cap):
@@ -658,12 +664,7 @@ def outer_valuation(f):
     """v_t(f): least t-exponent with a nonzero coefficient row."""
     if f.is_zero():
         raise ZeroElement("outer_valuation of zero")
-    if not f.codes:
-        raise PrecisionTooLow("no known nonzero coefficient")
-    j0 = min(f.codes)
-    if any(j < j0 for j in f.u_prec):
-        raise PrecisionTooLow("t-valuation not determined at this precision")
-    return j0
+    return f._lead()[0]
 
 
 def bar_valuation(f):

@@ -15,12 +15,12 @@ from .errors import (FieldMismatch, PrecisionTooLow, StepBudgetExceeded,
                      UnsupportedLength, ZeroArgument, ZeroElement)
 from .ff import FqElem, galois_ring, power, primitive_element
 from .forms import TwoForm, dlog, residue, wedge
-from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, bar_valuation,
-                     invert, laurent_domain, lift_padic, outer_valuation,
-                     unit_decompose)
+from .series import (Laurent2, bar_valuation, invert, laurent_domain,
+                     lift_padic, outer_valuation, unit_decompose)
 from .witt import MAX_LENGTH, GhostVec, WittVec, unghost, witt_trace_to_prime
 
 INF = math.inf
+MAX_TERMS = 6000  # most terms of a pairing's operands, and of its two-form
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def tame_symbol_signed(f, g, h):
 
 
 # --------------------------------------------------------------------------
-# boundary map and unramified exponent
+# boundary map
 # --------------------------------------------------------------------------
 
 def boundary(e):
@@ -164,12 +164,6 @@ def boundary(e):
     row = out.codes.get(0)
     up = {0: out.uprec(0)} if out.uprec(0) != INF else {}
     return Laurent2._adopt(field, {0: row} if row else {}, INF, up)
-
-
-def unramified_exponent(e):
-    """u-valuation of the boundary."""
-    b = boundary(e)
-    return bar_valuation(b)
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +187,7 @@ class WittPairer:
     The Galois ring has m p-adic digits: unghost leaves component k valid
     mod p^(m−k), and only components k ≤ m−1 are read, mod p.  f and g of
     every factor are lifted and inverted in the working box (t_box, u_box),
-    which self.box records; callers size it through with_box.
+    which self.box records; callers grow it through with_box.
     """
 
     def __init__(self, e, m, t_box, u_box):
@@ -212,6 +206,8 @@ class WittPairer:
             eta = w if eta is None else eta + w
         if eta is None:
             eta = TwoForm(Laurent2.zero(self.ring))
+        if sum(map(len, eta.a.codes.values())) > MAX_TERMS:
+            raise StepBudgetExceeded(f"two-form past {MAX_TERMS} terms")
         self.eta = eta
 
     def pair(self, g, m=None):
@@ -238,57 +234,51 @@ class WittPairer:
         return WittVec(self.field, comps_k)
 
 
-def pairing_box(p, m, demand):
-    """First and last working box (t_box, u_box) of a pairer of length m.
+def pairing_box(p, demand):
+    """First working box (t_box, u_box) of a pairer, grown by with_box.
 
     demand lists the component tuples of the Witt vectors to be paired, each
     paired at its own length n.  The residue of ghost_k · η reads
     η[−1−i, −1−j] for u^i t^j in the support of ghost_k, where component r
     enters raised to p^(k−r).  With e_r the deepest negative exponent of
-    component r (per variable, 0 if none), the first box side is D + 2 for
-    D = max e_r·p^(n−1−r).  The last side is twice max(12, (E+1)·p^(m−1)+4)
-    with E = max e_r.
+    component r (per variable, 0 if none), each side is D + 2 for
+    D = max e_r·p^(n−1−r).
     """
-    reach = [0, 0]  # max e_r per variable (t, u)
-    deep = [0, 0]   # max e_r·p^(n−1−r) per variable
+    t = u = 0  # max e_r·p^(n−1−r) per variable
     for comps in demand:
         for r, c in enumerate(comps):
             w = p ** (len(comps) - 1 - r)
             # each row that may hold content, with its least u-exponent
-            corners = [(j, min(row)) for j, row in c.codes.items()]
-            corners += c.u_prec.items()
-            for j, i in corners:
-                for side, d in ((0, -j), (1, -i)):
-                    reach[side] = max(reach[side], d)
-                    deep[side] = max(deep[side], d * w)
-    first = (deep[0] + 2, deep[1] + 2)
-    last = (2 * max(DEFAULT_T_PREC, (reach[0] + 1) * p ** (m - 1) + 4),
-            2 * max(DEFAULT_U_PREC, (reach[1] + 1) * p ** (m - 1) + 4))
-    return first, last
+            for j, i in [*((j, min(row)) for j, row in c.codes.items()),
+                         *c.u_prec.items()]:
+                t, u = max(t, -j * w), max(u, -i * w)
+    return t + 2, u + 2
 
 
-def with_box(box, last, run):
-    """run(box), doubling box while run raises PrecisionTooLow.
-
-    Each side doubles up to its side of last, and a failure at last is
-    raised; last=None doubles without end, for exact data, where some box
-    answers.  A side below 1 cannot grow, so a failure there is raised too.
-    An answer is exact at any box, since a coefficient is read only where
-    the precision regions mark it known; the box sets only time.
+def with_box(box, run):
+    """run(box), growing box = (t_box, u_box) while run raises
+    PrecisionTooLow: the side named grows by need − edge + 1, and at least
+    twofold; with no side named, both double.  A shortfall that comes back
+    doubles both, and the third time it is raised, as at a side below 1.
+    Answers are exact at any box, which sets only time, so exact data meets
+    no cap but the term budgets.
     """
+    seen = {}
     while True:
         try:
             return run(box)
-        except PrecisionTooLow:
-            if box == last or min(box) < 1:
+        except PrecisionTooLow as exc:
+            short = (exc.side, exc.need, exc.edge, exc.row)
+            tries = seen[short] = seen.get(short, 0) + 1
+            if min(box) < 1 or exc.side and tries > 2:
                 raise
-            box = tuple(min(2 * b, c) for b, c in zip(box, last or (INF, INF)))
-
-
-def _with_pairer(e, m, demand, run):
-    """run(pairer) for pairers of e in the boxes from pairing_box(demand)."""
-    return with_box(*pairing_box(e.field.p, m, demand),
-                    lambda box: run(WittPairer(e, m, *box)))
+            t, u = box
+            if exc.side is None or tries == 2:
+                box = (2 * t, 2 * u)
+            elif exc.side == "t":
+                box = (max(2 * t, t + exc.need - exc.edge + 1), u)
+            else:
+                box = (t, max(2 * u, u + exc.need - exc.edge + 1))
 
 
 def witt_pair_local(e, g, m, traced=True):
@@ -296,15 +286,14 @@ def witt_pair_local(e, g, m, traced=True):
 
     g is a WittVec whose components are Laurent2 over the same field;
     returns a length-m Witt vector over the prime field, or over the
-    coefficient field itself when traced=False.  The pairer's box comes
-    from the first m components of g (pairing_box), doubled at most until
-    it holds twice the box max(12, (E+1)·p^(m−1)+4) of g's deepest negative
-    exponent E per variable; past that, PrecisionTooLow.
+    coefficient field itself when traced=False.  The pairer's box grows by
+    with_box from pairing_box of g's first m components, so exact data
+    answers or exceeds MAX_TERMS (StepBudgetExceeded).
     """
     check_length(m, traced)
     pair = WittPairer.pair if traced else WittPairer.pair_untraced
-    return _with_pairer(e, m, [g.components[:m]],
-                        lambda pairer: pair(pairer, g, m))
+    return with_box(pairing_box(e.field.p, [g.components[:m]]),
+                    lambda box: pair(WittPairer(e, m, *box), g, m))
 
 
 # --------------------------------------------------------------------------
@@ -642,4 +631,5 @@ def k2_equiv(a, b, level):
                 return True
             done += 1
         return False
-    return not _with_pairer(d, 2, [g.components for g in tests], separates)
+    return not with_box(pairing_box(field.p, [g.components for g in tests]),
+                        lambda box: separates(WittPairer(d, 2, *box)))

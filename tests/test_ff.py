@@ -380,6 +380,33 @@ def test_table_fields_invert_without_exponentiation(monkeypatch):
     assert calls  # above the bound the coordinate path still powers
 
 
+def test_power_makes_no_product_by_one():
+    # the result starts at the base's power at the lowest set bit: one
+    # squaring per bit below the top one, one product per later set bit
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b
+    for e in range(1, 300):
+        products.clear()
+        assert ff.power(3, e, 1, mul) == 3 ** e
+        assert len(products) == bin(e).count("1") + e.bit_length() - 2
+        assert 1 not in [x for pair in products for x in pair]
+    assert ff.power(3, 0, "one", mul) == "one"
+
+
+@pytest.mark.parametrize("f", [F2, F3, ff.make_field(5, 1), F7],
+                         ids=ff.FieldSpec.serialize)
+def test_prime_field_sums_match_the_coordinate_path(f):
+    for a in f.elements():
+        for b in f.elements():
+            assert a + b == ff.FqElem(f, tuple(
+                (x + y) % f.p for x, y in zip(a.coeffs, b.coeffs)))
+            assert a - b == ff.FqElem(f, tuple(
+                (x - y) % f.p for x, y in zip(a.coeffs, b.coeffs)))
+
+
 def test_log_is_the_discrete_log():
     for f in TABLE_FIELDS:
         z = ff.primitive_element(f)
@@ -411,11 +438,12 @@ def test_log_above_the_table_bound_is_the_discrete_log(n):
 
 
 def test_teichmuller_examples():
-    one = ff.teichmuller_lift(F3.one, 2)
+    ring = ff.galois_ring(F3, 2)
+    one = ring.teichmuller(F3.one)
     assert one.coeffs == (1,)
-    zero = ff.teichmuller_lift(F3.zero, 2)
+    zero = ring.teichmuller(F3.zero)
     assert not zero
-    two = ff.teichmuller_lift(F3.elem((2,)), 2)
+    two = ring.teichmuller(F3.elem((2,)))
     assert two.coeffs == (8,)  # unique cube root of itself ≡ 2 mod 3, mod 9
 
 

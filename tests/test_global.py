@@ -1297,7 +1297,7 @@ class TestPointReciprocity:
 
 def _tame_terms_series(keys, expand, f, g, h):
     """The series path of _tame_terms, kept as a reference: f, g and h are
-    expanded at each key in a box that doubles from (2, 2) (with_box).
+    expanded at each key in a box grown from (2, 2) (with_box).
     Returns the terms and the number of boxes that fell short."""
     short = [0]
 
@@ -1308,12 +1308,12 @@ def _tame_terms_series(keys, expand, f, g, h):
         except PrecisionTooLow:
             short[0] += 1
             raise
-    return [(key, with_box((2, 2), None, lambda box: tame_at(key, box)))
+    return [(key, with_box((2, 2), lambda box: tame_at(key, box)))
             for key in keys], short[0]
 
 
 def _series_leading(expand, c, key):
-    return with_box((2, 2), None, lambda box: expand(c, key, box).leading())
+    return with_box((2, 2), lambda box: expand(c, key, box).leading())
 
 
 def _tame_curve_cases(rng):

@@ -28,3 +28,24 @@ def test_series_internals_stay_in_series():
              and node.module in ("series", "k2local.series")
              for alias in node.names if alias.name.startswith("_")]
     assert not found, found
+
+
+def test_only_with_box_retries_a_short_box():
+    # one function grows every working box: besides with_box, only the
+    # residue catches PrecisionTooLow, to re-type it with its shortfall
+    caught = {"PrecisionTooLow", "CoefficientOutsidePrecision"}
+    found = []
+    for path in sorted(Path(k2local.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ExceptHandler) and node.type:
+                    names = {n.id for n in ast.walk(node.type)
+                             if isinstance(n, ast.Name)}
+                else:
+                    continue
+                if names & caught:
+                    found.append(f"{path.stem}.{func.name}")
+    assert sorted(set(found)) == ["forms.residue", "symbols.with_box"]

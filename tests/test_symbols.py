@@ -11,11 +11,11 @@ from k2local.errors import (CoefficientOutsidePrecision, FieldMismatch,
                             PrecisionTooLow, StepBudgetExceeded,
                             UnsupportedLength, ZeroArgument)
 from k2local.ff import make_field, primitive_element, trace_abs
-from k2local.series import Laurent2, invert, laurent_domain
+from k2local.forms import TwoForm, residue
+from k2local.series import Laurent2, bar_valuation, invert, laurent_domain
 from k2local.symbols import (K2Elem, TameValue, WittPairer, _Decomposer,
-                             _with_pairer, boundary, k2_decompose, k2_equiv,
-                             pairing_box, symbol, tame_symbol_det,
-                             tame_symbol_signed, unramified_exponent,
+                             boundary, k2_decompose, k2_equiv, pairing_box,
+                             symbol, tame_symbol_det, tame_symbol_signed,
                              with_box, witt_pair_local)
 from k2local.witt import WittVec, witt_zero
 
@@ -184,7 +184,7 @@ class TestBoundary:
     def test_u_t(self):
         b = boundary(symbol(U(F3), T(F3)))
         assert b == mono(F3, 1, 1, 0)
-        assert unramified_exponent(symbol(U(F3), T(F3))) == 1
+        assert bar_valuation(boundary(symbol(U(F3), T(F3)))) == 1
 
     def test_t_t(self):
         b = boundary(symbol(T(F3), T(F3)))
@@ -200,9 +200,9 @@ class TestBoundary:
 
     def test_unramified_examples(self):
         z = mono(F4, primitive_element(F4))
-        assert unramified_exponent(symbol(z, T(F4))) == 0
+        assert bar_valuation(boundary(symbol(z, T(F4)))) == 0
         eps = Laurent2.one(F4) + mono(F4, 1, 1, 0)
-        assert unramified_exponent(symbol(eps, T(F4))) == 0
+        assert bar_valuation(boundary(symbol(eps, T(F4)))) == 0
 
 
 class TestWittPairing:
@@ -332,44 +332,117 @@ def _pair_at(e, g, m, box):
         return None
 
 
+def _pair_and_box(e, g, m):
+    """witt_pair_local's pairing, with the box that answered."""
+    return with_box(pairing_box(e.field.p, [g.components[:m]]),
+                    lambda box: (WittPairer(e, m, *box).pair(g, m), box))
+
+
+# {f, 1 - f} against g, as the (c, i, j) of the terms c·u^i·t^j: residues
+# that fall short of the first box fall short only on the u-side
+STEINBERG_SHORT = [
+    (F3, [(2, 3, -1), (1, 2, 1)], [(1, -1, -3), (2, 1, -2)]),
+    (F3, [(2, -2, 1)], [(2, -2, -3), (1, -2, -2), (2, 1, 1)]),
+    (F3, [(2, 4, -1), (1, 2, 1)], [(2, -3, -3), (2, -3, 1), (2, -2, 1)]),
+    (F5, [(1, 3, -1), (2, 1, 0), (1, 2, 0)], [(1, 0, -3), (2, 1, -3)]),
+]
+
+
+def _random_f(dom, rng):
+    """c plus 1-3 terms c·u^i·t^j (i in [-2, 2], j in [0, 2]), times
+    u^a·t^b with a, b in [-2, 2]."""
+    def elem():
+        return dom.elem_by_index(rng.randrange(1, dom.q))
+    d = {(0, 0): elem()}
+    for _ in range(rng.randint(1, 3)):
+        d[(rng.randint(0, 2), rng.randint(-2, 2))] = elem()
+    return Laurent2.from_dict(dom, d).monomial_mul(
+        dom.one, rng.randint(-2, 2), rng.randint(-2, 2))
+
+
 class TestPairingBox:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_pairing_input())
     def test_box_does_not_change_the_pairing(self, egm):
         e, g, m = egm
-        w, pairer = _with_pairer(e, m, [g.components[:m]],
-                                 lambda pr: (pr.pair(g, m), pr))
+        w, (t_box, u_box) = _pair_and_box(e, g, m)
         assert w == witt_pair_local(e, g, m)
-        t_box, u_box = pairer.box
         assert _pair_at(e, g, m, (2 * t_box, 2 * u_box)) == w
-        # the box of the exposure formula: the last box is twice it
-        _, last = pairing_box(e.field.p, m, [g.components[:m]])
-        assert _pair_at(e, g, m, (last[0] // 2, last[1] // 2)) in (w, None)
+        first = pairing_box(e.field.p, [g.components[:m]])
+        assert _pair_at(e, g, m, first) in (w, None)
 
     def test_demand_sets_the_box(self):
         # component r of g enters ghost_k raised to p^(k-r)
         g = (mono(F2, 1, -2, -2), mono(F2, 1, 0, -1), mono(F2, 1, 1, 0))
-        assert pairing_box(2, 3, [g]) == ((10, 10), (32, 32))
+        assert pairing_box(2, [g]) == (10, 10)
         h = (mono(F3, 1, -7, 0),)
-        assert pairing_box(3, 2, [(g[0], g[1]), h]) == ((8, 9), (26, 56))
-        assert pairing_box(2, 1, []) == ((2, 2), (24, 24))
+        assert pairing_box(3, [(g[0], g[1]), h]) == (8, 9)
+        assert pairing_box(2, []) == (2, 2)
 
     def test_steinberg_case_retries(self):
         # {f, 1-f} with f = u^-1 t + t at m = 3 over F_2: the box (10, 10)
-        # and the exposure box (16, 16) both leave a residue outside
+        # and the box (16, 16) both leave a residue outside, short on u
         one = Laurent2.one(F2)
         f = mono(F2, 1, -1, 1) + T(F2)
         e = symbol(f, one - f)
         g = WittVec(laurent_domain(F2), (mono(F2, 1, -2, -2),
                                          mono(F2, 1, 0, -1), U(F2)))
-        w, pairer = _with_pairer(e, 3, [g.components],
-                                 lambda pr: (pr.pair(g, 3), pr))
-        assert pairer.box == (20, 20)
+        w, box = _pair_and_box(e, g, 3)
+        assert box == (10, 20)
         assert w == witt_zero(make_field(2, 1), 3)
         assert witt_pair_local(e, g, 3) == w
         for box in ((10, 10), (16, 16)):
             assert _pair_at(e, g, 3, box) is None
+
+    @pytest.mark.parametrize("dom, fs, gs", STEINBERG_SHORT)
+    def test_steinberg_inputs_short_on_u_answer(self, dom, fs, gs):
+        f = Laurent2.from_dict(dom, {(j, i): c for c, i, j in fs})
+        e = symbol(f, Laurent2.one(dom) - f)
+        m = len(gs)
+        g = WittVec(laurent_domain(dom), tuple(mono(dom, *c) for c in gs))
+        w, box = _pair_and_box(e, g, m)
+        assert w == witt_zero(make_field(dom.p, 1), m)
+        # only the u-side grew from the first box
+        assert box[0] == pairing_box(dom.p, [g.components])[0]
+
+    def test_equal_edges_of_different_reads_do_not_stall(self):
+        # at (14, 5), (14, 10) and (28, 20) a different residue falls short
+        # each time, at the same u-edge -1 of the product; named in the
+        # rows of eta that fell short, no shortfall comes back
+        f = mono(F2, 1, -1, -1) + mono(F2, 1, -3, 0) + mono(F2, 1, -2, 0)
+        g = mono(F2, 1, -1, 2) + mono(F2, 1, 1, 2)
+        e = symbol(f, g)
+        h = WittVec(laurent_domain(F2), (mono(F2, 1, 1, -3),
+                                         mono(F2, 1, 0, -2),
+                                         mono(F2, 1, -3, 1)))
+        w, box = _pair_and_box(e, h, 3)
+        assert box == (14, 40)
+        assert w == _pair_at(e, h, 3, (28, 80))
+
+    def test_random_exact_pairings_answer(self):
+        # exact symbols never meet a cap: every pairing answers, and the
+        # Steinberg relation {f, 1 - f} = 1 pairs to zero
+        rng = random.Random(1)
+        start = time.perf_counter()
+        done = 0
+        while done < 200:
+            dom = rng.choice([F2, F3, F4, F5])
+            m = rng.randint(1, 2 if dom is F5 else 3)
+            f = _random_f(dom, rng)
+            steinberg = done % 3 == 0
+            g = Laurent2.one(dom) - f if steinberg else _random_f(dom, rng)
+            if not g.codes:
+                continue
+            h = WittVec(laurent_domain(dom), tuple(
+                mono(dom, dom.elem_by_index(rng.randrange(1, dom.q)),
+                     rng.randint(-3, 1), rng.randint(-3, 1))
+                for _ in range(m)))
+            w = witt_pair_local(symbol(f, g), h, m)
+            if steinberg:
+                assert w == witt_zero(make_field(dom.p, 1), m)
+            done += 1
+        assert time.perf_counter() - start < 3.0
 
     def test_unknowable_residue_raises_fast(self):
         # f is known only below t^3, so eta is too, and the residue against
@@ -396,33 +469,93 @@ class TestWithBox:
             return box
         return seen, run
 
+    @staticmethod
+    def run_reading(t_need, u_need, t_lag=0, u_lag=0):
+        """A run that records its boxes and reads u^u_need t^t_need of data
+        known below (t_box - t_lag, u_box - u_lag)."""
+        seen = []
+
+        def run(box):
+            seen.append(box)
+            t_edge, u_edge = box[0] - t_lag, box[1] - u_lag
+            if t_need >= t_edge:
+                raise PrecisionTooLow("short on t", "t", t_need, t_edge)
+            if u_need >= u_edge:
+                raise PrecisionTooLow("short on u", "u", u_need, u_edge)
+            return box
+        return seen, run
+
     def test_returns_at_the_first_box_that_answers(self):
         seen, run = self.run_until(8)
-        assert with_box((2, 2), (64, 64), run) == (8, 8)
+        assert with_box((2, 2), run) == (8, 8)
         assert seen == [(2, 2), (4, 4), (8, 8)]
 
-    def test_reraises_after_the_last_box(self):
-        seen, run = self.run_until(100)
+    def test_a_named_shortfall_grows_only_its_side(self):
+        # t short by 4 grows t by 4, then u short by 40 grows u by 40
+        seen, run = self.run_reading(4, 40, t_lag=1, u_lag=1)
+        assert with_box((2, 2), run) == (6, 42)
+        assert seen == [(2, 2), (6, 2), (6, 42)]
+        # short by less than the side: the side doubles
+        seen, run = self.run_reading(2, 0)
+        assert with_box((2, 2), run) == (4, 2)
+        seen, run = self.run_reading(-5, 3, t_lag=-9)
+        assert with_box((3, 3), run) == (3, 6)
+        assert seen == [(3, 3), (3, 6)]
+
+    def test_a_stalled_shortfall_is_reraised(self):
+        # the data is known below t^3 whatever the box
+        seen = []
+
+        def run(box):
+            seen.append(box)
+            raise PrecisionTooLow("short on t", "t", 5, 3)
         with pytest.raises(PrecisionTooLow):
-            with_box((2, 2), (6, 6), run)
-        assert seen == [(2, 2), (4, 4), (6, 6)]
+            with_box((2, 2), run)
+        # its own side grew, then both sides, then it is raised
+        assert seen == [(2, 2), (5, 2), (10, 4)]
+
+    def test_coefficient_reads_name_their_shortfall(self):
+        def short(exc):
+            e = exc.value
+            return e.side, e.need, e.edge, e.row
+        f = Laurent2.from_dict(F2, {(0, 0): 1}, t_prec=3, u_prec={1: 4})
+        with pytest.raises(PrecisionTooLow) as exc:
+            f.coeff(0, 5)
+        assert short(exc) == ("t", 5, 3, None)
+        with pytest.raises(PrecisionTooLow) as exc:
+            f.coeff(6, 1)
+        assert short(exc) == ("u", 6, 4, 1)
+        # a product names the shortfall in the exponents of the operand
+        # that fell short: u^2·t^-1 of f·u^-2·t^-2 reads u^4·t of f, and
+        # t of it reads t^3
+        g = mono(F2, 1, -2, -2)
+        with pytest.raises(PrecisionTooLow) as exc:
+            g.mul_coeff(f, 2, -1)
+        assert short(exc) == ("u", 4, 4, 1)
+        with pytest.raises(PrecisionTooLow) as exc:
+            g.mul_coeff(f, -1, 1)
+        assert short(exc) == ("t", 3, 3, None)
+        # the residue passes the shortfall on
+        with pytest.raises(CoefficientOutsidePrecision) as exc:
+            residue(TwoForm(f), mono(F2, 1, -5, -2))
+        assert short(exc) == ("u", 4, 4, 1)
 
     def test_other_errors_pass_through_at_once(self):
         seen, run = self.run_until(8, ZeroArgument)
         with pytest.raises(ZeroArgument):
-            with_box((2, 2), None, run)
+            with_box((2, 2), run)
         assert seen == [(2, 2)]
 
-    def test_without_a_last_box_it_keeps_doubling(self):
+    def test_an_unnamed_shortfall_doubles_both_sides(self):
         seen, run = self.run_until(4096)
-        assert with_box((2, 3), None, run) == (4096, 6144)
+        assert with_box((2, 3), run) == (4096, 6144)
         assert len(seen) == 12
 
     @pytest.mark.parametrize("box", [(0, 4), (4, -3)])
     def test_a_side_below_one_cannot_grow(self, box):
         seen, run = self.run_until(8)
         with pytest.raises(PrecisionTooLow):
-            with_box(box, None, run)
+            with_box(box, run)
         assert seen == [box]
 
 
