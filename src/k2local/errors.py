@@ -52,10 +52,6 @@ class RingMismatch(K2LocalError):
     """Witt arithmetic between vectors over different rings or lengths."""
 
 
-class InsufficientPadicPrecision(K2LocalError):
-    """Ghost computation needs more p-adic digits than available."""
-
-
 class NonIntegralGhost(K2LocalError):
     """A P_m division was not exact; upstream precision bug."""
 

@@ -288,24 +288,6 @@ def parse_field(text):
     return make_field(p, n, modulus)
 
 
-def frobenius(a, k=1):
-    """a ↦ a^{p^k}."""
-    return a ** (a.field.p ** k)
-
-
-def trace_abs(a):
-    """Absolute trace F_q → F_p, returned as an integer mod p."""
-    f = a.field
-    acc = f.zero
-    b = a
-    for _ in range(f.n):
-        acc = acc + b
-        b = frobenius(b)
-    if any(acc.coeffs[1:]):
-        raise InvariantViolation("absolute trace escaped the prime field")
-    return acc.coeffs[0]
-
-
 def primitive_element(field):
     """Deterministic generator of F_q^×: least index of full order."""
     if field._prim is not None:

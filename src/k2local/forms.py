@@ -65,11 +65,6 @@ class TwoForm:
         return f"({self.a.serialize()}) du^dt"
 
 
-def differential(f):
-    """Exterior derivative df of a Laurent2, as a one-form."""
-    return OneForm(d_du(f), d_dt(f))
-
-
 def dlog(f, finv=None):
     """The logarithmic differential df/f as a one-form.
 

@@ -13,18 +13,21 @@ duality kernel reports.
 
 A global function has one shape, the reduced RatFunc num / den.  Its
 t-coefficients, u-only RatFuncs, are what as_reduce works on.  A PointFunc
-multiplies its factors out once into a num and a den.  Every expansion, of a
-RatFunc at a place or of a PointFunc at a branch, maps num and den alike: it
-relabels sparse rows or substitutes by the one Horner routine (u = root + s,
-u = the parameter series, t = phi(u) + T), then multiplies num by the
-inverse of den in a working box (t_prec, u_prec).
+multiplies its factors out once into a num and a den.  Each key, a place or
+a branch, has local coordinates (s, t), and _chart maps a polynomial into
+them exactly where the parameter is exact: s = 1/u at infinity, u = root + s
+at a rational place, t = phi(s) + t on a branch after u and t swap if it is
+solved for u.  An expansion divides the charts of num and den in a working
+box (t_prec, u_prec), a leading term their least terms.  At a place of
+degree >= 2, the one inexact case, u is the parameter series in pi(u).
 
 Reciprocity: the Witt and tame sums over the places of the u-line, or over a
 declared set of curves through the origin, share their pieces: per-key terms
 (expand f, g and h at the key and pair them, or read their exact leading
-terms for the tame symbol) and one running fold over them.  The *_reciprocity functions return the fold's last value;
-witt_report and tame_report build the JSON reports, keyed by "place" or
-"curve".  Every residue is read through forms.residue.
+terms for the tame symbol) and one running fold over them.  The
+*_reciprocity functions return the fold's last value; witt_report and
+tame_report build the JSON reports, keyed by "place" or "curve".  Every
+residue is read through forms.residue.
 """
 
 import math
@@ -96,11 +99,7 @@ class Poly2:
     def __add__(self, other):
         out = dict(self.terms)
         for ab, c in other.terms.items():
-            s = out.get(ab, self.field.zero) + c
-            if s:
-                out[ab] = s
-            else:
-                out.pop(ab, None)
+            out[ab] = out[ab] + c if ab in out else c
         return Poly2(self.field, out)
 
     def __neg__(self):
@@ -117,11 +116,7 @@ class Poly2:
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
-                s = out.get(k, self.field.zero) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
         return Poly2(self.field, out)
 
     def __pow__(self, e):
@@ -527,11 +522,42 @@ _param_cache = {}
 
 
 def _horner(coeffs, x):
-    """sum_k coeffs[k] x^k by Horner's rule; the coefficients are Laurent2."""
-    acc = Laurent2.zero(x.dom)
-    for c in reversed(coeffs):
+    """sum_k coeffs[k] x^k by Horner's rule, for nonempty coeffs and x all
+    Poly2 or all Laurent2."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
+
+
+def _chart(P, key):
+    """P in the local coordinates (s, t) of a key whose parameter is exact,
+    as a Poly2 over F_q in s and t (Laurent in s at infinity).
+
+    s = 1/u at infinity and s = u at the place u relabel the terms of P, so
+    a large power of u costs one term.  At a rational place u = root + s.
+    On a branch u and t first swap if the curve is solved for u; then
+    t = phi(s) + t, and an axis relabels as the place u does.  A shift
+    substitutes by Horner's rule over the columns of its variable.
+    """
+    field = P.field
+    if isinstance(key, AdmissibleCurve):
+        if key.var == "u":
+            P = _poly2_transpose(P)
+        if not key.phi:
+            return P
+        var, x = 1, (Poly2.from_poly1(key.phi)
+                     + Poly2.monomial(field, field.one, 0, 1))
+    elif key.kind == "infinity":
+        return Poly2(field, {(-a, b): c for (a, b), c in P.terms.items()})
+    elif root := -key.minimal_poly.coeffs[0]:
+        var, x = 0, Poly2(field, {(0, 0): root, (1, 0): field.one})
+    else:
+        return P
+    cols = [{} for _ in range(1 + max((k[var] for k in P.terms), default=0))]
+    for (a, b), c in P.terms.items():
+        cols[b if var else a][(a, 0) if var else (0, b)] = c
+    return _horner([Poly2(field, col) for col in cols], x)
 
 
 def _param_series(place, prec):
@@ -566,27 +592,18 @@ def _param_series(place, prec):
     return _param_cache[key]
 
 
-def _expand_poly2(P, place, prec):
-    """Expansion of a bivariate polynomial at a place of the u-line.
-
-    At infinity (parameter 1/u) and at the place u the expansion only
-    relabels the sparse rows of P, so a large power of u costs one term.
-    Elsewhere Horner's rule over the u-columns of P substitutes root + s at
-    a rational place, exactly, and the parameter series at a place of
-    degree >= 2, where every t-row of P is known to s^prec.
-    """
-    kx, emb, root = place_field(place)
-    if not root:  # infinity has no root, the place u the root 0
-        sign = -1 if place.kind == "infinity" else 1
-        return Laurent2(kx, {b: {sign * a: c for a, c in row.items()}
-                             for b, row in P.rows().items()})
-    cols = [{} for _ in range(P.deg_u() + 1)]
+def _expand_poly2(P, key, prec):
+    """P in the local coordinates of a key: its chart where the parameter is
+    exact.  At a place of degree >= 2 Horner's rule substitutes the parameter
+    series for u over k(x), and every t-row is known to s^prec."""
+    if key.residue_degree == 1:
+        return Laurent2(P.field, _chart(P, key).rows())
+    kx, emb, _ = place_field(key)
+    cols = [{} for _ in range(max(P.deg_u(), 0) + 1)]
     for (a, b), c in P.terms.items():
         cols[a][b] = {0: emb(c)}
-    coeffs = [Laurent2(kx, col) for col in cols]
-    if place.residue_degree == 1:
-        return _horner(coeffs, Laurent2(kx, {0: {0: root, 1: kx.one}}))
-    acc = _horner(coeffs, _param_series(place, prec)[1])
+    acc = _horner([Laurent2(kx, col) for col in cols],
+                  _param_series(key, prec)[1])
     return Laurent2._of_codes(kx, acc.codes, None,
                               {b: prec for _, b in P.terms})
 
@@ -595,10 +612,10 @@ def expand_at_place(f, place, box):
     """Coefficientwise expansion of a RatFunc at a place of the u-line.
 
     Returns a Laurent2 over k(x) whose inner variable is the local parameter
-    (pi(u) at finite places, 1/u at infinity) and whose outer variable is t.
-    The box (t_prec, u_prec) is the working box of the denominator's
-    inverse; at a place of degree >= 2 the parameter series has u_prec
-    digits.
+    (u - root at rational places, pi(u) at places of degree >= 2, 1/u at
+    infinity) and whose outer variable is t.  The box (t_prec, u_prec) is
+    the working box of the denominator's inverse; at a place of degree >= 2
+    the parameter series has u_prec digits.
     """
     num = _expand_poly2(f.num, place, box[1])
     return num * invert(_expand_poly2(f.den, place, box[1]), *box)
@@ -624,16 +641,13 @@ def curve_witt_terms(f, g, h, m):
     return _witt_terms(places, expand_at_place, f, g, comps, m, (2, 2))
 
 
-def _row_at_place(row, place):
-    """(v, c) with row = c·s^v + O(s^(v+1)) in the place's parameter s, for
-    a nonzero u-polynomial given by its sparse terms; c is in place_field.
-    Away from infinity (s = 1/u) and u (s = u), v is the multiplicity of pi
-    and c = w(root) for w = row / pi^v, since pi(u) = s exactly."""
+def _row_at_place(P, place):
+    """(j, v, c) with c·s^v·t^j the least term of a nonzero P at a place of
+    degree >= 2, c in k(x): j is P's least t-exponent and, for its row w, v
+    is the multiplicity of pi in w and c = (w / pi^v)(root), since
+    pi(u) = s exactly."""
     kx, emb, root = place_field(place)
-    if place.kind == "infinity":
-        return -max(row), row[max(row)]
-    if not root:
-        return min(row), row[min(row)]
+    j, row = min(P.rows().items())
     zero = place.field.zero
     w = Poly1(place.field, [row.get(a, zero) for a in range(max(row) + 1)])
     v = 0
@@ -642,19 +656,25 @@ def _row_at_place(row, place):
     c = kx.zero
     for a in reversed(w.coeffs):
         c = c * root + emb(a)
-    return v, c
+    return j, v, c
 
 
-def lead_at_place(f, place):
-    """The leading term of expand_at_place(f, place, box) at every box, as
-    an exact Laurent2 monomial: the least t-rows of num and den at the
-    place (_row_at_place) give its coefficient and both exponents."""
-    kx = place_field(place)[0]
+def lead_at_place(f, key):
+    """The leading term of the expansion of f at a key, a place or a branch,
+    at every box, as an exact Laurent2 monomial: the least terms of num and
+    den, read off their charts where the parameter is exact and by
+    _row_at_place at a place of degree >= 2."""
+    exact = key.residue_degree == 1
     if not f:
-        return Laurent2.zero(kx)
-    (jn, rn), (jd, rd) = (min(P.rows().items()) for P in (f.num, f.den))
-    (vn, cn), (vd, cd) = _row_at_place(rn, place), _row_at_place(rd, place)
-    return Laurent2.monomial(kx, cn * cd.inv(), vn - vd, jn - jd)
+        return Laurent2.zero(f.field if exact else place_field(key)[0])
+
+    def least(P):
+        if not exact:
+            return _row_at_place(P, key)
+        j, row = min(_chart(P, key).rows().items())
+        return j, min(row), row[min(row)]
+    (jn, vn, cn), (jd, vd, cd) = least(f.num), least(f.den)
+    return Laurent2.monomial(cn.field, cn * cd.inv(), vn - vd, jn - jd)
 
 
 def curve_tame_terms(f, g, h):
@@ -678,6 +698,7 @@ class AdmissibleCurve:
 
     KINDS = {"axis_u": "t", "axis_t": "u",
              "graph_t_of_u": "t", "graph_u_of_t": "u"}
+    residue_degree = 1  # the origin is a rational point
 
     __slots__ = ("field", "var", "phi", "_equation", "_monic")
 
@@ -828,26 +849,6 @@ def to_pointfunc(f, curves):
     return PointFunc(field, constant, exps, units)
 
 
-def _poly2_to_branch(P, y):
-    """Map a bivariate polynomial into branch coordinates (u_{x,y}, t_y).
-
-    On a curve solved for u, P is transposed first, so the curve reads
-    t = phi(u).  An axis relabels the sparse rows; on a graph, Horner's
-    rule over the t-rows of P substitutes t = phi(u) + T.  The inner
-    variable stays.
-    """
-    field = P.field
-    if y.var == "u":
-        P = _poly2_transpose(P)
-    rows = P.rows()
-    if not y.phi:
-        return Laurent2(field, rows)
-    phi = {k: c for k, c in enumerate(y.phi.coeffs) if c}
-    return _horner([Laurent2(field, {0: rows.get(b, {})})
-                    for b in range(P.deg_t() + 1)],
-                   Laurent2(field, {0: phi, 1: {0: field.one}}))
-
-
 def _check_declared(pf, declared):
     for z in pf.curves():
         if z not in declared:
@@ -859,22 +860,14 @@ def expand_point(pf, y, declared, box):
     """Local expansion of a factored F_x element at the branch y: num / den
     in branch coordinates, in the working box (t_prec, u_prec)."""
     _check_declared(pf, declared)
-    den = _poly2_to_branch(pf.den, y)
-    return _poly2_to_branch(pf.num, y) * invert(den, *box)
+    num = _expand_poly2(pf.num, y, box[1])
+    return num * invert(_expand_poly2(pf.den, y, box[1]), *box)
 
 
 def lead_at_curve(pf, y, declared):
-    """The leading term of expand_point(pf, y, declared, box), exactly.  A
-    unit 1 + eps leads with 1, as eps vanishes at the origin; a curve z
-    leads as its own equation does on the branch, so t = u and u = t, one
-    curve, lead with coefficients -1 apart."""
+    """The leading term of expand_point(pf, y, declared, box), exactly."""
     _check_declared(pf, declared)
-    c, i, j = pf.constant, 0, 0
-    for z, e in pf.curve_exps.items():
-        if e:
-            jz, iz, cz = _poly2_to_branch(z.equation(), y).leading()
-            c, i, j = c * cz ** e, i + e * iz, j + e * jz
-    return Laurent2.monomial(pf.field, c, i, j)
+    return lead_at_place(pf, y)
 
 
 def point_witt_terms(f, g, h, m, curves):

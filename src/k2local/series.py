@@ -52,8 +52,7 @@ from functools import lru_cache
 
 from .errors import (FieldMismatch, PrecisionTooLow, StepBudgetExceeded,
                      ZeroDivisor, ZeroElement)
-from .ff import (FieldSpec, GaloisRing, galois_ring, power,
-                 primitive_element)
+from .ff import FieldSpec, GaloisRing, galois_ring, power
 
 INF = math.inf
 
@@ -790,11 +789,6 @@ def unit_decompose(f):
     a = f.dom.log(c)
     principal = f.monomial_mul(c.inv(), -i0, -j0)
     return UnitDecomposition(a, i0, j0, principal)
-
-
-def recompose(dec, dom):
-    lead = primitive_element(dom) ** dec.zeta_exp
-    return dec.principal.monomial_mul(lead, dec.u_exp, dec.t_exp)
 
 
 # --------------------------------------------------------------------------

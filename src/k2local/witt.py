@@ -13,9 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 
-from .errors import (InsufficientPadicPrecision, InvariantViolation,
-                     NonIntegralGhost, RingMismatch, UnsupportedLength,
-                     WrongCharacteristic)
+from .errors import (InvariantViolation, NonIntegralGhost, RingMismatch,
+                     UnsupportedLength, WrongCharacteristic)
 from .ff import FieldSpec, GaloisRing, make_field
 
 MAX_LENGTH = 4
@@ -191,24 +190,6 @@ class GhostVec:
 
     def __repr__(self):
         return f"Ghost[{self.ring.p}]{list(self.components)}"
-
-
-def ghost(w):
-    """Ghost coordinates of a WittVec over a Galois ring W_s(F_q)."""
-    ring = w.ring
-    if not isinstance(ring, GaloisRing):
-        raise WrongCharacteristic("ghost needs a torsion (Z/p^s) coefficient ring")
-    if ring.s < w.length:
-        raise InsufficientPadicPrecision(
-            f"precision {ring.s} < length {w.length}")
-    p = ring.p
-    comps = []
-    for k in range(w.length):
-        acc = ring.zero
-        for j in range(k + 1):
-            acc = acc + ring.from_int(p ** j) * w.components[j] ** (p ** (k - j))
-        comps.append(acc)
-    return GhostVec(ring, comps)
 
 
 def unghost(g):

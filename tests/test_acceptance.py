@@ -19,7 +19,8 @@ from k2local.globalfield import (AdmissibleCurve, Poly1, Poly2,
 from k2local.series import Laurent2, laurent_domain
 from k2local.symbols import (symbol, tame_symbol_det, tame_symbol_signed,
                              witt_pair_local)
-from k2local.witt import WittVec, ghost, unghost, witt_add, witt_zero
+from k2local.witt import WittVec, unghost, witt_add, witt_zero
+from helpers import ghost
 from test_symbols import verify_appendix_identity
 
 DATA = Path(__file__).parent / "data"

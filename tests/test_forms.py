@@ -6,8 +6,7 @@ import pytest
 
 from k2local.errors import CoefficientOutsidePrecision, InvariantViolation
 from k2local.ff import galois_ring, make_field
-from k2local.forms import (OneForm, TwoForm, d_dt, d_du, differential, dlog,
-                           residue, wedge)
+from k2local.forms import OneForm, TwoForm, d_dt, d_du, dlog, residue, wedge
 from k2local.series import Laurent2, invert
 
 F2 = make_field(2, 1)
@@ -15,6 +14,11 @@ F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F9 = make_field(3, 2)
 W2F9 = galois_ring(F9, 2)
+
+
+def differential(f):
+    """The exterior derivative df of a Laurent2, as a one-form."""
+    return OneForm(d_du(f), d_dt(f))
 
 
 def poly(dom, d):

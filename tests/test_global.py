@@ -27,12 +27,12 @@ from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  point_basis_pair, point_tame_reciprocity,
                                  point_tame_terms, point_witt_reciprocity,
                                  point_witt_terms, to_pointfunc, witt_report)
-from k2local.globalfield import (_expand_poly2, _lead,
+from k2local.globalfield import (_chart, _expand_poly2, _lead,
                                  _param_series, _poly2_div_poly1,
-                                 _poly2_to_branch, _poly2_transpose,
-                                 _prs_gcd, _t_coeffs, _tpoly_gcd,
-                                 _try_div_curve, expand_point, place_field,
-                                 poly1_gcd)
+                                 _poly2_transpose, _prs_gcd, _t_coeffs,
+                                 _tame_terms, _tpoly_gcd, _try_div_curve,
+                                 _witt_terms, expand_point, place_field,
+                                 place_u, poly1_gcd)
 from k2local.series import INF, Laurent2, invert, laurent_domain
 from k2local.symbols import (symbol, tame_symbol_det, witt_pair_local,
                              with_box)
@@ -843,7 +843,7 @@ class TestBranchKernel:
             for y in _rand_graph_curves(rng, field):
                 for P in [Poly2(field, {}), y.equation()] + [
                         _rand_rows(rng, field, 5, 5) for _ in range(4)]:
-                    got = _poly2_to_branch(P, y)
+                    got = Laurent2(field, _chart(P, y).rows())
                     ref = _poly2_to_branch_reference(P, y)
                     assert got == ref, (y, P)
 
@@ -931,6 +931,145 @@ class TestBranchKernel:
             for y in curves:
                 got = expand_point(zero, y, set(curves), (2, 2))
                 assert got.is_zero() and got == Laurent2.zero(field)
+
+
+# The leading-term routines that the chart replaced, kept as references: a
+# row at infinity and at u was read off its sparse terms and at any other
+# place by division by pi, and a point function led as the product of the
+# leads of its factor equations on the branch.
+
+def _row_at_place_reference(row, place):
+    kx, emb, root = place_field(place)
+    if place.kind == "infinity":
+        return -max(row), row[max(row)]
+    if not root:
+        return min(row), row[min(row)]
+    zero = place.field.zero
+    w = Poly1(place.field, [row.get(a, zero) for a in range(max(row) + 1)])
+    v = 0
+    while not (r := w.divmod(place.minimal_poly))[1]:
+        w, v = r[0], v + 1
+    c = kx.zero
+    for a in reversed(w.coeffs):
+        c = c * root + emb(a)
+    return v, c
+
+
+def _lead_at_place_reference(f, place):
+    kx = place_field(place)[0]
+    if not f:
+        return Laurent2.zero(kx)
+    (jn, rn), (jd, rd) = (min(P.rows().items()) for P in (f.num, f.den))
+    (vn, cn), (vd, cd) = (_row_at_place_reference(rn, place),
+                          _row_at_place_reference(rd, place))
+    return Laurent2.monomial(kx, cn * cd.inv(), vn - vd, jn - jd)
+
+
+def _lead_at_curve_reference(pf, y):
+    c, i, j = pf.constant, 0, 0
+    for z, e in pf.curve_exps.items():
+        if e:
+            jz, iz, cz = _poly2_to_branch_reference(z.equation(), y).leading()
+            c, i, j = c * cz ** e, i + e * iz, j + e * jz
+    return Laurent2.monomial(pf.field, c, i, j)
+
+
+def _rand_pointfunc(rng, field, curves):
+    """A unit constant times the curves to random powers in [-2, 2] times
+    1 + eps, eps a random polynomial vanishing at the origin, to the power
+    1 or -1 (no unit when eps is 0)."""
+    u = Poly2.monomial(field, field.one, 1, 0)
+    t = Poly2.monomial(field, field.one, 0, 1)
+    eps = _rand_rows(rng, field, 3, 3) * rng.choice([u, t])
+    return PointFunc(field, field.elem_by_index(1 + rng.randrange(
+        field.q - 1)), {c: rng.randint(-2, 2) for c in curves},
+        [(eps, rng.choice([-1, 1]))] if eps else [])
+
+
+class TestChartLeads:
+    @pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2), (5, 1)])
+    def test_place_leads_match_the_row_reference(self, q):
+        # infinity and every rational place, u among them; u^k with |k| up
+        # to 300 planted in half of the functions
+        field = make_field(*q)
+        rng = random.Random(53 + q[0] * 10 + q[1])
+        _, u, t = uvars(field)
+        places = [CurvePlace(field, "finite", pi)
+                  for pi in _irreducibles(field, 1)] + [infinity_place(field)]
+        for _ in range(12):
+            f = rand_ratfunc(rng, field) * u ** rng.randrange(-3, 4)
+            if rng.randrange(2):
+                f = f + u ** rng.randrange(-300, 300) * t
+            for x in places:
+                assert lead_at_place(f, x) == \
+                    _lead_at_place_reference(f, x), (f, x)
+
+    @pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2)])
+    def test_curve_leads_match_the_product_reference(self, q):
+        field = make_field(*q)
+        rng = random.Random(59 + q[0] * 10 + q[1])
+        for _ in range(10):
+            curves = _rand_graph_curves(rng, field)
+            pf = _rand_pointfunc(rng, field, curves)
+            for y in curves:
+                assert lead_at_curve(pf, y, set(curves)) == \
+                    _lead_at_curve_reference(pf, y), (pf, y)
+
+
+def _in_branch_coordinates(f, y):
+    """num / den of f as a RatFunc in the coordinates (s, T) of the branch
+    y, by exact substitution: u = s and t = phi(s) + T, with u and t
+    swapped first when y is solved for u."""
+    field = f.field
+    _, s, T = uvars(field)
+    moved = T
+    for k, c in enumerate(y.phi.coeffs):
+        moved = moved + RatFunc.const(field, c) * s ** k
+    U, V = (s, moved) if y.var == "t" else (moved, s)
+
+    def at(P):
+        acc = RatFunc.const(field, field.zero)
+        for (a, b), c in P.terms.items():
+            acc = acc + RatFunc.const(field, c) * U ** a * V ** b
+        return acc
+    return at(f.num) / at(f.den)
+
+
+class TestBranchMeetsThePlaceU:
+    """One local field from both sides.  On a branch y through the origin,
+    the point term of f, g, h equals the curve term at the place u of the
+    same functions moved into y's coordinates by an exact substitution."""
+
+    def test_point_terms_are_curve_terms_at_u(self):
+        rng = random.Random(79)
+        compared = 0
+        for q in ((2, 1), (3, 1), (2, 2)):
+            field = make_field(*q)
+            x = place_u(field)
+
+            def graph(var, deg):
+                phi = [field.zero] + [field.elem_by_index(rng.randrange(
+                    field.q)) for _ in range(deg - 1)] + [field.one]
+                return AdmissibleCurve(field, var, Poly1(field, phi))
+            for m in (1, 2):
+                for _ in range(5):
+                    curves = [AdmissibleCurve(field, "axis_u"),
+                              AdmissibleCurve(field, "axis_t"),
+                              graph("t", rng.choice([2, 3])), graph("u", 2)]
+                    f, g, h = (_rand_pointfunc(rng, field, curves)
+                               for _ in range(3))
+                    witt = dict(point_witt_terms(f, g, [h], m, curves))
+                    tame = dict(point_tame_terms(f, g, h, curves))
+                    for y in curves:
+                        F, G, H = (_in_branch_coordinates(c, y)
+                                   for c in (f, g, h))
+                        (_, w), = _witt_terms([x], expand_at_place, F, G,
+                                              [H], m, (2, 2))
+                        assert witt[y] == w, (f, g, h, m, y)
+                        (_, v), = _tame_terms([x], lead_at_place, F, G, H)
+                        assert tame[y] == v, (f, g, h, y)
+                        compared += 1
+        assert compared == 120
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from k2local.ff import (FieldSpec, FqElem, GRElem, _poly_mulmod_fp,
 from k2local.forms import d_dt, d_du
 from k2local.series import (DEFAULT_T_PREC, DEFAULT_U_PREC, INF, Laurent2,
                             bar_valuation, invert, laurent_domain,
-                            lift_padic, outer_valuation, recompose,
-                            reduce_mod_p, unit_decompose)
+                            lift_padic, outer_valuation, reduce_mod_p,
+                            unit_decompose)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -219,6 +219,12 @@ class TestInvert:
         assert inv == Laurent2.monomial(F4, F4.gen.inv(), -2, 3)
         assert inv.t_prec == INF and not inv.u_prec
         assert (m * inv).same_known_terms(Laurent2.one(F4))
+
+
+def recompose(dec, dom):
+    """The series that unit_decompose split into dec."""
+    lead = primitive_element(dom) ** dec.zeta_exp
+    return dec.principal.monomial_mul(lead, dec.u_exp, dec.t_exp)
 
 
 class TestUnitDecomposition:

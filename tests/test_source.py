@@ -49,3 +49,33 @@ def test_only_with_box_retries_a_short_box():
                 if names & caught:
                     found.append(f"{path.stem}.{func.name}")
     assert sorted(set(found)) == ["forms.residue", "symbols.with_box"]
+
+
+def _uses(paths):
+    """Every name the sources refer to: Name and Attribute nodes, and string
+    constants, since perfbench/tracer.py names the functions it wraps."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                used.add(node.value)
+    return used
+
+
+def test_every_module_level_definition_is_used():
+    # a function or class that only the tests call belongs in the tests
+    package = Path(k2local.__file__).parent
+    bench = package.parent.parent / "perfbench"
+    sources = sorted(package.glob("*.py"))
+    assert (bench / "tracer.py").is_file()
+    used = _uses(sources + sorted(bench.glob("*.py")))
+    found = [f"{path.stem}.{node.name}" for path in sources
+             for node in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)) and node.name not in used]
+    assert not found, found

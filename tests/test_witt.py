@@ -8,6 +8,7 @@ import pytest
 
 from k2local import ff, witt
 from k2local.errors import NonIntegralGhost, RingMismatch, UnsupportedLength
+from helpers import ghost
 
 DATA = pathlib.Path(__file__).parent / "data"
 TABLE_LENGTHS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4),
@@ -29,11 +30,11 @@ def gr(p, s):
 def test_ghost_examples():
     r = gr(2, 4)
     w = witt.WittVec(r, (r.one, r.zero))
-    assert [c.coeffs[0] for c in witt.ghost(w).components] == [1, 1]
+    assert [c.coeffs[0] for c in ghost(w).components] == [1, 1]
     w = witt.WittVec(r, (r.one, r.one))
-    assert [c.coeffs[0] for c in witt.ghost(w).components] == [1, 3]
+    assert [c.coeffs[0] for c in ghost(w).components] == [1, 3]
     z = witt.witt_zero(r, 3)
-    assert all(not c for c in witt.ghost(z).components)
+    assert all(not c for c in ghost(z).components)
 
 
 def test_unghost_examples():
@@ -57,7 +58,7 @@ def test_ghost_unghost_roundtrip_random():
             for _ in range(40):
                 comps = tuple(r.from_int(rng.randrange(p ** s0)) for _ in range(m))
                 w = witt.WittVec(r, comps)
-                back = witt.unghost(witt.ghost(w))
+                back = witt.unghost(ghost(w))
                 for k in range(m):
                     pk = p ** back.precisions[k]
                     assert (back.components[k].coeffs[0] - comps[k].coeffs[0]) % min(pk, p ** s0) == 0
@@ -71,7 +72,7 @@ def test_w2f2_is_z4():
 
     def label(v):
         w = witt.WittVec(r, (r.from_int(v[0]), r.from_int(v[1])))
-        return witt.ghost(w).components[1].coeffs[0] % 4
+        return ghost(w).components[1].coeffs[0] % 4
 
     labels = {v: label(v) for v in vecs}
     assert sorted(labels.values()) == [0, 1, 2, 3]
