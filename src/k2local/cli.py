@@ -21,8 +21,9 @@ from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           point_tame_terms, point_witt_terms, tame_report,
                           to_pointfunc, witt_report)
 from .globalfield import _poly2_transpose, _tame_terms, _witt_terms, _wv_json
-from .series import DEFAULT_T_PREC, DEFAULT_U_PREC
-from .symbols import boundary, k2_decompose, k2_equiv, symbol, with_box
+from .series import DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2
+from .symbols import (boundary, k2_decompose, k2_equiv, pairing_box, symbol,
+                      with_box)
 from .witt import witt_zero
 
 SCHEMA = 1
@@ -296,8 +297,11 @@ def _cmd_witt_pair(args, field):
         raise UsageError("witt-pair needs f, g and at least one "
                               "coefficient component")
     f, g, *comps = (eval_rational(x, field) for x in exprs)
-    (_, w), = _witt_terms([place_u(field)], expand_at_place, f, g,
-                          comps[:m], m)
+    comps, key = comps[:m], place_u(field)
+    demand = [expand_at_place(c, key, (DEFAULT_T_PREC, DEFAULT_U_PREC))
+              for c in comps] + [Laurent2.zero(field)] * (m - len(comps))
+    (_, w), = _witt_terms([key], expand_at_place, f, g, comps, m,
+                          pairing_box(field.p, [demand]))
     return {"verb": "witt-pair", "m": m, "value": _wv_json(w)}, 0
 
 
@@ -305,7 +309,7 @@ def _cmd_boundary(args, field):
     prec_t, prec_u = args["prec_t"], args["prec_u"]
     f, g = (eval_local(x, field, prec_t, prec_u)
             for x in _exprs(args, 2, "boundary needs f and g"))
-    b = boundary(symbol(f, g))
+    b = boundary(symbol(f, g), (prec_t, prec_u))
     return {"verb": "boundary", "value": _laurent_json(b)}, 0
 
 

@@ -61,8 +61,11 @@ def power(base, e, one, mul=operator.mul):
 
     The result starts as the base's power at the lowest set bit of e, then
     takes one product per further set bit, after one squaring per bit below
-    the top one: popcount(e) + bit_length(e) - 2 products for e >= 1.
+    the top one: popcount(e) + bit_length(e) - 2 products for e >= 1.  The
+    loops would give a wrong power for e < 0, so it is refused.
     """
+    if e < 0:
+        raise InvariantViolation(f"power {e} is negative")
     if not e:
         return one
     while not e & 1:
@@ -738,7 +741,6 @@ class GaloisRing:
         self.zero = GRElem(self, (0,) * self.n)
         self.one = GRElem(self, tuple([1] + [0] * (self.n - 1)))
         self.two = GRElem(self, tuple([2 % self.ps] + [0] * (self.n - 1)))
-        self._teich = {}  # Teichmüller lifts by the coeffs of a in F_q
 
     def from_int(self, k):
         return GRElem(self, tuple([k % self.ps] + [0] * (self.n - 1)))
@@ -751,24 +753,14 @@ class GaloisRing:
         return FqElem(self.field, tuple(c % self.p for c in x.coeffs))
 
     def teichmuller(self, a):
-        """Multiplicative lift of a: the limit of q-power iteration.
-
-        Each lift is computed once and kept in a per-ring table keyed by
-        a.coeffs, filled on demand, so it never holds more than q entries.
-        """
-        x = self._teich.get(a.coeffs)
-        if x is not None:
-            return x
-        x = self.zero
-        if a:
-            x = self.from_fq(a)
-            q = self.field.q
-            while True:
-                y = x ** q
-                if y == x:
-                    break
-                x = y
-        self._teich[a.coeffs] = x
+        """Multiplicative lift of a: the limit of q-power iteration,
+        computed on each call (lift_padic keeps one code table per ring)."""
+        if not a:
+            return self.zero
+        x = self.from_fq(a)
+        q = self.field.q
+        while (y := x ** q) != x:
+            x = y
         return x
 
     def divisible_by(self, x, k):

@@ -65,14 +65,9 @@ class TwoForm:
         return f"({self.a.serialize()}) du^dt"
 
 
-def dlog(f, finv=None):
-    """The logarithmic differential df/f as a one-form.
-
-    finv may be supplied when the caller already holds 1/f.
-    """
-    if finv is None:
-        from .series import invert
-        finv = invert(f)
+def dlog(f, finv):
+    """The logarithmic differential df/f as a one-form, for finv = 1/f
+    inverted in the caller's box."""
     return OneForm(d_du(f) * finv, d_dt(f) * finv)
 
 

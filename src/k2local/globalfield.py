@@ -41,10 +41,9 @@ from .errors import (BadIndexPair, DivisionByZero, InvariantViolation,
 from .ff import (FqElem, Poly1, factor_poly1, first_root, get_embedding,
                  make_field, norm_rel, poly1_gcd, power, rank_and_left_kernel)
 from .forms import d_du
-from .series import (DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2, invert,
-                     laurent_domain)
-from .symbols import (MAX_TERMS, WittPairer, check_length, pairing_box,
-                      symbol, tame_symbol_det, witt_pair_local, with_box)
+from .series import Laurent2, invert, laurent_domain
+from .symbols import (MAX_TERMS, WittPairer, check_length, symbol,
+                      tame_symbol_det, witt_pair_local, with_box)
 from .witt import WittVec, witt_add, witt_zero
 
 INF = math.inf
@@ -663,7 +662,8 @@ def lead_at_place(f, key):
     """The leading term of the expansion of f at a key, a place or a branch,
     at every box, as an exact Laurent2 monomial: the least terms of num and
     den, read off their charts where the parameter is exact and by
-    _row_at_place at a place of degree >= 2."""
+    _row_at_place at a place of degree >= 2.  At a rational place other
+    than u, where t stays t, only the least t-row is charted."""
     exact = key.residue_degree == 1
     if not f:
         return Laurent2.zero(f.field if exact else place_field(key)[0])
@@ -671,6 +671,10 @@ def lead_at_place(f, key):
     def least(P):
         if not exact:
             return _row_at_place(P, key)
+        if isinstance(key, CurvePlace) and key.kind == "finite" \
+                and key.minimal_poly.coeffs[0]:  # u = root + s substitutes
+            j, row = min(P.rows().items())
+            P = Poly2(P.field, {(a, j): c for a, c in row.items()})
         j, row = min(_chart(P, key).rows().items())
         return j, min(row), row[min(row)]
     (jn, vn, cn), (jd, vd, cd) = least(f.num), least(f.den)
@@ -893,17 +897,15 @@ def point_tame_terms(f, g, h, curves):
 # Reciprocity sums over places or curves: one fold over (key, value) terms
 # --------------------------------------------------------------------------
 
-def _witt_terms(keys, expand, f, g, comps, m, start=None):
+def _witt_terms(keys, expand, f, g, comps, m, start):
     """(key, traced local Witt pairing of {f, g} with (comps)) per key.
 
     At each key, expand(c, key, box) expands f, g and comps in the working
     box, and a pairer of {f, g} in the same box pairs them.  The box starts
-    at start ((2, 2) for the sums), or for start=None at pairing_box of
-    comps expanded in the box (DEFAULT_T_PREC, DEFAULT_U_PREC), and grows
-    (with_box); the data is exact, so some box answers.  The pairer's
-    products grow with the square of the operands' terms, so a box whose
-    expansions or two-form hold more than MAX_TERMS terms is refused
-    (StepBudgetExceeded).  m is checked first.
+    at start ((2, 2) for the sums) and grows (with_box); the data is exact,
+    so some box answers.  The pairer's products grow with the square of the
+    operands' terms, so a box whose expansions or two-form hold more than
+    MAX_TERMS terms is refused (StepBudgetExceeded).  m is checked first.
     """
     check_length(m, traced=True)
 
@@ -917,13 +919,7 @@ def _witt_terms(keys, expand, f, g, comps, m, start=None):
         ch = hats[2:] + [Laurent2.zero(hats[0].dom)] * (m - len(comps))
         return WittPairer(symbol(*hats[:2]), m, *box).pair(
             WittVec(laurent_domain(hats[0].dom), ch), m)
-
-    def first(key):
-        demand = [expand(c, key, (DEFAULT_T_PREC, DEFAULT_U_PREC))
-                  for c in comps]
-        zeros = [Laurent2.zero(demand[0].dom)] * (m - len(comps))
-        return pairing_box(f.field.p, [demand + zeros])
-    return [(key, with_box(start or first(key), lambda box: pair_at(key, box)))
+    return [(key, with_box(start, lambda box: pair_at(key, box)))
             for key in keys]
 
 

@@ -56,7 +56,7 @@ from .ff import FieldSpec, GaloisRing, galois_ring, power
 
 INF = math.inf
 
-#: default working precision for operations that must truncate exact data
+#: the command line's default box (--prec-t, --prec-u); the library has none
 DEFAULT_T_PREC = 12
 DEFAULT_U_PREC = 12
 
@@ -404,8 +404,7 @@ class Laurent2:
         return Laurent2._adopt(self.dom, codes, tp, up)
 
     def __pow__(self, e):
-        if e < 0:
-            return invert(self) ** (-e)
+        """self^e for e >= 0: a negative power needs invert's box."""
         return power(self, e, Laurent2.one(self.dom))
 
     # -- comparisons ---------------------------------------------------------
@@ -672,12 +671,13 @@ def bar_valuation(f):
     return min(f.codes[j0])
 
 
-def invert(f, t_prec=None, u_prec=None):
-    """Multiplicative inverse at the propagated (possibly capped) precision.
+def invert(f, t_prec, u_prec):
+    """Multiplicative inverse at the propagated precision, in the caller's
+    working box.
 
-    t_prec and u_prec bound the working box when f's precision is infinite;
-    None means DEFAULT_T_PREC / DEFAULT_U_PREC, and a bound <= 0 is refused.
-    An exact monomial needs no box: its inverse is exact.
+    t_prec and u_prec bound the box in every direction where f's precision
+    is infinite, in the exponents of f's principal part; a bound <= 0 is
+    refused.  An exact monomial needs no box: its inverse is exact.
     """
     j0, i0, c = f._lead()
     dom = f.dom
@@ -686,13 +686,8 @@ def invert(f, t_prec=None, u_prec=None):
     if f.t_prec == INF and not f.u_prec and len(fcodes) == 1 \
             and len(fcodes[j0]) == 1:
         return Laurent2._adopt(dom, {-j0: {-i0: cinv}}, INF, {})
-    for bound in (t_prec, u_prec):
-        if bound is not None and bound <= 0:
-            raise PrecisionTooLow(f"working precision {bound} is not positive")
-    if t_prec is None:
-        t_prec = DEFAULT_T_PREC
-    if u_prec is None:
-        u_prec = DEFAULT_U_PREC
+    if min(t_prec, u_prec) <= 0:
+        raise PrecisionTooLow(f"working box {t_prec, u_prec} is not positive")
     char, n, _, w, fold, cap = _mul_consts(dom)
     # f = c·u^i0·t^j0·(1 + eps); -eps in one pass: f's other terms scaled by
     # -c^-1 and shifted, in f's shifted region with each infinite direction

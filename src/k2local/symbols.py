@@ -39,8 +39,8 @@ class K2Elem:
                 raise FieldMismatch("symbol factor over the wrong field")
             if f.is_zero() or g.is_zero():
                 raise ZeroArgument("symbol entries must be nonzero")
-            if not f.codes or not g.codes:
-                raise PrecisionTooLow("symbol entry has no known term")
+            if not f.codes or not g.codes:  # raise the entry's shortfall
+                f._lead(), g._lead()
             if e:
                 clean.append((f, g, int(e)))
         self.field = field
@@ -122,22 +122,24 @@ def tame_symbol_det(f1, f2, f3):
 def tame_symbol_signed(f, g, h):
     """Monomial form: (−1)^α times the residue of the displayed monomial.
 
-    Computed by genuine series arithmetic (powers and inverses), so it is an
-    independent cross-check of the determinant form.
+    Computed by genuine series arithmetic (powers, and inverses in a box
+    grown from (1, 1)), an independent cross-check of the determinant form.
     """
-    for x in (f, g, h):
-        if not x.codes:
-            raise ZeroArgument("tame symbol of zero")
-    vtf, vuf = _vals(f)
-    vtg, vug = _vals(g)
-    vth, vuh = _vals(h)
+    if not all(x.codes for x in (f, g, h)):
+        raise ZeroArgument("tame symbol of zero")
+    (vtf, vuf), (vtg, vug), (vth, vuh) = map(_vals, (f, g, h))
     ef = vug * vth - vuh * vtg
     eg = -(vuf * vth - vuh * vtf)
     eh = vuf * vtg - vug * vtf
     alpha = (vtf * vtg * vuh + vtf * vth * vug + vtg * vth * vuf
              + vtf * vug * vuh + vtg * vuf * vuh + vth * vuf * vug)
-    prod = (f ** ef) * (g ** eg) * (h ** eh)
-    value = prod.coeff(0, 0)
+
+    def run(box):
+        prod = Laurent2.one(f.dom)
+        for x, k in ((f, ef), (g, eg), (h, eh)):
+            prod = prod * (x ** k if k >= 0 else invert(x, *box) ** -k)
+        return prod.coeff(0, 0)
+    value = with_box((1, 1), run)
     if alpha % 2:
         value = -value
     return TameValue(value)
@@ -147,23 +149,29 @@ def tame_symbol_signed(f, g, h):
 # boundary map
 # --------------------------------------------------------------------------
 
-def boundary(e):
-    """Boundary of a K₂ element in the first residue field k((u)).
+def _boundary_parts(e):
+    """(N, D), series in u alone, with N·D^{-1} the boundary of e: {f, g}^k
+    gives the leading t-row of (−1)^(k·vf·vg)·f^(k·vg)·g^(−k·vf), for vf, vg
+    the t-valuations, a product of powers of the leading t-rows of f and g.
+    N is the sign times the positive powers, D the negative ones inverted."""
+    num = den = Laurent2.one(e.field)
+    odd = 0
+    for f, g, k in e.factors:
+        vf, vg = outer_valuation(f), outer_valuation(g)
+        odd ^= k * vf * vg & 1
+        for x, v, n in ((f, vf, k * vg), (g, vg, -k * vf)):
+            row = Laurent2._of_codes(x.dom, {0: x.codes[v]}, None,
+                                     {0: x.uprec(v)}) ** abs(n)
+            num, den = (num * row, den) if n > 0 else (num, den * row)
+    return (-num if odd else num), den
 
-    Returned as a Laurent2 supported in t-degree zero.
-    """
-    field = e.field
-    out = Laurent2.one(field)
-    for f, g, exp in e.factors:
-        vf = outer_valuation(f)
-        vg = outer_valuation(g)
-        val = (f ** vg) * (g ** (-vf))
-        if (vf * vg) % 2:
-            val = -val
-        out = out * (val ** exp)
-    row = out.codes.get(0)
-    up = {0: out.uprec(0)} if out.uprec(0) != INF else {}
-    return Laurent2._adopt(field, {0: row} if row else {}, INF, up)
+
+def boundary(e, box):
+    """Boundary of a K₂ element in the first residue field k((u)), as a
+    Laurent2 supported in t-degree zero: N·D^{-1} (_boundary_parts), with D
+    inverted in the caller's box (t, u)."""
+    num, den = _boundary_parts(e)
+    return num * invert(den, *box)
 
 
 # --------------------------------------------------------------------------
@@ -198,10 +206,8 @@ class WittPairer:
         self.box = (t_box, u_box)
         eta = None
         for f, g, exp in e.factors:
-            fh = lift_padic(f, m)
-            gh = lift_padic(g, m)
-            w = wedge(dlog(fh, invert(fh, t_box, u_box)),
-                      dlog(gh, invert(gh, t_box, u_box)))
+            w = wedge(*(dlog(x, invert(x, t_box, u_box))
+                        for x in (lift_padic(f, m), lift_padic(g, m))))
             w = w.int_scale(exp)
             eta = w if eta is None else eta + w
         if eta is None:
@@ -257,9 +263,10 @@ def pairing_box(p, demand):
 
 def with_box(box, run):
     """run(box), growing box = (t_box, u_box) while run raises
-    PrecisionTooLow: the side named grows by need − edge + 1, and at least
-    twofold; with no side named, both double.  A shortfall that comes back
-    doubles both, and the third time it is raised, as at a side below 1.
+    PrecisionTooLow: the side it names grows by need − edge + 1, and at
+    least twofold.  A shortfall that comes back doubles both, and the third
+    time it is raised, as is any at a side below 1: only invert's guard of
+    such a side names no side.
     Answers are exact at any box, which sets only time, so exact data meets
     no cap but the term budgets.
     """
@@ -270,10 +277,10 @@ def with_box(box, run):
         except PrecisionTooLow as exc:
             short = (exc.side, exc.need, exc.edge, exc.row)
             tries = seen[short] = seen.get(short, 0) + 1
-            if min(box) < 1 or exc.side and tries > 2:
+            if min(box) < 1 or exc.side is None or tries > 2:
                 raise
             t, u = box
-            if exc.side is None or tries == 2:
+            if tries == 2:
                 box = (2 * t, 2 * u)
             elif exc.side == "t":
                 box = (max(2 * t, t + exc.need - exc.edge + 1), u)
@@ -366,8 +373,11 @@ class _Decomposer:
     Works modulo symbols invisible to the level-N pairing family: constant
     second slots, {ζ, ε} pieces, factors supported beyond the visibility
     horizon H = p·N, and elementary units with negative u-exponent.  It reads
-    the rows 0..H of each principal part up to u^Hu, so run raises
-    PrecisionTooLow unless all of those coefficients are known.
+    the rows 0..H of each principal part up to u^Hu and cuts every series
+    there, so run raises PrecisionTooLow, naming its side, unless all of
+    those are known.  Hu = H + 8 + H·a for a = max ⌈−i/j⌉ over the terms
+    u^i·t^j, 1 ≤ j ≤ H, of the input's principal parts: then no product
+    that reaches row H brings a cut term back into view.
     """
 
     BUDGET = 200000
@@ -378,7 +388,6 @@ class _Decomposer:
         p = field.p
         self.p = p
         self.H = p * level
-        self.Hu = p * level + 8
         self.K = 1
         while p ** self.K <= self.H:
             self.K += 1
@@ -390,12 +399,15 @@ class _Decomposer:
     # -- series plumbing ---------------------------------------------------
 
     def known_box(self, f):
-        """box(f), after checking that f is known on all of the box."""
-        if f.t_prec <= self.H or any(j <= self.H and b <= self.Hu
-                                     for j, b in f.u_prec.items()):
+        """box(f), or the shortfall of t or of the row least known in u."""
+        short = ("t", self.H, f.t_prec) if f.t_prec <= self.H else min(
+            (("u", self.Hu, b, j) for j, b in f.u_prec.items()
+             if j <= self.H and b <= self.Hu), default=None)
+        if short:
             raise PrecisionTooLow(
                 f"decomposition at level {self.N} reads rows 0..{self.H} up "
-                f"to u^{self.Hu}, beyond the known terms of a symbol entry")
+                f"to u^{self.Hu}, beyond the known terms of a symbol entry",
+                *short)
         return self.box(f)
 
     def box(self, f):
@@ -541,9 +553,13 @@ class _Decomposer:
 
     def run(self, e):
         one = Laurent2.one(self.field)
-        for f, g, exp in e.factors:
-            df = unit_decompose(f)
-            dg = unit_decompose(g)
+        decs = [(unit_decompose(f), unit_decompose(g), exp)
+                for f, g, exp in e.factors]
+        self.Hu = self.H + 8 + self.H * max(
+            [0] + [-(min(row) // j) for df, dg, _ in decs
+                   for x in (df.principal, dg.principal)
+                   for j, row in x.codes.items() if 1 <= j <= self.H])
+        for df, dg, exp in decs:
             i, j = df.u_exp, df.t_exp
             k, l = dg.u_exp, dg.t_exp
             af, bg = df.zeta_exp, dg.zeta_exp
@@ -606,13 +622,14 @@ def _test_vectors(field, level):
 
 def k2_equiv(a, b, level):
     """True iff a and b pair identically against the level-bounded family
-    of Witt test vectors (lengths ≤ 2) and have equal boundary data."""
+    of Witt test vectors (lengths ≤ 2) and have equal boundary data, which
+    needs no inverse: Na/Da = Nb/Db (_boundary_parts) exactly when Na·Db
+    and Nb·Da agree on their known terms."""
     field = a.field
     if field is not b.field:
         return False
-    ba = boundary(a)
-    bb = boundary(b)
-    if not (ba * invert(bb)).same_known_terms(Laurent2.one(field)):
+    (na, da), (nb, db) = _boundary_parts(a), _boundary_parts(b)
+    if not (na * db).same_known_terms(nb * da):
         return False
     d = a * b.inv()
     if not d.factors:

@@ -302,6 +302,22 @@ class TestRun:
                          "1+u"])
         assert code == 0, rep
 
+    def test_boundary_is_known_as_far_as_the_box(self):
+        # the boundary of {u·t, 1+u+t} is 1/(1+u), inverted in the box
+        code, rep = run(["boundary", "--field", "3^1", "--prec-u", "40",
+                         "u*t", "1+u+t"])
+        assert code == 0, rep
+        assert rep["value"] == [{"c": [1 + i % 2], "t": 0, "u": i}
+                                for i in range(40)]
+
+    @pytest.mark.parametrize("tail, equal", [("+u^20", False),
+                                             ("+u^5", False), ("", True)])
+    def test_equiv_compares_exact_boundaries_exactly(self, tail, equal):
+        # the boundaries are 1+u+tail and 1+u, whatever the box
+        code, rep = run(["equiv", "--field", "2^1", "--level", "2",
+                         "1+u" + tail, "t", "1+u", "t"])
+        assert (code, rep["equal"]) == (1 - equal, equal), rep
+
     @pytest.mark.parametrize("curves, listed", [
         ("t,t,u", ["t = 0", "u = 0"]),
         ("t,u,t=u,u=t", ["t = 0", "u = 0", "t = [1]*u^1"])])

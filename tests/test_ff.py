@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from k2local import ff
+from k2local import ff, series
 from k2local.errors import (CompositeP, FieldMismatch, InvariantViolation,
                             NotASubfield, ReducibleModulus)
+from k2local.series import Laurent2, lift_padic
 from helpers import frobenius, trace_abs
 
 F2 = ff.make_field(2, 1)
@@ -473,16 +474,16 @@ def _teichmuller_reference(ring, a):
 @pytest.mark.parametrize("f", [F4, F9])
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_teichmuller_table_matches_iteration(f, s):
-    ring = ff.GaloisRing(f, s)  # a fresh ring: its table starts empty
-    assert not ring._teich
-    cold = {}
-    for a in f.elements():  # cold: each lift is computed and kept
-        cold[a.coeffs] = ring.teichmuller(a)
-        assert cold[a.coeffs] == _teichmuller_reference(ring, a)
-    assert len(ring._teich) == f.q
-    for a in f.elements():  # warm: each lift is read from the table
-        assert ring.teichmuller(a) is cold[a.coeffs]
-    assert len(ring._teich) == f.q
+    # lift_padic keeps one code table per ring, filled on demand
+    ring = ff.galois_ring(f, s)
+    units = [a for a in f.elements() if a]
+    x = Laurent2.from_dict(f, {(0, i): a for i, a in enumerate(units)})
+    lifted = lift_padic(x, s)
+    for i, a in enumerate(units):
+        assert lifted.coeff(i, 0) == _teichmuller_reference(ring, a)
+        assert ring.teichmuller(a) == _teichmuller_reference(ring, a)
+    assert len(series._teichmuller_codes(ring)) == f.q - 1
+    assert lift_padic(x, s) == lifted  # read back from the table
 
 
 def test_galois_ring_inverse():

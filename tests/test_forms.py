@@ -4,10 +4,16 @@ import random
 
 import pytest
 
-from k2local.errors import CoefficientOutsidePrecision, InvariantViolation
+from k2local.errors import (CoefficientOutsidePrecision, InvariantViolation,
+                            PrecisionTooLow, ZeroDivisor)
 from k2local.ff import galois_ring, make_field
 from k2local.forms import OneForm, TwoForm, d_dt, d_du, dlog, residue, wedge
 from k2local.series import Laurent2, invert
+
+
+def boxed_dlog(f):
+    """dlog(f) with 1/f inverted in the box (12, 12)."""
+    return dlog(f, invert(f, 12, 12))
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -62,7 +68,7 @@ class TestDlog:
     def test_dlog_monomial(self):
         # dlog(u^i t^j) = i du/u + j dt/t
         f = poly(F3, {(2, 1): 1})
-        w = dlog(f)
+        w = boxed_dlog(f)
         assert w.a == poly(F3, {(0, -1): 1})
         assert w.b == poly(F3, {(-1, 0): 2})
 
@@ -72,8 +78,8 @@ class TestDlog:
             for _ in range(15):
                 f = rand_unit(dom, rng)
                 g = rand_unit(dom, rng)
-                lhs = dlog(f * g)
-                rhs = dlog(f) + dlog(g)
+                lhs = boxed_dlog(f * g)
+                rhs = boxed_dlog(f) + boxed_dlog(g)
                 assert lhs.a.same_known_terms(rhs.a)
                 assert lhs.b.same_known_terms(rhs.b)
 
@@ -96,8 +102,8 @@ class TestWedgeResidue:
         # res(dlog(u) ^ dlog(t)) = 1, res(dlog(t) ^ dlog(u)) = -1
         u = poly(F3, {(0, 1): 1})
         t = poly(F3, {(1, 0): 1})
-        assert residue(wedge(dlog(u), dlog(t))) == F3.one
-        assert residue(wedge(dlog(t), dlog(u))) == F3.from_int(-1)
+        assert residue(wedge(boxed_dlog(u), boxed_dlog(t))) == F3.one
+        assert residue(wedge(boxed_dlog(t), boxed_dlog(u))) == F3.from_int(-1)
 
     def test_residue_of_exact_form_vanishes(self):
         # d(f) ∧ dg + df ∧ d(g) arrangement: res(df ∧ dg) = 0 for polynomials
@@ -133,9 +139,9 @@ class TestWedgeResidue:
             if not g.terms:
                 continue
             try:
-                form = wedge(dlog(f), dlog(g))
+                form = wedge(boxed_dlog(f), boxed_dlog(g))
                 r = residue(form)
-            except Exception:
+            except (PrecisionTooLow, ZeroDivisor):
                 continue
             assert r == F9.zero
 

@@ -79,3 +79,48 @@ def test_every_module_level_definition_is_used():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)) and node.name not in used]
     assert not found, found
+
+
+def _called(node):
+    """The name a call is made through: f(...) or module.f(...)."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+
+
+def test_every_box_is_the_callers():
+    # the library has no default box: every inverse is given its caller's
+    # box, only series.py (where they are set) and cli.py (the command
+    # line's default box) name DEFAULT_T_PREC or DEFAULT_U_PREC, and every
+    # PrecisionTooLow raised names its side, so that with_box knows which
+    # side to grow; only the guards of a nonpositive box name none
+    defaults = {"DEFAULT_T_PREC", "DEFAULT_U_PREC"}
+    short = {"PrecisionTooLow", "CoefficientOutsidePrecision"}
+    guards = {("series", "invert"), ("globalfield", "_param_series")}
+    unboxed, named, sideless = [], set(), []
+    for path in sorted(Path(k2local.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        guarded = {id(node) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef)
+                   and (path.stem, func.name) in guards
+                   for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call) and _called(node) == "invert" \
+                    and len(node.args) + len(node.keywords) < 3 \
+                    and not any(isinstance(a, ast.Starred)
+                                for a in node.args):
+                unboxed.append(where)
+            if {getattr(node, "id", None), getattr(node, "attr", None)} \
+                    & defaults or isinstance(node, ast.ImportFrom) \
+                    and {a.name for a in node.names} & defaults:
+                named.add(path.name)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and _called(node.exc) in short \
+                    and len(node.exc.args) < 2 \
+                    and "side" not in {k.arg for k in node.exc.keywords} \
+                    and id(node.exc) not in guarded:
+                sideless.append(where)
+    assert not unboxed, unboxed
+    assert named <= {"series.py", "cli.py"}, named
+    assert not sideless, sideless

@@ -57,7 +57,7 @@ def verify_appendix_identity(which, params, level):
         gu = Laurent2.monomial(field, g, j, 0)
         lhs = symbol(one + Laurent2.monomial(field, f, i, l), one + gu)
         inner = Laurent2.monomial(field, f, i, l) * \
-            gu.int_scale(j) * invert(one + gu)
+            gu.int_scale(j) * invert(one + gu, 12, 12)
         rhs = symbol(one + inner, u)
         return k2_equiv(lhs, rhs, level)
     raise ZeroArgument(f"unknown identity {which}")
@@ -183,12 +183,12 @@ class TestFieldMismatch:
 
 class TestBoundary:
     def test_u_t(self):
-        b = boundary(symbol(U(F3), T(F3)))
+        b = boundary(symbol(U(F3), T(F3)), (12, 12))
         assert b == mono(F3, 1, 1, 0)
-        assert bar_valuation(boundary(symbol(U(F3), T(F3)))) == 1
+        assert bar_valuation(boundary(symbol(U(F3), T(F3)), (12, 12))) == 1
 
     def test_t_t(self):
-        b = boundary(symbol(T(F3), T(F3)))
+        b = boundary(symbol(T(F3), T(F3)), (12, 12))
         assert b == mono(F3, -1 % 3)
 
     def test_units_trivial(self):
@@ -196,14 +196,14 @@ class TestBoundary:
         for _ in range(20):
             a = rand_unit(F4, rng, allow_shift=False)
             b = rand_unit(F4, rng, allow_shift=False)
-            val = boundary(symbol(a, b))
+            val = boundary(symbol(a, b), (12, 12))
             assert val.same_known_terms(Laurent2.one(F4))
 
     def test_unramified_examples(self):
         z = mono(F4, primitive_element(F4))
-        assert bar_valuation(boundary(symbol(z, T(F4)))) == 0
+        assert bar_valuation(boundary(symbol(z, T(F4)), (12, 12))) == 0
         eps = Laurent2.one(F4) + mono(F4, 1, 1, 0)
-        assert bar_valuation(boundary(symbol(eps, T(F4)))) == 0
+        assert bar_valuation(boundary(symbol(eps, T(F4)), (12, 12))) == 0
 
 
 class TestWittPairing:
@@ -460,13 +460,15 @@ class TestPairingBox:
 class TestWithBox:
     @staticmethod
     def run_until(size, error=PrecisionTooLow):
-        """A run that records its boxes and answers from side `size` on."""
+        """A run that records its boxes and answers from side `size` on,
+        raising the shortfall of the first side below it."""
         seen = []
 
         def run(box):
             seen.append(box)
-            if min(box) < size:
-                raise error("box too small")
+            for side, edge in zip("tu", box):
+                if edge < size:
+                    raise error(f"short on {side}", side, size - 1, edge)
             return box
         return seen, run
 
@@ -489,7 +491,7 @@ class TestWithBox:
     def test_returns_at_the_first_box_that_answers(self):
         seen, run = self.run_until(8)
         assert with_box((2, 2), run) == (8, 8)
-        assert seen == [(2, 2), (4, 4), (8, 8)]
+        assert seen == [(2, 2), (8, 2), (8, 8)]
 
     def test_a_named_shortfall_grows_only_its_side(self):
         # t short by 4 grows t by 4, then u short by 40 grows u by 40
@@ -547,10 +549,16 @@ class TestWithBox:
             with_box((2, 2), run)
         assert seen == [(2, 2)]
 
-    def test_an_unnamed_shortfall_doubles_both_sides(self):
-        seen, run = self.run_until(4096)
-        assert with_box((2, 3), run) == (4096, 6144)
-        assert len(seen) == 12
+    def test_an_unnamed_shortfall_is_raised(self):
+        # only invert's guard of a side below 1 names no side
+        seen = []
+
+        def run(box):
+            seen.append(box)
+            raise PrecisionTooLow("box too small")
+        with pytest.raises(PrecisionTooLow):
+            with_box((2, 3), run)
+        assert seen == [(2, 3)]
 
     @pytest.mark.parametrize("box", [(0, 4), (4, -3)])
     def test_a_side_below_one_cannot_grow(self, box):
@@ -637,6 +645,27 @@ class TestDecompose:
         eps = invert(Laurent2.one(F2) + mono(F2, 1, 1, 1), 24, 24)
         basis = k2_decompose(symbol(eps, T(F2)), 3)
         assert sorted(basis.e1_terms) == [(1, 1), (2, 2)]
+
+    def test_a_short_entry_names_its_side(self):
+        # level 2 over F_2 reads rows 0..4 up to u^12 of each principal part
+        ut = {(0, 0): 1, (1, 1): 1}
+        for f, short in (
+                (Laurent2.from_dict(F2, ut, t_prec=3), ("t", 4, 3, None)),
+                (Laurent2.from_dict(F2, ut, u_prec={1: 7, 2: 5}),
+                 ("u", 12, 5, 2))):
+            with pytest.raises(PrecisionTooLow) as exc:
+                k2_decompose(symbol(f, T(F2)), 2)
+            e = exc.value
+            assert (e.side, e.need, e.edge, e.row) == short
+
+    @pytest.mark.parametrize("dom, level, a", [(F2, 4, 16), (F3, 3, 20)])
+    def test_a_deep_u_pole_widens_the_cut(self, dom, level, a):
+        # in (1 + u^-a·t)(1 + u^(a+1)·t) the row-1 term u^-a·t multiplies
+        # u^(a+1)·t back into view, so the cut at u^(H+8) must widen
+        one = Laurent2.one(dom)
+        f = (one + mono(dom, 1, -a, 1)) * (one + mono(dom, 1, a + 1, 1))
+        e = symbol(f, T(dom))
+        assert k2_equiv(e, k2_decompose(e, level).recompose(), level)
 
     def test_json_roundtrip(self):
         basis = k2_decompose(symbol(U(F4), T(F4)), 2)
