@@ -11,7 +11,7 @@ import random
 import sys
 
 from .errors import (DivisionByZero, ExprSyntaxError, K2LocalError,
-                     UndefinedSymbol, UsageError)
+                     UndefinedSymbol, UsageError, ZeroArgument)
 from .ff import make_field, parse_field
 from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           as_reduce, as_residual_solves, curve_tame_terms,
@@ -22,8 +22,8 @@ from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           to_pointfunc, witt_report)
 from .globalfield import _poly2_transpose, _tame_terms, _witt_terms, _wv_json
 from .series import DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2
-from .symbols import (boundary, k2_decompose, k2_equiv, pairing_box, symbol,
-                      with_box)
+from .symbols import (K2Elem, boundary, k2_decompose, k2_equiv, pairing_box,
+                      symbol, with_box)
 from .witt import witt_zero
 
 SCHEMA = 1
@@ -327,11 +327,25 @@ def _cmd_decompose(args, field):
             "basis": basis.to_json()}, 0
 
 
+def _exact_symbol(f, g):
+    """{f, g} for f = a/b and g = c/d from exact polynomial entries:
+    {a, c}·{a, d}⁻¹·{b, c}⁻¹·{b, d}, skipping a factor with an entry 1.
+    A polynomial's Laurent2 needs no box, so nothing is cut off."""
+    if not f or not g:
+        raise ZeroArgument("symbol entries must be nonzero")
+    field = f.field
+    return K2Elem(field, [
+        (Laurent2(field, x.rows()), Laurent2(field, y.rows()), s * r)
+        for x, s in ((f.num, 1), (f.den, -1))
+        for y, r in ((g.num, 1), (g.den, -1))
+        if not (x.is_one() or y.is_one())])
+
+
 def _cmd_equiv(args, field):
-    prec_t, prec_u = args["prec_t"], args["prec_u"]
-    f1, g1, f2, g2 = (eval_local(x, field, prec_t, prec_u)
+    f1, g1, f2, g2 = (eval_rational(x, field)
                       for x in _exprs(args, 4, "equiv needs f1 g1 f2 g2"))
-    same = k2_equiv(symbol(f1, g1), symbol(f2, g2), args["level"])
+    same = k2_equiv(_exact_symbol(f1, g1), _exact_symbol(f2, g2),
+                    args["level"])
     return {"verb": "equiv", "level": args["level"], "equal": same}, \
         0 if same else 1
 

@@ -92,10 +92,6 @@ class BadIndexPair(K2LocalError):
     """duality_kernel_point called with both indices divisible by p."""
 
 
-class UnsupportedPlace(K2LocalError):
-    """Data meets a place that the requested sum does not run over."""
-
-
 # --- cli -------------------------------------------------------------------
 
 class UsageError(K2LocalError):

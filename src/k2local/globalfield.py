@@ -27,26 +27,25 @@ declared set of curves through the origin, share their pieces: per-key terms
 terms for the tame symbol) and one running fold over them.  The
 *_reciprocity functions return the fold's last value; witt_report and
 tame_report build the JSON reports, keyed by "place" or "curve".  Every
-residue is read through forms.residue.
+residue of a two-form is read through forms.residue.
+
+Finite-level duality: on the curve, the one-variable residues that pair
+functions with the generators s^a of a place are single coefficients of the
+exact expansions; at a point, the basis pairings are Witt pairings.
 """
 
-import math
 import operator
 from functools import lru_cache
 
 from .errors import (BadIndexPair, DivisionByZero, InvariantViolation,
                      NotReducible, PrecisionTooLow, StepBudgetExceeded,
-                     UndeclaredCurveFactor, UnsupportedPlace, ZeroArgument,
-                     ZeroDivisor)
+                     UndeclaredCurveFactor, ZeroArgument, ZeroDivisor)
 from .ff import (FqElem, Poly1, factor_poly1, first_root, get_embedding,
                  make_field, norm_rel, poly1_gcd, power, rank_and_left_kernel)
-from .forms import d_du
 from .series import Laurent2, invert, laurent_domain
 from .symbols import (MAX_TERMS, WittPairer, check_length, symbol,
                       tame_symbol_det, witt_pair_local, with_box)
 from .witt import WittVec, witt_add, witt_zero
-
-INF = math.inf
 
 
 # --------------------------------------------------------------------------
@@ -1036,11 +1035,6 @@ def _coeff_neg(coeffs):
     return {k: -c for k, c in coeffs.items()}
 
 
-def _coeff_pow_p(coeffs, p):
-    """(sum c_k t^k)^p = sum c_k^p t^{pk} in characteristic p."""
-    return {p * k: c ** p for k, c in coeffs.items()}
-
-
 def _u_text(c):
     """A u-only RatFunc in univariate notation, highest power first."""
     num = c.num.t_coeffs()[0].serialize()
@@ -1142,30 +1136,17 @@ def _as_reduce(coeffs, field):
     return CanonicalASRep(field, work, flags)
 
 
-def as_residual_solves(f, rep, t_prec=None):
-    """Check f - recompose(rep) = h^p - h + const within the t-precision.
+def as_residual_solves(f, rep):
+    """Check f - recompose(rep) = h^p - h + const for some h.
 
-    The nonpositive part must itself reduce to the empty representative;
-    the positive part is matched against the explicit geometric series
-    h = (-f+) + (-f+)^p + (-f+)^{p^2} + ... truncated at the precision.
+    The part below t^0 must itself reduce to the empty representative.
+    The part above t^0, pos, always solves: h = -(pos + pos^p + pos^(p^2) +
+    ...) converges t-adically, with h^p - h = pos, so it needs no check.
     """
     field = f.field
-    p = field.p
     diff = _coeff_sum(_t_coeffs(f), _coeff_neg(rep.terms))
-    if _as_reduce({k: c for k, c in diff.items() if k < 0}, field).terms:
-        return False
-    pos = {k: c for k, c in diff.items() if k > 0}
-    if not pos:
-        return True
-    if t_prec is None:
-        t_prec = p * (max(pos) + 1) + 1
-    h = {}
-    term = _coeff_neg(pos)
-    while term and min(term) < t_prec:
-        h = _coeff_sum(h, {k: c for k, c in term.items() if k < t_prec})
-        term = _coeff_pow_p(term, p)
-    resid = _coeff_sum(_coeff_pow_p(h, p), _coeff_neg(h), _coeff_neg(pos))
-    return all(k >= t_prec for k in resid)
+    return not _as_reduce({k: c for k, c in diff.items() if k < 0},
+                          field).terms
 
 
 # --------------------------------------------------------------------------
@@ -1258,25 +1239,16 @@ def duality_kernel_point(i, j, field):
 # Finite-level duality report for a fixed curve
 # --------------------------------------------------------------------------
 
-def _level_entry(place, phi1, phi2, fhat, k, field):
-    """res_x(f * (d phi1 - k phi2 du_x/u_x)) at a rational place."""
-    form = Laurent2.zero(field)
-    if phi1 is not None:
-        form = form + fhat * d_du(phi1)
-    if phi2 is not None:
-        form = form - (fhat * phi2).monomial_mul(field.from_int(k), -1, 0)
-    return form.coeff(-1, 0)
-
-
-def duality_level_curve(k, pole_bound, field, diag_samples=None):
+def duality_level_curve(k, pole_bound, field):
     """Finite-level pairing matrix for level k on the projective u-line.
 
-    Generators are per-place monomials u_x^a (|a| <= pole_bound) sorted into
-    the two component groups; test functions are the p-constrained monomial
-    basis of L(pole_bound).  Reports rank, kernel, and whether sampled
-    diagonal elements pair to zero against the whole test space.  The sum
-    runs over the rational places, so a sample whose divisor meets a place
-    of degree >= 2 raises UnsupportedPlace.
+    Generators are per-place monomials s^a (|a| <= pole_bound) in the
+    parameter s of each rational place, sorted into two component groups:
+    the forms d(s^a) for p ∤ a, and, when p ∤ k, -k·s^a·ds/s for p | a.  The
+    test functions f are the p-constrained monomial basis of L(pole_bound),
+    expanded exactly at each place, so each entry is one coefficient read:
+    res(f·d(s^a)) = a·[s^-a]f and res(-k·f·s^a·ds/s) = -k·[s^-a]f.  Reports
+    rank and kernel; "diagonal_in_kernel" stays in the report, empty.
     """
     if k < 1:
         raise ZeroArgument("level must be positive")
@@ -1305,23 +1277,9 @@ def duality_level_curve(k, pole_bound, field, diag_samples=None):
             for a in range(-D, D + 1):
                 if a % p == 0:
                     gens.append((xi, 2, a))
-    rows = []
-    for (xi, comp, a) in gens:
-        x = places[xi]
-        mono = Laurent2.monomial(field, field.one, a, 0)
-        phi1 = mono if comp == 1 else None
-        phi2 = mono if comp == 2 else None
-        rows.append([_level_entry(x, phi1, phi2, fh, k, field)
-                     for fh in fhats[x]])
+    rows = [[field.from_int(a if comp == 1 else -k) * fh.coeff(-a, 0)
+             for fh in fhats[places[xi]]] for (xi, comp, a) in gens]
     rank, kernel = rank_and_left_kernel(rows, field)
-    diag_ok = []
-    for a_glob, b_glob in diag_samples or []:
-        if any(x.residue_degree > 1 for x in list_places([a_glob, b_glob])):
-            raise UnsupportedPlace("diagonal sample meets a place of degree "
-                                   ">= 2; the sum runs over rational places")
-        row = with_box((2, 2), lambda box: _diagonal_row(
-            a_glob, b_glob, k, places, fhats, box, field))
-        diag_ok.append(not any(row))
     return {
         "k": k,
         "pole_bound": D,
@@ -1338,28 +1296,5 @@ def duality_level_curve(k, pole_bound, field, diag_samples=None):
         "rank": rank,
         "kernel_dim": len(kernel),
         "full_column_rank": rank == len(fexps),
-        "diagonal_in_kernel": diag_ok,
+        "diagonal_in_kernel": [],
     }
-
-
-def _diagonal_row(a_glob, b_glob, k, places, fhats, box, field):
-    """Pairing row of the diagonal element built from {1 + a t^k, b}."""
-    p = field.p
-    row = None
-    for x in places:
-        ah = expand_at_place(a_glob, x, box)
-        bh = expand_at_place(b_glob, x, box)
-        w = ah * d_du(bh).monomial_mul(field.one, 1, 0) * invert(bh, *box)
-        # eta kills the non-p-power exponents of w
-        eta_terms = {}
-        for i2, c in w.terms.get(0, {}).items():
-            if i2 % p:
-                eta_terms[i2] = -(c * field.from_int(i2).inv())
-        eta = Laurent2(field, {0: eta_terms}, INF,
-                       dict(w.u_prec) if w.u_prec else {})
-        phi1 = eta.monomial_mul(field.from_int(k))
-        phi2 = w + d_du(eta).monomial_mul(field.one, 1, 0)
-        vals = [_level_entry(x, phi1, phi2 if k % p else None, fh, k, field)
-                for fh in fhats[x]]
-        row = vals if row is None else [r + v for r, v in zip(row, vals)]
-    return row

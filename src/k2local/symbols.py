@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import (FieldMismatch, PrecisionTooLow, StepBudgetExceeded,
                      UnsupportedLength, ZeroArgument, ZeroElement)
 from .ff import FqElem, galois_ring, power, primitive_element
-from .forms import TwoForm, dlog, residue, wedge
+from .forms import dlog, residue, wedge
 from .series import (Laurent2, bar_valuation, invert, laurent_domain,
                      lift_padic, outer_valuation, unit_decompose)
 from .witt import MAX_LENGTH, GhostVec, WittVec, unghost, witt_trace_to_prime
@@ -190,7 +190,8 @@ def check_length(m, traced=False):
 
 
 class WittPairer:
-    """Precomputes the two-form of a K₂ element for repeated pairings.
+    """Precomputes the two-form of a K₂ element for repeated pairings: eta,
+    the du∧dt coefficient of Σ exp·dlog f ∧ dlog g, a plain Laurent2.
 
     The Galois ring has m p-adic digits: unghost leaves component k valid
     mod p^(m−k), and only components k ≤ m−1 are read, mod p.  f and g of
@@ -211,8 +212,8 @@ class WittPairer:
             w = w.int_scale(exp)
             eta = w if eta is None else eta + w
         if eta is None:
-            eta = TwoForm(Laurent2.zero(self.ring))
-        if sum(map(len, eta.a.codes.values())) > MAX_TERMS:
+            eta = Laurent2.zero(self.ring)
+        if sum(map(len, eta.codes.values())) > MAX_TERMS:
             raise StepBudgetExceeded(f"two-form past {MAX_TERMS} terms")
         self.eta = eta
 

@@ -318,6 +318,16 @@ class TestRun:
                          "1+u" + tail, "t", "1+u", "t"])
         assert (code, rep["equal"]) == (1 - equal, equal), rep
 
+    @pytest.mark.parametrize("argv, equal", [
+        ("--field 2^1 --level 2 1/(1+u+u^20) t 1/(1+u) t", False),
+        ("--field 3^1 --level 3 u/(1+u) 1/(1+u) u 1-u", True)])
+    def test_equiv_reads_rational_operands_exactly(self, argv, equal):
+        # the boundaries 1/(1+u+u^20) and 1/(1+u) agree below u^20, so an
+        # operand cut off in the box (12, 12) cannot tell them apart; the
+        # second pair is {x, 1-x} against {u, 1-u}, both trivial
+        code, rep = run(["equiv", *argv.split()])
+        assert (code, rep["equal"]) == (1 - equal, equal), rep
+
     @pytest.mark.parametrize("curves, listed", [
         ("t,t,u", ["t = 0", "u = 0"]),
         ("t,u,t=u,u=t", ["t = 0", "u = 0", "t = [1]*u^1"])])

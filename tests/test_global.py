@@ -12,7 +12,7 @@ from k2local.cli import eval_rational, run
 from k2local.errors import (BadIndexPair, DivisionByZero, InvariantViolation,
                             NotReducible, PrecisionTooLow,
                             UndeclaredCurveFactor, UnsupportedLength,
-                            UnsupportedPlace, ZeroArgument)
+                            ZeroArgument)
 from k2local.ff import FqElem, make_field, norm_rel
 from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  CurvePlace, PointFunc, Poly1, Poly2,
@@ -27,12 +27,13 @@ from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  point_basis_pair, point_tame_reciprocity,
                                  point_tame_terms, point_witt_reciprocity,
                                  point_witt_terms, to_pointfunc, witt_report)
-from k2local.globalfield import (_chart, _expand_poly2, _lead,
-                                 _param_series, _poly2_div_poly1,
-                                 _poly2_transpose, _prs_gcd, _t_coeffs,
-                                 _tame_terms, _tpoly_gcd, _try_div_curve,
-                                 _witt_terms, expand_point, place_field,
-                                 place_u, poly1_gcd)
+from k2local.forms import d_du
+from k2local.globalfield import (_as_reduce, _chart, _coeff_neg, _coeff_sum,
+                                 _expand_poly2, _lead, _param_series,
+                                 _poly2_div_poly1, _poly2_transpose, _prs_gcd,
+                                 _t_coeffs, _tame_terms, _tpoly_gcd,
+                                 _try_div_curve, _witt_terms, expand_point,
+                                 place_field, place_u, poly1_gcd)
 from k2local.series import INF, Laurent2, invert, laurent_domain
 from k2local.symbols import (symbol, tame_symbol_det, witt_pair_local,
                              with_box)
@@ -1598,6 +1599,101 @@ class TestTameLeadingTerms:
 # canonical Artin-Schreier representatives
 # --------------------------------------------------------------------------
 
+def _as_residual_solves_reference(f, rep, t_prec=None):
+    """as_residual_solves as it was when it also matched the positive part
+    against h = (-f+) + (-f+)^p + (-f+)^{p^2} + ... truncated at t_prec."""
+    field = f.field
+    p = field.p
+    diff = _coeff_sum(_t_coeffs(f), _coeff_neg(rep.terms))
+    if _as_reduce({k: c for k, c in diff.items() if k < 0}, field).terms:
+        return False
+    pos = {k: c for k, c in diff.items() if k > 0}
+    if not pos:
+        return True
+    if t_prec is None:
+        t_prec = p * (max(pos) + 1) + 1
+
+    def pow_p(coeffs):
+        return {p * k: c ** p for k, c in coeffs.items()}
+    h = {}
+    term = _coeff_neg(pos)
+    while term and min(term) < t_prec:
+        h = _coeff_sum(h, {k: c for k, c in term.items() if k < t_prec})
+        term = pow_p(term)
+    resid = _coeff_sum(pow_p(h), _coeff_neg(h), _coeff_neg(pos))
+    return all(k >= t_prec for k in resid)
+
+
+def _as_population(rng, field, count, k_lo, k_hi):
+    """Sums of u-only RatFuncs times t^k, k in [k_lo, k_hi), as drawn by
+    the as-reduce tests."""
+    t = RatFunc.from_poly2(Poly2.monomial(field, field.one, 0, 1))
+    out = []
+    for _ in range(count):
+        f = RatFunc.const(field, field.zero)
+        for _ in range(rng.randrange(1, 4)):
+            k = rng.randrange(k_lo, k_hi)
+            num = Poly1(field, [field.elem_by_index(rng.randrange(field.q))
+                                for _ in range(3)])
+            den = Poly1(field, [field.elem_by_index(rng.randrange(field.q))
+                                for _ in range(2)] + [field.one])
+            f = f + RatFunc(Poly2.from_poly1(num),
+                            Poly2.from_poly1(den)) * t ** k
+        out.append(f)
+    return out
+
+
+class TestASResidualReference:
+    FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1))
+
+    def test_the_as_reduce_populations(self):
+        # the populations of TestASReduce and TestCanonicalRepresentatives
+        for seed, fields, count in ((5, self.FIELDS[:3], 8),
+                                    (701, self.FIELDS, 25)):
+            rng = random.Random(seed)
+            for q, n in fields:
+                field = make_field(q, n)
+                for f in _as_population(rng, field, count, -6, 4):
+                    rep = as_reduce(f)
+                    assert as_residual_solves(f, rep) is \
+                        _as_residual_solves_reference(f, rep) is True
+
+    def test_sweep_with_positive_exponents(self):
+        rng = random.Random(29)
+        positive = 0
+        for q, n in self.FIELDS:
+            field = make_field(q, n)
+            for f in _as_population(rng, field, 30, -5, 7):
+                positive += max(_t_coeffs(f), default=0) > 0
+                rep = as_reduce(f)
+                assert as_residual_solves(f, rep) == \
+                    _as_residual_solves_reference(f, rep)
+        assert positive > 60
+
+    def test_wrong_representatives(self):
+        # perturb a representative at a random t-exponent, below or above
+        # t^0, or drop one of its terms
+        rng = random.Random(31)
+        verdicts = []
+        for q, n in self.FIELDS:
+            field = make_field(q, n)
+            for f in _as_population(rng, field, 30, -6, 5):
+                terms = dict(as_reduce(f).terms)
+                if terms and rng.randrange(3) == 0:
+                    del terms[rng.choice(sorted(terms))]
+                else:
+                    k = rng.choice([-4, -3, -2, -1, 1, 2, 3])
+                    c = RatFunc.from_poly2(Poly2.monomial(
+                        field, field.elem_by_index(rng.randrange(1, field.q)),
+                        rng.randrange(0, 3), 0))
+                    terms[k] = terms[k] + c if k in terms else c
+                rep = CanonicalASRep(field, terms, {})
+                want = _as_residual_solves_reference(f, rep)
+                assert as_residual_solves(f, rep) == want
+                verdicts.append(want)
+        assert verdicts.count(False) > 40 and verdicts.count(True) > 10
+
+
 class TestASReduce:
     def test_positive_part_vanishes(self):
         F2 = make_field(2, 1)
@@ -1707,7 +1803,110 @@ class TestDualityPoint:
             duality_kernel_point(2, 4, F2)
 
 
+class _SampleOffTheRationalPlaces(Exception):
+    """A diagonal sample meets a place of degree >= 2, which the sum over
+    the rational places does not run over."""
+
+
+def _level_entry_reference(phi1, phi2, fhat, k, field):
+    """res_x(f * (d phi1 - k phi2 du_x/u_x)) at a rational place, formed as
+    a series: the entry of duality_level_curve before it became one
+    coefficient read."""
+    form = Laurent2.zero(field)
+    if phi1 is not None:
+        form = form + fhat * d_du(phi1)
+    if phi2 is not None:
+        form = form - (fhat * phi2).monomial_mul(field.from_int(k), -1, 0)
+    return form.coeff(-1, 0)
+
+
+def _level_setup_reference(k, D, field):
+    """duality_level_curve's places, generators and test-function
+    expansions."""
+    p = field.p
+    places = [CurvePlace(field, "finite", Poly1(field, (lam, field.one)))
+              for lam in field.elements()]
+    places.sort(key=CurvePlace.sort_key)
+    places.append(infinity_place(field))
+    fexps = list(range(0, D + 1)) if k % p else \
+        [b for b in range(1, D + 1) if b % p]
+    fhats = {x: [_expand_poly2(Poly2.monomial(field, field.one, b, 0), x, 1)
+                 for b in fexps] for x in places}
+    gens = [(xi, comp, a) for xi in range(len(places))
+            for comp in (1, 2) for a in range(-D, D + 1)
+            if (comp == 1 and a and a % p)
+            or (comp == 2 and k % p and a % p == 0)]
+    return places, fhats, gens
+
+
+def _level_matrix_reference(k, D, field):
+    places, fhats, gens = _level_setup_reference(k, D, field)
+    rows = []
+    for xi, comp, a in gens:
+        x = places[xi]
+        mono = Laurent2.monomial(field, field.one, a, 0)
+        rows.append([_level_entry_reference(mono if comp == 1 else None,
+                                            mono if comp == 2 else None,
+                                            fh, k, field)
+                     for fh in fhats[x]])
+    return [{"place": places[xi].serialize(), "component": comp,
+             "exponent": a} for xi, comp, a in gens], \
+        [[list(c.coeffs) for c in row] for row in rows]
+
+
+def _diagonal_row_reference(a_glob, b_glob, k, places, fhats, box, field):
+    """Pairing row of the diagonal element built from {1 + a t^k, b}."""
+    p = field.p
+    row = None
+    for x in places:
+        ah = expand_at_place(a_glob, x, box)
+        bh = expand_at_place(b_glob, x, box)
+        w = ah * d_du(bh).monomial_mul(field.one, 1, 0) * invert(bh, *box)
+        # eta kills the non-p-power exponents of w
+        eta_terms = {}
+        for i2, c in w.terms.get(0, {}).items():
+            if i2 % p:
+                eta_terms[i2] = -(c * field.from_int(i2).inv())
+        eta = Laurent2(field, {0: eta_terms}, INF,
+                       dict(w.u_prec) if w.u_prec else {})
+        phi1 = eta.monomial_mul(field.from_int(k))
+        phi2 = w + d_du(eta).monomial_mul(field.one, 1, 0)
+        vals = [_level_entry_reference(phi1, phi2 if k % p else None, fh, k,
+                                       field)
+                for fh in fhats[x]]
+        row = vals if row is None else [r + v for r, v in zip(row, vals)]
+    return row
+
+
+def _diagonal_in_kernel_reference(k, D, field, samples):
+    """Whether each diagonal sample (a, b) pairs to zero against the whole
+    test space of duality_level_curve(k, D, field)."""
+    places, fhats, _ = _level_setup_reference(k, D, field)
+    out = []
+    for a_glob, b_glob in samples:
+        if any(x.residue_degree > 1 for x in list_places([a_glob, b_glob])):
+            raise _SampleOffTheRationalPlaces(
+                "diagonal sample meets a place of degree >= 2")
+        row = with_box((2, 2), lambda box: _diagonal_row_reference(
+            a_glob, b_glob, k, places, fhats, box, field))
+        out.append(not any(row))
+    return out
+
+
 class TestDualityCurve:
+    @pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (2, 2), (5, 1)])
+    def test_matrix_matches_the_formed_residues(self, q, n):
+        # every entry is one coefficient read of the expansion; the
+        # reference forms f·dφ and f·φ·ds/s as series, p | k included
+        field = make_field(q, n)
+        for k in range(1, 5):
+            for D in range(4):
+                rep = duality_level_curve(k, D, field)
+                gens, matrix = _level_matrix_reference(k, D, field)
+                assert rep["generators"] == gens
+                assert rep["matrix"] == matrix
+                assert rep["diagonal_in_kernel"] == []
+
     def test_level_one_pole_zero(self):
         F2 = make_field(2, 1)
         rep = duality_level_curve(1, 0, F2)
@@ -1728,9 +1927,8 @@ class TestDualityCurve:
         F2 = make_field(2, 1)
         one, a, _ = uvars(F2)
         b = a + one
-        rep = duality_level_curve(1, 2, F2,
-                                  diag_samples=[(a, b), (one, b), (a, one)])
-        assert rep["diagonal_in_kernel"] == [True, True, True]
+        assert _diagonal_in_kernel_reference(
+            1, 2, F2, [(a, b), (one, b), (a, one)]) == [True, True, True]
 
     def test_negative_pole_bound(self):
         with pytest.raises(ZeroArgument):
@@ -1742,8 +1940,8 @@ class TestDualityCurve:
         F3 = make_field(3, 1)
         a, b, c = (RatFunc.from_poly2(Poly2.from_poly1(
             Poly1.from_ints(F3, cs))) for cs in ([1, 1], [1, 0, 1], [0, 1]))
-        with pytest.raises(UnsupportedPlace):
-            duality_level_curve(1, 2, F3, diag_samples=[(a * b.inv(), c)])
+        with pytest.raises(_SampleOffTheRationalPlaces):
+            _diagonal_in_kernel_reference(1, 2, F3, [(a * b.inv(), c)])
 
     def test_p_divisible_level(self):
         F3 = make_field(3, 1)

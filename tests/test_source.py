@@ -124,3 +124,16 @@ def test_every_box_is_the_callers():
     assert not unboxed, unboxed
     assert named <= {"series.py", "cli.py"}, named
     assert not sideless, sideless
+
+
+def test_only_boundary_evaluates_in_the_box():
+    # boundary is the one verb whose output is the flags' box; every other
+    # verb evaluates its operands exactly, and a with_box loop, if any,
+    # grows the box
+    path = Path(k2local.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = {func.name for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and _called(node) == "eval_local"}
+    assert callers == {"_cmd_boundary"}, callers

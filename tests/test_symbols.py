@@ -11,7 +11,7 @@ from k2local.errors import (CoefficientOutsidePrecision, FieldMismatch,
                             PrecisionTooLow, StepBudgetExceeded,
                             UnsupportedLength, ZeroArgument)
 from k2local.ff import make_field, primitive_element
-from k2local.forms import TwoForm, residue
+from k2local.forms import residue
 from k2local.series import Laurent2, bar_valuation, invert, laurent_domain
 from k2local.symbols import (K2Elem, TameValue, WittPairer, _Decomposer,
                              boundary, k2_decompose, k2_equiv, pairing_box,
@@ -540,7 +540,7 @@ class TestWithBox:
         assert short(exc) == ("t", 3, 3, None)
         # the residue passes the shortfall on
         with pytest.raises(CoefficientOutsidePrecision) as exc:
-            residue(TwoForm(f), mono(F2, 1, -5, -2))
+            residue(f, mono(F2, 1, -5, -2))
         assert short(exc) == ("u", 4, 4, 1)
 
     def test_other_errors_pass_through_at_once(self):
