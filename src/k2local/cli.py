@@ -20,7 +20,7 @@ from .globalfield import (AdmissibleCurve, Poly1, Poly2, RatFunc,
                           expand_at_place, lead_at_place, place_u,
                           point_tame_terms, point_witt_terms, tame_report,
                           to_pointfunc, witt_report)
-from .globalfield import _poly2_transpose, _tame_terms, _witt_terms, _wv_json
+from .globalfield import _tame_terms, _witt_terms, _wv_json
 from .series import DEFAULT_T_PREC, DEFAULT_U_PREC, Laurent2
 from .symbols import (K2Elem, boundary, k2_decompose, k2_equiv, pairing_box,
                       symbol, with_box)
@@ -260,7 +260,7 @@ def _parse_curveset(spec, field):
 
 def _graph_poly(text, field, var):
     rf = eval_rational(text, field)
-    rows = (rf.num if var == "u" else _poly2_transpose(rf.num)).t_coeffs()
+    rows = (rf.num if var == "u" else rf.num.transpose()).t_coeffs()
     if not rf.den.is_one() or list(rows) not in ([0], []):
         raise UsageError(f"curve graph {text!r} must be a polynomial "
                          f"in {var}")
@@ -335,7 +335,7 @@ def _exact_symbol(f, g):
         raise ZeroArgument("symbol entries must be nonzero")
     field = f.field
     return K2Elem(field, [
-        (Laurent2(field, x.rows()), Laurent2(field, y.rows()), s * r)
+        (x.laurent(), y.laurent(), s * r)
         for x, s in ((f.num, 1), (f.den, -1))
         for y, r in ((g.num, 1), (g.den, -1))
         if not (x.is_one() or y.is_one())])

@@ -11,15 +11,16 @@ Point side: admissible curves through the origin of the (u, t)-plane, branch
 expansions, canonical Artin-Schreier representatives, and the finite-level
 duality kernel reports.
 
-A global function has one shape, the reduced RatFunc num / den.  Its
-t-coefficients, u-only RatFuncs, are what as_reduce works on.  A PointFunc
-multiplies its factors out once into a num and a den.  Each key, a place or
-a branch, has local coordinates (s, t), and _chart maps a polynomial into
-them exactly where the parameter is exact: s = 1/u at infinity, u = root + s
-at a rational place, t = phi(s) + t on a branch after u and t swap if it is
-solved for u.  An expansion divides the charts of num and den in a working
-box (t_prec, u_prec), a leading term their least terms.  At a place of
-degree >= 2, the one inexact case, u is the parameter series in pi(u).
+A global function has one shape, the reduced RatFunc num / den of Poly2s
+on integer codes.  Its t-coefficients, u-only RatFuncs, are what as_reduce
+works on.  A PointFunc multiplies its factors out once into a num and a den.
+Each key, a place or a branch, has local coordinates (s, t), and _chart maps
+a polynomial's codes into them where the parameter is exact: s = 1/u at
+infinity, u = root + s at a rational place, t = phi(s) + t on a branch after
+u and t swap if it is solved for u.  An expansion divides the charts of num
+and den, as exact Laurent2s, in a working box (t_prec, u_prec), a leading
+term their least terms.  At a place of degree >= 2, the one inexact case, u
+is the parameter series in pi(u).
 
 Reciprocity: the Witt and tame sums over the places of the u-line, or over a
 declared set of curves through the origin, share their pieces: per-key terms
@@ -40,198 +41,18 @@ from functools import lru_cache
 from .errors import (BadIndexPair, DivisionByZero, InvariantViolation,
                      NotReducible, PrecisionTooLow, StepBudgetExceeded,
                      UndeclaredCurveFactor, ZeroArgument, ZeroDivisor)
-from .ff import (FqElem, Poly1, factor_poly1, first_root, get_embedding,
-                 make_field, norm_rel, poly1_gcd, power, rank_and_left_kernel)
-from .series import Laurent2, invert, laurent_domain
+# poly1_gcd is not called here: perfbench/tracer.py wraps this name
+from .ff import (Poly1, factor_poly1, first_root, get_embedding, make_field,
+                 norm_rel, poly1_gcd, rank_and_left_kernel)
+from .series import Laurent2, Poly2, invert, laurent_domain
 from .symbols import (MAX_TERMS, WittPairer, check_length, symbol,
                       tame_symbol_det, witt_pair_local, with_box)
 from .witt import WittVec, witt_add, witt_zero
 
 
 # --------------------------------------------------------------------------
-# Bivariate polynomials and rational functions
+# Rational functions in u and t: Poly2 fractions and their gcd
 # --------------------------------------------------------------------------
-
-class Poly2:
-    """Polynomial in u and t over F_q; terms {(u_exp, t_exp): coeff}."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms):
-        self.field = field
-        self.terms = {ab: c for ab, c in terms.items() if c}
-
-    @staticmethod
-    def const(field, c):
-        return Poly2(field, {(0, 0): c})
-
-    @staticmethod
-    def one(field):
-        return Poly2.const(field, field.one)
-
-    @staticmethod
-    def monomial(field, c, a, b):
-        return Poly2(field, {(a, b): c})
-
-    @staticmethod
-    def from_poly1(p, var="u"):
-        if var == "u":
-            return Poly2(p.field, {(k, 0): c for k, c in enumerate(p.coeffs)})
-        return Poly2(p.field, {(0, k): c for k, c in enumerate(p.coeffs)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_one(self):
-        return len(self.terms) == 1 and self.terms.get((0, 0)) == \
-            self.field.one
-
-    def __eq__(self, other):
-        return (isinstance(other, Poly2) and self.field is other.field
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((id(self.field), tuple(sorted(
-            (ab, c.coeffs) for ab, c in self.terms.items()))))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for ab, c in other.terms.items():
-            out[ab] = out[ab] + c if ab in out else c
-        return Poly2(self.field, out)
-
-    def __neg__(self):
-        return Poly2(self.field, {ab: -c for ab, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, FqElem):
-            return Poly2(self.field,
-                         {ab: c * other for ab, c in self.terms.items()})
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out[k] + c1 * c2 if k in out else c1 * c2
-        return Poly2(self.field, out)
-
-    def __pow__(self, e):
-        return power(self, e, Poly2.one(self.field))
-
-    def rows(self):
-        """The sparse t-rows {t_exp: {u_exp: coeff}}."""
-        rows = {}
-        for (a, b), c in self.terms.items():
-            rows.setdefault(b, {})[a] = c
-        return rows
-
-    def t_coeffs(self):
-        """The polynomial as {t_exp: Poly1-in-u}."""
-        zero = self.field.zero
-        return {b: Poly1(self.field, [row.get(a, zero)
-                                      for a in range(max(row) + 1)])
-                for b, row in self.rows().items()}
-
-    def deg_u(self):
-        return max((a for a, _ in self.terms), default=-1)
-
-    def deg_t(self):
-        return max((b for _, b in self.terms), default=-1)
-
-    def serialize(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b) in sorted(self.terms, key=lambda ab: (ab[1], ab[0])):
-            c = self.terms[(a, b)]
-            head = "[" + ",".join(str(v) for v in c.coeffs) + "]"
-            if a:
-                head += f"*u^{a}"
-            if b:
-                head += f"*t^{b}"
-            bits.append(head)
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"Poly2({self.serialize()})"
-
-
-def _poly2_content_u(P):
-    """The u-content: the monic gcd of the t-coefficients of P."""
-    g = Poly1(P.field, ())
-    for poly in P.t_coeffs().values():
-        g = poly1_gcd(g, poly)
-        if g.deg == 0:
-            break
-    return g
-
-
-def _poly2_div_poly1(P, g):
-    """Exact division of every t-coefficient by the univariate g."""
-    if g.coeffs == (P.field.one,):
-        return P
-    out = {}
-    for b, poly in P.t_coeffs().items():
-        q, r = poly.divmod(g)
-        if r:
-            raise InvariantViolation("u-content division left a remainder")
-        for a, c in enumerate(q.coeffs):
-            if c:
-                out[(a, b)] = c
-    return Poly2(P.field, out)
-
-
-def _rows(P):
-    """P as the dense list of its t-coefficients, Poly1s in u."""
-    rows = [Poly1(P.field, ())] * (P.deg_t() + 1)
-    for b, poly in P.t_coeffs().items():
-        rows[b] = poly
-    return rows
-
-
-def _from_rows(rows, field):
-    return Poly2(field, {(a, b): c for b, poly in enumerate(rows)
-                         for a, c in enumerate(poly.coeffs)})
-
-
-def _tdiv(P, G):
-    """P / G in F_q[u][t] by long division in t, or None if G does not divide.
-
-    Each step divides the leading row exactly by the leading t-coefficient of
-    G in F_q[u]; the quotient is unique, so an inexact step or a nonzero
-    remainder means G does not divide P.
-    """
-    rem, div = _rows(P), _rows(G)
-    d = len(div) - 1
-    quo = [None] * max(0, len(rem) - d)
-    for k in range(len(rem) - 1, d - 1, -1):
-        c, r = rem[k].divmod(div[-1])
-        if r:
-            return None
-        quo[k - d] = c
-        if c:
-            for j in range(d):
-                rem[k - d + j] = rem[k - d + j] - c * div[j]
-    if any(rem[:d]):
-        return None
-    return _from_rows(quo, P.field)
-
-
-def _prem(A, B):
-    """The pseudo-remainder of A by B as polynomials in t over F_q[u]."""
-    rem, div = _rows(A), _rows(B)
-    d = len(div) - 1
-    lead = div[-1]
-    for k in range(len(rem) - 1, d - 1, -1):
-        c = rem.pop()
-        rem = [r * lead for r in rem]
-        if c:
-            for j in range(d):
-                rem[k - d + j] = rem[k - d + j] - c * div[j]
-    return _from_rows(rem, A.field)
-
 
 def _tpoly_gcd(A, B):
     """A gcd of nonzero A and B in F_q[u][t], up to a unit of F_q.
@@ -240,11 +61,12 @@ def _tpoly_gcd(A, B):
     exponents of both sides; otherwise it is _prs_gcd's.
     """
     for M, P in ((A, B), (B, A)):
-        if len(M.terms) == 1:
-            (i, j), = M.terms
+        (j, row), *more = M.codes.items()
+        if not more and len(row) == 1:
+            i, = row
             return Poly2.monomial(A.field, A.field.one,
-                                  min(i, min(a for a, _ in P.terms)),
-                                  min(j, min(b for _, b in P.terms)))
+                                  min(i, *map(min, P.codes.values())),
+                                  min(j, *P.codes))
     return _prs_gcd(A, B)
 
 
@@ -255,17 +77,16 @@ def _prs_gcd(A, B):
     of the last nonzero term of the primitive remainder sequence (Knuth,
     TAOCP Vol. 2, 4.6.1; Brown, JACM 18, 1971).
     """
-    cb = _poly2_content_u(B)
-    c = poly1_gcd(_poly2_content_u(A), cb) if cb.deg > 0 else cb
+    c = B.content_u(A)
     if A.deg_t() < B.deg_t():
         A, B = B, A
     while B.deg_t() > 0:
-        A, B = B, _prem(A, B)
+        A, B = B, A.prem(B)
         if B:
-            B = _poly2_div_poly1(B, _poly2_content_u(B))
+            B = _divexact(B, B.content_u())
     if B:
-        return Poly2.from_poly1(c)
-    return _poly2_div_poly1(A, _poly2_content_u(A)) * Poly2.from_poly1(c)
+        return c
+    return _divexact(A, A.content_u()) * c
 
 
 def _common(A, B):
@@ -274,29 +95,23 @@ def _common(A, B):
     if A.is_one() or B.is_one():
         return None
     G = _tpoly_gcd(A, B)
-    return None if list(G.terms) == [(0, 0)] else G
+    return G if G.deg_t() or G.deg_u() else None
 
 
 def _divexact(P, G):
-    Q = _tdiv(P, G)
+    Q = P.tdiv(G)
     if Q is None:
         raise InvariantViolation("exact division left a remainder")
     return Q
-
-
-def _lead(P):
-    """The coefficient of the greatest term of P in the (t, u) order."""
-    return P.terms[max(P.terms, key=lambda ab: (ab[1], ab[0]))]
 
 
 def _normalize(num, den):
     """Coprime num and den scaled so that den's lead is 1; zero is 0 / 1."""
     if not num:
         return num, Poly2.one(num.field)
-    lead = _lead(den)
-    if lead == num.field.one:
+    inv = den.lead_inverse()
+    if inv.is_one():
         return num, den
-    inv = lead.inv()
     return num * inv, den * inv
 
 
@@ -325,7 +140,7 @@ class RatFunc:
             raise ZeroDivisor("rational function with zero denominator")
         if num:
             G = _tpoly_gcd(num, den)
-            if list(G.terms) != [(0, 0)]:
+            if G.deg_t() or G.deg_u():
                 num, den = _divexact(num, G), _divexact(den, G)
         self.field = num.field
         self.num, self.den = _normalize(num, den)
@@ -411,7 +226,7 @@ class RatFunc:
             raise DivisionByZero("inverse of the zero rational function")
         num, den = self.num ** abs(e), self.den ** abs(e)
         if e < 0:
-            inv = _lead(num).inv()
+            inv = num.lead_inverse()
             num, den = den * inv, num * inv
         return RatFunc._adopt(num, den)
 
@@ -431,13 +246,16 @@ class RatFunc:
 class CurvePlace:
     """A closed point of the projective u-line over F_q."""
 
-    __slots__ = ("field", "kind", "minimal_poly", "residue_degree")
+    __slots__ = ("field", "kind", "minimal_poly", "residue_degree", "root")
 
     def __init__(self, field, kind, minimal_poly=None):
         self.field = field
         self.kind = kind  # "finite" | "infinity"
         self.minimal_poly = minimal_poly
         self.residue_degree = minimal_poly.deg if kind == "finite" else 1
+        # the root of a rational place, in F_q
+        self.root = -minimal_poly.coeffs[0] if self.residue_degree == 1 \
+            and kind == "finite" else None
 
     def sort_key(self):
         if self.kind == "infinity":
@@ -475,25 +293,23 @@ def list_places(fs):
     """Finite places dividing any t-coefficient of the RatFuncs fs, plus
     infinity.
 
-    Each t-row of a numerator or denominator is read from its sparse terms:
-    a least u-exponent e > 0 adds the place u, and only the row divided by
-    u^e is factored, so a large power of u is never made dense.
+    Each t-row of a numerator or denominator is read as u^e·w: e > 0 adds
+    the place u, and each distinct w is factored once, so a large power of u
+    is never made dense.
     """
     if not fs:
         raise ZeroArgument("no rational data supplied")
     field = fs[0].field
-    zero = field.zero
-    finite = set()
+    finite, rests = set(), set()
     for f in fs:
         for P in (f.num, f.den):
-            for row in P.rows().values():
-                e = min(row)
+            for e, w in P.row_polys():
                 if e:
-                    finite.add(Poly1(field, (zero, field.one)))
-                rest = Poly1(field, [row.get(a, zero)
-                                     for a in range(e, max(row) + 1)])
-                if rest.deg > 0:
-                    finite.update(factor_poly1(rest))
+                    finite.add(Poly1(field, (field.zero, field.one)))
+                rests.add(w)
+    for w in rests:
+        if w.deg > 0:
+            finite.update(factor_poly1(w))
     places = sorted((CurvePlace(field, "finite", pi) for pi in finite),
                     key=CurvePlace.sort_key)
     places.append(infinity_place(field))
@@ -508,8 +324,7 @@ def place_field(place):
         return field, (lambda c: c), None
     d = place.residue_degree
     if d == 1:
-        root = -place.minimal_poly.coeffs[0]
-        return field, (lambda c: c), root
+        return field, (lambda c: c), place.root
     kx = make_field(field.p, field.n * d)
     emb = get_embedding(field, kx)
     return (kx, emb.apply,
@@ -532,30 +347,25 @@ def _chart(P, key):
     """P in the local coordinates (s, t) of a key whose parameter is exact,
     as a Poly2 over F_q in s and t (Laurent in s at infinity).
 
-    s = 1/u at infinity and s = u at the place u relabel the terms of P, so
-    a large power of u costs one term.  At a rational place u = root + s.
-    On a branch u and t first swap if the curve is solved for u; then
-    t = phi(s) + t, and an axis relabels as the place u does.  A shift
-    substitutes by Horner's rule over the columns of its variable.
+    s = 1/u at infinity and s = u at the place u relabel the codes of P, so
+    a large power of u costs one term.  At a rational place u = root + s
+    shifts each t-row.  On a branch u and t first swap if the curve is
+    solved for u; then t = phi(s) + t by Horner's rule over the t-rows, and
+    an axis relabels as the place u does.
     """
-    field = P.field
-    if isinstance(key, AdmissibleCurve):
-        if key.var == "u":
-            P = _poly2_transpose(P)
-        if not key.phi:
-            return P
-        var, x = 1, (Poly2.from_poly1(key.phi)
-                     + Poly2.monomial(field, field.one, 0, 1))
-    elif key.kind == "infinity":
-        return Poly2(field, {(-a, b): c for (a, b), c in P.terms.items()})
-    elif root := -key.minimal_poly.coeffs[0]:
-        var, x = 0, Poly2(field, {(0, 0): root, (1, 0): field.one})
-    else:
+    if isinstance(key, CurvePlace):
+        if key.kind == "infinity":
+            return P.reflect_u()
+        return P.shift_u(key.root)
+    if key.var == "u":
+        P = P.transpose()
+    if not key.phi:
         return P
-    cols = [{} for _ in range(1 + max((k[var] for k in P.terms), default=0))]
-    for (a, b), c in P.terms.items():
-        cols[b if var else a][(a, 0) if var else (0, b)] = c
-    return _horner([Poly2(field, col) for col in cols], x)
+    field, rows = P.field, P.t_rows()
+    zero = Poly2(field, {})
+    return _horner([rows.get(b, zero) for b in range(max(P.deg_t(), 0) + 1)],
+                   Poly2.from_poly1(key.phi)
+                   + Poly2.monomial(field, field.one, 0, 1))
 
 
 def _param_series(place, prec):
@@ -595,7 +405,7 @@ def _expand_poly2(P, key, prec):
     exact.  At a place of degree >= 2 Horner's rule substitutes the parameter
     series for u over k(x), and every t-row is known to s^prec."""
     if key.residue_degree == 1:
-        return Laurent2(P.field, _chart(P, key).rows())
+        return _chart(P, key).laurent()
     kx, emb, _ = place_field(key)
     cols = [{} for _ in range(max(P.deg_u(), 0) + 1)]
     for (a, b), c in P.terms.items():
@@ -670,12 +480,11 @@ def lead_at_place(f, key):
     def least(P):
         if not exact:
             return _row_at_place(P, key)
-        if isinstance(key, CurvePlace) and key.kind == "finite" \
-                and key.minimal_poly.coeffs[0]:  # u = root + s substitutes
-            j, row = min(P.rows().items())
-            P = Poly2(P.field, {(a, j): c for a, c in row.items()})
-        j, row = min(_chart(P, key).rows().items())
-        return j, min(row), row[min(row)]
+        if isinstance(key, CurvePlace):  # t stays t: chart the least row
+            j = min(P.codes)
+            _, v, c = _chart(P.t_rows()[j], key).laurent().leading()
+            return j, v, c
+        return _chart(P, key).laurent().leading()
     (jn, vn, cn), (jd, vd, cd) = least(f.num), least(f.den)
     return Laurent2.monomial(cn.field, cn * cd.inv(), vn - vd, jn - jd)
 
@@ -703,7 +512,7 @@ class AdmissibleCurve:
              "graph_t_of_u": "t", "graph_u_of_t": "u"}
     residue_degree = 1  # the origin is a rational point
 
-    __slots__ = ("field", "var", "phi", "_equation", "_monic")
+    __slots__ = ("field", "var", "phi", "_equation", "_monic", "_hash")
 
     def __init__(self, field, kind, graph_poly=None):
         var = self.KINDS.get(kind, kind)
@@ -720,7 +529,8 @@ class AdmissibleCurve:
         eq = (Poly2.monomial(field, field.one, a, b)
               - Poly2.from_poly1(phi, self.other))
         self._equation = eq
-        self._monic = eq * _lead(eq).inv()
+        self._monic = eq * eq.lead_inverse()
+        self._hash = hash(self._monic)  # curves key sets and dicts
 
     @property
     def other(self):
@@ -738,7 +548,7 @@ class AdmissibleCurve:
                 and self._monic == other._monic)
 
     def __hash__(self):
-        return hash(self._monic)
+        return self._hash
 
     def sort_key(self):
         """The axes before the graphs, t = ... before u = ..., then phi."""
@@ -771,7 +581,7 @@ class PointFunc:
         self.units = [up if isinstance(up, tuple) else (up, 1)
                       for up in (units or [])]
         for eps, _ in self.units:
-            if eps.terms.get((0, 0)):
+            if eps.laurent().coeff(0, 0):
                 raise ZeroArgument("principal unit must vanish at the origin")
         one = Poly2.one(field)
         self.num, self.den = Poly2.const(field, self.constant), one
@@ -809,15 +619,11 @@ def distinct_curves(curves):
     return list(dict.fromkeys(sorted(curves, key=AdmissibleCurve.sort_key)))
 
 
-def _poly2_transpose(P):
-    return Poly2(P.field, {(b, a): c for (a, b), c in P.terms.items()})
-
-
 def _try_div_curve(P, y):
     """P divided by the curve equation, or None if not divisible."""
     if not P:
         return None
-    return _tdiv(P, y.equation())
+    return P.tdiv(y.equation())
 
 
 def to_pointfunc(f, curves):
@@ -838,8 +644,7 @@ def to_pointfunc(f, curves):
     num, den = parts
     if not num:
         return PointFunc(field, constant=field.zero)
-    c_num = num.terms.get((0, 0))
-    c_den = den.terms.get((0, 0))
+    c_num, c_den = (P.laurent().coeff(0, 0) for P in (num, den))
     if not c_num or not c_den:
         raise UndeclaredCurveFactor(
             "input vanishes at the origin along an undeclared branch")
@@ -1009,17 +814,12 @@ def _t_coeffs(f):
     f is a RatFunc whose denominator is D(u)*t^k; any other denominator has
     no finite t-expansion.
     """
-    rows = f.den.rows()
+    rows = f.den.t_rows()
     if len(rows) != 1:
         raise NotReducible(
             "denominator mixes u and t; the t-expansion is not finite")
     (k, den), = rows.items()
-
-    def u_only(row):
-        return Poly2(f.field, {(a, 0): c for a, c in row.items()})
-    den = u_only(den)
-    return {b - k: RatFunc(u_only(row), den)
-            for b, row in f.num.rows().items()}
+    return {b - k: RatFunc(row, den) for b, row in f.num.t_rows().items()}
 
 
 def _coeff_sum(*parts):

@@ -1,4 +1,5 @@
-"""Precision-tracked Laurent series in two variables: elements of k((u))((t)).
+"""Precision-tracked Laurent series in two variables, elements of
+k((u))((t)), and exact polynomials in u and t on the same codes.
 
 A Laurent2 value stores a finite coefficient table together with a guaranteed
 region of knowledge: terms with t-exponent >= t_prec are unknown, and within
@@ -33,6 +34,11 @@ multiples and lifts adopt their result without the validating constructor,
 filtering only rows whose bound tightened; code rows and region dicts are
 shared between values, since no operation changes one in place.
 
+Poly2, the exact polynomial of globalfield's RatFunc, holds the same codes
+with no region, in dedicated loops: the F_q[u][t] algebra works on dense code
+rows in u, a monomial divisor is a shift, and laurent() is the exact Laurent2
+on the same codes.
+
 invert sums the geometric series 1 - eps + eps^2 - ... in a fixed working
 box, for f = c·u^i0·t^j0·(1 + eps).  It builds -eps in one pass (scaled by
 -c^-1, shifted, the leading 1 dropped, the box imposed on every infinite
@@ -52,7 +58,7 @@ from functools import lru_cache
 
 from .errors import (FieldMismatch, PrecisionTooLow, StepBudgetExceeded,
                      ZeroDivisor, ZeroElement)
-from .ff import FieldSpec, GaloisRing, galois_ring, power
+from .ff import FieldSpec, GaloisRing, Poly1, galois_ring, power
 
 INF = math.inf
 
@@ -625,12 +631,34 @@ def _reduce(v, w, n, char, fold):
 
 @lru_cache(maxsize=None)
 def _inverse(dom, v):
-    """The code of the inverse of the unit with code v, kept per domain."""
-    if dom.n > 1:
-        return _encode(dom, _decode(dom, v).inv())
-    if not v % dom.p:
-        raise ZeroDivisionError("non-unit in Galois ring")
-    return pow(v, -1, dom.char)
+    """The code of the inverse of the unit with code v, kept per domain:
+    v^(q - 2) over a field F_q of n > 1 coordinates."""
+    char, n, _, w, fold, _ = _mul_consts(dom)
+    if n == 1:
+        if not v % dom.p:
+            raise ZeroDivisionError("non-unit in Galois ring")
+        return pow(v, -1, char)
+    if isinstance(dom, FieldSpec):
+        return power(v, dom.q - 2, 1,
+                     lambda x, y: _reduce(x * y, w, n, char, fold))
+    return _encode(dom, _decode(dom, v).inv())
+
+
+def _scale_codes(field, codes, c, di=0, dj=0):
+    """Field codes times the nonzero code c, shifted by u^di·t^dj."""
+    char, n, _, w, fold, _ = _mul_consts(field)
+    return {j + dj: {i + di: v if c == 1 else _reduce(c * v, w, n, char, fold)
+                     for i, v in row.items()} for j, row in codes.items()}
+
+
+def _reduce_rows(field, acc):
+    """Rows of unreduced sums of products of codes, each coefficient
+    reduced once; the nonzero ones are kept."""
+    char, n, _, w, fold, _ = _mul_consts(field)
+    rows = {j: {i: r for i, v in dst.items()
+                if (r := v % char if n == 1 else _reduce(v, w, n, char, fold))}
+            for j, dst in acc.items()}
+    return {j: row for j, row in rows.items() if row}
 
 
 def _operand_rows(f):
@@ -652,6 +680,328 @@ def _operand_rows(f):
         items = sorted(row.items())
         rows.append((j, items[0][0], ub, items))
     return rows
+
+
+# --------------------------------------------------------------------------
+# exact polynomials on the same codes
+# --------------------------------------------------------------------------
+
+class Poly2:
+    """Polynomial in u and t over F_q: codes {t_exp: {u_exp: code}} in
+    Laurent2.codes' layout, every code nonzero, and no region.
+
+    Poly2(field, terms) takes {(u_exp, t_exp): element}; terms, rows(),
+    t_coeffs(), row_polys() and serialize() decode on each read, and
+    laurent() is the exact Laurent2 on the same codes.
+    """
+
+    __slots__ = ("field", "codes")
+
+    def __init__(self, field, terms):
+        _, n, _, w, _, _ = _mul_consts(field)
+        codes = {}
+        for (a, b), c in terms.items():
+            v = c.coeffs[0] if n == 1 else _pack(c.coeffs, w)
+            if v:
+                codes.setdefault(b, {})[a] = v
+        self.field = field
+        self.codes = codes
+
+    @classmethod
+    def _adopt(cls, field, codes):
+        self = object.__new__(cls)
+        self.field = field
+        self.codes = codes
+        return self
+
+    @staticmethod
+    def const(field, c):
+        return Poly2(field, {(0, 0): c})
+
+    @staticmethod
+    def one(field):
+        return Poly2._adopt(field, {0: {0: 1}})
+
+    @staticmethod
+    def monomial(field, c, a, b):
+        return Poly2(field, {(a, b): c})
+
+    @staticmethod
+    def from_poly1(p, var="u"):
+        if var == "u":
+            return Poly2(p.field, {(k, 0): c for k, c in enumerate(p.coeffs)})
+        return Poly2(p.field, {(0, k): c for k, c in enumerate(p.coeffs)})
+
+    def laurent(self):
+        """P as an exact Laurent2, sharing the codes."""
+        return Laurent2._adopt(self.field, self.codes, INF, {})
+
+    @property
+    def terms(self):
+        return {(a, b): c for b, row in self.rows().items()
+                for a, c in row.items()}
+
+    def rows(self):
+        """The sparse t-rows {t_exp: {u_exp: element}}."""
+        return self.laurent().terms
+
+    def t_coeffs(self):
+        """The polynomial as {t_exp: Poly1-in-u}."""
+        zero = self.field.zero
+        return {b: Poly1(self.field, [row.get(a, zero)
+                                      for a in range(max(row) + 1)])
+                for b, row in self.rows().items()}
+
+    def row_polys(self):
+        """Each t-row as (e, w), the row being u^e·w with w a Poly1 and
+        w(0) != 0, so that a large power of u is never made dense."""
+        field = self.field
+        return [(min(row), Poly1(field, [
+            _decode(field, row[a]) if a in row else field.zero
+            for a in range(min(row), max(row) + 1)]))
+            for row in self.codes.values()]
+
+    def serialize(self):
+        return self.laurent().serialize()
+
+    def __repr__(self):
+        return f"Poly2({self.serialize()})"
+
+    def __bool__(self):
+        return bool(self.codes)
+
+    def is_one(self):
+        return self.codes == {0: {0: 1}}
+
+    def __eq__(self, other):
+        return (isinstance(other, Poly2) and self.field is other.field
+                and self.codes == other.codes)
+
+    def __hash__(self):
+        return hash(self.laurent())
+
+    def deg_u(self):
+        return max((max(row) for row in self.codes.values()), default=-1)
+
+    def deg_t(self):
+        return max(self.codes, default=-1)
+
+    def t_rows(self):
+        """{t_exp: the t-coefficient as a Poly2 in u}."""
+        return {b: Poly2._adopt(self.field, {0: row})
+                for b, row in self.codes.items()}
+
+    # -- the charts of globalfield: relabellings and a Taylor shift ----------
+
+    def transpose(self):
+        """P with u and t swapped."""
+        codes = {}
+        for b, row in self.codes.items():
+            for a, v in row.items():
+                codes.setdefault(a, {})[b] = v
+        return Poly2._adopt(self.field, codes)
+
+    def reflect_u(self):
+        """P(1/u), Laurent in u: every u-exponent negated."""
+        return Poly2._adopt(self.field, {b: {-a: v for a, v in row.items()}
+                                         for b, row in self.codes.items()})
+
+    def shift_u(self, root):
+        """P(u + root): a Taylor shift of each t-row's dense codes."""
+        field = self.field
+        r = _encode(field, root)
+        if not r:
+            return self
+        char, n, _, w, fold, _ = _mul_consts(field)
+        codes = {}
+        for b, row in self.codes.items():
+            c = _dense_row(row)
+            for i in range(len(c) - 1):
+                for k in range(len(c) - 2, i - 1, -1):
+                    c[k] = _reduce(c[k] + r * c[k + 1], w, n, char, fold)
+            codes[b] = {a: v for a, v in enumerate(c) if v}
+        return Poly2._adopt(field, codes)
+
+    # -- arithmetic: dedicated loops, each coefficient reduced once ----------
+
+    def __add__(self, other):
+        acc = {b: dict(row) for b, row in self.codes.items()}
+        for b, row in other.codes.items():
+            dst = acc.setdefault(b, {})
+            for a, v in row.items():
+                dst[a] = dst.get(a, 0) + v
+        return Poly2._adopt(self.field, _reduce_rows(self.field, acc))
+
+    def __neg__(self):
+        field = self.field
+        return Poly2._adopt(field, _scale_codes(field, self.codes,
+                                                field.char - 1))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """The product by a Poly2, or by an element of F_q."""
+        field = self.field
+        if not isinstance(other, Poly2):
+            c = _encode(field, other)
+            return Poly2._adopt(field, _scale_codes(field, self.codes, c)
+                                if c else {})
+        fcodes, gcodes = self.codes, other.codes
+        for mono, rest in ((gcodes, fcodes), (fcodes, gcodes)):
+            if len(mono) == 1:  # a monomial c·u^i·t^j: a shift times c
+                (j, row), = mono.items()
+                if len(row) == 1:
+                    (i, c), = row.items()
+                    return Poly2._adopt(field, _scale_codes(field, rest, c,
+                                                            i, j))
+        _, n, _, _, _, cap = _mul_consts(field)
+        if n > 1:
+            _check_width(fcodes, gcodes, cap)
+        acc = {}
+        for b1, r1 in fcodes.items():
+            for b2, r2 in gcodes.items():
+                dst = acc.setdefault(b1 + b2, {})
+                for a1, x in r1.items():
+                    for a2, y in r2.items():
+                        a = a1 + a2
+                        if a in dst:
+                            dst[a] += x * y
+                        else:
+                            dst[a] = x * y
+        return Poly2._adopt(field, _reduce_rows(field, acc))
+
+    def __pow__(self, e):
+        return power(self, e, Poly2.one(self.field))
+
+    def lead_inverse(self):
+        """The constant inverse of the lead coefficient of a nonzero P, by
+        the (t, u) order."""
+        row = self.codes[max(self.codes)]
+        return Poly2._adopt(self.field,
+                            {0: {0: _inverse(self.field, row[max(row)])}})
+
+    # -- F_q[u][t] on dense code rows in u ----------------------------------
+
+    def tdiv(self, G):
+        """self / G in F_q[u][t], or None if G does not divide self.
+
+        A monomial c·u^i·t^j divides when every term lies at or above
+        (i, j): the quotient is a shift times c^-1.  Otherwise each step of
+        the long division in t divides the leading row exactly by G's
+        leading t-coefficient; the quotient is unique, so an inexact step or
+        a nonzero remainder means G does not divide."""
+        field = self.field
+        if len(G.codes) == 1:
+            (j, row), = G.codes.items()
+            if len(row) == 1:
+                (i, c), = row.items()
+                if any(b < j or min(r) < i for b, r in self.codes.items()):
+                    return None
+                return Poly2._adopt(field, _scale_codes(
+                    field, self.codes, _inverse(field, c), -i, -j))
+        rem, div = _dense_rows(self.codes), _dense_rows(G.codes)
+        d = len(div) - 1
+        quo = [[]] * max(0, len(rem) - d)
+        neg = [field.char - 1]  # the code of -1
+        for k in range(len(rem) - 1, d - 1, -1):
+            if not rem[k]:
+                continue
+            c, r = _row_divmod(field, rem[k], div[-1])
+            if r:
+                return None
+            quo[k - d] = c
+            c = _row_dot(field, [(neg, c)])
+            for j in range(d):
+                rem[k - d + j] = _row_dot(field, [(c, div[j])], rem[k - d + j])
+        if any(rem[:d]):
+            return None
+        return Poly2._adopt(field, _sparse_rows(quo))
+
+    def prem(self, B):
+        """The pseudo-remainder of self by B as polynomials in t over
+        F_q[u]."""
+        field = self.field
+        rem, div = _dense_rows(self.codes), _dense_rows(B.codes)
+        d = len(div) - 1
+        neg = [field.char - 1]
+        for k in range(len(rem) - 1, d - 1, -1):
+            c = _row_dot(field, [(neg, rem.pop())])
+            rem = [_row_dot(field, [(r, div[-1])] + (
+                [(c, div[i - k + d])] if c and i >= k - d else []))
+                for i, r in enumerate(rem)]
+        return Poly2._adopt(field, _sparse_rows(rem))
+
+    def content_u(self, *others):
+        """The u-content of self and others together: the monic gcd in
+        F_q[u] of all their t-coefficients, as a Poly2 in u."""
+        field = self.field
+        g = []
+        for P in (self,) + others:
+            for row in P.codes.values():
+                a, b = _dense_row(row), g
+                while b:
+                    a, b = b, _row_divmod(field, a, b)[1]
+                g = _row_dot(field, [([_inverse(field, a[-1])], a)])
+                if len(g) == 1:
+                    return Poly2.one(field)
+        return Poly2._adopt(field, _sparse_rows([g]))
+
+
+def _dense_row(row):
+    return [row.get(a, 0) for a in range(max(row) + 1)]
+
+
+def _dense_rows(codes):
+    """Codes as a dense list over t of dense code rows in u ([] for 0)."""
+    return [_dense_row(codes[b]) if b in codes else []
+            for b in range(max(codes, default=-1) + 1)]
+
+
+def _sparse_rows(rows):
+    return {b: {a: v for a, v in enumerate(r) if v}
+            for b, r in enumerate(rows) if any(r)}
+
+
+def _row_dot(field, pairs, base=()):
+    """base + the sum of a·b over pairs of dense code rows in u, each
+    coefficient reduced once, trailing zeros dropped.  Over n > 1 a sum of
+    more than cap products of codes is refused, as in _check_width."""
+    char, n, _, w, fold, cap = _mul_consts(field)
+    if n > 1 and 1 + sum(min(len(a), len(b)) for a, b in pairs) > cap:
+        raise StepBudgetExceeded(f"a row sums over {cap} products")
+    acc = list(base) + [0] * max(
+        [len(a) + len(b) - 1 - len(base) for a, b in pairs] + [0])
+    for a, b in pairs:
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    acc[k] += x * y
+    acc = [v % char for v in acc] if n == 1 else \
+        [_reduce(v, w, n, char, fold) for v in acc]
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
+
+
+def _row_divmod(field, a, b):
+    """(q, r) with a = q·b + r and deg r < deg b in F_q[u], on dense code
+    rows; the lead of b is inverted through _inverse."""
+    char, n, _, w, fold, _ = _mul_consts(field)
+    rem, db = list(a), len(b) - 1
+    inv = _inverse(field, b[-1])
+    quo = [0] * max(0, len(rem) - db)
+    for k in range(len(rem) - 1, db - 1, -1):
+        if rem[k]:
+            c = quo[k - db] = _reduce(rem[k] * inv, w, n, char, fold)
+            c = _reduce((char - 1) * c, w, n, char, fold)
+            for j in range(db):
+                rem[k - db + j] = _reduce(rem[k - db + j] + c * b[j],
+                                          w, n, char, fold)
+    rem = rem[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
 
 
 # --------------------------------------------------------------------------

@@ -10,10 +10,10 @@ import pytest
 
 from k2local.cli import eval_rational, run
 from k2local.errors import (BadIndexPair, DivisionByZero, InvariantViolation,
-                            NotReducible, PrecisionTooLow,
+                            NotReducible, PrecisionTooLow, StepBudgetExceeded,
                             UndeclaredCurveFactor, UnsupportedLength,
                             ZeroArgument)
-from k2local.ff import FqElem, make_field, norm_rel
+from k2local.ff import FqElem, make_field, norm_rel, parse_field
 from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  CurvePlace, PointFunc, Poly1, Poly2,
                                  RatFunc, as_reduce,
@@ -29,12 +29,11 @@ from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
                                  point_witt_terms, to_pointfunc, witt_report)
 from k2local.forms import d_du
 from k2local.globalfield import (_as_reduce, _chart, _coeff_neg, _coeff_sum,
-                                 _expand_poly2, _lead, _param_series,
-                                 _poly2_div_poly1, _poly2_transpose, _prs_gcd,
-                                 _t_coeffs, _tame_terms, _tpoly_gcd,
+                                 _divexact, _expand_poly2, _param_series,
+                                 _prs_gcd, _t_coeffs, _tame_terms, _tpoly_gcd,
                                  _try_div_curve, _witt_terms, expand_point,
                                  place_field, place_u, poly1_gcd)
-from k2local.series import INF, Laurent2, invert, laurent_domain
+from k2local.series import HEADROOM, INF, Laurent2, invert, laurent_domain
 from k2local.symbols import (symbol, tame_symbol_det, witt_pair_local,
                              with_box)
 from k2local.witt import WittVec, witt_zero
@@ -305,7 +304,7 @@ def _tpoly_clear(A, field):
     P = Poly2(field, {(a, b): cc for b, c in enumerate(A)
                       for a, cc in enumerate((_univariate(c.num) * den.divmod(
                           _univariate(c.den))[0]).coeffs)})
-    return _poly2_div_poly1(P, _content(P))
+    return _poly2_div_poly1_reference(P, _content(P))
 
 
 def _poly2_from_tpoly(Q, field):
@@ -334,7 +333,8 @@ def _reduce_reference(num, den):
         return Poly2(field, {}), Poly2.one(field)
     cg = poly1_gcd(_content(num), _content(den))
     if cg.deg > 0:
-        num, den = _poly2_div_poly1(num, cg), _poly2_div_poly1(den, cg)
+        num, den = (_poly2_div_poly1_reference(num, cg),
+                    _poly2_div_poly1_reference(den, cg))
     G = _tpoly_euclid(_tpoly(num), _tpoly(den), field)
     if len(G) > 1:
         Gp = _tpoly_clear(G, field)
@@ -346,10 +346,183 @@ def _reduce_reference(num, den):
 def _try_div_curve_reference(P, y):
     if y.var == "u" and y.phi:
         flipped = AdmissibleCurve(P.field, "graph_t_of_u", y.phi)
-        Q = _try_div_curve_reference(_poly2_transpose(P), flipped)
-        return None if Q is None else _poly2_transpose(Q)
+        Q = _try_div_curve_reference(_transpose_reference(P), flipped)
+        return None if Q is None else _transpose_reference(Q)
     Q, R = _tpoly_divmod(_tpoly(P), _tpoly(y.equation()), P.field)
     return None if any(R) else _poly2_from_tpoly(Q, P.field)
+
+
+# The element arithmetic of Poly2 before it held integer codes, kept as the
+# reference for TestPoly2Kernel: each function reads .terms or .t_coeffs(),
+# computes on FqElem values and Poly1 rows, and builds its result from
+# elements.
+
+def _add_reference(P, Q):
+    out = dict(P.terms)
+    for ab, c in Q.terms.items():
+        out[ab] = out[ab] + c if ab in out else c
+    return Poly2(P.field, out)
+
+
+def _neg_reference(P):
+    return Poly2(P.field, {ab: -c for ab, c in P.terms.items()})
+
+
+def _mul_reference(P, Q):
+    if isinstance(Q, FqElem):
+        return Poly2(P.field, {ab: c * Q for ab, c in P.terms.items()})
+    out = {}
+    for (a1, b1), c1 in P.terms.items():
+        for (a2, b2), c2 in Q.terms.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    return Poly2(P.field, out)
+
+
+def _pow_reference(P, e):
+    acc = Poly2.one(P.field)
+    for _ in range(e):
+        acc = _mul_reference(acc, P)
+    return acc
+
+
+def _lead_reference(P):
+    """The coefficient of the greatest term of P in the (t, u) order."""
+    return P.terms[max(P.terms, key=lambda ab: (ab[1], ab[0]))]
+
+
+def _transpose_reference(P):
+    return Poly2(P.field, {(b, a): c for (a, b), c in P.terms.items()})
+
+
+def _poly2_content_u_reference(P):
+    """The u-content: the monic gcd of the t-coefficients of P."""
+    g = Poly1(P.field, ())
+    for poly in P.t_coeffs().values():
+        g = poly1_gcd(g, poly)
+        if g.deg == 0:
+            break
+    return g
+
+
+def _poly2_div_poly1_reference(P, g):
+    """Exact division of every t-coefficient by the univariate g."""
+    if g.coeffs == (P.field.one,):
+        return P
+    out = {}
+    for b, poly in P.t_coeffs().items():
+        q, r = poly.divmod(g)
+        if r:
+            raise InvariantViolation("u-content division left a remainder")
+        for a, c in enumerate(q.coeffs):
+            if c:
+                out[(a, b)] = c
+    return Poly2(P.field, out)
+
+
+def _rows_reference(P):
+    """P as the dense list of its t-coefficients, Poly1s in u."""
+    rows = [Poly1(P.field, ())] * (P.deg_t() + 1)
+    for b, poly in P.t_coeffs().items():
+        rows[b] = poly
+    return rows
+
+
+def _from_rows_reference(rows, field):
+    return Poly2(field, {(a, b): c for b, poly in enumerate(rows)
+                         for a, c in enumerate(poly.coeffs)})
+
+
+def _tdiv_reference(P, G):
+    """P / G in F_q[u][t] by long division in t, or None."""
+    rem, div = _rows_reference(P), _rows_reference(G)
+    d = len(div) - 1
+    quo = [None] * max(0, len(rem) - d)
+    for k in range(len(rem) - 1, d - 1, -1):
+        c, r = rem[k].divmod(div[-1])
+        if r:
+            return None
+        quo[k - d] = c
+        if c:
+            for j in range(d):
+                rem[k - d + j] = rem[k - d + j] - c * div[j]
+    if any(rem[:d]):
+        return None
+    return _from_rows_reference(quo, P.field)
+
+
+def _prem_reference(A, B):
+    rem, div = _rows_reference(A), _rows_reference(B)
+    d = len(div) - 1
+    lead = div[-1]
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem.pop()
+        rem = [r * lead for r in rem]
+        if c:
+            for j in range(d):
+                rem[k - d + j] = rem[k - d + j] - c * div[j]
+    return _from_rows_reference(rem, A.field)
+
+
+def _prs_gcd_reference(A, B):
+    cb = _poly2_content_u_reference(B)
+    c = poly1_gcd(_poly2_content_u_reference(A), cb) if cb.deg > 0 else cb
+    if A.deg_t() < B.deg_t():
+        A, B = B, A
+    while B.deg_t() > 0:
+        A, B = B, _prem_reference(A, B)
+        if B:
+            B = _poly2_div_poly1_reference(B, _poly2_content_u_reference(B))
+    if B:
+        return Poly2.from_poly1(c)
+    return _mul_reference(_poly2_div_poly1_reference(
+        A, _poly2_content_u_reference(A)), Poly2.from_poly1(c))
+
+
+def _tpoly_gcd_reference(A, B):
+    for M, P in ((A, B), (B, A)):
+        if len(M.terms) == 1:
+            (i, j), = M.terms
+            return Poly2.monomial(A.field, A.field.one,
+                                  min(i, min(a for a, _ in P.terms)),
+                                  min(j, min(b for _, b in P.terms)))
+    return _prs_gcd_reference(A, B)
+
+
+def _normal_form_reference(num, den):
+    """RatFunc(num, den)'s (num, den) by the reference gcd and division."""
+    if not num:
+        return num, Poly2.one(num.field)
+    G = _tpoly_gcd_reference(num, den)
+    if list(G.terms) != [(0, 0)]:
+        num, den = _tdiv_reference(num, G), _tdiv_reference(den, G)
+    inv = _lead_reference(den).inv()
+    return _mul_reference(num, inv), _mul_reference(den, inv)
+
+
+def _chart_reference(P, key):
+    """_chart by Horner's rule over the columns of the shifted variable."""
+    field = P.field
+    if isinstance(key, AdmissibleCurve):
+        if key.var == "u":
+            P = _transpose_reference(P)
+        if not key.phi:
+            return P
+        var, x = 1, _add_reference(Poly2.from_poly1(key.phi),
+                                   Poly2.monomial(field, field.one, 0, 1))
+    elif key.kind == "infinity":
+        return Poly2(field, {(-a, b): c for (a, b), c in P.terms.items()})
+    elif root := -key.minimal_poly.coeffs[0]:
+        var, x = 0, Poly2(field, {(0, 0): root, (1, 0): field.one})
+    else:
+        return P
+    cols = [{} for _ in range(1 + max((k[var] for k in P.terms), default=0))]
+    for (a, b), c in P.terms.items():
+        cols[b if var else a][(a, 0) if var else (0, b)] = c
+    acc = Poly2(field, cols[-1])
+    for col in reversed(cols[:-1]):
+        acc = _add_reference(_mul_reference(acc, x), Poly2(field, col))
+    return acc
 
 
 def _rand_poly2(rng, field, deg, nterms):
@@ -483,7 +656,7 @@ class TestBivariateReduction:
         rng = random.Random(q[0] * 10 + q[1] + 4)
 
         def monic(P):
-            return P * _lead(P).inv()
+            return P * _lead_reference(P).inv()
 
         for _ in range(40):
             M = Poly2.monomial(field, field.elem_by_index(
@@ -499,6 +672,157 @@ class TestBivariateReduction:
         monkeypatch.setattr(gf, "_tpoly_gcd", lambda A, B: P)
         with pytest.raises(InvariantViolation):
             RatFunc(P + Poly2.one(F3), P * P)
+
+
+def _kernel_polys(rng, field):
+    """Zero, one, monomials and random polynomials of up to 4 t-rows."""
+    def unit():
+        return field.elem_by_index(rng.randrange(1, field.q))
+    polys = [Poly2(field, {}), Poly2.one(field)]
+    polys += [Poly2.monomial(field, unit(), rng.randrange(4),
+                             rng.randrange(3)) for _ in range(3)]
+    return polys + [_rand_rows(rng, field, 4, 6) for _ in range(5)]
+
+
+def _same(got, ref):
+    """Equal terms, and equal codes against the constructor's: no zero code
+    or empty row is kept."""
+    return got.terms == ref.terms and got == ref
+
+
+class TestPoly2Kernel:
+    """Poly2's code kernels against the element arithmetic above, over prime
+    fields and over packed codes (n > 1)."""
+
+    FIELDS = ["2^1", "3^1", "2^2/1,1,1", "5^1", "3^2"]
+
+    @pytest.mark.parametrize("spec", FIELDS)
+    def test_arithmetic_matches_reference(self, spec):
+        field = parse_field(spec)
+        rng = random.Random("arith " + spec)
+        polys = _kernel_polys(rng, field)
+        scalars = [field.zero, field.one,
+                   field.elem_by_index(rng.randrange(1, field.q))]
+        for P in polys:
+            assert _same(-P, _neg_reference(P)), P
+            for c in scalars:
+                assert _same(P * c, _mul_reference(P, c)), (P, c)
+            for e in range(4):
+                assert _same(P ** e, _pow_reference(P, e)), (P, e)
+            for Q in polys:
+                assert _same(P + Q, _add_reference(P, Q)), (P, Q)
+                assert _same(P - Q, _add_reference(P, _neg_reference(Q)))
+                assert _same(P * Q, _mul_reference(P, Q)), (P, Q)
+
+    @pytest.mark.parametrize("spec", FIELDS)
+    def test_division_matches_reference(self, spec):
+        # every divisor against each polynomial and its multiple: monomials
+        # (the shift), leads constant and not constant in u
+        field = parse_field(spec)
+        rng = random.Random("div " + spec)
+        polys = _kernel_polys(rng, field)
+        u = Poly2.monomial(field, field.one, 1, 0)
+        t = Poly2.monomial(field, field.one, 0, 1)
+        c = Poly2.const(field, field.elem_by_index(rng.randrange(1, field.q)))
+        divisors = [G for G in polys if G] + [u * t + c, (u + c) * t * t + u]
+        divided = 0
+        for P in polys:
+            for G in divisors:
+                for N in (P, P * G):
+                    got, ref = N.tdiv(G), _tdiv_reference(N, G)
+                    assert (got is None) == (ref is None), (N, G)
+                    if ref is not None:
+                        divided += 1
+                        assert _same(got, ref), (N, G)
+                    if G.deg_t() > 0:
+                        assert _same(N.prem(G), _prem_reference(N, G))
+                assert _same((P * G).tdiv(G), P)
+        assert divided > len(polys) * len(divisors)
+
+    @pytest.mark.parametrize("spec", FIELDS)
+    def test_content_gcd_and_normal_form_match_reference(self, spec):
+        field = parse_field(spec)
+        rng = random.Random("gcd " + spec)
+        polys = [P for P in _kernel_polys(rng, field) if P]
+        shared = TestBivariateReduction.planted
+        for P in polys:
+            ref = Poly2.from_poly1(_poly2_content_u_reference(P))
+            assert _same(P.content_u(), ref), P
+        for kind in ("content", "t-power", "lead-in-u"):
+            C = shared(rng, field, kind)
+            for A in polys:
+                for B in polys:
+                    assert _same(_tpoly_gcd(A * C, B * C),
+                                 _tpoly_gcd_reference(A * C, B * C))
+                    f = RatFunc(A * C, B * C)
+                    num, den = _normal_form_reference(A * C, B * C)
+                    assert _same(f.num, num) and _same(f.den, den), (A, B, C)
+
+    @pytest.mark.parametrize("spec", FIELDS)
+    def test_charts_match_reference(self, spec):
+        # infinity (negative s-exponents), u, the rational places with a
+        # nonzero root, and the axes and graphs of a branch
+        field = parse_field(spec)
+        rng = random.Random("chart " + spec)
+        polys = _kernel_polys(rng, field)
+        polys.append(polys[-1] + Poly2.monomial(field, field.one, 40, 1))
+        keys = [infinity_place(field), place_u(field)]
+        keys += [CurvePlace(field, "finite", Poly1(field, (c, field.one)))
+                 for c in list(field.elements())[1:4]]
+        keys += _rand_graph_curves(rng, field)
+        negative = 0
+        for P in polys:
+            for key in keys:
+                got = _chart(P, key)
+                assert _same(got, _chart_reference(P, key)), (P, key)
+                negative += any(a < 0 for a, _ in got.terms)
+        assert negative > 0
+
+    def test_carry_guard_refuses_before_multiplying(self):
+        # over n > 1 a product whose coefficients may sum more than cap
+        # products of codes would carry between digits: it is refused at
+        # once, not multiplied out (2^32 pairs)
+        field = parse_field("2^2/1,1,1")
+        cap = (1 << HEADROOM) - 1
+        big = Poly2(field, {(a, 0): field.one for a in range(cap + 1)})
+        start = time.perf_counter()
+        with pytest.raises(StepBudgetExceeded):
+            big * big
+        assert time.perf_counter() - start < 1
+
+
+def test_polynomial_layer_makes_no_element_arithmetic(monkeypatch):
+    # eval_rational, RatFunc arithmetic and the exact charts run on codes:
+    # no FqElem product, sum, negation, power, inverse or zero test
+    exprs = ["(u + t)^3 * (1 + u*t) / ((u + t) * (1 + u^2))",
+             "(u^2 + z*t)^-2 * (u^2 + z*t) + 1/(u*t) - t/u^3",
+             "((1 + u)^2 - (1 + u)*t) / ((1 + u) * (u - t)^2) + (2*u + z)^-1"]
+    setups = []
+    for spec in ("3^1", "2^2/1,1,1"):
+        field = parse_field(spec)
+        setups.append((field, [
+            infinity_place(field), place_u(field),
+            CurvePlace(field, "finite", Poly1.from_ints(field, [-1, 1])),
+            AdmissibleCurve(field, "graph_t_of_u",
+                            Poly1.from_ints(field, [0, 0, 1]))]))
+    calls = []
+    for name in ("__mul__", "__add__", "__sub__", "__neg__", "__pow__",
+                 "inv", "__bool__"):
+        def counted(*args, _orig=getattr(FqElem, name), _name=name):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(FqElem, name, counted)
+    for field, keys in setups:
+        fs = [eval_rational(e, field) for e in exprs]
+        results = list(fs)
+        for f in fs:
+            for g in fs:
+                results += [f + g, f - g, f * g, f / g, -f, f ** -2]
+        for f in results:
+            for P in (f.num, f.den):
+                for key in keys:
+                    _chart(P, key)
+    assert not calls, sorted(set(calls))
 
 
 # --------------------------------------------------------------------------
@@ -788,10 +1112,10 @@ def _poly2_to_branch_reference(P, y):
     if y.var == "t" and not y.phi:
         return Laurent2(field, P.rows(), INF, {})
     if y.var == "u" and not y.phi:
-        return Laurent2(field, _poly2_transpose(P).rows(), INF, {})
+        return Laurent2(field, _transpose_reference(P).rows(), INF, {})
     phi = y.phi
     if y.var == "u":
-        P = _poly2_transpose(P)
+        P = _transpose_reference(P)
     acc = Laurent2.zero(field)
     for (a, b), c in P.terms.items():
         term = Laurent2.monomial(field, c, a, 0)
@@ -1249,7 +1573,7 @@ class _CurveReference:
 
     def monic(self):
         eq = self.equation()
-        return eq * _lead(eq).inv()
+        return eq * _lead_reference(eq).inv()
 
     def sort_key(self):
         tail = tuple(c.coeffs for c in self.graph_poly.coeffs) \
@@ -1953,9 +2277,9 @@ class TestDualityCurve:
 
 
 def test_inexact_content_division_is_an_invariant_violation():
-    from k2local.errors import InvariantViolation
-    from k2local.globalfield import _poly2_div_poly1
     F2 = make_field(2, 1)
     P = Poly2(F2, {(0, 0): F2.one, (1, 1): F2.one})  # 1 + u t
     with pytest.raises(InvariantViolation):
-        _poly2_div_poly1(P, Poly1.from_ints(F2, [0, 1]))  # by u
+        _divexact(P, Poly2.from_poly1(Poly1.from_ints(F2, [0, 1])))  # by u
+    with pytest.raises(InvariantViolation):  # by 1 + u, a non-monomial
+        _divexact(P, Poly2.from_poly1(Poly1.from_ints(F2, [1, 1])))
