@@ -456,7 +456,7 @@ verbs: %s
 
 options:
   --field p^n[/c0,...,cn]   coefficient field (default 2^1)
-  --prec-t N  --prec-u N    working box of boundary, decompose and equiv
+  --prec-t N  --prec-u N    working box of boundary and decompose
   --m M                     Witt length (default 1)
   --level N                 filtration level (default 3)
   --curves SPEC             point-mode curve set: t,u,t=EXPR,u=EXPR

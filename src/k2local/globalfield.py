@@ -3,24 +3,24 @@
 Curve side: the projective u-line over F_q, places (monic irreducible
 polynomials in u plus infinity, found by ff.factor_poly1, whose splitting
 routine also serves first_root and the modulus check), and coefficientwise
-local expansion of rational data.  At a place of degree d >= 2 the
-expansion is a Laurent2 over k(x) = F_{q^d}: u is a power series in the
-parameter pi(u), found by Newton iteration.
-
-Point side: admissible curves through the origin of the (u, t)-plane, branch
-expansions, canonical Artin-Schreier representatives, and the finite-level
-duality kernel reports.
+local expansion of rational data.  Point side: admissible curves through
+the origin of the (u, t)-plane, branch expansions, canonical
+Artin-Schreier representatives, and the finite-level duality kernel
+reports.
 
 A global function has one shape, the reduced RatFunc num / den of Poly2s
 on integer codes.  Its t-coefficients, u-only RatFuncs, are what as_reduce
 works on.  A PointFunc multiplies its factors out once into a num and a den.
-Each key, a place or a branch, has local coordinates (s, t), and _chart maps
-a polynomial's codes into them where the parameter is exact: s = 1/u at
-infinity, u = root + s at a rational place, t = phi(s) + t on a branch after
-u and t swap if it is solved for u.  An expansion divides the charts of num
-and den, as exact Laurent2s, in a working box (t_prec, u_prec), a leading
-term their least terms.  At a place of degree >= 2, the one inexact case, u
-is the parameter series in pi(u).
+Each key of either side is a Chart of the local field K_{x,C} at a point x
+on a curve C: a place of the u-line on t = 0, or the origin on a declared
+curve.  It holds the change of coordinates from the plane to its (s, t):
+u and t swap if C is solved for u; s = 1/u at infinity, u = root + s at a
+rational point; then t = phi(s) + t, phi = 0 at a place.  _chart maps a
+polynomial's codes by it, and an expansion divides the charts of num and
+den, as exact Laurent2s, in a working box (t_prec, u_prec), a leading term
+their least terms.  At a place of degree d >= 2, the one inexact case, the
+expansion is over k(x) = F_{q^d}, and u is a power series in s = pi(u),
+found by Newton iteration.
 
 Reciprocity: the Witt and tame sums over the places of the u-line, or over a
 declared set of curves through the origin, share their pieces: per-key terms
@@ -240,53 +240,101 @@ class RatFunc:
 
 
 # --------------------------------------------------------------------------
-# Places of the projective u-line and local expansion
+# Keys, the places of the projective u-line, and local expansion
 # --------------------------------------------------------------------------
 
-class CurvePlace:
-    """A closed point of the projective u-line over F_q."""
+class Chart:
+    """A key of the reciprocity sums: the local field K_{x,C} at a point x
+    on a curve C, as the exact change of coordinates from the plane to its
+    (s, t) that _chart applies.  Chart.place and Chart.curve build the keys
+    of the two sums and fix their labels and sort order.  Two charts are
+    equal when they name the same x on the same C: the same minimal
+    polynomial (None at infinity) and curve equations that agree up to a
+    nonzero constant, as t = c*u and u = t/c do.
+    """
 
-    __slots__ = ("field", "kind", "minimal_poly", "residue_degree", "root")
+    KINDS = {"axis_u": "t", "axis_t": "u",
+             "graph_t_of_u": "t", "graph_u_of_t": "u"}
 
-    def __init__(self, field, kind, minimal_poly=None):
+    __slots__ = ("field", "minimal_poly", "residue_degree", "root", "swap",
+                 "phi", "_equation", "_label", "_order", "_ident", "_hash")
+
+    def __init__(self, field, minimal_poly, swap, phi, label, order):
         self.field = field
-        self.kind = kind  # "finite" | "infinity"
         self.minimal_poly = minimal_poly
-        self.residue_degree = minimal_poly.deg if kind == "finite" else 1
-        # the root of a rational place, in F_q
-        self.root = -minimal_poly.coeffs[0] if self.residue_degree == 1 \
-            and kind == "finite" else None
+        self.residue_degree = minimal_poly.deg if minimal_poly else 1
+        # the root of a rational point, in F_q; None at infinity
+        self.root = -minimal_poly.coeffs[0] \
+            if minimal_poly and minimal_poly.deg == 1 else None
+        self.swap = swap
+        self.phi = phi
+        eq = Poly2.monomial(field, field.one, *((1, 0) if swap else (0, 1)))
+        if phi:
+            eq = eq - Poly2.from_poly1(phi, "t" if swap else "u")
+        self._equation = eq
+        self._label = label
+        self._order = order
+        # the monic equation: t - phi(u) leads with t, u - phi(t) is scaled
+        self._ident = (minimal_poly, eq * eq.lead_inverse() if swap else eq)
+        self._hash = None  # set on first use: the sums hash few places
 
-    def sort_key(self):
-        if self.kind == "infinity":
-            return (1,)
-        return (0, self.minimal_poly.deg,
-                tuple(c.coeffs for c in self.minimal_poly.coeffs))
+    @classmethod
+    def place(cls, field, pi=None):
+        """The place pi(u) = 0 of the u-line on the curve t = 0: u = root + s,
+        or s = pi(u) if pi has degree >= 2, or s = 1/u if pi is None."""
+        zero = Poly1(field, ())
+        if pi is None:
+            return cls(field, None, False, zero, "infinity", (1,))
+        return cls(field, pi, False, zero, pi.serialize(),
+                   (0, pi.deg, tuple(c.coeffs for c in pi.coeffs)))
+
+    @classmethod
+    def curve(cls, field, kind, graph_poly=None):
+        """The origin on var = phi(other), phi with no constant term: swap
+        if var is u, then t = phi(s) + t.  kind is var or one of the KINDS
+        names; graph_poly is phi (None for 0, an axis).  Axes sort before
+        graphs, t = ... before u = ..., then by phi."""
+        var = cls.KINDS.get(kind, kind)
+        if var not in ("t", "u"):
+            raise ZeroArgument(f"unknown curve kind {kind!r}")
+        phi = graph_poly if graph_poly is not None else Poly1(field, ())
+        if phi.coeffs and phi.coeffs[0]:
+            raise ZeroArgument("a curve through the origin needs a "
+                               "polynomial with zero constant term")
+        swap = var == "u"
+        return cls(field, Poly1(field, (field.zero, field.one)), swap, phi,
+                   f"{var} = {phi.serialize('t' if swap else 'u')}",
+                   (bool(phi), swap, tuple(c.coeffs for c in phi.coeffs)))
+
+    def equation(self):
+        """The curve's equation var - phi(other) in the plane, built once:
+        Poly2 values are never changed in place."""
+        return self._equation
 
     def __eq__(self, other):
-        return (isinstance(other, CurvePlace) and self.kind == other.kind
-                and self.field is other.field
-                and self.minimal_poly == other.minimal_poly)
+        return isinstance(other, Chart) and self._ident == other._ident
 
     def __hash__(self):
-        return hash((id(self.field), self.kind, self.minimal_poly))
+        if self._hash is None:
+            self._hash = hash(self._ident)
+        return self._hash
+
+    def sort_key(self):
+        return self._order
 
     def serialize(self):
-        if self.kind == "infinity":
-            return "infinity"
-        return self.minimal_poly.serialize()
+        return self._label
 
     def __repr__(self):
-        return f"CurvePlace({self.serialize()})"
+        return f"Chart({self._label})"
 
 
-def infinity_place(field):
-    return CurvePlace(field, "infinity")
+AdmissibleCurve = Chart.curve  # the name the point side builds curves by
 
 
 def place_u(field):
     """The place u = 0, where the expansion is the series in u and t."""
-    return CurvePlace(field, "finite", Poly1(field, (field.zero, field.one)))
+    return Chart.place(field, Poly1(field, (field.zero, field.one)))
 
 
 def list_places(fs):
@@ -310,9 +358,9 @@ def list_places(fs):
     for w in rests:
         if w.deg > 0:
             finite.update(factor_poly1(w))
-    places = sorted((CurvePlace(field, "finite", pi) for pi in finite),
-                    key=CurvePlace.sort_key)
-    places.append(infinity_place(field))
+    places = sorted((Chart.place(field, pi) for pi in finite),
+                    key=Chart.sort_key)
+    places.append(Chart.place(field))
     return places
 
 
@@ -320,12 +368,9 @@ def list_places(fs):
 def place_field(place):
     """(k(x), embed: F_q -> k(x), root of the minimal polynomial)."""
     field = place.field
-    if place.kind == "infinity":
-        return field, (lambda c: c), None
-    d = place.residue_degree
-    if d == 1:
+    if place.residue_degree == 1:
         return field, (lambda c: c), place.root
-    kx = make_field(field.p, field.n * d)
+    kx = make_field(field.p, field.n * place.residue_degree)
     emb = get_embedding(field, kx)
     return (kx, emb.apply,
             first_root([emb.apply(c) for c in place.minimal_poly.coeffs], kx))
@@ -347,18 +392,17 @@ def _chart(P, key):
     """P in the local coordinates (s, t) of a key whose parameter is exact,
     as a Poly2 over F_q in s and t (Laurent in s at infinity).
 
-    s = 1/u at infinity and s = u at the place u relabel the codes of P, so
-    a large power of u costs one term.  At a rational place u = root + s
-    shifts each t-row.  On a branch u and t first swap if the curve is
-    solved for u; then t = phi(s) + t by Horner's rule over the t-rows, and
-    an axis relabels as the place u does.
+    u and t swap first if the key says so.  Then s = 1/u at infinity
+    relabels the codes of P, so a large power of u costs one term, and
+    u = root + s shifts each t-row (a root 0 leaves P as it is).  Last,
+    t = phi(s) + t by Horner's rule over the t-rows.
     """
-    if isinstance(key, CurvePlace):
-        if key.kind == "infinity":
-            return P.reflect_u()
-        return P.shift_u(key.root)
-    if key.var == "u":
+    if key.swap:
         P = P.transpose()
+    if key.minimal_poly is None:
+        P = P.reflect_u()
+    else:
+        P = P.shift_u(key.root)
     if not key.phi:
         return P
     field, rows = P.field, P.t_rows()
@@ -416,17 +460,17 @@ def _expand_poly2(P, key, prec):
                               {b: prec for _, b in P.terms})
 
 
-def expand_at_place(f, place, box):
-    """Coefficientwise expansion of a RatFunc at a place of the u-line.
+def expand_at_place(f, key, box):
+    """Coefficientwise expansion of a RatFunc at a key.
 
-    Returns a Laurent2 over k(x) whose inner variable is the local parameter
-    (u - root at rational places, pi(u) at places of degree >= 2, 1/u at
-    infinity) and whose outer variable is t.  The box (t_prec, u_prec) is
-    the working box of the denominator's inverse; at a place of degree >= 2
-    the parameter series has u_prec digits.
+    Returns a Laurent2 over k(x) in the key's coordinates (s, t): the inner
+    variable s is u - root at rational places, pi(u) at places of degree
+    >= 2 and 1/u at infinity.  The box (t_prec, u_prec) is the working box
+    of the denominator's inverse; at a place of degree >= 2 the parameter
+    series has u_prec digits.
     """
-    num = _expand_poly2(f.num, place, box[1])
-    return num * invert(_expand_poly2(f.den, place, box[1]), *box)
+    num = _expand_poly2(f.num, key, box[1])
+    return num * invert(_expand_poly2(f.den, key, box[1]), *box)
 
 
 # --------------------------------------------------------------------------
@@ -468,19 +512,18 @@ def _row_at_place(P, place):
 
 
 def lead_at_place(f, key):
-    """The leading term of the expansion of f at a key, a place or a branch,
-    at every box, as an exact Laurent2 monomial: the least terms of num and
-    den, read off their charts where the parameter is exact and by
-    _row_at_place at a place of degree >= 2.  At a rational place other
-    than u, where t stays t, only the least t-row is charted."""
-    exact = key.residue_degree == 1
+    """The leading term of the expansion of f, a RatFunc or a PointFunc, at
+    a key, at every box, as an exact Laurent2 monomial: the least terms of
+    num and den, read off their charts where the parameter is exact and by
+    _row_at_place at a place of degree >= 2.  Where the chart leaves t
+    alone, with no swap and no phi, only the least t-row is charted."""
     if not f:
-        return Laurent2.zero(f.field if exact else place_field(key)[0])
+        return Laurent2.zero(place_field(key)[0])
 
     def least(P):
-        if not exact:
+        if key.residue_degree > 1:
             return _row_at_place(P, key)
-        if isinstance(key, CurvePlace):  # t stays t: chart the least row
+        if not (key.swap or key.phi):  # t stays t: chart the least row
             j = min(P.codes)
             _, v, c = _chart(P.t_rows()[j], key).laurent().leading()
             return j, v, c
@@ -498,69 +541,6 @@ def curve_tame_terms(f, g, h):
 # --------------------------------------------------------------------------
 # Point mode: admissible curves through the origin
 # --------------------------------------------------------------------------
-
-class AdmissibleCurve:
-    """A smooth curve through the origin: var = phi(other), where var is
-    "t" or "u" and phi is a polynomial in the other variable with no
-    constant term.  phi = 0 is an axis.
-
-    kind is the solved variable itself or one of the KINDS names, which
-    map to it; graph_poly is phi (None for 0).
-    """
-
-    KINDS = {"axis_u": "t", "axis_t": "u",
-             "graph_t_of_u": "t", "graph_u_of_t": "u"}
-    residue_degree = 1  # the origin is a rational point
-
-    __slots__ = ("field", "var", "phi", "_equation", "_monic", "_hash")
-
-    def __init__(self, field, kind, graph_poly=None):
-        var = self.KINDS.get(kind, kind)
-        if var not in ("t", "u"):
-            raise ZeroArgument(f"unknown curve kind {kind!r}")
-        phi = graph_poly if graph_poly is not None else Poly1(field, ())
-        if phi.coeffs and phi.coeffs[0]:
-            raise ZeroArgument("a curve through the origin needs a "
-                               "polynomial with zero constant term")
-        self.field = field
-        self.var = var
-        self.phi = phi
-        a, b = (0, 1) if var == "t" else (1, 0)
-        eq = (Poly2.monomial(field, field.one, a, b)
-              - Poly2.from_poly1(phi, self.other))
-        self._equation = eq
-        self._monic = eq * eq.lead_inverse()
-        self._hash = hash(self._monic)  # curves key sets and dicts
-
-    @property
-    def other(self):
-        return "u" if self.var == "t" else "t"
-
-    def equation(self):
-        """The local equation t_y = var - phi(other) as a bivariate
-        polynomial, built once: Poly2 values are never changed in place."""
-        return self._equation
-
-    def __eq__(self, other):
-        """One curve when the equations agree up to a nonzero constant, as
-        t = c*u and u = t/c do."""
-        return (isinstance(other, AdmissibleCurve)
-                and self._monic == other._monic)
-
-    def __hash__(self):
-        return self._hash
-
-    def sort_key(self):
-        """The axes before the graphs, t = ... before u = ..., then phi."""
-        return (bool(self.phi), self.var == "u",
-                tuple(c.coeffs for c in self.phi.coeffs))
-
-    def serialize(self):
-        return f"{self.var} = {self.phi.serialize(self.other)}"
-
-    def __repr__(self):
-        return f"AdmissibleCurve({self.serialize()})"
-
 
 class PointFunc:
     """Element of F_x given in factored form.
@@ -598,9 +578,6 @@ class PointFunc:
     def __bool__(self):
         return bool(self.constant)
 
-    def curves(self):
-        return set(self.curve_exps)
-
     def serialize(self):
         bits = ["[" + ",".join(str(v) for v in self.constant.coeffs) + "]"]
         for y, e in sorted(self.curve_exps.items(),
@@ -616,14 +593,7 @@ class PointFunc:
 
 def distinct_curves(curves):
     """The curves in sort order, each once (the first of those equal)."""
-    return list(dict.fromkeys(sorted(curves, key=AdmissibleCurve.sort_key)))
-
-
-def _try_div_curve(P, y):
-    """P divided by the curve equation, or None if not divisible."""
-    if not P:
-        return None
-    return P.tdiv(y.equation())
+    return list(dict.fromkeys(sorted(curves, key=Chart.sort_key)))
 
 
 def to_pointfunc(f, curves):
@@ -634,16 +604,16 @@ def to_pointfunc(f, curves):
     the input has an undeclared branch through the origin.
     """
     field = f.field
+    if not f:
+        return PointFunc(field, constant=field.zero)
     exps = {}
     parts = [f.num, f.den]
     for y in distinct_curves(curves):
         for k, sign in ((0, 1), (1, -1)):
-            while (Q := _try_div_curve(parts[k], y)) is not None:
+            while (Q := parts[k].tdiv(y.equation())) is not None:
                 parts[k] = Q
                 exps[y] = exps.get(y, 0) + sign
     num, den = parts
-    if not num:
-        return PointFunc(field, constant=field.zero)
     c_num, c_den = (P.laurent().coeff(0, 0) for P in (num, den))
     if not c_num or not c_den:
         raise UndeclaredCurveFactor(
@@ -657,44 +627,42 @@ def to_pointfunc(f, curves):
     return PointFunc(field, constant, exps, units)
 
 
-def _check_declared(pf, declared):
-    for z in pf.curves():
-        if z not in declared:
-            raise UndeclaredCurveFactor(
-                f"factor curve {z.serialize()} is not declared admissible")
+def _check_declared(pfs, keys):
+    """Refuse the first factor curve of the PointFuncs pfs, in order, that
+    is not one of the keys."""
+    declared = set(keys)
+    for pf in pfs:
+        for z in pf.curve_exps:
+            if z not in declared:
+                raise UndeclaredCurveFactor(
+                    f"factor curve {z.serialize()} is not declared admissible")
 
 
-def expand_point(pf, y, declared, box):
+def expand_point(pf, y, box):
     """Local expansion of a factored F_x element at the branch y: num / den
     in branch coordinates, in the working box (t_prec, u_prec)."""
-    _check_declared(pf, declared)
     num = _expand_poly2(pf.num, y, box[1])
     return num * invert(_expand_poly2(pf.den, y, box[1]), *box)
-
-
-def lead_at_curve(pf, y, declared):
-    """The leading term of expand_point(pf, y, declared, box), exactly."""
-    _check_declared(pf, declared)
-    return lead_at_place(pf, y)
 
 
 def point_witt_terms(f, g, h, m, curves):
     """Per-curve traced local Witt pairings of F_x data at the origin.
 
-    Each curve sizes its own working box, as _witt_terms says.
+    m is checked first, then that every factor curve is declared; each
+    curve sizes its own working box, as _witt_terms says.
     """
-    keys = distinct_curves(curves)
-    declared = set(keys)
-    return _witt_terms(keys, lambda c, y, box: expand_point(
-        c, y, declared, box), f, g, _components(h), m, (2, 2))
+    keys, comps = distinct_curves(curves), _components(h)
+    check_length(m, traced=True)
+    _check_declared([f, g] + comps, keys)
+    return _witt_terms(keys, expand_point, f, g, comps, m, (2, 2))
 
 
 def point_tame_terms(f, g, h, curves):
-    """Per-curve (curve, local tame symbol) at the origin."""
+    """Per-curve (curve, local tame symbol) at the origin, once every
+    factor curve is found declared."""
     keys = distinct_curves(curves)
-    declared = set(keys)
-    return _tame_terms(keys, lambda c, y: lead_at_curve(c, y, declared),
-                       f, g, h)
+    _check_declared([f, g, h], keys)
+    return _tame_terms(keys, lead_at_place, f, g, h)
 
 
 # --------------------------------------------------------------------------
@@ -1056,10 +1024,10 @@ def duality_level_curve(k, pole_bound, field):
         raise ZeroArgument("pole bound must be non-negative")
     p = field.p
     D = pole_bound
-    places = [CurvePlace(field, "finite", Poly1(field, (lam, field.one)))
+    places = [Chart.place(field, Poly1(field, (lam, field.one)))
               for lam in field.elements()]
-    places.sort(key=CurvePlace.sort_key)
-    places.append(infinity_place(field))
+    places.sort(key=Chart.sort_key)
+    places.append(Chart.place(field))
     if k % p:
         fexps = list(range(0, D + 1))
     else:

@@ -205,6 +205,16 @@ class TestRun:
         assert code == 2
         assert rep["error"] == error
 
+    def test_usage_names_the_verbs_that_read_the_box(self):
+        # equiv and tame evaluate their operands exactly: the box flags
+        # reach only boundary and decompose
+        code, rep = run([])
+        assert code == 2 and rep["error"] == "UsageError"
+        line, = [line for line in rep["message"].splitlines()
+                 if "--prec-t" in line]
+        assert line.split(None, 4)[-1] == \
+            "working box of boundary and decompose"
+
     def test_tame_reads_no_box(self):
         # the leading terms are exact, so even a box below 1 answers
         argv = ["tame", "--field", "5^1", "3*(1+u)/(u^30+t)", "u*(1+t)",

@@ -8,21 +8,21 @@ from functools import lru_cache
 
 import pytest
 
+from k2local import globalfield
 from k2local.cli import eval_rational, run
 from k2local.errors import (BadIndexPair, DivisionByZero, InvariantViolation,
                             NotReducible, PrecisionTooLow, StepBudgetExceeded,
                             UndeclaredCurveFactor, UnsupportedLength,
                             ZeroArgument)
 from k2local.ff import FqElem, make_field, norm_rel, parse_field
-from k2local.globalfield import (AdmissibleCurve, CanonicalASRep,
-                                 CurvePlace, PointFunc, Poly1, Poly2,
+from k2local.globalfield import (AdmissibleCurve, CanonicalASRep, Chart,
+                                 PointFunc, Poly1, Poly2,
                                  RatFunc, as_reduce,
                                  as_residual_solves, curve_tame_reciprocity,
                                  curve_tame_terms, curve_witt_reciprocity,
                                  curve_witt_terms, distinct_curves,
                                  duality_kernel_point, duality_level_curve,
                                  expand_at_place, factor_poly1,
-                                 infinity_place, lead_at_curve,
                                  lead_at_place, list_places,
                                  point_basis_pair, point_tame_reciprocity,
                                  point_tame_terms, point_witt_reciprocity,
@@ -31,7 +31,7 @@ from k2local.forms import d_du
 from k2local.globalfield import (_as_reduce, _chart, _coeff_neg, _coeff_sum,
                                  _divexact, _expand_poly2, _param_series,
                                  _prs_gcd, _t_coeffs, _tame_terms, _tpoly_gcd,
-                                 _try_div_curve, _witt_terms, expand_point,
+                                 _witt_terms, expand_point,
                                  place_field, place_u, poly1_gcd)
 from k2local.series import HEADROOM, INF, Laurent2, invert, laurent_domain
 from k2local.symbols import (symbol, tame_symbol_det, witt_pair_local,
@@ -344,7 +344,7 @@ def _reduce_reference(num, den):
 
 
 def _try_div_curve_reference(P, y):
-    if y.var == "u" and y.phi:
+    if y.swap and y.phi:
         flipped = AdmissibleCurve(P.field, "graph_t_of_u", y.phi)
         Q = _try_div_curve_reference(_transpose_reference(P), flipped)
         return None if Q is None else _transpose_reference(Q)
@@ -503,14 +503,14 @@ def _normal_form_reference(num, den):
 def _chart_reference(P, key):
     """_chart by Horner's rule over the columns of the shifted variable."""
     field = P.field
-    if isinstance(key, AdmissibleCurve):
-        if key.var == "u":
+    if key.swap or key.phi:
+        if key.swap:
             P = _transpose_reference(P)
         if not key.phi:
             return P
         var, x = 1, _add_reference(Poly2.from_poly1(key.phi),
                                    Poly2.monomial(field, field.one, 0, 1))
-    elif key.kind == "infinity":
+    elif key.minimal_poly is None:
         return Poly2(field, {(-a, b): c for (a, b), c in P.terms.items()})
     elif root := -key.minimal_poly.coeffs[0]:
         var, x = 0, Poly2(field, {(0, 0): root, (1, 0): field.one})
@@ -574,7 +574,7 @@ class TestBivariateReduction:
             k = rng.randrange(3)
             P = _rand_poly2(rng, field, 2, rng.randrange(1, 4)) * \
                 y.equation() ** k
-            Q = _try_div_curve(P, y)
+            Q = P.tdiv(y.equation())
             assert Q == _try_div_curve_reference(P, y), (kind, k)
             assert k == 0 or Q * y.equation() == P
 
@@ -766,8 +766,8 @@ class TestPoly2Kernel:
         rng = random.Random("chart " + spec)
         polys = _kernel_polys(rng, field)
         polys.append(polys[-1] + Poly2.monomial(field, field.one, 40, 1))
-        keys = [infinity_place(field), place_u(field)]
-        keys += [CurvePlace(field, "finite", Poly1(field, (c, field.one)))
+        keys = [Chart.place(field), place_u(field)]
+        keys += [Chart.place(field, Poly1(field, (c, field.one)))
                  for c in list(field.elements())[1:4]]
         keys += _rand_graph_curves(rng, field)
         negative = 0
@@ -801,8 +801,8 @@ def test_polynomial_layer_makes_no_element_arithmetic(monkeypatch):
     for spec in ("3^1", "2^2/1,1,1"):
         field = parse_field(spec)
         setups.append((field, [
-            infinity_place(field), place_u(field),
-            CurvePlace(field, "finite", Poly1.from_ints(field, [-1, 1])),
+            Chart.place(field), place_u(field),
+            Chart.place(field, Poly1.from_ints(field, [-1, 1])),
             AdmissibleCurve(field, "graph_t_of_u",
                             Poly1.from_ints(field, [0, 0, 1]))]))
     calls = []
@@ -842,9 +842,9 @@ def _list_places_reference(fs):
         if poly.deg < 1:
             continue
         finite.update(factor_poly1(poly))
-    places = sorted((CurvePlace(field, "finite", pi) for pi in finite),
-                    key=CurvePlace.sort_key)
-    places.append(infinity_place(field))
+    places = sorted((Chart.place(field, pi) for pi in finite),
+                    key=Chart.sort_key)
+    places.append(Chart.place(field))
     return places
 
 
@@ -859,13 +859,13 @@ class TestPlaces:
         F2 = make_field(2, 1)
         _, u, _ = uvars(F2)
         places = list_places([u * u + u])
-        assert [x.kind for x in places] == ["finite", "finite", "infinity"]
+        assert [x.root for x in places] == [F2.zero, F2.one, None]
         assert all(x.residue_degree == 1 for x in places)
 
     def test_list_places_constant(self):
         F2 = make_field(2, 1)
         one, _, _ = uvars(F2)
-        assert [x.kind for x in list_places([one])] == ["infinity"]
+        assert [x.serialize() for x in list_places([one])] == ["infinity"]
 
     def test_list_places_matches_reference(self):
         # random fractions with planted u-content, large powers of u and an
@@ -890,9 +890,8 @@ class TestPlaces:
         for p, n in ((2, 1), (3, 1), (2, 2)):
             F = make_field(p, n)
             _, u, t = uvars(F)
-            places = [CurvePlace(F, "finite",
-                                 Poly1(F, (F.zero, F.one))),
-                      infinity_place(F)]
+            places = [Chart.place(F, Poly1(F, (F.zero, F.one))),
+                      Chart.place(F)]
             for _ in range(10):
                 f = rand_ratfunc(rng, F) * u ** rng.randrange(-3, 4)
                 if rng.randrange(2):
@@ -904,6 +903,19 @@ class TestPlaces:
                         assert got.terms == ref.terms, (P, x)
                         assert got.t_prec == ref.t_prec
                         assert got.u_prec == ref.u_prec
+
+    def test_keys_are_equal_when_they_name_one_point_on_one_curve(self):
+        # the place u lies on t = 0 at the origin, as the axis t = 0 does:
+        # one key under two labels; the other axis, another point, or the
+        # same point over another field is another key
+        F2, F4 = make_field(2, 1), make_field(2, 2)
+        x, axis = place_u(F2), AdmissibleCurve(F2, "axis_u")
+        assert x == axis and hash(x) == hash(axis)
+        assert (x.serialize(), axis.serialize()) == ("[1]*u^1", "t = 0")
+        for other in (AdmissibleCurve(F2, "axis_t"), Chart.place(F2),
+                      Chart.place(F2, Poly1.from_ints(F2, [1, 1])),
+                      place_u(F4)):
+            assert x != other and axis != other
 
     def test_list_places_empty(self):
         with pytest.raises(ZeroArgument):
@@ -927,7 +939,7 @@ class TestPlaces:
     def test_expand_at_infinity(self):
         F2 = make_field(2, 1)
         _, u, _ = uvars(F2)
-        f = expand_at_place(u, infinity_place(F2), (5, 5))
+        f = expand_at_place(u, Chart.place(F2), (5, 5))
         assert f == Laurent2.monomial(F2, F2.one, -1, 0)
 
     def test_expand_degree_two_place(self):
@@ -935,7 +947,7 @@ class TestPlaces:
         # expansion of pi(u) at the place must be exactly the parameter
         F2 = make_field(2, 1)
         pi = Poly1.from_ints(F2, [1, 1, 1])
-        x = CurvePlace(F2, "finite", pi)
+        x = Chart.place(F2, pi)
         fhat = expand_at_place(RatFunc.from_poly2(Poly2.from_poly1(pi)), x,
                                (8, 8))
         assert fhat.coeff(0, 0) == fhat.dom.zero
@@ -1020,7 +1032,7 @@ def _expand_poly2_reference(P, place, prec):
 def _expand_poly1_reference(a, place, prec):
     """One dense row: relabelled at infinity, shifted in Poly1 arithmetic
     at a rational place, summed in the list series at degree >= 2."""
-    if place.kind == "infinity":
+    if place.minimal_poly is None:
         return Laurent2(place.field, {0: {-k: c for k, c in
                                           enumerate(a.coeffs) if c}})
     kx, emb, root = place_field(place)
@@ -1061,11 +1073,11 @@ class TestExpansionKernel:
         # where u^300 is planted
         field = make_field(*q)
         rng = random.Random(q[0] * 10 + q[1])
-        places = [CurvePlace(field, "finite", pi)
+        places = [Chart.place(field, pi)
                   for pi in _irreducibles(field, 1) if pi.coeffs[0]]
         for d in (2, 3):
             irr = list(_irreducibles(field, d))
-            places += [CurvePlace(field, "finite", pi)
+            places += [Chart.place(field, pi)
                        for pi in rng.sample(irr, min(3, len(irr)))]
         for x in places:
             rational = x.residue_degree == 1
@@ -1089,7 +1101,7 @@ class TestExpansionKernel:
         # Horner over a whole polynomial multiplies every t-row by U, so a
         # t-window on U would drop the rows above 0
         F2 = make_field(2, 1)
-        x = CurvePlace(F2, "finite", Poly1.from_ints(F2, [1, 1, 1]))
+        x = Chart.place(F2, Poly1.from_ints(F2, [1, 1, 1]))
         kx, U = _param_series(x, prec)
         assert U.t_prec == INF
         assert U.u_prec == {0: prec}
@@ -1098,7 +1110,7 @@ class TestExpansionKernel:
 
     def test_param_series_refuses_no_digits(self):
         F2 = make_field(2, 1)
-        x = CurvePlace(F2, "finite", Poly1.from_ints(F2, [1, 1, 1]))
+        x = Chart.place(F2, Poly1.from_ints(F2, [1, 1, 1]))
         _, u, _ = uvars(F2)
         with pytest.raises(PrecisionTooLow):
             expand_at_place(u, x, (4, 0))
@@ -1109,12 +1121,12 @@ class TestExpansionKernel:
 
 def _poly2_to_branch_reference(P, y):
     field = P.field
-    if y.var == "t" and not y.phi:
+    if not y.swap and not y.phi:
         return Laurent2(field, P.rows(), INF, {})
-    if y.var == "u" and not y.phi:
+    if y.swap and not y.phi:
         return Laurent2(field, _transpose_reference(P).rows(), INF, {})
     phi = y.phi
-    if y.var == "u":
+    if y.swap:
         P = _transpose_reference(P)
     acc = Laurent2.zero(field)
     for (a, b), c in P.terms.items():
@@ -1194,7 +1206,7 @@ class TestBranchKernel:
                 [(eps, rng.choice([-1, 1]))])
             for y in curves:
                 for box in ((2, 2), (4, 4), (8, 8), (3, 7)):
-                    got = expand_point(pf, y, set(curves), box)
+                    got = expand_point(pf, y, box)
                     ref = _expand_point_reference(pf, y, box)
                     assert got.terms == ref.terms, (pf, y, box)
                     assert got.t_prec == ref.t_prec
@@ -1221,7 +1233,7 @@ class TestBranchKernel:
                                 for c in curves}, units)
             for y in curves:
                 for box in ((3, 3), (6, 6), (5, 9)):
-                    got = expand_point(pf, y, set(curves), box)
+                    got = expand_point(pf, y, box)
                     ref = _expand_point_reference(pf, y, box)
                     assert got.same_known_terms(ref), (pf, y, box)
 
@@ -1254,7 +1266,7 @@ class TestBranchKernel:
             zero = PointFunc(field, field.zero, {y: -1 for y in curves},
                              [(Poly2.monomial(field, field.one, 1, 1), -2)])
             for y in curves:
-                got = expand_point(zero, y, set(curves), (2, 2))
+                got = expand_point(zero, y, (2, 2))
                 assert got.is_zero() and got == Laurent2.zero(field)
 
 
@@ -1265,7 +1277,7 @@ class TestBranchKernel:
 
 def _row_at_place_reference(row, place):
     kx, emb, root = place_field(place)
-    if place.kind == "infinity":
+    if place.minimal_poly is None:
         return -max(row), row[max(row)]
     if not root:
         return min(row), row[min(row)]
@@ -1319,8 +1331,8 @@ class TestChartLeads:
         field = make_field(*q)
         rng = random.Random(53 + q[0] * 10 + q[1])
         _, u, t = uvars(field)
-        places = [CurvePlace(field, "finite", pi)
-                  for pi in _irreducibles(field, 1)] + [infinity_place(field)]
+        places = [Chart.place(field, pi)
+                  for pi in _irreducibles(field, 1)] + [Chart.place(field)]
         for _ in range(12):
             f = rand_ratfunc(rng, field) * u ** rng.randrange(-3, 4)
             if rng.randrange(2):
@@ -1337,7 +1349,7 @@ class TestChartLeads:
             curves = _rand_graph_curves(rng, field)
             pf = _rand_pointfunc(rng, field, curves)
             for y in curves:
-                assert lead_at_curve(pf, y, set(curves)) == \
+                assert lead_at_place(pf, y) == \
                     _lead_at_curve_reference(pf, y), (pf, y)
 
 
@@ -1350,7 +1362,7 @@ def _in_branch_coordinates(f, y):
     moved = T
     for k, c in enumerate(y.phi.coeffs):
         moved = moved + RatFunc.const(field, c) * s ** k
-    U, V = (s, moved) if y.var == "t" else (moved, s)
+    U, V = (moved, s) if y.swap else (s, moved)
 
     def at(P):
         acc = RatFunc.const(field, field.zero)
@@ -1535,7 +1547,7 @@ class TestCurveReciprocity:
         f, g = eval_rational(f, F2), eval_rational(g, F2)
         h = one / (pi ** k * t)
         assert is_zero_wv(curve_witt_reciprocity(f, g, h, 2))
-        x = CurvePlace(F2, "finite", Poly1.from_ints(F2, [1, 1, 1]))
+        x = Chart.place(F2, Poly1.from_ints(F2, [1, 1, 1]))
         w = dict(curve_witt_terms(f, g, h, 2))[x]
         fh, gh = (expand_at_place(c, x, (40, 40)) for c in (f, g))
         hh = Laurent2.monomial(fh.dom, fh.dom.one, -k, -1)
@@ -1672,10 +1684,10 @@ class TestPointReciprocity:
         ft = PointFunc(F4, curve_exps={self.ax_u: 1})
         fc = PointFunc(F4, constant=F4.gen)
         from k2local.globalfield import point_tame_terms
-        vals = dict((y.var, v) for y, v in
+        vals = dict((y.serialize(), v) for y, v in
                     point_tame_terms(fu, ft, fc, [self.ax_u, self.ax_t]))
-        assert vals["t"] == F4.gen
-        assert vals["u"] == F4.gen.inv()
+        assert vals["t = 0"] == F4.gen
+        assert vals["u = 0"] == F4.gen.inv()
         assert point_tame_reciprocity(fu, ft, fc,
                                       [self.ax_u, self.ax_t]) == F4.one
 
@@ -1753,6 +1765,26 @@ class TestPointReciprocity:
         ft = PointFunc(F4, curve_exps={self.ax_u: 1})
         with pytest.raises(UndeclaredCurveFactor):
             point_witt_reciprocity(fu, ft, [fu], 1, [self.ax_u])
+
+    def test_undeclared_curve_is_refused_before_any_work(self, monkeypatch):
+        # both sums over the axes refuse the graph factor of the second
+        # operand with its name, before any operand is charted or expanded
+        F4 = self.F4
+        diag = AdmissibleCurve(F4, "graph_t_of_u", Poly1.from_ints(F4, [0, 1]))
+        fu = PointFunc(F4, curve_exps={self.ax_t: 1})
+        fd = PointFunc(F4, curve_exps={diag: 1})
+        calls = []
+        for name in ("expand_point", "_chart"):
+            monkeypatch.setattr(globalfield, name, lambda *args, _name=name: (
+                calls.append(_name)))
+        axes = [self.ax_u, self.ax_t]
+        for terms in (lambda: point_witt_terms(fu, fd, [fu], 1, axes),
+                      lambda: point_tame_terms(fu, fd, fu, axes)):
+            with pytest.raises(UndeclaredCurveFactor) as exc:
+                terms()
+            assert str(exc.value) == \
+                "factor curve t = [1,0]*u^1 is not declared admissible"
+        assert not calls
 
 
 # --------------------------------------------------------------------------
@@ -1870,16 +1902,12 @@ class TestTameLeadingTerms:
         compared = 0
         for curves, (f, g, h) in _tame_point_cases(rng):
             keys = distinct_curves(curves)
-            declared = set(keys)
-
-            def expand(c, y, box):
-                return expand_point(c, y, declared, box)
-            ref, _ = _tame_terms_series(keys, expand, f, g, h)
+            ref, _ = _tame_terms_series(keys, expand_point, f, g, h)
             assert point_tame_terms(f, g, h, curves) == ref, (f, g, h)
             for y in keys:
                 for c in (f, g, h):
-                    assert lead_at_curve(c, y, declared).leading() == \
-                        _series_leading(expand, c, y), (c, y)
+                    assert lead_at_place(c, y).leading() == \
+                        _series_leading(expand_point, c, y), (c, y)
             compared += len(keys)
         assert compared >= 100
 
@@ -2148,10 +2176,10 @@ def _level_setup_reference(k, D, field):
     """duality_level_curve's places, generators and test-function
     expansions."""
     p = field.p
-    places = [CurvePlace(field, "finite", Poly1(field, (lam, field.one)))
+    places = [Chart.place(field, Poly1(field, (lam, field.one)))
               for lam in field.elements()]
-    places.sort(key=CurvePlace.sort_key)
-    places.append(infinity_place(field))
+    places.sort(key=Chart.sort_key)
+    places.append(Chart.place(field))
     fexps = list(range(0, D + 1)) if k % p else \
         [b for b in range(1, D + 1) if b % p]
     fhats = {x: [_expand_poly2(Poly2.monomial(field, field.one, b, 0), x, 1)

@@ -51,6 +51,30 @@ def test_only_with_box_retries_a_short_box():
     assert sorted(set(found)) == ["forms.residue", "symbols.with_box"]
 
 
+def test_one_key_type_serves_both_sums():
+    # every key of the curve and point sums is a Chart, the local field at
+    # a point on a curve: it is the one class in globalfield with a sort
+    # order, and no code dispatches on it outside its own __eq__
+    package = Path(k2local.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    keys = [node for node in trees["globalfield.py"].body
+            if isinstance(node, ast.ClassDef)
+            and "sort_key" in {f.name for f in node.body
+                               if isinstance(f, ast.FunctionDef)}]
+    assert [key.name for key in keys] == ["Chart"]
+    eq, = [f for f in keys[0].body
+           if isinstance(f, ast.FunctionDef) and f.name == "__eq__"]
+    inside = {id(node) for node in ast.walk(eq)}
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _called(node) == "isinstance"
+             and id(node) not in inside
+             and "Chart" in {n.id for n in ast.walk(node.args[1])
+                             if isinstance(n, ast.Name)}]
+    assert not found, found
+
+
 def _uses(paths):
     """Every name the sources refer to: Name and Attribute nodes, and string
     constants, since perfbench/tracer.py names the functions it wraps."""

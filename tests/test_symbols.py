@@ -631,6 +631,27 @@ class TestDecompose:
                 basis = k2_decompose(e, level)
                 assert k2_equiv(e, basis.recompose(), level)
 
+    @pytest.mark.parametrize("dom, f, g", [
+        (F2, (1, 1, 1), (1, 0, 1)), (F4, (1, 1, 1), (1, 0, 1)),
+        (F4, (1, 1, 1), (1, 2, 0)), (F4, (1, 1, 2), (1, 1, 0)),
+        (F4, (F4.gen, 1, 1), (1, 2, 0))])
+    def test_unit_times_unit(self, dom, f, g, monkeypatch):
+        # {1 + c·u^i·t^j, 1 + c'·u^k·t^l}: both slots are principal units,
+        # so the decomposer takes its unit-times-unit branch; each symbol is
+        # nontrivial at level 3, and the basis recomposes to it
+        steps, process_ee = [], _Decomposer.process_ee
+        monkeypatch.setattr(_Decomposer, "process_ee", lambda self, *item: (
+            steps.append(item), process_ee(self, *item)))
+        one = Laurent2.one(dom)
+        e = symbol(one + mono(dom, *f), one + mono(dom, *g))
+        basis = k2_decompose(e, 3)
+        assert steps
+        assert k2_equiv(e, basis.recompose(), 3)
+        assert not k2_equiv(e, K2Elem(dom, ()), 3)
+        if dom is F2:
+            assert sorted(basis.e1_terms) == [(1, 2), (2, 4)]
+            assert sorted(basis.e2_terms) == [(2, 4)]
+
     def test_step_budget_has_its_own_error(self, monkeypatch):
         monkeypatch.setattr(_Decomposer, "BUDGET", 50)
         one = Laurent2.one(F2)
