@@ -457,7 +457,7 @@ def _expand_poly2(P, key, prec):
     acc = _horner([Laurent2(kx, col) for col in cols],
                   _param_series(key, prec)[1])
     return Laurent2._of_codes(kx, acc.codes, None,
-                              {b: prec for _, b in P.terms})
+                              {b: prec for b in P.codes})
 
 
 def expand_at_place(f, key, box):
@@ -499,9 +499,8 @@ def _row_at_place(P, place):
     is the multiplicity of pi in w and c = (w / pi^v)(root), since
     pi(u) = s exactly."""
     kx, emb, root = place_field(place)
-    j, row = min(P.rows().items())
-    zero = place.field.zero
-    w = Poly1(place.field, [row.get(a, zero) for a in range(max(row) + 1)])
+    j = min(P.codes)
+    w = P.t_rows()[j].t_coeffs()[0]
     v = 0
     while not (r := w.divmod(place.minimal_poly))[1]:
         w, v = r[0], v + 1

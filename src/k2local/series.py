@@ -35,9 +35,10 @@ filtering only rows whose bound tightened; code rows and region dicts are
 shared between values, since no operation changes one in place.
 
 Poly2, the exact polynomial of globalfield's RatFunc, holds the same codes
-with no region, in dedicated loops: the F_q[u][t] algebra works on dense code
-rows in u, a monomial divisor is a shift, and laurent() is the exact Laurent2
-on the same codes.
+with no region.  Its sum, negation and product are those of the exact
+Laurent2 on the same codes, laurent(), whose region rule gives the exact
+result; the F_q[u][t] algebra works on dense code rows in u, and a monomial
+divisor is a shift.
 
 invert sums the geometric series 1 - eps + eps^2 - ... in a fixed working
 box, for f = c·u^i0·t^j0·(1 + eps).  It builds -eps in one pass (scaled by
@@ -644,23 +645,6 @@ def _inverse(dom, v):
     return _encode(dom, _decode(dom, v).inv())
 
 
-def _scale_codes(field, codes, c, di=0, dj=0):
-    """Field codes times the nonzero code c, shifted by u^di·t^dj."""
-    char, n, _, w, fold, _ = _mul_consts(field)
-    return {j + dj: {i + di: v if c == 1 else _reduce(c * v, w, n, char, fold)
-                     for i, v in row.items()} for j, row in codes.items()}
-
-
-def _reduce_rows(field, acc):
-    """Rows of unreduced sums of products of codes, each coefficient
-    reduced once; the nonzero ones are kept."""
-    char, n, _, w, fold, _ = _mul_consts(field)
-    rows = {j: {i: r for i, v in dst.items()
-                if (r := v % char if n == 1 else _reduce(v, w, n, char, fold))}
-            for j, dst in acc.items()}
-    return {j: row for j, row in rows.items() if row}
-
-
 def _operand_rows(f):
     """One sorted pass over a product operand's rows that may hold content.
 
@@ -690,22 +674,17 @@ class Poly2:
     """Polynomial in u and t over F_q: codes {t_exp: {u_exp: code}} in
     Laurent2.codes' layout, every code nonzero, and no region.
 
-    Poly2(field, terms) takes {(u_exp, t_exp): element}; terms, rows(),
-    t_coeffs(), row_polys() and serialize() decode on each read, and
-    laurent() is the exact Laurent2 on the same codes.
+    Poly2(field, terms) takes {(u_exp, t_exp): element}, encoded by
+    Laurent2's constructor; terms, rows(), t_coeffs(), row_polys() and
+    serialize() decode on each read.  laurent() is the exact Laurent2 on the
+    same codes, and every ring operation adopts the codes of its result.
     """
 
     __slots__ = ("field", "codes")
 
     def __init__(self, field, terms):
-        _, n, _, w, _, _ = _mul_consts(field)
-        codes = {}
-        for (a, b), c in terms.items():
-            v = c.coeffs[0] if n == 1 else _pack(c.coeffs, w)
-            if v:
-                codes.setdefault(b, {})[a] = v
         self.field = field
-        self.codes = codes
+        self.codes = Laurent2(field, _t_rows(terms)).codes
 
     @classmethod
     def _adopt(cls, field, codes):
@@ -716,7 +695,7 @@ class Poly2:
 
     @staticmethod
     def const(field, c):
-        return Poly2(field, {(0, 0): c})
+        return Poly2.monomial(field, c, 0, 0)
 
     @staticmethod
     def one(field):
@@ -724,7 +703,8 @@ class Poly2:
 
     @staticmethod
     def monomial(field, c, a, b):
-        return Poly2(field, {(a, b): c})
+        v = _encode(field, c)
+        return Poly2._adopt(field, {b: {a: v}} if v else {})
 
     @staticmethod
     def from_poly1(p, var="u"):
@@ -822,20 +802,14 @@ class Poly2:
             codes[b] = {a: v for a, v in enumerate(c) if v}
         return Poly2._adopt(field, codes)
 
-    # -- arithmetic: dedicated loops, each coefficient reduced once ----------
+    # -- arithmetic: Laurent2's on the same codes ----------------------------
 
     def __add__(self, other):
-        acc = {b: dict(row) for b, row in self.codes.items()}
-        for b, row in other.codes.items():
-            dst = acc.setdefault(b, {})
-            for a, v in row.items():
-                dst[a] = dst.get(a, 0) + v
-        return Poly2._adopt(self.field, _reduce_rows(self.field, acc))
+        return Poly2._adopt(self.field,
+                            (self.laurent() + other.laurent()).codes)
 
     def __neg__(self):
-        field = self.field
-        return Poly2._adopt(field, _scale_codes(field, self.codes,
-                                                field.char - 1))
+        return Poly2._adopt(self.field, (-self.laurent()).codes)
 
     def __sub__(self, other):
         return self + (-other)
@@ -843,33 +817,11 @@ class Poly2:
     def __mul__(self, other):
         """The product by a Poly2, or by an element of F_q."""
         field = self.field
-        if not isinstance(other, Poly2):
-            c = _encode(field, other)
-            return Poly2._adopt(field, _scale_codes(field, self.codes, c)
-                                if c else {})
-        fcodes, gcodes = self.codes, other.codes
-        for mono, rest in ((gcodes, fcodes), (fcodes, gcodes)):
-            if len(mono) == 1:  # a monomial c·u^i·t^j: a shift times c
-                (j, row), = mono.items()
-                if len(row) == 1:
-                    (i, c), = row.items()
-                    return Poly2._adopt(field, _scale_codes(field, rest, c,
-                                                            i, j))
-        _, n, _, _, _, cap = _mul_consts(field)
-        if n > 1:
-            _check_width(fcodes, gcodes, cap)
-        acc = {}
-        for b1, r1 in fcodes.items():
-            for b2, r2 in gcodes.items():
-                dst = acc.setdefault(b1 + b2, {})
-                for a1, x in r1.items():
-                    for a2, y in r2.items():
-                        a = a1 + a2
-                        if a in dst:
-                            dst[a] += x * y
-                        else:
-                            dst[a] = x * y
-        return Poly2._adopt(field, _reduce_rows(field, acc))
+        if isinstance(other, Poly2):
+            return Poly2._adopt(field,
+                                (self.laurent() * other.laurent()).codes)
+        c = _encode(field, other)
+        return Poly2._adopt(field, self.laurent()._scale(c).codes if c else {})
 
     def __pow__(self, e):
         return power(self, e, Poly2.one(self.field))
@@ -898,8 +850,8 @@ class Poly2:
                 (i, c), = row.items()
                 if any(b < j or min(r) < i for b, r in self.codes.items()):
                     return None
-                return Poly2._adopt(field, _scale_codes(
-                    field, self.codes, _inverse(field, c), -i, -j))
+                return Poly2._adopt(field, self.laurent()._scale(
+                    _inverse(field, c), -i, -j).codes)
         rem, div = _dense_rows(self.codes), _dense_rows(G.codes)
         d = len(div) - 1
         quo = [[]] * max(0, len(rem) - d)
@@ -946,6 +898,14 @@ class Poly2:
                 if len(g) == 1:
                     return Poly2.one(field)
         return Poly2._adopt(field, _sparse_rows([g]))
+
+
+def _t_rows(terms):
+    """{(u_exp, t_exp): c} grouped into t-rows {t_exp: {u_exp: c}}."""
+    rows = {}
+    for (a, b), c in terms.items():
+        rows.setdefault(b, {})[a] = c
+    return rows
 
 
 def _dense_row(row):

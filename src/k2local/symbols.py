@@ -8,18 +8,16 @@ level-bounded pairing-separation equality test.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import (FieldMismatch, PrecisionTooLow, StepBudgetExceeded,
                      UnsupportedLength, ZeroArgument, ZeroElement)
 from .ff import FqElem, galois_ring, power, primitive_element
 from .forms import dlog, residue, wedge
-from .series import (Laurent2, bar_valuation, invert, laurent_domain,
+from .series import (INF, Laurent2, bar_valuation, invert, laurent_domain,
                      lift_padic, outer_valuation, unit_decompose)
 from .witt import MAX_LENGTH, GhostVec, WittVec, unghost, witt_trace_to_prime
 
-INF = math.inf
 MAX_TERMS = 6000  # most terms of a pairing's operands, and of its two-form
 
 

@@ -3,6 +3,25 @@
 from k2local.errors import InvariantViolation
 from k2local.witt import GhostVec
 
+# Representative command set pinned by golden-file tests; outputs must be
+# byte-stable across runs for fixed --seed.
+GOLDEN_COMMANDS = [
+    ["tame", "--field", "2^2/1,1,1", "z", "u", "t"],
+    ["tame", "--field", "5^1", "2*u^2", "3*t", "u*t"],
+    ["witt-pair", "--field", "2^1", "--m", "3", "u+t", "1-(u+t)", "u^-1"],
+    ["witt-pair", "--field", "3^1", "--m", "2", "1+u*t", "t", "u^-1", "1"],
+    ["boundary", "--field", "3^1", "u*t", "t"],
+    ["decompose", "--field", "2^1", "--level", "3", "1+u*t", "t"],
+    ["equiv", "--field", "2^1", "--level", "2", "1+u*t", "t", "1+u*t", "t"],
+    ["reciprocity-curve", "--field", "3^1", "--m", "1", "u", "t", "u^-1"],
+    ["reciprocity-curve", "--field", "2^1", "--m", "2", "--sweep", "3",
+     "--seed", "9"],
+    ["reciprocity-point", "--field", "2^2/1,1,1", "--curves", "t,u",
+     "u", "t", "z"],
+    ["duality-point", "--field", "3^1", "1", "1"],
+    ["duality-curve", "--field", "2^1", "--level", "1", "2"],
+]
+
 
 def frobenius(a, k=1):
     """a ↦ a^{p^k}."""

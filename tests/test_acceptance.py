@@ -20,7 +20,7 @@ from k2local.series import Laurent2, laurent_domain
 from k2local.symbols import (symbol, tame_symbol_det, tame_symbol_signed,
                              witt_pair_local)
 from k2local.witt import WittVec, unghost, witt_add, witt_zero
-from helpers import ghost
+from helpers import GOLDEN_COMMANDS, ghost
 from test_symbols import verify_appendix_identity
 
 DATA = Path(__file__).parent / "data"
@@ -577,9 +577,9 @@ class TestCanonicalRepresentatives:
 
 
 class TestCommandLineGolden:
-    @pytest.mark.parametrize("idx", range(len(cli.GOLDEN_COMMANDS)))
+    @pytest.mark.parametrize("idx", range(len(GOLDEN_COMMANDS)))
     def test_byte_stable_output(self, idx):
-        code, rep = cli.run(list(cli.GOLDEN_COMMANDS[idx]))
+        code, rep = cli.run(list(GOLDEN_COMMANDS[idx]))
         assert code == 0
         rendered = json.dumps(rep, sort_keys=True, indent=2) + "\n"
         stored = (DATA / f"golden_{idx:02d}.json").read_bytes()

@@ -12,11 +12,11 @@ import time
 import pytest
 
 from k2local import cli, errors
-from k2local.cli import (evaluate, main, parse_expr, print_expr, run,
-                         GOLDEN_COMMANDS)
+from k2local.cli import evaluate, main, parse_expr, print_expr, run
 from k2local.errors import (DivisionByZero, ExprSyntaxError, UndefinedSymbol)
 from k2local.ff import make_field
 from k2local.globalfield import Poly2, RatFunc
+from helpers import GOLDEN_COMMANDS
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -559,7 +559,7 @@ def test_goldens_need_no_sympy():
     """A fresh interpreter runs every golden command without importing sympy."""
     script = ("import sys\n"
               "from k2local import cli\n"
-              "print([cli.run(list(argv))[0] for argv in cli.GOLDEN_COMMANDS])\n"
+              f"print([cli.run(argv)[0] for argv in {GOLDEN_COMMANDS!r}])\n"
               "print('sympy' in sys.modules)\n")
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]

@@ -75,6 +75,26 @@ def test_one_key_type_serves_both_sums():
     assert not found, found
 
 
+def test_poly2_ring_operations_are_laurent2s():
+    # Laurent2.__mul__ is the one product loop on codes, and Laurent2's
+    # constructor the one element-to-code encoder: Poly2's constructor and
+    # ring operations adopt the codes of the exact Laurent2 result, so none
+    # of them loops over terms itself
+    path = Path(k2local.__file__).parent / "series.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    poly2, = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "Poly2"]
+    ops = {"__init__", "__add__", "__neg__", "__mul__"}
+    funcs = [f for f in poly2.body
+             if isinstance(f, ast.FunctionDef) and f.name in ops]
+    assert sorted(f.name for f in funcs) == sorted(ops)
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = [f"{f.name}:{node.lineno}" for f in funcs
+             for node in ast.walk(f) if isinstance(node, loops)]
+    assert not found, found
+
+
 def _uses(paths):
     """Every name the sources refer to: Name and Attribute nodes, and string
     constants, since perfbench/tracer.py names the functions it wraps."""
