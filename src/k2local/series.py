@@ -40,11 +40,19 @@ Laurent2 on the same codes, laurent(), whose region rule gives the exact
 result; the F_q[u][t] algebra works on dense code rows in u, and a monomial
 divisor is a shift.
 
-invert sums the geometric series 1 - eps + eps^2 - ... in a fixed working
-box, for f = c·u^i0·t^j0·(1 + eps).  It builds -eps in one pass (scaled by
--c^-1, shifted, the leading 1 dropped, the box imposed on every infinite
-direction); each later power is one product and a truncate.  The sum is
-kept as unreduced codes and its region as running minima of t_prec and the
+invert writes f = c·u^i0·t^j0·(1 + eps), u^i0·t^j0 its lead, and builds
+-eps in one pass (scaled by -c^-1, shifted, the leading 1 dropped); an
+exact monomial has an exact inverse.  If f is exact with no term below
+u^i0, eps lies in F[[u, t]]: every row of every power of eps starts at u^0
+or above, so the geometric loop below would mark every product known in
+the whole working box (T, U), and its tail closure would add nothing.  The
+region is then the box: t below T, and u below U on the rows from eps's
+least row on.  The division recurrence h[j][i] = [i = j = 0] -
+Σ eps[dj][di]·h[j - dj][i - di] fills 1/(1 + eps) there on codes, in (j, i)
+order and only at the cells reachable from h[0][0].  Any other f sums
+1 - eps + eps^2 - ... in the box, imposed on every infinite direction of
+-eps; each later power is one product and a truncate.  The sum is kept as
+unreduced codes and its region as running minima of t_prec and the
 per-row u_prec; it is scaled by c^-1, reduced and shifted back once,
 through the validating constructor.  Regions only shrink along the loop, so
 that one final filter drops exactly the terms a filter after every
@@ -54,6 +62,7 @@ addition would have dropped.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -225,6 +234,8 @@ class Laurent2:
 
     def __neg__(self):
         char, n, _, w, fold, _ = _mul_consts(self.dom)
+        if char == 2:
+            return self  # -1 = 1 in characteristic 2
         rows = {j: {i: char - c if n == 1 else
                     _reduce((char - 1) * c, w, n, char, fold)
                     for i, c in row.items()}
@@ -1012,6 +1023,12 @@ def invert(f, t_prec, u_prec):
             del dst[0]
         if dst:
             rows[j - j0] = dst
+    if f.t_prec == INF and not f.u_prec \
+            and all(min(row) >= i0 for row in fcodes.values()):
+        # eps in F[[u, t]]: the box is the region (see the module docstring)
+        up = {j: u_prec for j in range(min(rows), t_prec)}
+        h = _unit_inverse(dom, rows, t_prec, u_prec)
+        return Laurent2._adopt(dom, h, t_prec, up)._scale(cinv, -i0, -j0)
     t_box = t_prec if f.t_prec == INF else int(f.t_prec) - j0
     up = {j - j0: b - i0 for j, b in f.u_prec.items()}
     for j in range(min(rows.keys() | up.keys(), default=t_box), t_box):
@@ -1076,6 +1093,48 @@ def invert(f, t_prec, u_prec):
                      for i, v in dst.items()} for j, dst in sums.items()}
     return Laurent2._of_codes(dom, rows, tp - j0,
                               {j - j0: b - i0 for j, b in up.items()})
+
+
+def _unit_inverse(dom, neg, t_box, u_box):
+    """The codes of 1/(1 + eps) below (t_box, u_box), eps in F[[u, t]] with
+    no constant term and neg the codes of -eps.  Each nonzero coefficient
+    is pushed into the sums of the cells it reaches; over n > 1 a sum holds
+    up to one product per term of -eps in the box, so more than cap terms
+    are refused, as in _check_width."""
+    char, n, _, w, fold, cap = _mul_consts(dom)
+    steps = sorted((dj, di, v) for dj, row in neg.items() if dj < t_box
+                   for di, v in row.items() if di < u_box)
+    if n > 1 and len(steps) > cap:
+        raise StepBudgetExceeded(f"an inverse sums over {cap} products")
+    acc, out = {0: {0: 1}}, {}
+    while acc:
+        j = min(acc)
+        dst = acc.pop(j)
+        row, todo, k = {}, sorted(dst), 0
+        while k < len(todo):
+            i = todo[k]
+            k += 1
+            v = dst[i] % char if n == 1 else _reduce(dst[i], w, n, char, fold)
+            if not v:
+                continue
+            row[i] = v
+            for dj, di, e in steps:
+                jj = j + dj
+                if jj >= t_box:
+                    break
+                ii = i + di
+                if ii >= u_box:
+                    continue
+                tgt = acc.setdefault(jj, {}) if dj else dst
+                if ii in tgt:
+                    tgt[ii] += e * v
+                else:
+                    tgt[ii] = e * v
+                    if not dj:
+                        insort(todo, ii)  # after i: still to come
+        if row:
+            out[j] = row
+    return out
 
 
 @dataclass(frozen=True)

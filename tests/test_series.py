@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -615,7 +616,31 @@ def _unit_series_finite_t(draw, dom):
     return Laurent2(dom, f.terms, t_prec, f.u_prec)
 
 
+@st.composite
+def _exact_unit(draw, dom):
+    """An exact unit c·u^i0·t^j0·(1 + eps), eps in F[[u, t]] and nonzero:
+    no term lies below the lead's u-exponent, and some lie past the box."""
+    coord = _coords(dom)
+    elem = type(dom.one)
+    j0, i0 = draw(st.integers(-2, 2)), draw(st.integers(-3, 3))
+    lead = list(draw(st.tuples(*[coord] * dom.n)))
+    if not any(a % dom.p for a in lead):
+        lead[0] = (lead[0] + 1) % dom.char
+    rows = {j0: {i0: elem(dom, tuple(lead))}}
+    for (dj, di), cs in draw(st.lists(st.tuples(
+            st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(any),
+            st.tuples(*[coord] * dom.n).filter(any)), min_size=1,
+            max_size=12)):
+        rows.setdefault(j0 + dj, {})[i0 + di] = elem(dom, cs)
+    return Laurent2(dom, rows)
+
+
+def _no_product(a, b):
+    raise AssertionError("a Laurent2 product")
+
+
 _boxes = st.integers(1, 6)
+_exact_boxes = st.integers(1, 8)
 
 
 def _same_series(a, b):
@@ -645,23 +670,44 @@ class TestInvertKernel:
         _same_series(invert(f, t_box, u_box),
                      _invert_reference(f, t_box, u_box))
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(_exact_unit),
+           _exact_boxes, _exact_boxes)
+    def test_exact_unit_takes_the_recurrence(self, f, t_box, u_box):
+        # the box is the region: t below t_box - j0, and u below
+        # u_box - i0 on the rows from eps's least row r0 on
+        with mock.patch.object(Laurent2, "__mul__", _no_product):
+            got = invert(f, t_box, u_box)
+        _same_series(got, _invert_reference(f, t_box, u_box))
+        j0, i0, _ = f.leading()
+        r0 = min(j for j, row in f.codes.items()
+                 if j > j0 or len(row) > 1) - j0
+        assert got.t_prec == t_box - j0
+        assert got.u_prec == {j - j0: u_box - i0 for j in range(r0, t_box)}
+
     def test_invert_makes_one_product_per_power(self, monkeypatch):
-        # 1 + u + t over F_3 in the box (4, 4): -eps = -(u + t) is the first
-        # power, with no identity product, and each later power is one
-        # product, up to the 7th, the first with no known term
+        # 1 + u + u^-1·t over F_3 has a u-pole above its lead row, so it
+        # takes the geometric loop: in the box (4, 4), -eps = -(u + u^-1·t)
+        # is the first power, with no identity product, and each later power
+        # is one product, up to the 7th, the first with no known term.
+        # 1 + u + t is a unit of F_3[[u, t]]: its recurrence makes no product
         one = Laurent2.one(F3)
-        f = one + poly(F3, {(0, 1): 1}) + poly(F3, {(1, 0): 1})
+        u = poly(F3, {(0, 1): 1})
         mul = Laurent2.__mul__
         calls = []
 
         def counted(a, b):
             calls.append(1)
             return mul(a, b)
-        monkeypatch.setattr(Laurent2, "__mul__", counted)
-        got = invert(f, 4, 4)
-        monkeypatch.undo()
-        assert len(calls) == 6
-        _same_series(got, _invert_reference(f, 4, 4))
+        for f, products in ((one + u + poly(F3, {(1, -1): 1}), 6),
+                            (one + u + poly(F3, {(1, 0): 1}), 0)):
+            calls.clear()
+            monkeypatch.setattr(Laurent2, "__mul__", counted)
+            got = invert(f, 4, 4)
+            monkeypatch.undo()
+            assert len(calls) == products
+            _same_series(got, _invert_reference(f, 4, 4))
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -794,6 +840,19 @@ class TestRegionSoundness:
                    + [_LO])
         _claims_hold(r, _inverse_window(F, jmax, int(umax)))
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(_exact_unit),
+           _exact_boxes, _exact_boxes)
+    def test_invert_exact_unit_against_a_larger_box(self, f, t_box, u_box):
+        # every coefficient known in the box is known, and the same, in a
+        # box 16 larger each way (coeff raises outside the larger region)
+        r = invert(f, t_box, u_box)
+        big = invert(f, t_box + 16, u_box + 16)
+        for j in range(_LO, int(min(r.t_prec, _HI))):
+            for i in range(_LO, int(min(r.uprec(j), _HI))):
+                assert r.coeff(i, j) == big.coeff(i, j), (j, i)
+
 
 # --------------------------------------------------------------------------
 # differential tests of the linear operations that build their result
@@ -917,6 +976,16 @@ class TestLinearKernels:
         _same_series(r, _monomial_mul_reference(f, pk, 1, 1))
         assert 1 not in r.terms and r.coeff(3, 2) == pk
 
+    @pytest.mark.parametrize("dom", [F4, galois_ring(F4, 2)])
+    def test_negation_in_characteristic_two(self, dom):
+        # -1 = 1 over F_4, so negation returns its operand; W_2(F_4) has
+        # characteristic 4 and still negates
+        f = Laurent2.from_dict(dom, {(0, 0): 1, (1, -2): 3, (2, 1): 2},
+                               t_prec=3, u_prec={1: 2})
+        _same_series(-f, _neg_reference(f))
+        assert ((-f) is f) == (dom.char == 2)
+        assert (f + (-f)).codes == {}
+
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.sampled_from([F2, F3, F4, F9]).flatmap(_series),
@@ -1032,8 +1101,20 @@ class TestCodes:
         for call in (lambda: four * four, lambda: four.mul_coeff(four, 3, 0)):
             with pytest.raises(StepBudgetExceeded):
                 call()
-        # the box (1, 4) sums three powers of -u, the box (1, 5) four
-        f = Laurent2.one(dom) + Laurent2.monomial(dom, one, 1)
+        # 1 + u known below t^1 takes the geometric loop: the box (1, 4)
+        # sums three powers of -u, the box (1, 5) four
+        f = (Laurent2.one(dom) + Laurent2.monomial(dom, one, 1)).truncate(1)
         _same_series(invert(f, 1, 4), _invert_reference(f, 1, 4))
         with pytest.raises(StepBudgetExceeded):
             invert(f, 1, 5)
+        # an exact unit of F[[u, t]] takes the recurrence, whose coefficient
+        # sums one product per term of eps in the box: 1 + u + u^2 + u^3
+        # sums three in the box (1, 5); 1 + u + ... + u^4 has four there
+        # and is refused, not reduced in chunks, but three in the box (1, 4)
+        for k, box, ok in ((3, 5, True), (4, 4, True), (4, 5, False)):
+            f = Laurent2(dom, {0: {i: one for i in range(k + 1)}})
+            if ok:
+                _same_series(invert(f, 1, box), _invert_reference(f, 1, box))
+            else:
+                with pytest.raises(StepBudgetExceeded):
+                    invert(f, 1, box)
