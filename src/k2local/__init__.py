@@ -5,7 +5,7 @@ Modules:
             polynomials Poly1 over F_q (gcd and roots)
   series    precision-tracked Laurent series in two variables k((u))((t))
   witt      finite-length Witt vectors, ghost coordinates, universal polynomials
-  forms     dlog, wedge and residue on plain series
+  forms     wedge, the dlog map on symbols, and residue on plain series
   symbols   higher tame symbol, boundary, local Witt pairing, K2 decomposition
   globalfield  places, local expansions, reciprocity and duality verifiers
   cli       expression parser and command-line front end

@@ -2,11 +2,11 @@
 
 A one-form a du + b dt is the pair (a, b), and a two-form a du∧dt is its
 coefficient a, a Laurent2, with the orientation du∧dt positive (u the inner
-variable, t the outer).  The residue of a two-form is the coefficient of
-u^{-1}t^{-1} in a; residue(a, g) is the residue of g·a, read as a dot
-product of g with the coefficients of a, without forming the product.  No
-trace to the prime field is applied here — callers that need a trace apply
-it themselves.
+variable, t the outer); dlog(f, g, inv) is the two-form of the symbol
+{f, g}.  The residue of a two-form is the coefficient of u^{-1}t^{-1} in
+a; residue(a, g) is the residue of g·a, read as a dot product of g with the
+coefficients of a, without forming the product.  No trace to the prime
+field is applied here — callers that need a trace apply it themselves.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ def d_dt(f):
     return f._derivative(0, 1)
 
 
-def dlog(f, finv):
-    """The logarithmic differential df/f as the pair (du part, dt part), for
-    finv = 1/f inverted in the caller's box."""
-    return d_du(f) * finv, d_dt(f) * finv
-
-
 def wedge(w1, w2):
     """The du∧dt coefficient of the wedge of two one-forms (a, b)."""
     return w1[0] * w2[1] - w1[1] * w2[0]
+
+
+def dlog(f, g, inv):
+    """The du∧dt coefficient of dlog f ∧ dlog g = (df ∧ dg)/(fg), the dlog
+    map on the symbol {f, g}, for inv = 1/(fg) in the caller's box."""
+    return wedge((d_du(f), d_dt(f)), (d_du(g), d_dt(g))) * inv
 
 
 def residue(a, g=None):

@@ -672,11 +672,11 @@ def _witt_terms(keys, expand, f, g, comps, m, start):
     """(key, traced local Witt pairing of {f, g} with (comps)) per key.
 
     At each key, expand(c, key, box) expands f, g and comps in the working
-    box, and a pairer of {f, g} in the same box pairs them.  The box starts
-    at start ((2, 2) for the sums) and grows (with_box); the data is exact,
-    so some box answers.  The pairer's products grow with the square of the
-    operands' terms, so a box whose expansions or two-form hold more than
-    MAX_TERMS terms is refused (StepBudgetExceeded).  m is checked first.
+    box, and a pairer of {f, g} that inverts fg in that box pairs them.  The
+    box starts at start ((2, 2) for the sums) and grows (with_box); exact
+    data answers at some box.  The pairer's products grow with the square of
+    the operands' terms, so a box whose expansions or two-form hold more
+    than MAX_TERMS terms is refused (StepBudgetExceeded).  m is checked first.
     """
     check_length(m, traced=True)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import (FieldMismatch, PrecisionTooLow, StepBudgetExceeded,
                      UnsupportedLength, ZeroArgument, ZeroElement)
 from .ff import FqElem, galois_ring, power, primitive_element
-from .forms import dlog, residue, wedge
+from .forms import dlog, residue
 from .series import (INF, Laurent2, bar_valuation, invert, laurent_domain,
                      lift_padic, outer_valuation, unit_decompose)
 from .witt import MAX_LENGTH, GhostVec, WittVec, unghost, witt_trace_to_prime
@@ -193,8 +193,8 @@ class WittPairer:
 
     The Galois ring has m p-adic digits: unghost leaves component k valid
     mod p^(m−k), and only components k ≤ m−1 are read, mod p.  f and g of
-    every factor are lifted and inverted in the working box (t_box, u_box),
-    which self.box records; callers grow it through with_box.
+    every factor are lifted, and fg is inverted in the working box
+    (t_box, u_box), which self.box records; callers grow it by with_box.
     """
 
     def __init__(self, e, m, t_box, u_box):
@@ -205,9 +205,8 @@ class WittPairer:
         self.box = (t_box, u_box)
         eta = None
         for f, g, exp in e.factors:
-            w = wedge(*(dlog(x, invert(x, t_box, u_box))
-                        for x in (lift_padic(f, m), lift_padic(g, m))))
-            w = w.int_scale(exp)
+            f, g = lift_padic(f, m), lift_padic(g, m)
+            w = dlog(f, g, invert(f * g, t_box, u_box)).int_scale(exp)
             eta = w if eta is None else eta + w
         if eta is None:
             eta = Laurent2.zero(self.ring)
@@ -224,7 +223,7 @@ class WittPairer:
         m = self.m if m is None else m
         check_length(m)
         if m > self.m:
-            raise ZeroArgument("pairer built for a shorter length")
+            raise UnsupportedLength(f"length {m} above the pairer's {self.m}")
         p = self.field.p
         comps = [lift_padic(c, self.m) for c in g.components[:m]]
         residues = []

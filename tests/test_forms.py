@@ -1,6 +1,7 @@
 """Tests for differential forms: dlog, wedge, residue."""
 
 import random
+import time
 
 import pytest
 
@@ -11,15 +12,23 @@ from k2local.forms import d_dt, d_du, dlog, residue, wedge
 from k2local.series import Laurent2, invert
 
 
+def _dlog_reference(f, finv):
+    """The one-form df/f as the pair (du part, dt part), for finv = 1/f."""
+    return d_du(f) * finv, d_dt(f) * finv
+
+
 def boxed_dlog(f):
     """dlog(f) = (du part, dt part) with 1/f inverted in the box (12, 12)."""
-    return dlog(f, invert(f, 12, 12))
+    return _dlog_reference(f, invert(f, 12, 12))
+
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
+F5 = make_field(5, 1)
 F9 = make_field(3, 2)
 W2F9 = galois_ring(F9, 2)
+W3F5 = galois_ring(F5, 3)
 
 
 def differential(f):
@@ -82,6 +91,100 @@ class TestDlog:
                 rhs = [x + y for x, y in zip(boxed_dlog(f), boxed_dlog(g))]
                 assert lhs[0].same_known_terms(rhs[0])
                 assert lhs[1].same_known_terms(rhs[1])
+
+
+def rand_elem(dom, rng, unit=False):
+    """A random element of a field or Galois ring, a unit when unit is set."""
+    while True:
+        c = type(dom.one)(dom, tuple(rng.randrange(dom.char)
+                                     for _ in range(dom.n)))
+        if any(a % dom.p for a in c.coeffs) or (c and not unit):
+            return c
+
+
+def rand_exact_unit(dom, rng):
+    """c·u^i·t^j·(1 + terms): the terms lie in rows 0-2 and may sit below
+    the lead in u on rows above it, as 1 - f of a Steinberg pair does."""
+    d = {(0, 0): rand_elem(dom, rng, unit=True)}
+    for _ in range(rng.randint(1, 4)):
+        j = rng.randrange(3)
+        d[(j, rng.randrange(-2 if j else 1, 4))] = rand_elem(dom, rng)
+    return Laurent2.from_dict(dom, d).monomial_mul(
+        dom.one, rng.randint(-2, 2), rng.randint(-2, 2))
+
+
+def rand_monomial(dom, rng):
+    return Laurent2.monomial(dom, rand_elem(dom, rng, unit=True),
+                             rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+def rand_symbol_pair(dom, rng, kind):
+    """(f, g): two random exact units, a Steinberg pair {f, 1 - f}, a
+    monomial against a unit, or two monomials."""
+    if kind == "steinberg":
+        while True:
+            f = rand_exact_unit(dom, rng)
+            g = Laurent2.one(dom) - f
+            if g.codes and any(a % dom.p for a in g.leading()[2].coeffs):
+                return f, g
+    if kind == "monomial":
+        return rand_monomial(dom, rng), rand_exact_unit(dom, rng)
+    if kind == "monomials":
+        return rand_monomial(dom, rng), rand_monomial(dom, rng)
+    return rand_exact_unit(dom, rng), rand_exact_unit(dom, rng)
+
+
+def checked_known_terms(a, b):
+    """Assert a and b agree wherever both know a coefficient; return how
+    many nonzero coefficients were compared."""
+    assert a.same_known_terms(b)
+    tp = min(a.t_prec, b.t_prec)
+    return sum(i < min(a.uprec(j), b.uprec(j))
+               for j in set(a.codes) | set(b.codes) if j < tp
+               for i in set(a.codes.get(j, ())) | set(b.codes.get(j, ())))
+
+
+class TestSymbolDlog:
+    """dlog(f, g, inv), the two-form (df ∧ dg)/(fg) of {f, g}, against
+    the wedge of the one-forms df/f and dg/g."""
+
+    @pytest.mark.parametrize("dom", [F2, F3, F4, F9, W2F9, W3F5])
+    def test_matches_wedge_of_one_forms(self, dom):
+        rng = random.Random(dom.char * 10 + dom.n)
+        start = time.perf_counter()
+        compared = 0
+        for k in range(120):
+            kind = ("units", "steinberg", "monomial", "monomials")[k % 4]
+            f, g = rand_symbol_pair(dom, rng, kind)
+            box = (rng.randint(2, 8), rng.randint(2, 8))
+            eta = dlog(f, g, invert(f * g, *box))
+            ref = wedge(_dlog_reference(f, invert(f, *box)),
+                        _dlog_reference(g, invert(g, *box)))
+            compared += checked_known_terms(eta, ref)
+            if kind == "steinberg":
+                # df ∧ d(1 - f) = 0: the two-form is exactly zero
+                assert eta == Laurent2.zero(dom)
+        assert compared > 200
+        assert time.perf_counter() - start < 3.0
+
+    @pytest.mark.parametrize("dom", [F2, F3, F5, W2F9, W3F5])
+    def test_monomials_give_the_determinant(self, dom):
+        # dlog(u^a t^b, u^c t^d) = (ad - bc)·u^-1 t^-1 du∧dt, exactly
+        rng = random.Random(dom.char)
+        for _ in range(20):
+            a, b, c, d = (rng.randint(-4, 4) for _ in range(4))
+            f = Laurent2.monomial(dom, rand_elem(dom, rng, unit=True), a, b)
+            g = Laurent2.monomial(dom, rand_elem(dom, rng, unit=True), c, d)
+            got = dlog(f, g, invert(f * g, 3, 3))
+            assert got == poly(dom, {(-1, -1): a * d - b * c})
+
+    @pytest.mark.parametrize("dom", [F2, F9, W3F5])
+    def test_antisymmetric(self, dom):
+        rng = random.Random(7 * dom.char)
+        for k in range(12):
+            f, g = rand_symbol_pair(dom, rng, ("units", "monomial")[k % 2])
+            inv = invert(f * g, 5, 5)
+            assert dlog(f, g, inv) == -dlog(g, f, inv)
 
 
 class TestWedgeResidue:

@@ -635,6 +635,24 @@ def _exact_unit(draw, dom):
     return Laurent2(dom, rows)
 
 
+@st.composite
+def _exact_pole_unit(draw, dom):
+    """An exact unit c·u^i0·t^j0·(1 + eps) whose eps has a u-pole: some
+    term on a row above the lead lies below its u-exponent i0, as in
+    1 - f of a Steinberg pair, so invert takes the geometric loop."""
+    coord = _coords(dom)
+    elem = type(dom.one)
+    f = draw(_exact_unit(dom))
+    j0, i0, _ = f.leading()
+    rows = {j: dict(row) for j, row in f.terms.items()}
+    for dj, di, cs in draw(st.lists(st.tuples(
+            st.integers(1, 3), st.integers(-4, -1),
+            st.tuples(*[coord] * dom.n).filter(any)), min_size=1,
+            max_size=3)):
+        rows.setdefault(j0 + dj, {})[i0 + di] = elem(dom, cs)
+    return Laurent2(dom, rows)
+
+
 def _no_product(a, b):
     raise AssertionError("a Laurent2 product")
 
@@ -652,8 +670,9 @@ def _same_series(a, b):
 class TestInvertKernel:
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(_unit_series),
-           _boxes, _boxes)
+    @given(st.sampled_from(KERNEL_DOMAINS).flatmap(
+        lambda dom: _unit_series(dom) | _exact_pole_unit(dom)),
+        _boxes, _boxes)
     def test_invert_matches_reference(self, f, t_box, u_box):
         _same_series(invert(f, t_box, u_box),
                      _invert_reference(f, t_box, u_box))
@@ -830,7 +849,7 @@ class TestRegionSoundness:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.sampled_from(KERNEL_DOMAINS).flatmap(
-        lambda dom: _completed(_unit_series(dom))),
+        lambda dom: _completed(_unit_series(dom) | _exact_pole_unit(dom))),
         st.integers(1, 5), st.integers(1, 5))
     def test_invert(self, fF, t_box, u_box):
         f, F = fF

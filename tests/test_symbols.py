@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from k2local import symbols
 from k2local.errors import (CoefficientOutsidePrecision, FieldMismatch,
                             PrecisionTooLow, StepBudgetExceeded,
                             UnsupportedLength, ZeroArgument)
@@ -298,6 +299,28 @@ class TestWittPairing:
         with pytest.raises(UnsupportedLength):
             WittPairer(symbol(U(F2), T(F2)), 1, 8, 8).pair(g, m)
 
+    def test_length_above_the_pairers_is_refused(self):
+        g = WittVec(laurent_domain(F2), (mono(F2, 1, -1, -1), U(F2)))
+        pairer = WittPairer(symbol(U(F2), T(F2)), 1, 8, 8)
+        for pair in (pairer.pair, pairer.pair_untraced):
+            with pytest.raises(UnsupportedLength):
+                pair(g, 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_inverse_per_factor(self, k, monkeypatch):
+        # the pairer inverts fg once for each factor {f, g} of the symbol
+        rng = random.Random(k)
+        calls = []
+
+        def counted(f, t_box, u_box):
+            calls.append(1)
+            return invert(f, t_box, u_box)
+        e = K2Elem(F3, [(rand_unit(F3, rng), rand_unit(F3, rng), 1 + j)
+                        for j in range(k)])
+        monkeypatch.setattr(symbols, "invert", counted)
+        WittPairer(e, 2, 6, 6)
+        assert len(calls) == k
+
 
 @st.composite
 def _pairing_input(draw):
@@ -339,8 +362,9 @@ def _pair_and_box(e, g, m):
                     lambda box: (WittPairer(e, m, *box).pair(g, m), box))
 
 
-# {f, 1 - f} against g, as the (c, i, j) of the terms c·u^i·t^j: residues
-# that fall short of the first box fall short only on the u-side
+# {f, 1 - f} against g, as the (c, i, j) of the terms c·u^i·t^j: the wedge
+# of the one-forms df/f and dg/g is short of their first box on the u-side;
+# the two-form (df ∧ dg)/(fg) is exactly zero, so the first box answers
 STEINBERG_SHORT = [
     (F3, [(2, 3, -1), (1, 2, 1)], [(1, -1, -3), (2, 1, -2)]),
     (F3, [(2, -2, 1)], [(2, -2, -3), (1, -2, -2), (2, 1, 1)]),
@@ -381,20 +405,19 @@ class TestPairingBox:
         assert pairing_box(3, [(g[0], g[1]), h]) == (8, 9)
         assert pairing_box(2, []) == (2, 2)
 
-    def test_steinberg_case_retries(self):
-        # {f, 1-f} with f = u^-1 t + t at m = 3 over F_2: the box (10, 10)
-        # and the box (16, 16) both leave a residue outside, short on u
+    def test_steinberg_case_answers_at_first_box(self):
+        # {f, 1-f} with f = u^-1 t + t at m = 3 over F_2: df ∧ d(1 - f) = 0,
+        # so the two-form is known everywhere and the first box answers
         one = Laurent2.one(F2)
         f = mono(F2, 1, -1, 1) + T(F2)
         e = symbol(f, one - f)
         g = WittVec(laurent_domain(F2), (mono(F2, 1, -2, -2),
                                          mono(F2, 1, 0, -1), U(F2)))
         w, box = _pair_and_box(e, g, 3)
-        assert box == (10, 20)
+        assert box == pairing_box(2, [g.components]) == (10, 10)
         assert w == witt_zero(make_field(2, 1), 3)
         assert witt_pair_local(e, g, 3) == w
-        for box in ((10, 10), (16, 16)):
-            assert _pair_at(e, g, 3, box) is None
+        assert _pair_at(e, g, 3, box) == w
 
     @pytest.mark.parametrize("dom, fs, gs", STEINBERG_SHORT)
     def test_steinberg_inputs_short_on_u_answer(self, dom, fs, gs):
@@ -404,8 +427,8 @@ class TestPairingBox:
         g = WittVec(laurent_domain(dom), tuple(mono(dom, *c) for c in gs))
         w, box = _pair_and_box(e, g, m)
         assert w == witt_zero(make_field(dom.p, 1), m)
-        # only the u-side grew from the first box
-        assert box[0] == pairing_box(dom.p, [g.components])[0]
+        # the first box answers
+        assert box == pairing_box(dom.p, [g.components])
 
     def test_equal_edges_of_different_reads_do_not_stall(self):
         # at (14, 5), (14, 10) and (28, 20) a different residue falls short
