@@ -75,7 +75,7 @@ class ZeroArgument(K2LocalError):
 
 
 class StepBudgetExceeded(K2LocalError):
-    """A budget ran out: the decomposer's steps, or a pairing's terms."""
+    """A budget ran out: decomposer steps, pairing terms, primality range."""
 
 
 # --- global ----------------------------------------------------------------

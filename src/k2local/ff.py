@@ -7,9 +7,12 @@ over its primitive element, built on first use; a larger field multiplies and
 powers on coordinates and takes discrete logs by baby-step giant-step.
 Truncated Witt rings of F_q are modelled as Galois rings (Z/p^s)[x]/(m(x))
 against the same polynomial basis, which is all the characteristic-zero
-lifting the symbol layer needs.  Poly1 is the one polynomial type over F_q,
-with its gcd and one splitting routine, distinct-degree then equal-degree
-(Cantor–Zassenhaus), behind factor_poly1, first_root and the modulus check.
+lifting the symbol layer needs.  The integer codes of elements (see series)
+live here, with _row_dot and _row_divmod, the one polynomial arithmetic on
+dense code rows: Poly2's rows and Poly1, the polynomial type over F_q.  Its
+gcd and one splitting routine, distinct-degree then equal-degree
+(Cantor–Zassenhaus), are behind factor_poly1, whose degree-1 factors give
+first_root, and the modulus check; none of them makes element arithmetic.
 """
 
 from __future__ import annotations
@@ -20,20 +23,36 @@ import operator
 from functools import lru_cache
 
 from .errors import (CompositeP, FieldMismatch, InvariantViolation,
-                     NotASubfield, ReducibleModulus, UsageError, ZeroArgument,
-                     ZeroDivisor)
+                     NotASubfield, ReducibleModulus, StepBudgetExceeded,
+                     UsageError, ZeroArgument, ZeroDivisor)
 
 TABLE_MAX = 1 << 12  # largest q whose arithmetic goes through the tables
 
+#: bits of room above the largest digit of a product of two codes
+HEADROOM = 16
+
+
+#: as Miller–Rabin bases, the first 13 primes decide primality exactly below
+#: PRIME_BOUND (Sorenson & Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
 
 def is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Is p prime?  A deterministic Miller–Rabin test over _PRIME_BASES,
+    exact for p below PRIME_BOUND; a larger p is refused."""
+    if p >= PRIME_BOUND:
+        raise StepBudgetExceeded(f"{p} is not below {PRIME_BOUND}, the bound "
+                                 f"of the exact primality test")
+    if p < 2 or any(p % b == 0 for b in _PRIME_BASES):
+        return p in _PRIME_BASES
+    d, r = p - 1, 0  # p - 1 = d·2^r, d odd
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for b in _PRIME_BASES:  # a prime p has b^d = 1 or b^(d·2^i) = -1, i < r
+        x = pow(b, d, p)
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(r)):
             return False
-        d += 1
     return True
 
 
@@ -243,11 +262,12 @@ def _default_modulus(p, n):
     """Lexicographically least monic irreducible, constant-term-first order."""
     if n == 1:
         return (0, 1)
-    # (a_0, ..., a_{n-1}) in lex order, a_0 = 0 skipped since x divides those
-    # candidates; every degree n >= 1 has an irreducible, so one is found
-    lowers = itertools.product(range(1, p), *[range(p)] * (n - 1))
-    return next(c for c in (lo + (1,) for lo in lowers)
-                if _is_irreducible(c, p))
+    # (a_0, ..., a_{n-1}) in lex order, made one at a time: k's base-p digits
+    # from k = p^(n-1), as x divides those with a_0 = 0; one is irreducible
+    for k in itertools.count(p ** (n - 1)):
+        c = tuple(k // p ** (n - 1 - i) % p for i in range(n)) + (1,)
+        if _is_irreducible(c, p):
+            return c
 
 
 def make_field(p, n, modulus=None):
@@ -318,17 +338,163 @@ def primitive_element(field):
     raise AssertionError("no primitive element found")  # pragma: no cover
 
 
-class Poly1:
-    """Polynomial in one variable over F_q; coefficients constant-first."""
+# --------------------------------------------------------------------------
+# the integer codes of one coefficient domain
+# --------------------------------------------------------------------------
 
-    __slots__ = ("field", "coeffs")
+@lru_cache(maxsize=None)
+def _mul_consts(dom):
+    """Constants of the codes of one coefficient domain.
+
+    (char, n, element class, w, fold, cap): every coordinate is an integer
+    in [0, char); a code of n > 1 coordinates packs them at the digit width
+    w; fold[k] holds the coordinates of x^(n+k) mod the modulus.  A digit of
+    the product of two codes is below 2**bits, so w = bits + HEADROOM holds
+    a sum of up to cap = 2**HEADROOM - 1 such products without a carry.
+    """
+    char, n = dom.char, dom.n
+    bits = (n * (char - 1) ** 2).bit_length()
+    fold = []
+    xk = [(-c) % char for c in dom.modulus[:n]]  # x^n
+    for _ in range(n - 1):
+        fold.append(tuple(xk))
+        top = xk[-1]
+        xk = [(a + top * b) % char for a, b in zip([0] + xk[:-1], fold[0])]
+    return (char, n, type(dom.one), bits + HEADROOM, tuple(fold),
+            (1 << HEADROOM) - 1)
+
+
+def _encode(dom, c):
+    """The code of the element c."""
+    return _pack(c.coeffs, _mul_consts(dom)[3])
+
+
+def _decode(dom, v):
+    """The element of the code v."""
+    _, n, elem, w, _, _ = _mul_consts(dom)
+    return elem(dom, (v,) if n == 1 else _digits(v, w, n))
+
+
+def _pack(coeffs, w):
+    """Kronecker packing: sum of coeffs[k] * 2^(w k)."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << w) | c
+    return v
+
+
+def _digits(v, w, n):
+    """The n digits of width w of v, least first."""
+    mask = (1 << w) - 1
+    out = []
+    for _ in range(n):
+        out.append(v & mask)
+        v >>= w
+    return tuple(out)
+
+
+def _reduce(v, w, n, char, fold):
+    """The code of a sum of products of codes (up to 2n - 1 digits, none
+    carried), reduced once; 0 if it is zero."""
+    if n == 1:
+        return v % char
+    mask = (1 << w) - 1
+    cs = []
+    for _ in range(n):
+        cs.append(v & mask)
+        v >>= w
+    for xk in fold:  # the digits above the n-th, while any is left
+        if not v:
+            break
+        if d := v & mask:
+            cs = [a + d * b for a, b in zip(cs, xk)]
+        v >>= w
+    for a in reversed(cs):
+        v = (v << w) | a % char
+    return v
+
+
+@lru_cache(maxsize=None)
+def _inverse(dom, v):
+    """The code of the inverse of the unit with code v, kept per domain:
+    v^(q - 2) over a field F_q of n > 1 coordinates."""
+    char, n, _, w, fold, _ = _mul_consts(dom)
+    if n == 1:
+        if not v % dom.p:
+            raise ZeroDivisionError("non-unit in Galois ring")
+        return pow(v, -1, char)
+    if isinstance(dom, FieldSpec):
+        return power(v, dom.q - 2, 1,
+                     lambda x, y: _reduce(x * y, w, n, char, fold))
+    return _encode(dom, _decode(dom, v).inv())
+
+
+def _dense_row(row):
+    return [row.get(a, 0) for a in range(max(row) + 1)]
+
+
+def _row_dot(field, pairs, base=()):
+    """base + the sum of a·b over pairs of dense code rows in u, each
+    coefficient reduced once, trailing zeros dropped.  Over n > 1 a sum of
+    more than cap products of codes is refused, as a product of series is."""
+    char, n, _, w, fold, cap = _mul_consts(field)
+    if n > 1 and 1 + sum(min(len(a), len(b)) for a, b in pairs) > cap:
+        raise StepBudgetExceeded(f"a row sums over {cap} products")
+    acc = list(base) + [0] * max(
+        [len(a) + len(b) - 1 - len(base) for a, b in pairs] + [0])
+    for a, b in pairs:
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    acc[k] += x * y
+    acc = [v % char for v in acc] if n == 1 else \
+        [_reduce(v, w, n, char, fold) for v in acc]
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
+
+
+def _row_divmod(field, a, b):
+    """(q, r) with a = q·b + r and deg r < deg b in F_q[u], on dense code
+    rows, b's lead inverted by _inverse; a remainder coefficient sums its
+    products unreduced, as in _row_dot, and is reduced when read."""
+    char, n, _, w, fold, cap = _mul_consts(field)
+    rem, db = list(a), len(b) - 1
+    quo = [0] * max(0, len(rem) - db)
+    if n > 1 and 1 + min(len(quo), db) > cap:
+        raise StepBudgetExceeded(f"a row sums over {cap} products")
+    inv = _inverse(field, b[-1])
+    for k in range(len(rem) - 1, db - 1, -1):
+        c = _reduce(rem[k], w, n, char, fold)
+        if c:
+            c = quo[k - db] = _reduce(c * inv, w, n, char, fold)
+            c = _reduce((char - 1) * c, w, n, char, fold)
+            for j in range(db):
+                rem[k - db + j] += c * b[j]
+    return quo, _row_dot(field, [], rem[:db])
+
+
+class Poly1:
+    """Polynomial in one variable over F_q: codes, a dense code row, constant
+    first, with no trailing zero.  Poly1(field, coeffs) takes elements, and
+    coeffs decodes on each read; the ring operations are calls to _row_dot
+    and _row_divmod, the kernels of Poly2's rows, and form no element."""
+
+    __slots__ = ("field", "codes")
 
     def __init__(self, field, coeffs):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
+        codes = [_encode(field, c) for c in coeffs]
+        while codes and not codes[-1]:
+            codes.pop()
+        self.field, self.codes = field, tuple(codes)
+
+    @classmethod
+    def _adopt(cls, field, codes):
+        """Adopt a code row that has no trailing zero."""
+        self = object.__new__(cls)
         self.field = field
-        self.coeffs = tuple(cs)
+        self.codes = tuple(codes)
+        return self
 
     @staticmethod
     def const(field, c):
@@ -339,88 +505,71 @@ class Poly1:
         return Poly1(field, tuple(field.from_int(k) for k in ints))
 
     @property
+    def coeffs(self):
+        """The coefficients as elements, decoded on each read."""
+        return tuple(_decode(self.field, v) for v in self.codes)
+
+    @property
     def deg(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.codes) - 1  # -1 for the zero polynomial
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.codes)
 
     def __eq__(self, other):
         return (isinstance(other, Poly1) and self.field is other.field
-                and self.coeffs == other.coeffs)
+                and self.codes == other.codes)
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.codes))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly1(self.field, out)
+        return Poly1._adopt(self.field,
+                            _row_dot(self.field, [((1,), other.codes)],
+                                     self.codes))
 
     def __neg__(self):
-        return Poly1(self.field, tuple(-c for c in self.coeffs))
+        field = self.field
+        return Poly1._adopt(field, _row_dot(field, [((field.char - 1,),
+                                                     self.codes)]))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, FqElem):
-            return Poly1(self.field, tuple(c * other for c in self.coeffs))
-        if not self or not other:
-            return Poly1(self.field, ())
-        out = [self.field.zero] * (self.deg + other.deg + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return Poly1(self.field, out)
+        """The product by a Poly1, or by an element of F_q."""
+        field = self.field
+        c = other.codes if isinstance(other, Poly1) else \
+            (_encode(field, other),)
+        return Poly1._adopt(field, _row_dot(field, [(self.codes, c)]))
 
     def __pow__(self, e):
-        return power(self, e, Poly1.const(self.field, self.field.one))
+        return power(self, e, Poly1._adopt(self.field, (1,)))
 
     def divmod(self, other):
         if not other:
             raise ZeroDivisor("polynomial division by zero")
-        rem, n = list(self.coeffs), other.deg
-        quo = [self.field.zero] * max(0, len(rem) - n)
-        *low, lead = other.coeffs
-        inv_lead = None if lead == self.field.one else lead.inv()
-        for k in range(len(rem) - 1, n - 1, -1):
-            c = rem[k] if inv_lead is None else rem[k] * inv_lead
-            if not c:
-                continue
-            quo[k - n] = c  # rem[k] - c·lead is zero, and is not formed
-            for j, b in enumerate(low):
-                rem[k - n + j] = rem[k - n + j] - c * b
-        return Poly1(self.field, quo), Poly1(self.field, rem[:n])
+        quo, rem = _row_divmod(self.field, self.codes, other.codes)
+        return Poly1._adopt(self.field, quo), Poly1._adopt(self.field, rem)
 
     def monic(self):
-        if not self or self.coeffs[-1] == self.field.one:
+        field = self.field
+        if not self or self.codes[-1] == 1:
             return self
-        return self * self.coeffs[-1].inv()
+        return Poly1._adopt(field, _row_dot(field, [(
+            (_inverse(field, self.codes[-1]),), self.codes)]))
 
     def derivative(self):
-        return Poly1(self.field, tuple(c * self.field.from_int(k)
-                                       for k, c in enumerate(self.coeffs))
-                     [1:])
+        field = self.field
+        return Poly1._adopt(field, _row_dot(field, [], [
+            k % field.char * v for k, v in enumerate(self.codes)][1:]))
 
     def serialize(self, var="u"):
-        if not self:
-            return "0"
-        bits = []
-        for k in range(self.deg, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            head = "[" + ",".join(str(v) for v in c.coeffs) + "]"
-            bits.append(head + (f"*{var}^{k}" if k else ""))
-        return " + ".join(bits)
+        _, n, _, w, _, _ = _mul_consts(self.field)
+        terms = ["[" + ",".join(map(str, _digits(v, w, n))) + "]"
+                 + (f"*{var}^{k}" if k else "")
+                 for k, v in enumerate(self.codes) if v]
+        return " + ".join(reversed(terms)) or "0"
 
     def __repr__(self):
         return f"Poly1({self.serialize()})"
@@ -447,7 +596,7 @@ def _distinct_degree(f):
     irreducible factor, yielded last.  A constant f yields nothing.
     """
     field = f.field
-    x = xq = Poly1(field, (field.zero, field.one))
+    x = xq = Poly1._adopt(field, (0, 1))
     d = 1
     while 2 * d <= f.deg:
         xq = _powmod(xq, field.q, f)
@@ -476,7 +625,7 @@ def _split(g, d):
     By the Chinese remainder theorem some b of degree < deg g splits g.
     """
     field = g.field
-    q, one = field.q, Poly1.const(field, field.one)
+    q, one = field.q, Poly1._adopt(field, (1,))
     for k in range(q, q ** g.deg, q if field.p == 2 else 1):
         b = Poly1(field, [field.elem_by_index(k // q ** i % q)
                           for i in range(g.deg)])
@@ -528,35 +677,14 @@ def _is_irreducible(modulus, p):
 
 def first_root(coeffs, field):
     """The first root in the field, in index order, of the polynomial with
-    coefficients coeffs (in the field, constant first).
-
-    The degree-1 case of the splitting: the roots are those of the first
-    product from _distinct_degree when its d is 1.  _split halves it to one
-    root r, every image r^(p^k) that is a root leaves it, and this repeats
-    until it is constant.  When P is irreducible over the field its
-    coefficients generate, the images of one root are all its roots.
-    """
+    coefficients coeffs (in the field, constant first): the least of the
+    roots of the degree-1 factors from factor_poly1."""
     P = Poly1(field, coeffs)
-    if not P or not P.coeffs[0]:
-        return field.zero  # index 0: every element, or 0, is a root
-    d, g = next(_distinct_degree(P.monic()), (0, None))
-    if d != 1:
+    if not P:
+        return field.zero  # index 0: every element is a root
+    roots = [(-x).coeffs[0] for x in factor_poly1(P) if x.deg == 1]
+    if not roots:
         raise FieldMismatch("polynomial has no root in the field")
-    roots = []
-    while g.deg > 0:
-        s = g
-        while s.deg > 1:
-            h = _split(s, 1)
-            s = h if 2 * h.deg <= s.deg else s.divmod(h)[0]
-        r = y = -s.coeffs[0]
-        while True:
-            quo, rem = g.divmod(Poly1(field, (-y, field.one)))
-            if not rem:
-                roots.append(y)
-                g = quo
-            y = y ** field.p
-            if y == r:
-                break
     return min(roots, key=lambda y: y.coeffs[::-1])
 
 

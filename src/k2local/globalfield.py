@@ -264,7 +264,7 @@ class Chart:
         self.minimal_poly = minimal_poly
         self.residue_degree = minimal_poly.deg if minimal_poly else 1
         # the root of a rational point, in F_q; None at infinity
-        self.root = -minimal_poly.coeffs[0] \
+        self.root = (-minimal_poly).coeffs[0] \
             if minimal_poly and minimal_poly.deg == 1 else None
         self.swap = swap
         self.phi = phi
@@ -298,7 +298,7 @@ class Chart:
         if var not in ("t", "u"):
             raise ZeroArgument(f"unknown curve kind {kind!r}")
         phi = graph_poly if graph_poly is not None else Poly1(field, ())
-        if phi.coeffs and phi.coeffs[0]:
+        if phi and phi.codes[0]:
             raise ZeroArgument("a curve through the origin needs a "
                                "polynomial with zero constant term")
         swap = var == "u"
@@ -332,6 +332,7 @@ class Chart:
 AdmissibleCurve = Chart.curve  # the name the point side builds curves by
 
 
+@lru_cache(maxsize=None)
 def place_u(field):
     """The place u = 0, where the expansion is the series in u and t."""
     return Chart.place(field, Poly1(field, (field.zero, field.one)))

@@ -9,8 +9,8 @@ known.  Every operation computes the guaranteed region of its output; callers
 that need a coefficient outside it fail loudly.  The coefficient domain is
 F_q (Laurent2 proper) or the Galois ring W_s(F_q) of the Witt pairing.
 
-Coefficients are held as integer codes {j: {i: code}}, every code nonzero
-and reduced: the coordinate itself when n = 1, else the n coordinates
+Coefficients are held as ff's integer codes {j: {i: code}}, every code
+nonzero and reduced: the coordinate itself when n = 1, else the n coordinates
 Kronecker-packed into one int at the domain's one digit width w.  w leaves
 room above the largest digit of a product of two codes for 2^HEADROOM - 1
 summands, so products, dot products and invert's running sums add codes as
@@ -37,8 +37,9 @@ shared between values, since no operation changes one in place.
 Poly2, the exact polynomial of globalfield's RatFunc, holds the same codes
 with no region.  Its sum, negation and product are those of the exact
 Laurent2 on the same codes, laurent(), whose region rule gives the exact
-result; the F_q[u][t] algebra works on dense code rows in u, and a monomial
-divisor is a shift.
+result.  The F_q[u][t] algebra works on dense code rows in u through ff's
+row kernels, the u-content is poly1_gcd of the rows as Poly1s, and a
+monomial divisor is a shift.
 
 invert writes f = c·u^i0·t^j0·(1 + eps), u^i0·t^j0 its lead, and builds
 -eps in one pass (scaled by -c^-1, shifted, the leading 1 dropped); an
@@ -68,16 +69,15 @@ from functools import lru_cache
 
 from .errors import (FieldMismatch, PrecisionTooLow, StepBudgetExceeded,
                      ZeroDivisor, ZeroElement)
-from .ff import FieldSpec, GaloisRing, Poly1, galois_ring, power
+from .ff import FieldSpec, GaloisRing, Poly1, galois_ring, poly1_gcd, power
+from .ff import (_decode, _dense_row, _digits, _encode, _inverse, _mul_consts,
+                 _pack, _reduce, _row_divmod, _row_dot)
 
 INF = math.inf
 
 #: the command line's default box (--prec-t, --prec-u); the library has none
 DEFAULT_T_PREC = 12
 DEFAULT_U_PREC = 12
-
-#: bits of room above the largest digit of a product of two codes
-HEADROOM = 16
 
 
 class Laurent2:
@@ -559,32 +559,6 @@ class Laurent2:
         return f"Laurent2({self.serialize()})"
 
 
-# --------------------------------------------------------------------------
-# the integer codes of one coefficient domain
-# --------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _mul_consts(dom):
-    """Constants of the codes of one coefficient domain.
-
-    (char, n, element class, w, fold, cap): every coordinate is an integer
-    in [0, char); a code of n > 1 coordinates packs them at the digit width
-    w; fold[k] holds the coordinates of x^(n+k) mod the modulus.  A digit of
-    the product of two codes is below 2**bits, so w = bits + HEADROOM holds
-    a sum of up to cap = 2**HEADROOM - 1 such products without a carry.
-    """
-    char, n = dom.char, dom.n
-    bits = (n * (char - 1) ** 2).bit_length()
-    fold = []
-    xk = [(-c) % char for c in dom.modulus[:n]]  # x^n
-    for _ in range(n - 1):
-        fold.append(tuple(xk))
-        top = xk[-1]
-        xk = [(a + top * b) % char for a, b in zip([0] + xk[:-1], fold[0])]
-    return (char, n, type(dom.one), bits + HEADROOM, tuple(fold),
-            (1 << HEADROOM) - 1)
-
-
 def _shortfall(side, need, edge, row=None):
     """PrecisionTooLow for side^need read at or past edge (in t-row row)."""
     return PrecisionTooLow(f"{side}^{need} outside precision, known below "
@@ -597,63 +571,6 @@ def _check_width(fcodes, gcodes, cap):
     if min(sum(map(len, fcodes.values())),
            sum(map(len, gcodes.values()))) > cap:
         raise StepBudgetExceeded(f"both operands have over {cap} terms")
-
-
-def _encode(dom, c):
-    """The code of the element c."""
-    return _pack(c.coeffs, _mul_consts(dom)[3])
-
-
-def _decode(dom, v):
-    """The element of the code v."""
-    _, n, elem, w, _, _ = _mul_consts(dom)
-    return elem(dom, _digits(v, w, n))
-
-
-def _pack(coeffs, w):
-    """Kronecker packing: sum of coeffs[k] * 2^(w k)."""
-    v = 0
-    for c in reversed(coeffs):
-        v = (v << w) | c
-    return v
-
-
-def _digits(v, w, n):
-    """The n digits of width w of v, least first."""
-    mask = (1 << w) - 1
-    out = []
-    for _ in range(n):
-        out.append(v & mask)
-        v >>= w
-    return tuple(out)
-
-
-def _reduce(v, w, n, char, fold):
-    """The code of a sum of products of codes (up to 2n - 1 digits, none
-    carried), reduced once; 0 if it is zero."""
-    if n == 1:
-        return v % char
-    ds = _digits(v, w, 2 * n - 1)
-    cs = ds[:n]
-    for d, xk in zip(ds[n:], fold):
-        if d:
-            cs = [a + d * b for a, b in zip(cs, xk)]
-    return _pack([a % char for a in cs], w)
-
-
-@lru_cache(maxsize=None)
-def _inverse(dom, v):
-    """The code of the inverse of the unit with code v, kept per domain:
-    v^(q - 2) over a field F_q of n > 1 coordinates."""
-    char, n, _, w, fold, _ = _mul_consts(dom)
-    if n == 1:
-        if not v % dom.p:
-            raise ZeroDivisionError("non-unit in Galois ring")
-        return pow(v, -1, char)
-    if isinstance(dom, FieldSpec):
-        return power(v, dom.q - 2, 1,
-                     lambda x, y: _reduce(x * y, w, n, char, fold))
-    return _encode(dom, _decode(dom, v).inv())
 
 
 def _operand_rows(f):
@@ -719,9 +636,10 @@ class Poly2:
 
     @staticmethod
     def from_poly1(p, var="u"):
+        row = {k: v for k, v in enumerate(p.codes) if v}
         if var == "u":
-            return Poly2(p.field, {(k, 0): c for k, c in enumerate(p.coeffs)})
-        return Poly2(p.field, {(0, k): c for k, c in enumerate(p.coeffs)})
+            return Poly2._adopt(p.field, {0: row} if row else {})
+        return Poly2._adopt(p.field, {k: {0: v} for k, v in row.items()})
 
     def laurent(self):
         """P as an exact Laurent2, sharing the codes."""
@@ -738,18 +656,14 @@ class Poly2:
 
     def t_coeffs(self):
         """The polynomial as {t_exp: Poly1-in-u}."""
-        zero = self.field.zero
-        return {b: Poly1(self.field, [row.get(a, zero)
-                                      for a in range(max(row) + 1)])
-                for b, row in self.rows().items()}
+        return {b: Poly1._adopt(self.field, _dense_row(row))
+                for b, row in self.codes.items()}
 
     def row_polys(self):
         """Each t-row as (e, w), the row being u^e·w with w a Poly1 and
         w(0) != 0, so that a large power of u is never made dense."""
-        field = self.field
-        return [(min(row), Poly1(field, [
-            _decode(field, row[a]) if a in row else field.zero
-            for a in range(min(row), max(row) + 1)]))
+        return [(e := min(row), Poly1._adopt(self.field, [
+            row.get(a, 0) for a in range(e, max(row) + 1)]))
             for row in self.codes.values()]
 
     def serialize(self):
@@ -899,16 +813,13 @@ class Poly2:
         """The u-content of self and others together: the monic gcd in
         F_q[u] of all their t-coefficients, as a Poly2 in u."""
         field = self.field
-        g = []
+        g = Poly1._adopt(field, ())
         for P in (self,) + others:
             for row in P.codes.values():
-                a, b = _dense_row(row), g
-                while b:
-                    a, b = b, _row_divmod(field, a, b)[1]
-                g = _row_dot(field, [([_inverse(field, a[-1])], a)])
-                if len(g) == 1:
+                g = poly1_gcd(Poly1._adopt(field, _dense_row(row)), g)
+                if not g.deg:
                     return Poly2.one(field)
-        return Poly2._adopt(field, _sparse_rows([g]))
+        return Poly2.from_poly1(g)
 
 
 def _t_rows(terms):
@@ -917,10 +828,6 @@ def _t_rows(terms):
     for (a, b), c in terms.items():
         rows.setdefault(b, {})[a] = c
     return rows
-
-
-def _dense_row(row):
-    return [row.get(a, 0) for a in range(max(row) + 1)]
 
 
 def _dense_rows(codes):
@@ -932,47 +839,6 @@ def _dense_rows(codes):
 def _sparse_rows(rows):
     return {b: {a: v for a, v in enumerate(r) if v}
             for b, r in enumerate(rows) if any(r)}
-
-
-def _row_dot(field, pairs, base=()):
-    """base + the sum of a·b over pairs of dense code rows in u, each
-    coefficient reduced once, trailing zeros dropped.  Over n > 1 a sum of
-    more than cap products of codes is refused, as in _check_width."""
-    char, n, _, w, fold, cap = _mul_consts(field)
-    if n > 1 and 1 + sum(min(len(a), len(b)) for a, b in pairs) > cap:
-        raise StepBudgetExceeded(f"a row sums over {cap} products")
-    acc = list(base) + [0] * max(
-        [len(a) + len(b) - 1 - len(base) for a, b in pairs] + [0])
-    for a, b in pairs:
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b, i):
-                    acc[k] += x * y
-    acc = [v % char for v in acc] if n == 1 else \
-        [_reduce(v, w, n, char, fold) for v in acc]
-    while acc and not acc[-1]:
-        acc.pop()
-    return acc
-
-
-def _row_divmod(field, a, b):
-    """(q, r) with a = q·b + r and deg r < deg b in F_q[u], on dense code
-    rows; the lead of b is inverted through _inverse."""
-    char, n, _, w, fold, _ = _mul_consts(field)
-    rem, db = list(a), len(b) - 1
-    inv = _inverse(field, b[-1])
-    quo = [0] * max(0, len(rem) - db)
-    for k in range(len(rem) - 1, db - 1, -1):
-        if rem[k]:
-            c = quo[k - db] = _reduce(rem[k] * inv, w, n, char, fold)
-            c = _reduce((char - 1) * c, w, n, char, fold)
-            for j in range(db):
-                rem[k - db + j] = _reduce(rem[k - db + j] + c * b[j],
-                                          w, n, char, fold)
-    rem = rem[:db]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quo, rem
 
 
 # --------------------------------------------------------------------------

@@ -314,7 +314,10 @@ class K2Basis:
     basis proper; index pairs with p|i, p|j and (i+j)/p ≤ level are also
     kept, but the test family of k2_equiv need not separate them: removing
     (5, 15) from the decomposition of {1 + 4·u·t³, u} at level 4 over F_5
-    leaves the result k2_equiv to the input.
+    leaves the result k2_equiv to the input.  Only at those entries does the
+    result depend on how the element is written: {f, g} and {f, g·x}·{f,
+    x}^-1 may put one in e1_terms and in e2_terms respectively, with equal
+    ut and ζ exponents and other entries, and k2_equiv bases.
     """
 
     def __init__(self, field, level):

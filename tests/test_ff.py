@@ -1,11 +1,16 @@
+import itertools
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from k2local import ff, series
+from k2local.cli import run
 from k2local.errors import (CompositeP, FieldMismatch, InvariantViolation,
-                            NotASubfield, ReducibleModulus)
+                            NotASubfield, ReducibleModulus, StepBudgetExceeded,
+                            ZeroDivisor)
 from k2local.series import Laurent2, lift_padic
 from helpers import frobenius, trace_abs
 
@@ -42,6 +47,115 @@ def test_default_modulus_is_the_lex_least_irreducible(p):
     while p ** n <= 3 ** 7:
         assert ff._default_modulus(p, n) == _default_modulus_reference(p, n)
         n += 1
+
+
+def _default_modulus_eager(p, n):
+    """The enumeration the default modulus once made: itertools.product over
+    whole ranges, which turns each of them into a tuple first."""
+    if n == 1:
+        return (0, 1)
+    lowers = itertools.product(range(1, p), *[range(p)] * (n - 1))
+    return next(c for c in (lo + (1,) for lo in lowers)
+                if ff._is_irreducible(c, p))
+
+
+def test_default_modulus_matches_the_eager_enumeration():
+    checked = 0
+    for p in (p for p in range(2, 3 ** 8) if ff.is_prime(p)):
+        n = 1
+        while p ** n <= 3 ** 8:
+            assert ff._default_modulus(p, n) == _default_modulus_eager(p, n)
+            checked, n = checked + 1, n + 1
+    assert checked > 800
+
+
+def test_default_modulus_enumerates_lazily():
+    # F_p^2 for p = 1000003: its first candidate, x^2 + 1, is irreducible
+    # (p = 3 mod 4); the eager enumeration took tens of MB for it
+    ff._default_modulus.cache_clear()
+    tracemalloc.start()
+    try:
+        field = ff.make_field(1000003, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.modulus == (1, 0, 1)
+    assert peak < 1 << 20, peak
+
+
+def _is_prime_by_trial_division(p):
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _strong_probable_prime(n, b):
+    """Does n pass the strong probable-prime test to base b?"""
+    d, r = n - 1, 0
+    while not d % 2:
+        d, r = d // 2, r + 1
+    x = pow(b, d, n)
+    return x == 1 or any(pow(x, 2 ** i, n) == n - 1 for i in range(r))
+
+
+def test_is_prime_matches_trial_division():
+    assert [p for p in range(20000) if ff.is_prime(p)] == \
+        [p for p in range(20000) if _is_prime_by_trial_division(p)]
+
+
+# Carmichael numbers pass Fermat's test to every base prime to them
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+              41041, 62745, 63973, 75361, 101101, 126217, 172081, 188461,
+              252601, 278545, 294409, 314821, 334153, 340561, 399001, 410041,
+              449065, 488881, 512461]
+# strong pseudoprimes to base 2, then the least ones to the first 4, 9 and
+# 12 prime bases, with their factors
+STRONG_PSEUDOPRIMES = {
+    2047: (23, 89), 3277: (29, 113), 4033: (37, 109), 4681: (31, 151),
+    8321: (53, 157), 42799: (127, 337), 49141: (157, 313),
+    3215031751: (151, 751, 28351),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441)}
+
+
+def test_is_prime_rejects_pseudoprimes():
+    for n in CARMICHAEL:
+        assert pow(2, n - 1, n) == 1, n  # Fermat's test passes
+        assert not ff.is_prime(n), n
+    for n, factors in STRONG_PSEUDOPRIMES.items():
+        assert math.prod(factors) == n and min(factors) > 1
+        assert _strong_probable_prime(n, 2), n
+        assert not ff.is_prime(n), n
+    # the last one passes the strong test to every base up to 37
+    n = 318665857834031151167461
+    assert all(_strong_probable_prime(n, b) for b in ff._PRIME_BASES[:12])
+
+
+def test_is_prime_on_mersenne_numbers():
+    assert ff.is_prime(2 ** 61 - 1)
+    assert 193707721 * 761838257287 == 2 ** 67 - 1
+    assert not ff.is_prime(2 ** 67 - 1)
+
+
+def test_primality_above_the_bound_is_refused():
+    # below PRIME_BOUND the test is exact; above, it would not be
+    assert ff.PRIME_BOUND > 3 * 10 ** 24
+    with pytest.raises(StepBudgetExceeded):
+        ff.is_prime(ff.PRIME_BOUND)
+    with pytest.raises(StepBudgetExceeded):
+        ff.parse_field(f"{ff.PRIME_BOUND + 2}^1")
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["tame", "--field", "2305843009213693951^1", "u", "t", "1+u"], [1]),
+    (["witt-pair", "--field", "2305843009213693951^1", "--m", "2", "1+u*t",
+      "t", "u^-1", "u^-1*t^-1"], [[0], [1]]),
+    (["tame", "--field", "1000000007^2", "u", "t", "1+u"], [1, 0])])
+def test_large_characteristic_probes_answer_quickly(argv, value):
+    # p = 2^61 - 1 spun in trial division, and F_p^2 for p = 10^9 + 7 ran
+    # out of memory enumerating its modulus candidates
+    start = time.perf_counter()
+    code, rep = run(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and rep["value"] == value, rep
 
 
 def _monic_int_polys(p, d):
@@ -499,3 +613,108 @@ def test_trace_outside_prime_field_is_an_invariant_violation():
     fake = ff.FieldSpec(2, 2, (0, 0, 1))
     with pytest.raises(InvariantViolation):
         trace_abs(fake.gen)
+
+
+# The element-wise Poly1 arithmetic that Poly1's code rows replaced, kept as
+# the reference for the differential test below: coefficient tuples of
+# FqElem, constant first, with no trailing zero.
+
+def _poly_ref_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _poly_ref_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] = out[k] + c
+    return _poly_ref_trim(out)
+
+
+def _poly_ref_mul(field, a, b):
+    if not a or not b:
+        return ()
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _poly_ref_trim(out)
+
+
+def _poly_ref_divmod(field, a, b):
+    rem, n = list(a), len(b) - 1
+    quo = [field.zero] * max(0, len(rem) - n)
+    inv_lead = b[-1].inv()
+    for k in range(len(rem) - 1, n - 1, -1):
+        c = rem[k] * inv_lead
+        quo[k - n] = c
+        for j, y in enumerate(b):
+            rem[k - n + j] = rem[k - n + j] - c * y
+    return _poly_ref_trim(quo), _poly_ref_trim(rem[:n])
+
+
+def _poly_ref_serialize(a, var):
+    bits = ["[" + ",".join(str(v) for v in c.coeffs) + "]"
+            + (f"*{var}^{k}" if k else "")
+            for k, c in enumerate(a) if c]
+    return " + ".join(reversed(bits)) or "0"
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4, F9, ff.make_field(5, 1),
+                               ff.make_field(2, 13)],
+                         ids=lambda f: f"{f.p}^{f.n}")
+def test_poly1_matches_the_element_wise_reference(f):
+    rng = random.Random(f.q)
+    for _ in range(60):
+        a, b = ([f.elem_by_index(rng.randrange(f.q))
+                 for _ in range(rng.randrange(0, 7))] for _ in range(2))
+        if rng.randrange(4) == 0:
+            a += [f.zero] * 2  # trailing zeros are dropped
+        A, B, ra, rb = ff.Poly1(f, a), ff.Poly1(f, b), _poly_ref_trim(a), \
+            _poly_ref_trim(b)
+        c = f.elem_by_index(rng.randrange(f.q))
+        assert A.coeffs == ra and A.deg == len(ra) - 1
+        assert A == ff.Poly1(f, ra) and hash(A) == hash(ff.Poly1(f, ra))
+        assert (A + B).coeffs == _poly_ref_add(ra, rb)
+        assert (-A).coeffs == tuple(-x for x in ra)
+        assert (A - B).coeffs == _poly_ref_add(ra, tuple(-x for x in rb))
+        assert (A * B).coeffs == _poly_ref_mul(f, ra, rb)
+        assert (A * c).coeffs == _poly_ref_mul(f, ra, (c,) if c else ())
+        assert (A ** 3).coeffs == _poly_ref_mul(f, ra, _poly_ref_mul(f, ra, ra))
+        assert A.derivative().coeffs == _poly_ref_trim(
+            x * f.from_int(k) for k, x in enumerate(ra))[1:]
+        assert A.serialize("t") == _poly_ref_serialize(ra, "t")
+        if rb:
+            quo, rem = A.divmod(B)
+            assert (quo.coeffs, rem.coeffs) == _poly_ref_divmod(f, ra, rb)
+            monic = B.monic().coeffs
+            assert monic == tuple(x * rb[-1].inv() for x in rb)
+        else:
+            with pytest.raises(ZeroDivisor):
+                A.divmod(B)
+            assert B.monic() == B
+
+
+def test_row_division_sums_within_the_width(monkeypatch):
+    # a fresh F_9 with 2 bits of headroom: a remainder coefficient may sum
+    # its code and at most 2 products, min(quotient terms, deg b) of them
+    monkeypatch.setattr(ff, "HEADROOM", 2)
+    dom = ff.FieldSpec(3, 2, F9.modulus)
+    rng = random.Random(9)
+
+    def poly(deg):
+        return [dom.elem_by_index(rng.randrange(dom.q)) for _ in range(deg)] \
+            + [dom.elem_by_index(rng.randrange(1, dom.q))]
+    for da, db, ok in ((4, 3, True), (5, 2, True), (9, 1, True),
+                       (5, 3, False), (6, 4, False)):
+        a, b = poly(da), poly(db)
+        if ok:
+            quo, rem = ff.Poly1(dom, a).divmod(ff.Poly1(dom, b))
+            assert (quo.coeffs, rem.coeffs) == _poly_ref_divmod(dom, a, b)
+        else:
+            with pytest.raises(StepBudgetExceeded):
+                ff.Poly1(dom, a).divmod(ff.Poly1(dom, b))

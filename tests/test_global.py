@@ -10,11 +10,12 @@ import pytest
 
 from k2local import globalfield
 from k2local.cli import eval_rational, run
-from k2local.errors import (BadIndexPair, DivisionByZero, InvariantViolation,
-                            NotReducible, PrecisionTooLow, StepBudgetExceeded,
-                            UndeclaredCurveFactor, UnsupportedLength,
-                            ZeroArgument)
-from k2local.ff import FqElem, make_field, norm_rel, parse_field
+from k2local.errors import (BadIndexPair, DivisionByZero, FieldMismatch,
+                            InvariantViolation, NotReducible, PrecisionTooLow,
+                            StepBudgetExceeded, UndeclaredCurveFactor,
+                            UnsupportedLength, ZeroArgument)
+from k2local.ff import (HEADROOM, FqElem, first_root, get_embedding,
+                       make_field, norm_rel, parse_field)
 from k2local.globalfield import (AdmissibleCurve, CanonicalASRep, Chart,
                                  PointFunc, Poly1, Poly2,
                                  RatFunc, as_reduce,
@@ -33,7 +34,7 @@ from k2local.globalfield import (_as_reduce, _chart, _coeff_neg, _coeff_sum,
                                  _prs_gcd, _t_coeffs, _tame_terms, _tpoly_gcd,
                                  _witt_terms, expand_point,
                                  place_field, place_u, poly1_gcd)
-from k2local.series import HEADROOM, INF, Laurent2, invert, laurent_domain
+from k2local.series import INF, Laurent2, invert, laurent_domain
 from k2local.symbols import (symbol, tame_symbol_det, witt_pair_local,
                              with_box)
 from k2local.witt import WittVec, witt_zero
@@ -199,7 +200,7 @@ class TestPolynomials:
         q, r = f.divmod(g)
         assert calls == []
         assert q * g + r == f and r.deg < g.deg
-        assert (f * F4.gen).monic() == f and len(calls) == 1
+        assert (f * F4.gen).monic() == f and calls == []
 
     def test_ratfunc_reduction(self):
         F3 = make_field(3, 1)
@@ -792,19 +793,27 @@ class TestPoly2Kernel:
 
 
 def test_polynomial_layer_makes_no_element_arithmetic(monkeypatch):
-    # eval_rational, RatFunc arithmetic and the exact charts run on codes:
-    # no FqElem product, sum, negation, power, inverse or zero test
+    # eval_rational, RatFunc arithmetic, the exact charts, the places, their
+    # factoring and roots run on codes: no FqElem product, sum, negation,
+    # power, inverse or zero test
     exprs = ["(u + t)^3 * (1 + u*t) / ((u + t) * (1 + u^2))",
              "(u^2 + z*t)^-2 * (u^2 + z*t) + 1/(u*t) - t/u^3",
              "((1 + u)^2 - (1 + u)*t) / ((1 + u) * (u - t)^2) + (2*u + z)^-1"]
     setups = []
     for spec in ("3^1", "2^2/1,1,1"):
         field = parse_field(spec)
+        big = make_field(field.p, 2 * field.n)
+        emb = get_embedding(field, big)
+        polys = [Poly1.from_ints(field, c)
+                 for c in ([1, 1, 1], [2, 0, 1], [0, 1, 1, 1], [1, 0, 0, 1])]
+        roots = [(P.coeffs, field) for P in polys] + [
+            ([emb.apply(c) for c in P.coeffs], big) for P in polys]
         setups.append((field, [
             Chart.place(field), place_u(field),
             Chart.place(field, Poly1.from_ints(field, [-1, 1])),
             AdmissibleCurve(field, "graph_t_of_u",
-                            Poly1.from_ints(field, [0, 0, 1]))]))
+                            Poly1.from_ints(field, [0, 0, 1]))],
+            polys, roots))
     calls = []
     for name in ("__mul__", "__add__", "__sub__", "__neg__", "__pow__",
                  "inv", "__bool__"):
@@ -812,7 +821,8 @@ def test_polynomial_layer_makes_no_element_arithmetic(monkeypatch):
             calls.append(_name)
             return _orig(*args)
         monkeypatch.setattr(FqElem, name, counted)
-    for field, keys in setups:
+    factored = found = 0
+    for field, keys, polys, roots in setups:
         fs = [eval_rational(e, field) for e in exprs]
         results = list(fs)
         for f in fs:
@@ -822,7 +832,17 @@ def test_polynomial_layer_makes_no_element_arithmetic(monkeypatch):
             for P in (f.num, f.den):
                 for key in keys:
                     _chart(P, key)
+        assert len(list_places(results)) > 3
+        for P in polys:
+            factored += len(factor_poly1(P))
+        for coeffs, kx in roots:
+            try:
+                first_root(coeffs, kx)
+                found += 1
+            except FieldMismatch:
+                pass
     assert not calls, sorted(set(calls))
+    assert factored > 8 and found > 8
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from k2local import series
+from k2local import ff, series
 from k2local.errors import (InvariantViolation, PrecisionTooLow,
                             StepBudgetExceeded, ZeroDivisor, ZeroElement)
 from k2local.ff import (FieldSpec, FqElem, GRElem, _poly_mulmod_fp,
@@ -1110,7 +1110,7 @@ class TestCodes:
     def test_width_guard(self, monkeypatch):
         # a fresh F_9 with 2 bits of headroom: at most 3 products of codes
         # may meet in one coefficient
-        monkeypatch.setattr(series, "HEADROOM", 2)
+        monkeypatch.setattr(ff, "HEADROOM", 2)
         dom = FieldSpec(3, 2, F9.modulus)
         one = dom.one
         three = Laurent2(dom, {0: {i: one for i in range(3)}})

@@ -18,14 +18,16 @@ def test_no_assert_statements():
 
 
 def test_series_internals_stay_in_series():
-    # the coefficient codes live behind series.py: no other module imports
-    # an underscore name from it
+    # the coefficient codes live in ff.py, and only series.py, the layer of
+    # series and polynomials on them, imports an underscore name from ff or
+    # from series
     sources = sorted(Path(k2local.__file__).parent.glob("*.py"))
     found = [f"{path.name}:{node.lineno} {alias.name}" for path in sources
              if path.name != "series.py"
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.ImportFrom)
-             and node.module in ("series", "k2local.series")
+             and node.module in ("series", "k2local.series", "ff",
+                                 "k2local.ff")
              for alias in node.names if alias.name.startswith("_")]
     assert not found, found
 
@@ -93,6 +95,29 @@ def test_poly2_ring_operations_are_laurent2s():
     found = [f"{f.name}:{node.lineno}" for f in funcs
              for node in ast.walk(f) if isinstance(node, loops)]
     assert not found, found
+
+
+def test_poly1_ring_operations_are_the_row_kernels():
+    # _row_dot and _row_divmod are the one univariate arithmetic on codes,
+    # Poly2's rows and Poly1 alike: Poly1's ring operations call them and
+    # hold no loop of their own
+    path = Path(k2local.__file__).parent / "ff.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    poly1, = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "Poly1"]
+    ops = {"__add__", "__neg__", "__mul__", "divmod", "monic"}
+    funcs = [f for f in poly1.body
+             if isinstance(f, ast.FunctionDef) and f.name in ops]
+    assert sorted(f.name for f in funcs) == sorted(ops)
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = [f"{f.name}:{node.lineno}" for f in funcs
+             for node in ast.walk(f) if isinstance(node, loops)]
+    assert not found, found
+    kernels = {f.name: {_called(node) for node in ast.walk(f)
+                        if isinstance(node, ast.Call)} for f in funcs}
+    assert all(names & {"_row_dot", "_row_divmod"}
+               for names in kernels.values()), kernels
 
 
 def _uses(paths):
