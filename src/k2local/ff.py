@@ -5,6 +5,8 @@ constant-term-first.  A field of at most TABLE_MAX elements multiplies,
 inverts, raises to powers and takes discrete logs by one log/antilog table
 over its primitive element, built on first use; a larger field multiplies and
 powers on coordinates and takes discrete logs by baby-step giant-step.
+Discrete logs serve only those tables and series.unit_decompose; an
+Embedding is F_p-linear, on integer rows that rank_and_left_kernel reduces.
 Truncated Witt rings of F_q are modelled as Galois rings (Z/p^s)[x]/(m(x))
 against the same polynomial basis, which is all the characteristic-zero
 lifting the symbol layer needs.  The integer codes of elements (see series)
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 from functools import lru_cache
 
 from .errors import (CompositeP, FieldMismatch, InvariantViolation,
@@ -152,7 +155,7 @@ class FqElem:
                 raise ZeroDivisionError("inverse of zero field element")
             return f.zero if e else f.one
         if f.q <= TABLE_MAX:
-            k = f.log(self) * e % (f.q - 1)  # builds f._exp on first use
+            k = (f._log or f._tables())[self.coeffs] * e % (f.q - 1)
             return f._exp[k]
         e %= f.q - 1
         return FqElem(f, _poly_powmod_fp(self.coeffs, e, f.modulus, f.p)) \
@@ -619,16 +622,17 @@ def _split(g, d):
 
     For b in F_q[x], the factors pi of g with b mod pi a nonzero square
     (p odd), or with Tr(b mod pi) = 0 (p = 2), are those of gcd(g, h) for
-    h = b^((q^d-1)/2) - 1 or h = sum of b^(2^k), k < nd, mod g.  The b go
-    in index order (base-q digits, constant first) from x + a, or for p = 2
-    over b = x·c from a·x, since a constant term only swaps the two sides.
-    By the Chinese remainder theorem some b of degree < deg g splits g.
+    h = b^((q^d-1)/2) - 1 or h = sum of b^(2^k), k < nd, mod g.  The b are
+    pseudo-random of degree < deg g from a fixed seed, with coefficients
+    over all of F_q: when g's roots are conjugate over a subfield, no b with
+    coefficients in it splits g, as Frobenius keeps squares and traces.  By
+    the Chinese remainder theorem each b splits g with probability >= 1/2.
     """
     field = g.field
-    q, one = field.q, Poly1._adopt(field, (1,))
-    for k in range(q, q ** g.deg, q if field.p == 2 else 1):
-        b = Poly1(field, [field.elem_by_index(k // q ** i % q)
-                          for i in range(g.deg)])
+    q, one, rng = field.q, Poly1._adopt(field, (1,)), random.Random(g.deg)
+    while True:
+        b = Poly1(field, [field.elem_by_index(rng.randrange(q))
+                          for _ in range(g.deg)])
         if field.p == 2:
             h = y = b
             for _ in range(field.n * d - 1):
@@ -689,47 +693,49 @@ def first_root(coeffs, field):
 
 
 class Embedding:
-    """A field embedding sub → sup fixing F_p, with a partial inverse."""
+    """A field embedding sub → sup fixing F_p, with a partial inverse.
+
+    It is F_p-linear: apply combines mod p the rows of the coordinates of
+    gen_image^i, i < sub.n, in sup, which rank_and_left_kernel reduces once.
+    """
 
     def __init__(self, sub, sup):
         if sub.p != sup.p or sup.n % sub.n != 0:
             raise NotASubfield(f"{sub} does not embed in {sup}")
-        self.sub = sub
-        self.sup = sup
-        self.gen_image = self._find_gen_image()
-        # the image of sub is the subgroup of z_sup^d, d = (q_sup-1)/(q_sub-1),
-        # with apply(z_sub) = z_sup^(d*s) for an s prime to q_sub - 1
-        self._d = (sup.q - 1) // (sub.q - 1)
-        s = sup.log(self.apply(primitive_element(sub))) // self._d
-        self._s_inv = pow(s, -1, sub.q - 1)
-
-    def _find_gen_image(self):
-        sub, sup = self.sub, self.sup
-        if sub.n == 1:
-            return sup.one
-        return first_root([sup.from_int(c) for c in sub.modulus], sup)
+        self.sub, self.sup = sub, sup
+        self.gen_image = sup.one if sub.n == 1 else first_root(
+            [sup.from_int(c) for c in sub.modulus], sup)
+        rows = [sup.one.coeffs]
+        for _ in range(sub.n - 1):
+            rows.append(_poly_mulmod_fp(rows[-1], self.gen_image.coeffs,
+                                        sup.modulus, sup.p))
+        fp = make_field(sub.p, 1)
+        _, _, reduced = rank_and_left_kernel(
+            [[fp.elem((c,)) for c in r] for r in rows], fp)
+        self._cols = tuple(zip(*rows))
+        self._pivots = [next(j for j, c in enumerate(r) if c) for r in reduced]
+        self._back = tuple(zip(*([c.coeffs[0] for c in r[sup.n:]]
+                                 for r in reduced)))
 
     def apply(self, a):
-        acc = self.sup.zero
-        pw = self.sup.one
-        for c in a.coeffs:
-            if c:
-                acc = acc + pw * self.sup.elem((c,))
-            pw = pw * self.gen_image
-        return acc
+        p = self.sup.p
+        return FqElem(self.sup, tuple(
+            sum(c * r for c, r in zip(a.coeffs, col)) % p
+            for col in self._cols))
 
     def section(self, b):
         """Inverse image of b, or raise NotASubfield if b is not in range.
 
-        A nonzero b = z_sup^k is in range exactly when d divides k, and is
-        then the image of z_sub^(k/d / s).
+        If b = apply(a), b's coordinates at the pivot columns are its
+        coordinates in the reduced rows, and the same combination of their
+        row operations gives a; otherwise apply does not give b back.
         """
-        if not b:
-            return self.sub.zero
-        k, r = divmod(self.sup.log(b), self._d)
-        if r:
+        p, y = self.sub.p, [b.coeffs[j] for j in self._pivots]
+        a = FqElem(self.sub, tuple(sum(c * r for c, r in zip(y, col)) % p
+                                   for col in self._back))
+        if self.apply(a) != b:
             raise NotASubfield("element not in the embedded subfield")
-        return primitive_element(self.sub) ** (k * self._s_inv)
+        return a
 
 
 @lru_cache(maxsize=None)
@@ -738,11 +744,12 @@ def get_embedding(sub, sup):
 
 
 def rank_and_left_kernel(rows, field):
-    """Row rank and a basis for the left kernel of a matrix over F_q."""
+    """Row rank, a basis for the left kernel and the reduced rows of a
+    matrix over F_q, by Gauss–Jordan on the rows, each followed by its row
+    of the identity.  A reduced row has 1 at its pivot column and 0 at the
+    other pivots, then the combination of the input rows that makes it."""
     n = len(rows)
-    if n == 0:
-        return 0, []
-    width = len(rows[0])
+    width = len(rows[0]) if rows else 0
     aug = [list(rows[r]) + [field.one if c == r else field.zero
                             for c in range(n)] for r in range(n)]
     rank = 0
@@ -760,31 +767,23 @@ def rank_and_left_kernel(rows, field):
         rank += 1
         if rank == n:
             break
-    kernel = [row[width:] for row in aug[rank:]]
-    return rank, kernel
+    return rank, [row[width:] for row in aug[rank:]], aug[:rank]
 
 
 def norm_rel(a, subfield):
-    """Norm of a down to the given subfield, as an element of it."""
-    field = a.field
-    emb = get_embedding(subfield, field)
-    if not a:
-        return subfield.zero
-    e = (field.q - 1) // (subfield.q - 1)
-    return emb.section(a ** e)
+    """Norm of a down to the given subfield, as an element of it: the power
+    a^((q - 1)/(q_sub - 1)), read back by the embedding's section."""
+    e = (a.field.q - 1) // (subfield.q - 1)
+    return get_embedding(subfield, a.field).section(a ** e)
 
 
 def trace_rel(a, subfield):
-    """Relative trace of a down to the given subfield."""
-    field = a.field
-    emb = get_embedding(subfield, field)
-    steps = field.n // subfield.n
-    acc = field.zero
-    b = a
-    for _ in range(steps):
-        acc = acc + b
-        b = b ** subfield.q
-    return emb.section(acc)
+    """Relative trace of a down to the given subfield: the sum of its
+    conjugates a^(q_sub^k), read back by the embedding's section."""
+    acc, b = a.field.zero, a
+    for _ in range(a.field.n // subfield.n):
+        acc, b = acc + b, b ** subfield.q
+    return get_embedding(subfield, a.field).section(acc)
 
 
 # --------------------------------------------------------------------------

@@ -1047,7 +1047,7 @@ def duality_level_curve(k, pole_bound, field):
                     gens.append((xi, 2, a))
     rows = [[field.from_int(a if comp == 1 else -k) * fh.coeff(-a, 0)
              for fh in fhats[places[xi]]] for (xi, comp, a) in gens]
-    rank, kernel = rank_and_left_kernel(rows, field)
+    rank, kernel, _ = rank_and_left_kernel(rows, field)
     return {
         "k": k,
         "pole_bound": D,

@@ -1,6 +1,7 @@
 """Reference routines that only the tests use, shared by several test files."""
 
 from k2local.errors import InvariantViolation
+from k2local.ff import is_prime, make_field
 from k2local.witt import GhostVec
 
 # Representative command set pinned by golden-file tests; outputs must be
@@ -21,6 +22,14 @@ GOLDEN_COMMANDS = [
     ["duality-point", "--field", "3^1", "1", "1"],
     ["duality-curve", "--field", "2^1", "--level", "1", "2"],
 ]
+
+
+#: every pair sub ⊆ sup with q_sup <= 3^8 and p^2 <= 3^8; a larger p has
+#: only the pair F_p ⊆ F_p within the bound, which these leave out
+SUBFIELD_PAIRS = [(make_field(p, m), make_field(p, n))
+                  for p in range(2, 82) if is_prime(p)
+                  for n in range(1, 9) if p ** n <= 3 ** 8
+                  for m in range(1, n + 1) if n % m == 0]
 
 
 def frobenius(a, k=1):

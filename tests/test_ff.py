@@ -12,7 +12,7 @@ from k2local.errors import (CompositeP, FieldMismatch, InvariantViolation,
                             NotASubfield, ReducibleModulus, StepBudgetExceeded,
                             ZeroDivisor)
 from k2local.series import Laurent2, lift_padic
-from helpers import frobenius, trace_abs
+from helpers import SUBFIELD_PAIRS, frobenius, trace_abs
 
 F2 = ff.make_field(2, 1)
 F3 = ff.make_field(3, 1)
@@ -148,14 +148,23 @@ def test_primality_above_the_bound_is_refused():
     (["tame", "--field", "2305843009213693951^1", "u", "t", "1+u"], [1]),
     (["witt-pair", "--field", "2305843009213693951^1", "--m", "2", "1+u*t",
       "t", "u^-1", "u^-1*t^-1"], [[0], [1]]),
-    (["tame", "--field", "1000000007^2", "u", "t", "1+u"], [1, 0])])
+    (["tame", "--field", "1000000007^2", "u", "t", "1+u"], [1, 0]),
+    (["reciprocity-curve", "--field", "2305843009213693951^1", "u", "t",
+      "u^-1"], True),
+    (["reciprocity-curve", "--field", "1000003^1", "u", "t", "1+u^2"], True),
+    (["reciprocity-curve", "--field", "1000003^2", "u", "t", "1+u^2+z*u"],
+     True)])
 def test_large_characteristic_probes_answer_quickly(argv, value):
     # p = 2^61 - 1 spun in trial division, and F_p^2 for p = 10^9 + 7 ran
-    # out of memory enumerating its modulus candidates
+    # out of memory enumerating its modulus candidates; the curve sums took
+    # discrete logs by baby-step giant-step in their norms, and factored at
+    # a place of degree 2 with splitting candidates that no a in F_p split
     start = time.perf_counter()
     code, rep = run(argv)
     assert time.perf_counter() - start < 1
-    assert code == 0 and rep["value"] == value, rep
+    assert code == 0, rep
+    assert rep["verdict" if argv[0].startswith("reciprocity") else "value"] \
+        == value, rep
 
 
 def _monic_int_polys(p, d):
@@ -261,38 +270,107 @@ def test_section_inverts_apply_on_the_subfield():
             assert emb.section(emb.apply(a)) == a
 
 
-def _section_reference(emb, b):
-    """b's preimage from the left kernel of the basis images and b, as section
-    found it before it read the discrete logs; None when b is not in the
-    image."""
-    fp = ff.make_field(emb.sub.p, 1)
-    rows, x = [], emb.sup.one
-    for _ in range(emb.sub.n):
-        rows.append(x)
+def _section_reference(emb):
+    """The map from b to its preimage, None when b is not in the image, read
+    from the graph of apply: the pairs (a, b) with b = a·M, M the rows of
+    the basis images, are the left kernel of M stacked on -1 times the
+    identity, and the kernel's basis spans them over F_p."""
+    sub, sup, p = emb.sub, emb.sup, emb.sub.p
+    fp = ff.make_field(p, 1)
+    rows, x = [], sup.one
+    for _ in range(sub.n):
+        rows.append(x.coeffs)
         x = x * emb.gen_image
-    _, kernel = ff.rank_and_left_kernel(
-        [[fp.from_int(c) for c in r.coeffs] for r in rows + [b]], fp)
-    if not kernel:
-        return None
-    scale = -kernel[0][-1].inv()
-    return ff.FqElem(emb.sub, tuple((c * scale).coeffs[0]
-                                    for c in kernel[0][:-1]))
+    rows += [[-(i == j) for j in range(sup.n)] for i in range(sup.n)]
+    _, kernel, _ = ff.rank_and_left_kernel(
+        [[fp.from_int(c) for c in r] for r in rows], fp)
+    basis = [[c.coeffs[0] for c in v] for v in kernel]
+    graph = {}
+    for cs in itertools.product(range(p), repeat=len(basis)):
+        v = [sum(c * y for c, y in zip(cs, col)) % p for col in zip(*basis)]
+        graph[tuple(v[sub.n:])] = ff.FqElem(sub, tuple(v[:sub.n]))
+    assert len(graph) == sub.q
+    return lambda b: graph.get(b.coeffs)
 
 
-@pytest.mark.parametrize("sub, sup", [(F2, F4), (F4, ff.make_field(2, 4)),
-                                      (F3, F9)])
-def test_section_matches_the_left_kernel_reference(sub, sup):
-    emb = ff.get_embedding(sub, sup)
-    refused = 0
-    for b in sup.elements():
-        want = _section_reference(emb, b)
+def _log_section(emb):
+    """The map from b to its preimage by discrete logs, as section found it
+    over the tables of a field and by baby-step giant-step above: a nonzero
+    b = z_sup^k is in the image exactly when d = (q_sup - 1)/(q_sub - 1)
+    divides k, and then it is the image of z_sub^(k/d / s), with
+    apply(z_sub) = z_sup^(d s); None when b is not in the image."""
+    sub, sup = emb.sub, emb.sup
+    z = ff.primitive_element(sub)
+    d = (sup.q - 1) // (sub.q - 1)
+    s_inv = pow(sup.log(emb.apply(z)) // d, -1, sub.q - 1)
+
+    def preimage(b):
+        if not b:
+            return sub.zero
+        k, r = divmod(sup.log(b), d)
+        return None if r else z ** (k * s_inv)
+    return preimage
+
+
+def _pair_id(pair):
+    return f"{pair[0].p}^{pair[0].n}-{pair[1].p}^{pair[1].n}"
+
+
+def _check_section(emb, reference):
+    refused, preimage = 0, reference(emb)
+    for b in emb.sup.elements():
+        want = preimage(b)
         if want is None:
             refused += 1
             with pytest.raises(NotASubfield):
                 emb.section(b)
         else:
             assert emb.section(b) == want
-    assert refused == sup.q - sub.q
+            assert emb.apply(want) == b
+    assert refused == emb.sup.q - emb.sub.q
+
+
+@pytest.mark.parametrize("sub, sup", SUBFIELD_PAIRS,
+                         ids=[_pair_id(x) for x in SUBFIELD_PAIRS])
+def test_section_matches_the_left_kernel_reference(sub, sup):
+    _check_section(ff.get_embedding(sub, sup), _section_reference)
+
+
+TABLE_PAIRS = [x for x in SUBFIELD_PAIRS if x[1].q <= ff.TABLE_MAX]
+
+
+@pytest.mark.parametrize("sub, sup", TABLE_PAIRS,
+                         ids=[_pair_id(x) for x in TABLE_PAIRS])
+def test_section_matches_the_log_based_reference(sub, sup):
+    _check_section(ff.get_embedding(sub, sup), _log_section)
+
+
+@pytest.mark.parametrize("p, n, m", [(2305843009213693951, 1, 1),
+                                     (2305843009213693951, 2, 1),
+                                     (1000003, 2, 1), (1000003, 2, 2)])
+def test_norm_and_trace_over_large_fields(p, n, m):
+    # F_q over F_p for p = 2^61 - 1 and p = 10^6 + 3: the norm to F_p of a
+    # in F_p^2 is a^(p+1) and the trace a + a^p; the section above is a
+    # linear solve, where the log-based one built tables of sqrt(q) entries
+    start = time.perf_counter()
+    sup, sub = ff.make_field(p, n), ff.make_field(p, m)
+    emb = ff.get_embedding(sub, sup)
+    rng = random.Random(p)
+    for _ in range(20):
+        a = sup.elem_by_index(rng.randrange(1, sup.q))
+        c = sub.elem_by_index(rng.randrange(sub.q))
+        norm, trace = ff.norm_rel(a, sub), ff.trace_rel(a, sub)
+        if m == n:
+            assert (norm, trace, emb.section(a)) == (a, a, a)
+        else:
+            assert emb.apply(norm) == a ** (p + 1)
+            assert emb.apply(trace) == a + a ** p
+            assert ff.norm_rel(emb.apply(c), sub) == c * c
+            if a ** p != a:
+                with pytest.raises(NotASubfield):
+                    emb.section(a)
+        assert emb.section(emb.apply(c)) == c
+    assert time.perf_counter() - start < 1
 
 
 def _root_finder_inputs(rng):

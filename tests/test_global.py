@@ -8,7 +8,8 @@ from functools import lru_cache
 
 import pytest
 
-from k2local import globalfield
+from k2local import ff, globalfield
+from helpers import SUBFIELD_PAIRS
 from k2local.cli import eval_rational, run
 from k2local.errors import (BadIndexPair, DivisionByZero, FieldMismatch,
                             InvariantViolation, NotReducible, PrecisionTooLow,
@@ -843,6 +844,40 @@ def test_polynomial_layer_makes_no_element_arithmetic(monkeypatch):
                 pass
     assert not calls, sorted(set(calls))
     assert factored > 8 and found > 8
+
+
+def test_embeddings_take_no_discrete_log(monkeypatch):
+    # an embedding is F_p-linear: building it, applying it, its section, the
+    # norm and trace through it and a place's residue field take no
+    # discrete log and no primitive element; the table fields build their
+    # tables over one first, so they are built before the patch
+    rng = random.Random(36)
+    fields = {f for pair in SUBFIELD_PAIRS for f in pair}
+    for f in fields:
+        if f.q <= ff.TABLE_MAX:
+            f.one.inv()
+    F5 = make_field(5, 1)
+    degree_2 = Chart.place(F5, Poly1.from_ints(F5, [2, 0, 1]))
+
+    def refused(*args):
+        raise AssertionError("discrete log on an embedding's path")
+    monkeypatch.setattr(ff.FieldSpec, "log", refused)
+    monkeypatch.setattr(ff, "primitive_element", refused)
+    fresh = lru_cache(maxsize=None)(ff.Embedding)
+    monkeypatch.setattr(ff, "get_embedding", fresh)
+    monkeypatch.setattr(globalfield, "get_embedding", fresh)
+    for sub, sup in SUBFIELD_PAIRS:
+        emb = ff.get_embedding(sub, sup)
+        for _ in range(5):
+            a = sub.elem_by_index(rng.randrange(sub.q))
+            b = sup.elem_by_index(rng.randrange(sup.q))
+            assert emb.section(emb.apply(a)) == a
+            assert emb.apply(norm_rel(b, sub)) == b ** ((sup.q - 1)
+                                                        // (sub.q - 1))
+            ff.trace_rel(b, sub)
+    kx, emb, root = place_field.__wrapped__(degree_2)
+    assert (kx.q, degree_2.residue_degree) == (25, 2)
+    assert root * root == emb(F5.from_int(-2))
 
 
 # --------------------------------------------------------------------------
