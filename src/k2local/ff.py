@@ -567,11 +567,28 @@ class Poly1:
         return Poly1._adopt(field, _row_dot(field, [], [
             k % field.char * v for k, v in enumerate(self.codes)][1:]))
 
-    def serialize(self, var="u"):
+    def digits(self):
+        """The tuples c.coeffs of coeffs, read off the codes."""
         _, n, _, w, _, _ = _mul_consts(self.field)
-        terms = ["[" + ",".join(map(str, _digits(v, w, n))) + "]"
+        return tuple(_digits(v, w, n) for v in self.codes)
+
+    def order_at(self, root):
+        """(v, c): the order v of a nonzero self at an element root and the
+        code c of (self / (u - root)^v)(root), by synthetic division."""
+        char, n, _, w, fold, _ = _mul_consts(self.field)
+        r, row = _encode(self.field, root), self.codes
+        for v in range(len(row)):  # Horner: the quotient, then self(root)
+            *quo, acc = itertools.accumulate(reversed(row), lambda a, x: (
+                _reduce(x + r * a, w, n, char, fold)))
+            if acc:
+                return v, acc
+            row = quo[::-1]
+        raise ZeroArgument("the zero polynomial has no order")
+
+    def serialize(self, var="u"):
+        terms = ["[" + ",".join(map(str, d)) + "]"
                  + (f"*{var}^{k}" if k else "")
-                 for k, v in enumerate(self.codes) if v]
+                 for k, d in enumerate(self.digits()) if any(d)]
         return " + ".join(reversed(terms)) or "0"
 
     def __repr__(self):

@@ -17,10 +17,10 @@ curve.  It holds the change of coordinates from the plane to its (s, t):
 u and t swap if C is solved for u; s = 1/u at infinity, u = root + s at a
 rational point; then t = phi(s) + t, phi = 0 at a place.  _chart maps a
 polynomial's codes by it, and an expansion divides the charts of num and
-den, as exact Laurent2s, in a working box (t_prec, u_prec), a leading term
-their least terms.  At a place of degree d >= 2, the one inexact case, the
-expansion is over k(x) = F_{q^d}, and u is a power series in s = pi(u),
-found by Newton iteration.
+den, as exact Laurent2s, in a working box (t_prec, u_prec).  A leading term
+reads the codes of the least t-rows of num and den, charted on graphs only.
+At a place of degree d >= 2, the one inexact case, the expansion is over
+k(x) = F_{q^d}, and u is a power series in s = pi(u), by Newton iteration.
 
 Reciprocity: the Witt and tame sums over the places of the u-line, or over a
 declared set of curves through the origin, share their pieces: per-key terms
@@ -263,8 +263,8 @@ class Chart:
         self.field = field
         self.minimal_poly = minimal_poly
         self.residue_degree = minimal_poly.deg if minimal_poly else 1
-        # the root of a rational point, in F_q; None at infinity
-        self.root = (-minimal_poly).coeffs[0] \
+        # the root of a rational point, in F_q, from -pi(0); None at infinity
+        self.root = field.elem([-d for d in minimal_poly.digits()[0]]) \
             if minimal_poly and minimal_poly.deg == 1 else None
         self.swap = swap
         self.phi = phi
@@ -272,7 +272,7 @@ class Chart:
         if phi:
             eq = eq - Poly2.from_poly1(phi, "t" if swap else "u")
         self._equation = eq
-        self._label = label
+        self._label = label  # None for pi.serialize(), made on first use
         self._order = order
         # the monic equation: t - phi(u) leads with t, u - phi(t) is scaled
         self._ident = (minimal_poly, eq * eq.lead_inverse() if swap else eq)
@@ -285,8 +285,7 @@ class Chart:
         zero = Poly1(field, ())
         if pi is None:
             return cls(field, None, False, zero, "infinity", (1,))
-        return cls(field, pi, False, zero, pi.serialize(),
-                   (0, pi.deg, tuple(c.coeffs for c in pi.coeffs)))
+        return cls(field, pi, False, zero, None, (0, pi.deg, pi.digits()))
 
     @classmethod
     def curve(cls, field, kind, graph_poly=None):
@@ -304,7 +303,7 @@ class Chart:
         swap = var == "u"
         return cls(field, Poly1(field, (field.zero, field.one)), swap, phi,
                    f"{var} = {phi.serialize('t' if swap else 'u')}",
-                   (bool(phi), swap, tuple(c.coeffs for c in phi.coeffs)))
+                   (bool(phi), swap, phi.digits()))
 
     def equation(self):
         """The curve's equation var - phi(other) in the plane, built once:
@@ -323,10 +322,12 @@ class Chart:
         return self._order
 
     def serialize(self):
+        if self._label is None:
+            self._label = self.minimal_poly.serialize()
         return self._label
 
     def __repr__(self):
-        return f"Chart({self._label})"
+        return f"Chart({self.serialize()})"
 
 
 AdmissibleCurve = Chart.curve  # the name the point side builds curves by
@@ -349,12 +350,12 @@ def list_places(fs):
     if not fs:
         raise ZeroArgument("no rational data supplied")
     field = fs[0].field
-    finite, rests = set(), set()
+    finite, rests, u = set(), set(), Poly1(field, (field.zero, field.one))
     for f in fs:
         for P in (f.num, f.den):
             for e, w in P.row_polys():
                 if e:
-                    finite.add(Poly1(field, (field.zero, field.one)))
+                    finite.add(u)
                 rests.add(w)
     for w in rests:
         if w.deg > 0:
@@ -496,40 +497,40 @@ def curve_witt_terms(f, g, h, m):
 
 def _row_at_place(P, place):
     """(j, v, c) with c·s^v·t^j the least term of a nonzero P at a place of
-    degree >= 2, c in k(x): j is P's least t-exponent and, for its row w, v
-    is the multiplicity of pi in w and c = (w / pi^v)(root), since
-    pi(u) = s exactly."""
+    degree >= 2, c a code of k(x): j is P's least t-exponent, v the order of
+    pi in its row w, and c = (w / pi^v)(root), read off w / pi^v mod pi."""
     kx, emb, root = place_field(place)
-    j = min(P.codes)
-    w = P.t_rows()[j].t_coeffs()[0]
-    v = 0
+    (j, w), v = P.least_row(), 0
     while not (r := w.divmod(place.minimal_poly))[1]:
         w, v = r[0], v + 1
-    c = kx.zero
-    for a in reversed(w.coeffs):
-        c = c * root + emb(a)
-    return j, v, c
+    return j, v, Poly1(kx, [emb(a) for a in r[1].coeffs]).order_at(root)[1]
 
 
 def lead_at_place(f, key):
     """The leading term of the expansion of f, a RatFunc or a PointFunc, at
     a key, at every box, as an exact Laurent2 monomial: the least terms of
-    num and den, read off their charts where the parameter is exact and by
-    _row_at_place at a place of degree >= 2.  Where the chart leaves t
-    alone, with no swap and no phi, only the least t-row is charted."""
+    num and den, read off the codes of their least t-rows, or, on a graph
+    curve, the one key that still charts, of their charts' least t-rows."""
+    kx = place_field(key)[0] if key.residue_degree > 1 else key.field
     if not f:
-        return Laurent2.zero(place_field(key)[0])
+        return Laurent2.zero(kx)
 
     def least(P):
         if key.residue_degree > 1:
             return _row_at_place(P, key)
-        if not (key.swap or key.phi):  # t stays t: chart the least row
-            j = min(P.codes)
-            _, v, c = _chart(P.t_rows()[j], key).laurent().leading()
-            return j, v, c
-        return _chart(P, key).laurent().leading()
-    (jn, vn, cn), (jd, vd, cd) = least(f.num), least(f.den)
-    return Laurent2.monomial(cn.field, cn * cd.inv(), vn - vd, jn - jd)
+        if key.phi:
+            P = _chart(P, key)
+        elif key.swap:  # the axis u = 0: u and t swap
+            P = P.transpose()
+        j = min(P.codes)
+        row = P.codes[j]
+        if key.minimal_poly is None:  # infinity, s = 1/u: the top term
+            return j, -max(row), row[max(row)]
+        if not key.minimal_poly.codes[0]:  # root 0, as on curves: the bottom
+            return j, min(row), row[min(row)]
+        return (j,) + P.least_row()[1].order_at(key.root)
+    (j, v, a), (k, w, b) = least(f.num), least(f.den)
+    return Laurent2.quotient_monomial(kx, a, b, v - w, j - k)
 
 
 def curve_tame_terms(f, g, h):

@@ -170,6 +170,13 @@ class Laurent2:
         return Laurent2._adopt(dom, {0: {0: 1}}, INF, {})
 
     @staticmethod
+    def quotient_monomial(dom, a, b, i, j):
+        """The exact monomial (a/b)·u^i·t^j, a and b codes of field units."""
+        char, n, _, w, fold, _ = _mul_consts(dom)
+        v = _reduce(a * _inverse(dom, b), w, n, char, fold)
+        return Laurent2._adopt(dom, {j: {i: v}}, INF, {})
+
+    @staticmethod
     def from_dict(dom, d, t_prec=None, u_prec=None):
         """d maps (j, i) -> coefficient (or int, coerced via from_int)."""
         rows = {}
@@ -658,6 +665,11 @@ class Poly2:
         """The polynomial as {t_exp: Poly1-in-u}."""
         return {b: Poly1._adopt(self.field, _dense_row(row))
                 for b, row in self.codes.items()}
+
+    def least_row(self):
+        """(j, w): the least t-exponent j of a nonzero P, its row w a Poly1."""
+        j = min(self.codes)
+        return j, Poly1._adopt(self.field, _dense_row(self.codes[j]))
 
     def row_polys(self):
         """Each t-row as (e, w), the row being u^e·w with w a Poly1 and

@@ -846,6 +846,49 @@ def test_polynomial_layer_makes_no_element_arithmetic(monkeypatch):
     assert factored > 8 and found > 8
 
 
+def test_leads_and_places_read_codes(monkeypatch):
+    # lead_at_place reads the codes of the least t-rows: at infinity, at u,
+    # at every other rational place, at a place of degree 2 and on both
+    # axes it charts nothing, and only a graph curve reaches _chart;
+    # Chart.place decodes no coefficient: its sort key and root come from
+    # the coordinates of the codes, its label from pi.serialize()
+    rng = random.Random(37)
+    cases = []
+    for q in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        field = make_field(*q)
+        _, u, _ = uvars(field)
+        axes = [AdmissibleCurve(field, "axis_u"),
+                AdmissibleCurve(field, "axis_t")]
+        places = [Chart.place(field, pi) for pi in _irreducibles(field, 1)] + [
+            Chart.place(field, _irreducibles(field, 2)[0]), Chart.place(field)]
+        for _ in range(6):
+            f = rand_ratfunc(rng, field) * u ** rng.randrange(-3, 4)
+            cases += [(f, x, _lead_at_place_reference(f, x)) for x in places]
+            pf = _rand_pointfunc(rng, field, axes)
+            cases += [(pf, y, _lead_at_curve_reference(pf, y)) for y in axes]
+    graph = AdmissibleCurve(field, "graph_t_of_u",
+                            Poly1.from_ints(field, [0, 0, 1]))
+    polys = [pi for q in ((2, 1), (3, 1), (2, 2)) for d in (1, 2, 3)
+             for pi in _irreducibles(make_field(*q), d)]
+
+    def refused(*args):
+        raise AssertionError("a chart or a decoded coefficient list")
+    monkeypatch.setattr(globalfield, "_chart", refused)
+    for f, x, ref in cases:
+        assert lead_at_place(f, x) == ref, (f, x)
+    with pytest.raises(AssertionError, match="a chart"):
+        lead_at_place(cases[-1][0], graph)  # over F_5, as the graph
+    monkeypatch.setattr(Poly1, "coeffs", property(refused))
+    places = [Chart.place(pi.field, pi) for pi in polys]
+    monkeypatch.undo()
+    assert len(cases) == 180 and len(places) == 49
+    for x, pi in zip(places, polys):
+        assert x.sort_key() == (0, pi.deg, tuple(c.coeffs for c in pi.coeffs))
+        assert x.serialize() == pi.serialize()
+        assert repr(x) == f"Chart({pi.serialize()})"
+        assert x.root == ((-pi).coeffs[0] if pi.deg == 1 else None)
+
+
 def test_embeddings_take_no_discrete_log(monkeypatch):
     # an embedding is F_p-linear: building it, applying it, its section, the
     # norm and trace through it and a place's residue field take no
@@ -1325,10 +1368,13 @@ class TestBranchKernel:
                 assert got.is_zero() and got == Laurent2.zero(field)
 
 
-# The leading-term routines that the chart replaced, kept as references: a
-# row at infinity and at u was read off its sparse terms and at any other
-# place by division by pi, and a point function led as the product of the
-# leads of its factor equations on the branch.
+# Leading terms by other routes than lead_at_place's, kept as references:
+# a decoded row is read off its sparse terms at infinity and at u, and at
+# any other place divided by pi and evaluated at the root in k(x) by
+# Horner's rule on elements; a point function leads as the product of the
+# leads of its factor equations on the branch.  lead_at_place reads the
+# codes of the least t-rows (synthetic division at a rational root) and
+# charts only on a graph curve.
 
 def _row_at_place_reference(row, place):
     kx, emb, root = place_field(place)
@@ -1381,13 +1427,15 @@ def _rand_pointfunc(rng, field, curves):
 class TestChartLeads:
     @pytest.mark.parametrize("q", [(2, 1), (3, 1), (2, 2), (5, 1)])
     def test_place_leads_match_the_row_reference(self, q):
-        # infinity and every rational place, u among them; u^k with |k| up
-        # to 300 planted in half of the functions
+        # infinity, every place of degree 1 (u among them) and 2, and of
+        # degree 3 over F_2 and F_3; u^k with |k| up to 300 planted in half
+        # of the functions
         field = make_field(*q)
         rng = random.Random(53 + q[0] * 10 + q[1])
         _, u, t = uvars(field)
         places = [Chart.place(field, pi)
-                  for pi in _irreducibles(field, 1)] + [Chart.place(field)]
+                  for d in ((1, 2, 3) if field.q <= 3 else (1, 2))
+                  for pi in _irreducibles(field, d)] + [Chart.place(field)]
         for _ in range(12):
             f = rand_ratfunc(rng, field) * u ** rng.randrange(-3, 4)
             if rng.randrange(2):
